@@ -9,6 +9,7 @@ and float64 (production, drift <= 1e-12 per mass check).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -85,10 +86,8 @@ def srw_kernel(ball: Ball, n_steps: int, exact: bool = False) -> KernelTable:
         cur[0] = 1.0
         steps = [cur]
         for _ in range(n_steps):
-            nxt = np.zeros(nv)
-            np.add.at(nxt, heads, cur[tails] / d)
-            steps.append(nxt)
-            cur = nxt
+            cur = np.bincount(heads, weights=cur[tails] / d, minlength=nv)
+            steps.append(cur)
     return KernelTable("srw", ball, min(n_steps, ball.radius), steps, exact)
 
 
@@ -113,6 +112,7 @@ def nbw_kernel(ball: Ball, n_steps: int, exact: bool = False) -> KernelTable:
     head = ball.arc_head
     rev = ball.arc_rev
     out_arcs = ball.out_arcs
+    head_arr = np.asarray(head)
 
     def vertex_marginal(arc_mass):
         if isinstance(arc_mass, dict):
@@ -121,9 +121,7 @@ def nbw_kernel(ball: Ball, n_steps: int, exact: bool = False) -> KernelTable:
                 v = head[a]
                 out[v] = out.get(v, Fraction(0)) + mass
             return out
-        m = np.zeros(ball.n_vertices)
-        np.add.at(m, head, arc_mass)
-        return m
+        return np.bincount(head_arr, weights=arc_mass, minlength=ball.n_vertices)
 
     steps: list = []
     if exact:
@@ -153,14 +151,11 @@ def nbw_kernel(ball: Ball, n_steps: int, exact: bool = False) -> KernelTable:
             arc[out_arcs[0]] = 1.0 / d
             steps.append(vertex_marginal(arc))
             tail_arr = np.asarray(ball.arc_tail)
-            head_arr = np.asarray(ball.arc_head)
             rev_arr = np.asarray(rev)
             for _ in range(2, n_steps + 1):
-                # push mass from arc (u,v) to all arcs out of v except (v,u)
-                nxt = np.zeros(n_arcs)
-                incoming = np.zeros(ball.n_vertices)
-                np.add.at(incoming, head_arr, arc)
-                nxt = incoming[tail_arr] / (d - 1)
+                # push mass from arc (u,v) to all arcs out of v except (v,u);
+                # steps[-1] is the mass arriving at each vertex
+                nxt = steps[-1][tail_arr] / (d - 1)
                 nxt -= arc[rev_arr] / (d - 1)
                 arc = nxt
                 steps.append(vertex_marginal(arc))
@@ -285,10 +280,24 @@ class CheckEntry:
         }
 
 
-def _leq(lhs, rhs, exact: bool) -> bool:
-    if exact:
-        return lhs <= rhs
-    return float(lhs) <= float(rhs) + FLOAT_MASS_TOL
+_ZERO = Fraction(0)
+
+
+def _test_vertex_list(ball: Ball, test_vertices) -> list:
+    if test_vertices is None:
+        return list(range(ball.n_vertices))
+    vs = list(test_vertices)
+    outside = [x for x in vs if not 0 <= x < ball.n_vertices]
+    if outside:
+        raise ValueError(
+            f"test vertices outside [0, {ball.n_vertices}): {outside[:5]}"
+        )
+    return vs
+
+
+def _require_mode(exact: bool, *tables: KernelTable) -> None:
+    if any(t.exact != exact for t in tables):
+        raise ValueError("kernel table arithmetic does not match exact")
 
 
 def check_nbw_le_srw_tail(
@@ -303,34 +312,65 @@ def check_nbw_le_srw_tail(
     """q^n(0,x) <= sum_{j=n..J} p^j(0,x) + rho_ub^{J+1}/(1-rho_ub), J = H.
 
     The tail term covers the truncated part of the SRW sum with the
-    geometric bound p^j(0,x) <= rho^j.
+    geometric bound p^j(0,x) <= rho^j.  One entry per (n, x) pair, n
+    outer, x in `test_vertices` order (default: every ball vertex).
+
+    Cost: the suffix sums S_n(x) = sum_{j=n..J} p^j(0,x) are built once,
+    then each pair takes one comparison.  Exact mode builds them in
+    Fractions in one O(H*V) pass over the SRW steps from j = J down to 0,
+    and decides each pair by `lhs <= rhs` in Fractions.  Float mode
+    indexes each step once with the test vertices and adds whole arrays,
+    H(H+1)/2 additions in all, so that each S_n(x) is summed left to
+    right from j = n, bit for bit as a plain `sum` over j; a pair passes
+    when lhs <= rhs + FLOAT_MASS_TOL.
+
+    Raises ValueError if rho_ub is not in (0, 1), n_max exceeds a kernel
+    horizon, a test vertex is outside [0, ball.n_vertices), or a given
+    kernel table is not in the arithmetic `exact` selects.
     """
     if not 0 < float(rho_ub) < 1:
         raise ValueError("need 0 < rho_ub < 1")
     srw = srw if srw is not None else srw_kernel(ball, ball.radius, exact=exact)
     nbw = nbw if nbw is not None else nbw_kernel(ball, n_max, exact=exact)
+    _require_mode(exact, srw, nbw)
     horizon = srw.horizon
     if n_max > nbw.horizon or n_max > horizon:
         raise ValueError("kernel horizon too small for requested n_max")
-    if test_vertices is None:
-        test_vertices = list(range(ball.n_vertices))
+    vs = _test_vertex_list(ball, test_vertices)
     tail = _geometric_tail(rho_ub, horizon + 1, exact)
-    entries = []
     spec_name = ball.spec.describe()
-    for n in range(n_max + 1):
-        for x in test_vertices:
-            lhs = nbw.prob(n, x)
-            rhs = sum(srw.prob(j, x) for j in range(n, horizon + 1)) + tail
-            entries.append(
-                CheckEntry(
-                    check="nbw_le_srw_tail",
-                    params={"spec": spec_name, "n": n, "x": x, "J": horizon},
-                    lhs=float(lhs),
-                    rhs=float(rhs),
-                    passed=_leq(lhs, rhs, exact),
-                )
-            )
-    return entries
+
+    def block(n, rows):
+        return [
+            CheckEntry("nbw_le_srw_tail", {"spec": spec_name, "n": n, "x": x, "J": horizon},
+                       lhs, rhs, passed)
+            for x, lhs, rhs, passed in rows
+        ]
+
+    blocks = [None] * (n_max + 1)
+    if exact:
+        # S_n(x) at the test vertices, and (S_n(x) + tail, its float), as n falls
+        suffix = dict.fromkeys(vs, _ZERO)
+        bound = dict.fromkeys(vs, _with_float(_ZERO + tail))
+        for n in range(horizon, -1, -1):
+            for x, p in srw.steps[n].items():
+                if x in suffix:
+                    suffix[x] += p
+                    bound[x] = _with_float(suffix[x] + tail)
+            if n <= n_max:
+                blocks[n] = block(n, _exact_rows(vs, nbw.steps[n], map(bound.get, vs)))
+    else:
+        idx = np.asarray(vs, dtype=np.intp)
+        p = [srw.steps[j][idx] for j in range(horizon + 1)]
+        for n in range(n_max + 1):
+            lhs = nbw.steps[n][idx]
+            rhs = p[n].copy()
+            for j in range(n + 1, horizon + 1):
+                rhs += p[j]
+            rhs += tail
+            blocks[n] = block(n, zip(vs, lhs.tolist(), rhs.tolist(),
+                                     (lhs <= rhs + FLOAT_MASS_TOL).tolist()))
+    return [e for entries in blocks for e in entries]
 
 
 def check_nbw_le_rho_power(
@@ -341,31 +381,56 @@ def check_nbw_le_rho_power(
     exact: bool = False,
     nbw: KernelTable | None = None,
 ) -> list[CheckEntry]:
-    """q^n(0,x) <= rho_ub^n / (1 - rho_ub) for all x and n <= n_max."""
+    """q^n(0,x) <= rho_ub^n / (1 - rho_ub) for all x and n <= n_max.
+
+    One entry per (n, x) pair, n outer, x in `test_vertices` order
+    (default: every ball vertex).  The right side is computed once per n,
+    so the cost is one comparison per pair.  Exact mode decides each pair
+    by `lhs <= rhs` in Fractions; float mode compares whole arrays, and a
+    pair passes when lhs <= rhs + FLOAT_MASS_TOL.
+
+    Raises ValueError if rho_ub is not in (0, 1), n_max exceeds the kernel
+    horizon, a test vertex is outside [0, ball.n_vertices), or a given
+    kernel table is not in the arithmetic `exact` selects.
+    """
     if not 0 < float(rho_ub) < 1:
         raise ValueError("need 0 < rho_ub < 1")
     nbw = nbw if nbw is not None else nbw_kernel(ball, n_max, exact=exact)
+    _require_mode(exact, nbw)
     if n_max > nbw.horizon:
         raise ValueError("kernel horizon too small for requested n_max")
-    if test_vertices is None:
-        test_vertices = list(range(ball.n_vertices))
+    vs = _test_vertex_list(ball, test_vertices)
+    idx = None if exact else np.asarray(vs, dtype=np.intp)
     one = Fraction(1) if exact else 1.0
     entries = []
     spec_name = ball.spec.describe()
     for n in range(n_max + 1):
-        rhs = rho_ub**n / (one - rho_ub)
-        for x in test_vertices:
-            lhs = nbw.prob(n, x)
-            entries.append(
-                CheckEntry(
-                    check="nbw_le_rho_power",
-                    params={"spec": spec_name, "n": n, "x": x},
-                    lhs=float(lhs),
-                    rhs=float(rhs),
-                    passed=_leq(lhs, rhs, exact),
-                )
-            )
+        bound = rho_ub**n / (one - rho_ub)
+        if exact:
+            rows = _exact_rows(vs, nbw.steps[n], itertools.repeat(_with_float(bound)))
+        else:
+            q = nbw.steps[n][idx]
+            bound = float(bound)
+            rows = zip(vs, q.tolist(), itertools.repeat(bound),
+                       (q <= bound + FLOAT_MASS_TOL).tolist())
+        entries.extend(
+            CheckEntry("nbw_le_rho_power", {"spec": spec_name, "n": n, "x": x},
+                       lhs, rhs, passed)
+            for x, lhs, rhs, passed in rows
+        )
     return entries
+
+
+def _with_float(value) -> tuple:
+    return value, float(value)
+
+
+def _exact_rows(vs, step: dict, bounds):
+    """(x, float(lhs), float(rhs), lhs <= rhs) per test vertex, lhs = q^n(0,x)
+    from `step` and (rhs, float(rhs)) from `bounds`; the verdict is exact."""
+    for x, (rhs, rhs_float) in zip(vs, bounds):
+        lhs = step.get(x, _ZERO)
+        yield x, 0.0 if lhs is _ZERO else float(lhs), rhs_float, lhs <= rhs
 
 
 def _geometric_tail(rho_ub, start: int, exact: bool):

@@ -22,6 +22,7 @@ from girthlab.kernels import (
 
 F2 = parse_group_spec("Z*Z")
 Z5Z5 = parse_group_spec("Z5*Z5")
+Z2Z2Z2 = parse_group_spec("Z2*Z2*Z2")
 
 
 def test_srw_exact_small_values():
@@ -226,3 +227,72 @@ def test_kernel_inequality_rejects_bad_rho_and_horizon():
         check_nbw_le_rho_power(b, 2, 1.0)
     with pytest.raises(ValueError):
         check_nbw_le_srw_tail(b, 5, 0.9)  # ball radius 3 < requested n_max
+    with pytest.raises(ValueError):  # exact table in a float check
+        check_nbw_le_rho_power(b, 2, 0.9, nbw=nbw_kernel(b, 2, exact=True))
+
+
+def _oracle_records(ball_, n_max, rho_ub, exact, srw, nbw):
+    """Both checks as one comparison per pair with the SRW tail re-summed
+    for every (n, x): the reference the suffix-sum checks must match."""
+    one = Fraction(1) if exact else 1.0
+    horizon = srw.horizon
+    tail = rho_ub ** (horizon + 1) / (one - rho_ub)
+    spec = ball_.spec.describe()
+
+    def record(check, params, lhs, rhs):
+        passed = lhs <= rhs if exact else float(lhs) <= float(rhs) + FLOAT_MASS_TOL
+        return {"check": check, "params": params, "lhs": float(lhs), "rhs": float(rhs),
+                "margin": float(rhs) - float(lhs), "pass": passed}
+
+    xs = range(ball_.n_vertices)
+    tail_records = [
+        record("nbw_le_srw_tail", {"spec": spec, "n": n, "x": x, "J": horizon},
+               nbw.prob(n, x), sum(srw.prob(j, x) for j in range(n, horizon + 1)) + tail)
+        for n in range(n_max + 1) for x in xs
+    ]
+    power_records = [
+        record("nbw_le_rho_power", {"spec": spec, "n": n, "x": x},
+               nbw.prob(n, x), rho_ub**n / (one - rho_ub))
+        for n in range(n_max + 1) for x in xs
+    ]
+    return tail_records, power_records
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("radius", [3, 5])
+@pytest.mark.parametrize(
+    "spec,rho_pass",
+    # degree 4 makes every float sum exact; degree 3 makes its order matter
+    [(F2, kesten_rho_upper_fraction(4)), (Z5Z5, 0.95), (Z2Z2Z2, kesten_rho_upper_fraction(3))],
+    ids=["Z*Z", "Z5*Z5", "Z2*Z2*Z2"],
+)
+@pytest.mark.parametrize("failing", [False, True], ids=["rho-pass", "rho-1/10"])
+def test_kernel_inequalities_match_per_pair_oracle(spec, rho_pass, radius, exact, failing):
+    b = ball(spec, radius)
+    rho = (Fraction(1, 10) if exact else 0.1) if failing else rho_pass
+    srw = srw_kernel(b, radius, exact=exact)
+    nbw = nbw_kernel(b, radius, exact=exact)
+    want_tail, want_power = _oracle_records(b, radius, rho, exact, srw, nbw)
+    got_tail = [e.to_record() for e in check_nbw_le_srw_tail(b, radius, rho, exact=exact,
+                                                             srw=srw, nbw=nbw)]
+    got_power = [e.to_record() for e in check_nbw_le_rho_power(b, radius, rho, exact=exact,
+                                                               nbw=nbw)]
+    # repr also pins the value types (float, bool) and the params key order
+    assert [repr(r) for r in got_tail] == [repr(r) for r in want_tail]
+    assert [repr(r) for r in got_power] == [repr(r) for r in want_power]
+    violations = (sum(not r["pass"] for r in got_tail), sum(not r["pass"] for r in got_power))
+    if not failing:
+        assert violations == (0, 0)
+    elif spec is F2 and radius == 3:
+        assert violations == (48, 52)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("vertex", [10**6, 53, -1])
+def test_kernel_inequalities_reject_vertices_outside_ball(exact, vertex):
+    b = ball(F2, 3)  # 53 vertices
+    rho = kesten_rho_upper_fraction(4)
+    with pytest.raises(ValueError, match="outside"):
+        check_nbw_le_rho_power(b, 2, rho, test_vertices=[0, vertex], exact=exact)
+    with pytest.raises(ValueError, match="outside"):
+        check_nbw_le_srw_tail(b, 2, rho, test_vertices=[vertex], exact=exact)
