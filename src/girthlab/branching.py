@@ -98,11 +98,16 @@ def critical_probability(d: int) -> float:
 
 
 def estimate_pc_exact(d: int, tol: float = 1e-9) -> tuple[float, float]:
-    """Bisection interval for p_c from the survival oracle (tree-exact)."""
+    """Bisection interval for p_c from the survival oracle (tree-exact).
+
+    Each step is decided by p (d-1) > 1, the supercriticality test that
+    `branch_survival` applies before it iterates: the oracle's own
+    predicate, without running its fixed-point iteration.
+    """
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if survival_probability(d, mid) > 0.0:
+        if mid * (d - 1) > 1.0:
             hi = mid
         else:
             lo = mid

@@ -284,14 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--pc", action="store_true", help="bisection interval for pc")
     pc.add_argument("--tail", action="store_true", help="cluster-size tail (tree oracle)")
     pc.add_argument("--nmax", type=int, default=10_000)
-    pc.add_argument("--workers", type=int, default=1)
     pc.add_argument("--out", default=None)
     pc.set_defaults(func=cmd_perc)
 
     s = sub.add_parser("saw", help="SAW census, chi curve, bubble, Rosenbluth")
     s.add_argument("--spec", required=True)
     s.add_argument("--nmax", type=int, required=True)
-    s.add_argument("--R", type=int, default=None)
     s.add_argument("--N", type=int, default=None)
     s.add_argument("--z-grid", default=None, dest="z_grid")
     s.add_argument("--bubble-z", type=float, default=None, dest="bubble_z")

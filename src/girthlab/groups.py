@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 # syllable = (factor index, exponent); a word is a tuple of syllables
 Word = tuple[tuple[int, int], ...]
@@ -159,7 +160,9 @@ class Ball:
     Vertex 0 is the root (identity).  ``adj`` holds neighbor lists inside
     the ball; vertices at distance < R always have full degree d, boundary
     vertices may not.  Arcs index each undirected edge as two directed
-    arcs for non-backtracking walks.
+    arcs for non-backtracking walks.  ``n_edges`` and ``edge_adj`` are
+    computed on first use and kept, so ``adj`` must not change after the
+    ball is built.
     """
 
     spec: GroupSpec
@@ -178,7 +181,7 @@ class Ball:
     def n_vertices(self) -> int:
         return len(self.words)
 
-    @property
+    @cached_property
     def n_edges(self) -> int:
         return sum(len(a) for a in self.adj) // 2
 
@@ -195,6 +198,15 @@ class Ball:
                 if u < v:
                     out.append((u, v))
         return out
+
+    @cached_property
+    def edge_adj(self) -> list[list[tuple[int, int]]]:
+        """Neighbours as (vertex, edge index), edges indexed in `edges()` order."""
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n_vertices)]
+        for eid, (u, v) in enumerate(self.edges()):
+            adj[u].append((v, eid))
+            adj[v].append((u, eid))
+        return adj
 
     def girth_status(self) -> str:
         if self.girth_found is not None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import branching
-from .groups import Ball, GroupSpec, Word, ball as build_ball, inverse, multiply, word_length
+from .groups import Ball, GroupSpec, Word, ball as build_ball, normal_form, word_length
 from .rng import trial_rng
 from .stats import (
     DiagramResult,
@@ -84,19 +84,6 @@ def open_mask(ball: Ball, p: float, seed: int, trial: int) -> np.ndarray:
     return edge_uniforms(ball, seed, trial) < p
 
 
-def _edge_adjacency(ball: Ball) -> list[list[tuple[int, int]]]:
-    """adjacency as (neighbor, edge index) following ball.edges() order."""
-    cache = getattr(ball, "_edge_adj", None)
-    if cache is not None:
-        return cache
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(ball.n_vertices)]
-    for eid, (u, v) in enumerate(ball.edges()):
-        adj[u].append((v, eid))
-        adj[v].append((u, eid))
-    ball._edge_adj = adj  # type: ignore[attr-defined]
-    return adj
-
-
 def root_cluster(ball: Ball, open_edges: np.ndarray, stop_at_boundary: bool = False):
     """BFS the open cluster of the root.
 
@@ -104,7 +91,7 @@ def root_cluster(ball: Ball, open_edges: np.ndarray, stop_at_boundary: bool = Fa
     search exits as soon as the radius-R sphere is reached (crossing
     queries do not need the full cluster).
     """
-    adj = _edge_adjacency(ball)
+    adj = ball.edge_adj
     dist = ball.dist
     radius = ball.radius
     seen = bytearray(ball.n_vertices)
@@ -309,19 +296,78 @@ def _triangle_tail_bound(d: int, p: float, rho_ub: float, truncation: int) -> fl
     return pref * total
 
 
+# elements of one (rows, V, L) block in _pairwise_distance_counts: keeps
+# each temporary under ~0.5 MB; 1 << 18 ran no faster and raised the
+# certificate's peak RSS by ~2 MB
+_PAIR_BLOCK_ELEMS = 1 << 16
+
+
 def _pairwise_distance_counts(ball: Ball, max_dist: int) -> np.ndarray:
-    """counts[r1, r2, r] = # pairs (x, y) with |x|=r1, |y|=r2, d(x,y)=r."""
+    """counts[r1, r2, r] = # pairs (x, y) with |x|=r1, |y|=r2, d(x,y)=r.
+
+    d(x, y) = |x^{-1} y| comes from the normal forms x = s_1..s_a and
+    y = t_1..t_b.  With k the length of their common syllable prefix, the
+    prefix cancels in x^{-1} y.  If s_{k+1} and t_{k+1} lie in the same
+    factor they merge into the single syllable s_{k+1}^{-1} t_{k+1}, which
+    is not the identity because the syllables differ, so
+    d = sum_{i>k+1} |s_i| + sum_{j>k+1} |t_j| + |s_{k+1}^{-1} t_{k+1}|;
+    otherwise (different factors, or one word a prefix of the other)
+    d = sum_{i>k} |s_i| + sum_{j>k} |t_j|.
+
+    Cost: O(V^2 L) int64 array operations, L the largest syllable count,
+    in blocks of rows of bounded size.  Exact: every length comes from
+    `word_length` and `normal_form`, and no float is involved.
+    """
     spec = ball.spec
     R = ball.radius
-    counts = np.zeros((R + 1, R + 1, max_dist + 1), dtype=np.int64)
-    inverses = [inverse(spec, w) for w in ball.words]
-    for i, wi in enumerate(inverses):
-        ri = ball.dist[i]
-        for j, wj in enumerate(ball.words):
-            dij = word_length(spec, multiply(spec, wi, wj))
-            if dij <= max_dist:
-                counts[ri, ball.dist[j], dij] += 1
-    return counts
+    V = ball.n_vertices
+    words = ball.words
+    L = max(len(w) for w in words)
+    # prefix[v, j-1] = index of v's first j syllables (v itself past its end),
+    # so the common prefix length is the number of equal columns (x == y
+    # gets k = L, past both ends, where every table below reads 0 or -1)
+    prefix = np.empty((V, L), dtype=np.int64)
+    # per syllable position, padded to L+1 columns: factor (-1 past the
+    # end), exponent and syllable length, then suffix sums of the lengths
+    factor = np.full((V, L + 1), -1, dtype=np.int64)
+    exp = np.zeros((V, L + 1), dtype=np.int64)
+    syl_len = np.zeros((V, L + 1), dtype=np.int64)
+    for v, w in enumerate(words):
+        prefix[v] = v
+        for j, (f, e) in enumerate(w):
+            prefix[v, j] = ball.index[w[: j + 1]]
+            factor[v, j] = f
+            exp[v, j] = e
+            syl_len[v, j] = word_length(spec, (w[j],))
+    suffix = np.cumsum(syl_len[:, ::-1], axis=1)[:, ::-1]
+    # merged[f, e + off] = |(f, e)| for every exponent difference e
+    off = 2 * int(np.abs(exp).max())
+    merged = np.array(
+        [[word_length(spec, normal_form(spec, [(f, e)])) for e in range(-off, off + 1)]
+         for f in range(len(spec.orders))],
+        dtype=np.int64,
+    )
+
+    dist = np.asarray(ball.dist, dtype=np.int64)
+    n_bins = (R + 1) * (R + 1) * (max_dist + 1)
+    flat = np.zeros(n_bins, dtype=np.int64)
+    block = max(1, _PAIR_BLOCK_ELEMS // (V * max(L, 1)))
+    for start in range(0, V, block):
+        xs = np.arange(start, min(start + block, V))
+        k = (prefix[xs, None, :] == prefix[None, :, :]).sum(axis=2)
+        # flat indices of (x, k) and (y, k) into the (V, L+1) tables
+        ix = xs[:, None] * (L + 1) + k
+        iy = np.arange(V) * (L + 1) + k
+        d = np.take(suffix, ix) + np.take(suffix, iy)
+        fx, fy = np.take(factor, ix), np.take(factor, iy)
+        merge = (fx == fy) & (fx >= 0)
+        ix, iy = ix[merge], iy[merge]
+        d[merge] += (merged[fx[merge], np.take(exp, iy) - np.take(exp, ix) + off]
+                     - np.take(syl_len, ix) - np.take(syl_len, iy))
+        keep = d <= max_dist
+        cell = (dist[xs, None] * (R + 1) + dist[None, :]) * (max_dist + 1) + d
+        flat += np.bincount(cell[keep], minlength=n_bins)
+    return flat.reshape(R + 1, R + 1, max_dist + 1)
 
 
 def triangle_diagram(

@@ -183,7 +183,7 @@ class Certificate:
 
 
 def _graph_certificate(job: GraphJob, seed: int, theta_star: float,
-                       eps: float | None, workers: int) -> dict:
+                       eps: float | None) -> dict:
     spec = parse_group_spec(job.spec_text)
     d = spec.degree
     entries: list[Entry] = []
@@ -316,13 +316,11 @@ def run_certificate(config: VerifyConfig) -> Certificate:
                     [config.seed] * len(config.jobs),
                     [config.theta_star] * len(config.jobs),
                     [config.eps] * len(config.jobs),
-                    [config.workers] * len(config.jobs),
                 )
             )
     else:
         graphs = [
-            _graph_certificate(job, config.seed, config.theta_star, config.eps,
-                               config.workers)
+            _graph_certificate(job, config.seed, config.theta_star, config.eps)
             for job in config.jobs
         ]
     meta = {

@@ -92,6 +92,22 @@ def test_critical_probability_and_pc_interval():
         assert lo <= critical_probability(d) <= hi
 
 
+def test_pc_interval_matches_survival_bisection():
+    # the bisection as it ran on the survival oracle itself
+    def bisect(d, tol):
+        lo, hi = 0.0, 1.0
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if survival_probability(d, mid) > 0.0:
+                hi = mid
+            else:
+                lo = mid
+        return lo, hi
+
+    for d in (3, 4, 5):
+        assert estimate_pc_exact(d, tol=1e-6) == bisect(d, 1e-6)
+
+
 # --- total progeny sampler --------------------------------------------------
 
 def test_progeny_deterministic_and_prefix_stable():

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from girthlab import branching
-from girthlab.groups import ball, parse_group_spec
+from girthlab.groups import ball, inverse, multiply, parse_group_spec, word_length
 from girthlab.percolation import (
     PercRun,
     UnionFind,
+    _pairwise_distance_counts,
     cluster_partition,
     cluster_size_tail,
     collect_cluster_stats,
@@ -178,6 +179,37 @@ def test_triangle_mc_agrees_with_exact_on_tree():
     exact = triangle_diagram(F2, 0.3, 3, method="exact-tree").value
     mc = triangle_diagram(F2, 0.3, 3, method="mc", trials=800, seed=5).value
     assert mc == pytest.approx(exact, rel=0.15)
+
+
+def _pair_counts_oracle(b, max_dist):
+    """The pair table by one word product per pair: |x^{-1} y| for all (x, y)."""
+    spec = b.spec
+    counts = np.zeros((b.radius + 1, b.radius + 1, max_dist + 1), dtype=np.int64)
+    inverses = [inverse(spec, w) for w in b.words]
+    for i, wi in enumerate(inverses):
+        for j, wj in enumerate(b.words):
+            dij = word_length(spec, multiply(spec, wi, wj))
+            if dij <= max_dist:
+                counts[b.dist[i], b.dist[j], dij] += 1
+    return counts
+
+
+@pytest.mark.parametrize("spec, radius, max_dist", [
+    ("Z*Z", 5, 5),
+    ("Z5*Z5", 4, 4),
+    ("Z5*Z5", 6, 6),
+    ("Z2*Z3*Z4", 4, 4),
+    ("Z*Z5", 4, 3),
+    ("Z3*Z", 5, 5),
+    ("Z2*Z2*Z2", 4, 4),
+    ("Z4*Z4", 4, 8),
+    ("Z*Z", 0, 0),
+])
+def test_pairwise_distance_counts_match_word_products(spec, radius, max_dist):
+    b = ball(parse_group_spec(spec), radius)
+    got = _pairwise_distance_counts(b, max_dist)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _pair_counts_oracle(b, max_dist))
 
 
 def test_triangle_method_validation():
