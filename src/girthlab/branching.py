@@ -33,19 +33,10 @@ def crossing_probability_exact(d: int, p: float, radius: int) -> float:
         a = (1.0 - p + p * a) ** (d - 1)
     return 1.0 - (1.0 - p + p * a) ** d
 
-def _branch_survival_iteration(d: int, p: float, tol: float = FIXED_POINT_TOL) -> float:
-    """Largest fixed point of theta = 1 - (1 - p*theta)^(d-1), by iteration."""
-    theta = 1.0
-    for _ in range(100_000):
-        nxt = 1.0 - (1.0 - p * theta) ** (d - 1)
-        if abs(nxt - theta) < tol:
-            return nxt
-        theta = nxt
-    return theta
-
 
 def _branch_survival_bisection(d: int, p: float, tol: float = FIXED_POINT_TOL) -> float:
-    """Same fixed point located by bisection on f(t) = 1-(1-pt)^(d-1) - t."""
+    """The fixed point of `branch_survival` located by bisection on
+    f(t) = 1-(1-pt)^(d-1) - t: the tests' second opinion."""
 
     def f(t: float) -> float:
         return 1.0 - (1.0 - p * t) ** (d - 1) - t
@@ -64,22 +55,25 @@ def _branch_survival_bisection(d: int, p: float, tol: float = FIXED_POINT_TOL) -
     return 0.5 * (lo + hi)
 
 
-def branch_survival(d: int, p: float, method: str = "iterate") -> float:
-    """Survival probability of the Binomial(d-1, p) branching process."""
+def branch_survival(d: int, p: float) -> float:
+    """Survival probability of the Binomial(d-1, p) branching process: the
+    largest fixed point of theta = 1 - (1 - p*theta)^(d-1), by iteration."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     if p * (d - 1) <= 1.0:
         return 0.0
-    if method == "iterate":
-        return _branch_survival_iteration(d, p)
-    if method == "bisect":
-        return _branch_survival_bisection(d, p)
-    raise ValueError(f"unknown method {method!r}")
+    theta = 1.0
+    for _ in range(100_000):
+        nxt = 1.0 - (1.0 - p * theta) ** (d - 1)
+        if abs(nxt - theta) < FIXED_POINT_TOL:
+            return nxt
+        theta = nxt
+    return theta
 
 
-def survival_probability(d: int, p: float, method: str = "iterate") -> float:
+def survival_probability(d: int, p: float) -> float:
     """theta(p): probability the root cluster is infinite."""
-    tb = branch_survival(d, p, method=method)
+    tb = branch_survival(d, p)
     if tb == 0.0:
         return 0.0
     return 1.0 - (1.0 - p * tb) ** d
@@ -115,6 +109,9 @@ def estimate_pc_exact(d: int, tol: float = 1e-9) -> tuple[float, float]:
 
 
 _PROGENY_BLOCK = 256
+# trials per counter-based stream; it keys the streams, so changing it
+# changes every sample
+_PROGENY_CHUNK = 4096
 
 
 def total_progeny_samples(
@@ -123,7 +120,6 @@ def total_progeny_samples(
     n_max: int,
     trials: int,
     seed: int,
-    chunk: int = 4096,
 ) -> np.ndarray:
     """Root-cluster sizes on the d-regular tree, censored at n_max.
 
@@ -140,9 +136,9 @@ def total_progeny_samples(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     out = np.empty(trials, dtype=np.int64)
-    for start in range(0, trials, chunk):
-        stop = min(start + chunk, trials)
-        rng = trial_rng(seed, start // chunk)
+    for start in range(0, trials, _PROGENY_CHUNK):
+        stop = min(start + _PROGENY_CHUNK, trials)
+        rng = trial_rng(seed, start // _PROGENY_CHUNK)
         m = stop - start
         size = np.ones(m, dtype=np.int64)
         frontier = rng.binomial(d, p, size=m).astype(np.int64)

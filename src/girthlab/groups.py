@@ -10,9 +10,10 @@ reduced mod the factor order.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+
+import numpy as np
 
 # syllable = (factor index, exponent); a word is a tuple of syllables
 Word = tuple[tuple[int, int], ...]
@@ -153,16 +154,19 @@ class BallCapExceeded(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Ball:
     """Rooted radius-R piece of the Cayley graph, BFS-complete.
 
-    Vertex 0 is the root (identity).  ``adj`` holds neighbor lists inside
-    the ball; vertices at distance < R always have full degree d, boundary
-    vertices may not.  Arcs index each undirected edge as two directed
-    arcs for non-backtracking walks.  ``n_edges`` and ``edge_adj`` are
-    computed on first use and kept, so ``adj`` must not change after the
-    ball is built.
+    Vertex 0 is the root (identity); vertices are numbered in BFS order.
+    Vertices at distance < R have full degree d; an edge between two
+    radius-R vertices is not in the ball, so boundary vertices may not.
+
+    Edge e is (u, v) with u < v; edges are ordered by u, then by the
+    generator that leads from u to v.  Its arcs are 2e = u->v and
+    2e+1 = v->u, so the reverse of arc a is a ^ 1.  ``arc_tail`` and
+    ``arc_head`` are the only stored graph; ``adj`` is derived from them
+    on first use.  Nothing changes a ball after `ball` returns it.
     """
 
     spec: GroupSpec
@@ -170,20 +174,17 @@ class Ball:
     words: list[Word]
     index: dict[Word, int]
     dist: list[int]
-    adj: list[list[int]]
     girth_found: int | None  # shortest cycle through root seen, None if acyclic so far
-    arc_head: list[int] = field(default_factory=list, repr=False)
-    arc_tail: list[int] = field(default_factory=list, repr=False)
-    arc_rev: list[int] = field(default_factory=list, repr=False)
-    out_arcs: list[list[int]] = field(default_factory=list, repr=False)
+    arc_tail: np.ndarray = field(repr=False)
+    arc_head: np.ndarray = field(repr=False)
 
     @property
     def n_vertices(self) -> int:
         return len(self.words)
 
-    @cached_property
+    @property
     def n_edges(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
+        return len(self.arc_head) // 2
 
     def sphere_sizes(self) -> list[int]:
         sizes = [0] * (self.radius + 1)
@@ -192,41 +193,20 @@ class Ball:
         return sizes
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u, nbrs in enumerate(self.adj):
-            for v in nbrs:
-                if u < v:
-                    out.append((u, v))
-        return out
+        return list(zip(self.arc_tail[::2].tolist(), self.arc_head[::2].tolist()))
 
     @cached_property
-    def edge_adj(self) -> list[list[tuple[int, int]]]:
-        """Neighbours as (vertex, edge index), edges indexed in `edges()` order."""
+    def adj(self) -> list[list[tuple[int, int]]]:
+        """Neighbours of each vertex as (neighbour, arc to it), in arc order."""
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n_vertices)]
-        for eid, (u, v) in enumerate(self.edges()):
-            adj[u].append((v, eid))
-            adj[v].append((u, eid))
+        for a, (u, v) in enumerate(zip(self.arc_tail.tolist(), self.arc_head.tolist())):
+            adj[u].append((v, a))
         return adj
 
     def girth_status(self) -> str:
         if self.girth_found is not None:
             return f"girth={self.girth_found}"
         return f"girth>{2 * self.radius}"
-
-    def build_arcs(self) -> None:
-        """Populate the directed-edge index (idempotent)."""
-        if self.arc_head:
-            return
-        arc_id: dict[tuple[int, int], int] = {}
-        for u, v in self.edges():
-            for a, b in ((u, v), (v, u)):
-                arc_id[(a, b)] = len(self.arc_tail)
-                self.arc_tail.append(a)
-                self.arc_head.append(b)
-        self.arc_rev = [arc_id[(h, t)] for t, h in zip(self.arc_tail, self.arc_head)]
-        self.out_arcs = [[] for _ in range(self.n_vertices)]
-        for i, t in enumerate(self.arc_tail):
-            self.out_arcs[t].append(i)
 
     def export_edge_list(self) -> str:
         lines = [
@@ -248,15 +228,15 @@ def ball(spec: GroupSpec, radius: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> 
     words: list[Word] = [IDENTITY]
     index: dict[Word, int] = {IDENTITY: 0}
     dist = [0]
-    adj: list[list[int]] = [[]]
+    arc_tail: list[int] = []
+    arc_head: list[int] = []
     girth_found: int | None = None
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
+    # vertex ids are BFS order, so scanning `words` as it grows is the
+    # queue, and after the first radius-R vertex every vertex is at radius R
+    for u, wu in enumerate(words):
         du = dist[u]
         if du == radius:
-            continue
-        wu = words[u]
+            break
         for factor, exp in gens:
             wv = append_syllable(spec, wu, factor, exp)
             v = index.get(wv)
@@ -269,25 +249,25 @@ def ball(spec: GroupSpec, radius: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> 
                 index[wv] = v
                 words.append(wv)
                 dist.append(du + 1)
-                adj.append([])
-                queue.append(v)
-                adj[u].append(v)
-                adj[v].append(u)
-            elif v not in adj[u]:
+            elif v < u:
+                # v was expanded first and already holds this edge
+                continue
+            else:
                 # non-tree edge: closes a cycle through the root of length
                 # dist(u) + dist(v) + 1
-                adj[u].append(v)
-                adj[v].append(u)
                 cyc = du + dist[v] + 1
                 if girth_found is None or cyc < girth_found:
                     girth_found = cyc
+            arc_tail += (u, v)
+            arc_head += (v, u)
     return Ball(
         spec=spec,
         radius=radius,
         words=words,
         index=index,
         dist=dist,
-        adj=adj,
+        arc_tail=np.array(arc_tail, dtype=np.intp),
+        arc_head=np.array(arc_head, dtype=np.intp),
         girth_found=girth_found,
     )
 

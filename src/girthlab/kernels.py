@@ -48,9 +48,6 @@ class KernelTable:
             return sorted(step)
         return [int(v) for v in np.nonzero(step)[0]]
 
-    def return_sequence(self) -> list:
-        return [self.prob(n, 0) for n in range(len(self.steps))]
-
     def to_csv_rows(self):
         from .groups import word_str
 
@@ -76,24 +73,18 @@ def srw_kernel(ball: Ball, n_steps: int, exact: bool = False) -> KernelTable:
             nxt: dict[int, Fraction] = {}
             for u, mass in steps[-1].items():
                 share = mass * inv_d
-                for v in ball.adj[u]:
+                for v, _ in ball.adj[u]:
                     nxt[v] = nxt.get(v, Fraction(0)) + share
             steps.append(nxt)
     else:
         nv = ball.n_vertices
-        tails, heads = _edge_arrays(ball)
         cur = np.zeros(nv)
         cur[0] = 1.0
         steps = [cur]
         for _ in range(n_steps):
-            cur = np.bincount(heads, weights=cur[tails] / d, minlength=nv)
+            cur = np.bincount(ball.arc_head, weights=cur[ball.arc_tail] / d, minlength=nv)
             steps.append(cur)
     return KernelTable("srw", ball, min(n_steps, ball.radius), steps, exact)
-
-
-def _edge_arrays(ball: Ball):
-    ball.build_arcs()
-    return np.asarray(ball.arc_tail), np.asarray(ball.arc_head)
 
 
 def nbw_kernel(ball: Ball, n_steps: int, exact: bool = False) -> KernelTable:
@@ -107,12 +98,9 @@ def nbw_kernel(ball: Ball, n_steps: int, exact: bool = False) -> KernelTable:
     d = ball.spec.degree
     if d < 3:
         raise ValueError("non-backtracking walk needs degree >= 3")
-    ball.build_arcs()
-    n_arcs = len(ball.arc_head)
-    head = ball.arc_head
-    rev = ball.arc_rev
-    out_arcs = ball.out_arcs
-    head_arr = np.asarray(head)
+    # a list for the Fraction loops, the array for numpy
+    head = ball.arc_head.tolist() if exact else ball.arc_head
+    root_arcs = [a for _, a in ball.adj[0]]
 
     def vertex_marginal(arc_mass):
         if isinstance(arc_mass, dict):
@@ -121,23 +109,21 @@ def nbw_kernel(ball: Ball, n_steps: int, exact: bool = False) -> KernelTable:
                 v = head[a]
                 out[v] = out.get(v, Fraction(0)) + mass
             return out
-        return np.bincount(head_arr, weights=arc_mass, minlength=ball.n_vertices)
+        return np.bincount(head, weights=arc_mass, minlength=ball.n_vertices)
 
     steps: list = []
     if exact:
         steps.append({0: Fraction(1)})
         if n_steps >= 1:
-            arc: dict[int, Fraction] = {
-                a: Fraction(1, d) for a in out_arcs[0]
-            }
+            arc: dict[int, Fraction] = {a: Fraction(1, d) for a in root_arcs}
             steps.append(vertex_marginal(arc))
             inv = Fraction(1, d - 1)
             for _ in range(2, n_steps + 1):
                 nxt: dict[int, Fraction] = {}
                 for a, mass in arc.items():
                     share = mass * inv
-                    banned = rev[a]
-                    for b in out_arcs[head[a]]:
+                    banned = a ^ 1
+                    for _, b in ball.adj[head[a]]:
                         if b != banned:
                             nxt[b] = nxt.get(b, Fraction(0)) + share
                 arc = nxt
@@ -147,16 +133,15 @@ def nbw_kernel(ball: Ball, n_steps: int, exact: bool = False) -> KernelTable:
         root[0] = 1.0
         steps.append(root)
         if n_steps >= 1:
-            arc = np.zeros(n_arcs)
-            arc[out_arcs[0]] = 1.0 / d
+            arc = np.zeros(len(head))
+            arc[root_arcs] = 1.0 / d
             steps.append(vertex_marginal(arc))
-            tail_arr = np.asarray(ball.arc_tail)
-            rev_arr = np.asarray(rev)
+            rev = np.arange(len(head)) ^ 1
             for _ in range(2, n_steps + 1):
                 # push mass from arc (u,v) to all arcs out of v except (v,u);
                 # steps[-1] is the mass arriving at each vertex
-                nxt = steps[-1][tail_arr] / (d - 1)
-                nxt -= arc[rev_arr] / (d - 1)
+                nxt = steps[-1][ball.arc_tail] / (d - 1)
+                nxt -= arc[rev] / (d - 1)
                 arc = nxt
                 steps.append(vertex_marginal(arc))
     return KernelTable("nbw", ball, min(n_steps, ball.radius), steps, exact)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,21 +58,6 @@ class UnionFind:
         return [self.find(i) for i in range(len(self.parent))]
 
 
-@dataclass(frozen=True)
-class PercRun:
-    spec: GroupSpec
-    radius: int
-    p: float
-    trials: int
-    seed: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must be in [0, 1]")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-
-
 def edge_uniforms(ball: Ball, seed: int, trial: int) -> np.ndarray:
     """One uniform per undirected edge, keyed by (seed, trial): the shared
     coupling used to make connectivity monotone in p across a p-grid."""
@@ -91,7 +76,7 @@ def root_cluster(ball: Ball, open_edges: np.ndarray, stop_at_boundary: bool = Fa
     search exits as soon as the radius-R sphere is reached (crossing
     queries do not need the full cluster).
     """
-    adj = ball.edge_adj
+    adj = ball.adj
     dist = ball.dist
     radius = ball.radius
     seen = bytearray(ball.n_vertices)
@@ -101,8 +86,8 @@ def root_cluster(ball: Ball, open_edges: np.ndarray, stop_at_boundary: bool = Fa
     queue = deque([0])
     while queue:
         u = queue.popleft()
-        for v, eid in adj[u]:
-            if not seen[v] and open_edges[eid]:
+        for v, a in adj[u]:
+            if not seen[v] and open_edges[a >> 1]:
                 seen[v] = 1
                 members.append(v)
                 if dist[v] == radius:
@@ -111,47 +96,6 @@ def root_cluster(ball: Ball, open_edges: np.ndarray, stop_at_boundary: bool = Fa
                         return members, True
                 queue.append(v)
     return members, touched
-
-
-@dataclass
-class ClusterStats:
-    run: PercRun
-    root_sizes: np.ndarray  # per-trial root cluster size (boundary trials included)
-    touched: np.ndarray  # boundary-contact flag (the |C| = infinity proxy)
-    crossed: np.ndarray  # root connected to the radius-R sphere
-    histogram: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.histogram:
-            finite = self.root_sizes[~self.touched]
-            vals, counts = np.unique(finite, return_counts=True)
-            self.histogram = {int(v): int(c) for v, c in zip(vals, counts)}
-
-    @property
-    def crossing(self) -> Estimate:
-        return binomial_estimate(int(self.crossed.sum()), len(self.crossed))
-
-    @property
-    def mean_size(self) -> Estimate:
-        return mean_estimate(self.root_sizes.astype(float))
-
-
-def sample_clusters(ball: Ball, p: float, seed: int, trial: int = 0):
-    """Single percolation trial: root cluster size and boundary flag."""
-    mask = open_mask(ball, p, seed, trial)
-    members, touched = root_cluster(ball, mask)
-    return len(members), touched
-
-
-def collect_cluster_stats(ball: Ball, p: float, trials: int, seed: int) -> ClusterStats:
-    run = PercRun(ball.spec, ball.radius, p, trials, seed)
-    sizes = np.empty(trials, dtype=np.int64)
-    touched = np.empty(trials, dtype=bool)
-    for t in range(trials):
-        size, touch = sample_clusters(ball, p, seed, t)
-        sizes[t] = size
-        touched[t] = touch
-    return ClusterStats(run, sizes, touched, crossed=touched.copy())
 
 
 def cluster_partition(ball: Ball, open_edges: np.ndarray) -> list[int]:
@@ -181,14 +125,6 @@ class PcEstimate:
     hi: float
     radius: int
     theta_star: float
-    drift_radius: int | None = None
-    drift_lo: float | None = None
-    drift_hi: float | None = None
-    note: str = "finite-size surrogate: bisection of crossing probability at radius R"
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
 
 
 def estimate_pc(
@@ -198,7 +134,6 @@ def estimate_pc(
     seed: int,
     theta_star: float = 0.5,
     tol: float = 0.02,
-    drift_radius: int | None = None,
 ) -> PcEstimate:
     """Bisection of crossing probability against theta_star.
 
@@ -207,37 +142,26 @@ def estimate_pc(
     """
     if not 0.0 < theta_star < 1.0:
         raise ValueError("theta_star must be in (0, 1)")
-
-    def bracket(r: int) -> tuple[float, float]:
-        b = build_ball(spec, r)
-        lo, hi = 0.0, 1.0
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            est = crossing_probability(b, mid, trials, seed)
-            if est.value >= theta_star:
-                hi = mid
-            else:
-                lo = mid
-        # widen each end until its Wilson interval clears theta*, so MC
-        # noise at the bisection budget never yields a false point estimate
-        for _ in range(10):
-            if lo <= 0.0 or crossing_probability(b, lo, trials, seed).ci_hi < theta_star:
-                break
-            lo = max(0.0, lo - tol)
-        for _ in range(10):
-            if hi >= 1.0 or crossing_probability(b, hi, trials, seed).ci_lo > theta_star:
-                break
-            hi = min(1.0, hi + tol)
-        return lo, hi
-
-    lo, hi = bracket(radius)
-    est = PcEstimate(lo, hi, radius, theta_star)
-    if drift_radius is not None:
-        dlo, dhi = bracket(drift_radius)
-        est.drift_radius = drift_radius
-        est.drift_lo = dlo
-        est.drift_hi = dhi
-    return est
+    b = build_ball(spec, radius)
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        est = crossing_probability(b, mid, trials, seed)
+        if est.value >= theta_star:
+            hi = mid
+        else:
+            lo = mid
+    # widen each end until its Wilson interval clears theta*, so MC
+    # noise at the bisection budget never yields a false point estimate
+    for _ in range(10):
+        if lo <= 0.0 or crossing_probability(b, lo, trials, seed).ci_hi < theta_star:
+            break
+        lo = max(0.0, lo - tol)
+    for _ in range(10):
+        if hi >= 1.0 or crossing_probability(b, hi, trials, seed).ci_lo > theta_star:
+            break
+        hi = min(1.0, hi + tol)
+    return PcEstimate(lo, hi, radius, theta_star)
 
 
 def theta_curve(
@@ -402,12 +326,8 @@ def triangle_diagram(
             freq[members] += 1.0
         freq /= trials
         # tau indexed by distance via transitivity: average over the sphere
-        tau = np.zeros(truncation + 1)
-        sph = np.zeros(truncation + 1)
-        for v in range(b.n_vertices):
-            tau[b.dist[v]] += freq[v]
-            sph[b.dist[v]] += 1
-        tau = tau / sph
+        tau = (np.bincount(b.dist, weights=freq, minlength=truncation + 1)
+               / np.bincount(b.dist, minlength=truncation + 1))
     else:
         raise ValueError(f"unknown method {method!r}")
 

@@ -28,10 +28,6 @@ class Estimate:
     ci_hi: float
     trials: int
 
-    @property
-    def half_width(self) -> float:
-        return 0.5 * (self.ci_hi - self.ci_lo)
-
 
 def binomial_estimate(successes: int, trials: int) -> Estimate:
     lo, hi = wilson_interval(successes, trials)

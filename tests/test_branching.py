@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from girthlab.branching import (
+    _branch_survival_bisection,
     branch_survival,
     critical_probability,
     crossing_probability_exact,
@@ -51,8 +52,8 @@ def test_survival_zero_at_and_below_critical():
 
 def test_survival_methods_agree():
     for d, p in ((4, 0.4), (4, 0.35), (3, 0.6), (3, 0.9)):
-        a = branch_survival(d, p, method="iterate")
-        b = branch_survival(d, p, method="bisect")
+        a = branch_survival(d, p)
+        b = _branch_survival_bisection(d, p)
         assert a == pytest.approx(b, abs=1e-9)
         assert 0 < a < 1
 
@@ -64,8 +65,6 @@ def test_survival_frozen_value():
 def test_survival_rejects_bad_input():
     with pytest.raises(ValueError):
         branch_survival(4, 1.5)
-    with pytest.raises(ValueError):
-        branch_survival(4, 0.4, method="guess")
 
 
 @given(st.integers(3, 6), st.floats(0.0, 1.0))

@@ -1,5 +1,7 @@
 """Normal forms, Cayley balls and girth."""
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +9,7 @@ from girthlab.groups import (
     BallCapExceeded,
     GroupSpec,
     GroupSpecError,
+    append_syllable,
     ball,
     girth,
     inverse,
@@ -132,19 +135,86 @@ def test_ball_edges_symmetric_and_unique():
     edges = b.edges()
     assert len(edges) == len(set(edges)) == b.n_edges
     for u, v in edges:
-        assert v in b.adj[u] and u in b.adj[v]
+        assert v in [w for w, _ in b.adj[u]] and u in [w for w, _ in b.adj[v]]
 
 
 def test_arc_reversal_involution():
     b = ball(Z5Z5, 3)
-    b.build_arcs()
-    for a, r in enumerate(b.arc_rev):
-        assert b.arc_rev[r] == a
+    n_arcs = len(b.arc_head)
+    for a in range(n_arcs):
+        r = a ^ 1
+        assert r ^ 1 == a and r < n_arcs
         assert b.arc_head[a] == b.arc_tail[r]
         assert b.arc_tail[a] == b.arc_head[r]
-    assert sorted(len(out) for out in b.out_arcs) == sorted(
-        len(adj) for adj in b.adj
-    )
+    # adj lists every arc once, under its tail
+    assert sorted(a for nbrs in b.adj for _, a in nbrs) == list(range(n_arcs))
+    for u, nbrs in enumerate(b.adj):
+        for v, a in nbrs:
+            assert (b.arc_tail[a], b.arc_head[a]) == (u, v)
+
+
+def _reference_ball(spec, radius):
+    """The neighbour-list BFS that `ball` replaced, with its `edges()` and
+    arc numbering: (words, dist, adj, girth_found, edges, arc_tail,
+    arc_head, arc_rev, out_arcs)."""
+    gens = spec.generators()
+    words, index, dist, adj = [()], {(): 0}, [0], [[]]
+    girth_found = None
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        if dist[u] == radius:
+            continue
+        for factor, exp in gens:
+            wv = append_syllable(spec, words[u], factor, exp)
+            v = index.get(wv)
+            if v is None:
+                v = len(words)
+                index[wv] = v
+                words.append(wv)
+                dist.append(dist[u] + 1)
+                adj.append([])
+                queue.append(v)
+                adj[u].append(v)
+                adj[v].append(u)
+            elif v not in adj[u]:
+                adj[u].append(v)
+                adj[v].append(u)
+                cyc = dist[u] + dist[v] + 1
+                if girth_found is None or cyc < girth_found:
+                    girth_found = cyc
+    edges = [(u, v) for u, nbrs in enumerate(adj) for v in nbrs if u < v]
+    arc_id, arc_tail, arc_head = {}, [], []
+    for u, v in edges:
+        for a, b in ((u, v), (v, u)):
+            arc_id[(a, b)] = len(arc_tail)
+            arc_tail.append(a)
+            arc_head.append(b)
+    arc_rev = [arc_id[(h, t)] for t, h in zip(arc_tail, arc_head)]
+    out_arcs = [[] for _ in words]
+    for a, t in enumerate(arc_tail):
+        out_arcs[t].append(a)
+    return words, dist, adj, girth_found, edges, arc_tail, arc_head, arc_rev, out_arcs
+
+
+@pytest.mark.parametrize(
+    "text", ["Z*Z", "Z5*Z5", "Z2*Z3*Z4", "Z2*Z2*Z2", "Z3*Z3", "Z*Z5", "Z3*Z", "Z4*Z4", "Z7*Z7"]
+)
+def test_ball_matches_neighbour_list_bfs(text):
+    # edge ids key the percolation uniforms, so equal edge order pins the
+    # Monte Carlo coupling; equal neighbour order pins the kernel sums
+    spec = parse_group_spec(text)
+    for radius in range(7):
+        b = ball(spec, radius)
+        (words, dist, adj, girth_found, edges,
+         tail, head, rev, out_arcs) = _reference_ball(spec, radius)
+        assert b.words == words and b.dist == dist
+        assert b.girth_found == girth_found
+        assert b.edges() == edges and b.n_edges == len(edges)
+        assert b.arc_tail.tolist() == tail and b.arc_head.tolist() == head
+        assert [a ^ 1 for a in range(len(head))] == rev
+        assert [[v for v, _ in nbrs] for nbrs in b.adj] == adj
+        assert [[a for _, a in nbrs] for nbrs in b.adj] == out_arcs
 
 
 def test_ball_cap():

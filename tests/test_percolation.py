@@ -9,12 +9,10 @@ from hypothesis import given, settings, strategies as st
 from girthlab import branching
 from girthlab.groups import ball, inverse, multiply, parse_group_spec, word_length
 from girthlab.percolation import (
-    PercRun,
     UnionFind,
     _pairwise_distance_counts,
     cluster_partition,
     cluster_size_tail,
-    collect_cluster_stats,
     crossing_probability,
     estimate_pc,
     fit_beta,
@@ -33,13 +31,6 @@ from girthlab.percolation import (
 
 F2 = parse_group_spec("Z*Z")
 Z5Z5 = parse_group_spec("Z5*Z5")
-
-
-def test_percrun_validation():
-    with pytest.raises(ValueError):
-        PercRun(F2, 3, 1.5, 10, 0)
-    with pytest.raises(ValueError):
-        PercRun(F2, 3, 0.5, 0, 0)
 
 
 def test_union_find_components():
@@ -100,17 +91,6 @@ def test_crossing_matches_branching_oracle():
         est = crossing_probability(b, p, trials=600, seed=3)
         exact = branching.crossing_probability_exact(4, p, 4)
         assert est.ci_lo - 0.01 <= exact <= est.ci_hi + 0.01
-
-
-def test_collect_cluster_stats():
-    b = ball(F2, 3)
-    stats = collect_cluster_stats(b, 0.3, trials=200, seed=9)
-    assert len(stats.root_sizes) == 200
-    assert (stats.root_sizes >= 1).all()
-    assert np.array_equal(stats.crossed, stats.touched)
-    assert sum(stats.histogram.values()) == int((~stats.touched).sum())
-    assert stats.crossing.trials == 200
-    assert stats.mean_size.value >= 1.0
 
 
 def test_two_point_tree_exact():
