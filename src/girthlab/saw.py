@@ -1,12 +1,15 @@
 """Self-avoiding walk: exact enumeration, Rosenbluth sampling, generating
 functions and the bubble diagram.
 
-Walks live on normal-form words directly (no ball needs to be
-materialized: a length-n walk only ever holds n+1 words).  Counts are
-exact Python integers.  Everything downstream (connective-constant
-bounds, endpoint law, speed, chi, bubble) is derived from the census
-where affordable; Rosenbluth sampling covers lengths beyond the
-enumeration ceiling and is cross-checked against the census in tests.
+The census needs no ball: the Cayley graph of a free product of cyclic
+groups is a tree of blocks (lines, single edges and m-cycles), so a SAW
+is fixed by its endpoint's normal-form word plus, for each m-cycle
+syllable, which way round the cycle it went.  `enumerate_saw` walks the
+words once each and carries exact integer walk counts per length.
+Everything downstream (connective-constant bounds, endpoint law, speed,
+chi, bubble) is derived from the census where affordable; Rosenbluth
+sampling covers lengths beyond the enumeration ceiling and is
+cross-checked against the census in tests.
 """
 
 from __future__ import annotations
@@ -46,28 +49,64 @@ def _neighbors(spec: GroupSpec, w: Word) -> list[Word]:
 
 
 def enumerate_saw(spec: GroupSpec, n_max: int) -> SawCensus:
-    """Exact DFS census of self-avoiding walks from the identity."""
+    """Exact census of self-avoiding walks from the identity, n <= n_max.
+
+    A SAW never re-enters a block it has left (it would revisit the cut
+    vertex), and inside a block it is a monotone arc from its entry
+    vertex.  So the SAWs ending at a word x are the choices, per syllable
+    of x, of one arc: a ``Z`` syllable (f, +-k) takes k steps, a ``Z2``
+    syllable 1 step, and a ``Zm`` syllable (f, e) with m >= 3 either e
+    steps one way or m - e steps the other (two distinct walks of equal
+    length when 2e = m).  c_n(x) is the z^n coefficient of the product
+    of these per-syllable polynomials.
+
+    A depth-first pass over words keeps each pending word's polynomial
+    truncated at n_max, so the cost is one step per (word, n) entry of
+    the output rather than one per walk.  Counts are exact Python
+    integers.  The order of each ``endpoint_counts[n]`` dict is not part
+    of the result.
+    """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    counts = [0] * (n_max + 1)
+    # per factor: (s, t, syllables) whose walks are an arc of s steps or, on
+    # an m-cycle, also one of t = m - s steps the other way; s ascends, s <= t
+    moves = []
+    for f, m in enumerate(spec.orders):
+        if m is None:
+            groups = [(k, None, ((f, k), (f, -k))) for k in range(1, n_max + 1)]
+        elif m == 2:
+            groups = [(1, None, ((f, 1),))]
+        else:
+            groups = [(e, m - e, ((f, e),) if 2 * e == m else ((f, e), (f, m - e)))
+                      for e in range(1, m // 2 + 1)]
+        moves.append((f, groups))
     endpoint_counts: list[dict[Word, int]] = [{} for _ in range(n_max + 1)]
-    gens = spec.generators()
-    visited: set[Word] = set()
-
-    def dfs(w: Word, depth: int) -> None:
-        counts[depth] += 1
-        ec = endpoint_counts[depth]
-        ec[w] = ec.get(w, 0) + 1
-        if depth == n_max:
-            return
-        visited.add(w)
-        for f, e in gens:
-            nxt = append_syllable(spec, w, f, e)
-            if nxt not in visited:
-                dfs(nxt, depth + 1)
-        visited.discard(w)
-
-    dfs((), 0)
+    endpoint_counts[0][()] = 1
+    # pending words: (word, its last factor, {n: c_n(word)}, lowest such n)
+    stack: list[tuple[Word, int, dict[int, int], int]] = [((), -1, {0: 1}, 0)]
+    while stack:
+        w, last, poly, lo = stack.pop()
+        for f, groups in moves:
+            if f == last:
+                continue
+            for s, t, syllables in groups:
+                child_lo = lo + s
+                if child_lo > n_max:
+                    break
+                cut = n_max - s
+                child = {n + s: c for n, c in poly.items() if n <= cut}
+                if t is not None:
+                    cut = n_max - t
+                    for n, c in poly.items():
+                        if n <= cut:
+                            child[n + t] = child.get(n + t, 0) + c
+                for syl in syllables:
+                    x = w + (syl,)
+                    for n, c in child.items():
+                        endpoint_counts[n][x] = c
+                    if child_lo < n_max:
+                        stack.append((x, f, child, child_lo))
+    counts = [sum(ec.values()) for ec in endpoint_counts]
     return SawCensus(spec, n_max, counts, endpoint_counts)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from girthlab.groups import parse_group_spec, word_length
+from girthlab.groups import append_syllable, parse_group_spec, word_length
 from girthlab.saw import (
     bubble_diagram,
     connective_constant,
@@ -24,7 +24,7 @@ F2 = parse_group_spec("Z*Z")
 Z5Z5 = parse_group_spec("Z5*Z5")
 Z2CUBED = parse_group_spec("Z2*Z2*Z2")
 
-# DFS census on Z5*Z5, frozen
+# c_0..c_8 on Z5*Z5, frozen from the walk-by-walk DFS census
 Z5Z5_COUNTS = [1, 4, 12, 36, 108, 320, 952, 2832, 8424]
 
 
@@ -63,6 +63,44 @@ def test_census_tree_endpoints_unique():
         # on a tree a SAW is a geodesic ray: every endpoint reached once
         assert set(census.endpoint_counts[n].values()) == {1}
         assert census.mean_endpoint_distance(n) == n
+
+
+def dfs_census(spec, n_max):
+    """The walk-by-walk DFS census on tuple words: the oracle for the
+    block-tree recursion of `enumerate_saw`."""
+    counts = [0] * (n_max + 1)
+    endpoint_counts = [{} for _ in range(n_max + 1)]
+    gens = spec.generators()
+    visited = set()
+
+    def dfs(w, depth):
+        counts[depth] += 1
+        ec = endpoint_counts[depth]
+        ec[w] = ec.get(w, 0) + 1
+        if depth == n_max:
+            return
+        visited.add(w)
+        for f, e in gens:
+            nxt = append_syllable(spec, w, f, e)
+            if nxt not in visited:
+                dfs(nxt, depth + 1)
+        visited.discard(w)
+
+    dfs((), 0)
+    return counts, endpoint_counts
+
+
+@pytest.mark.parametrize("text", ["Z*Z", "Z5*Z5", "Z2*Z2*Z2", "Z2*Z3*Z4", "Z*Z5", "Z3*Z",
+                                  "Z3*Z3", "Z4*Z4", "Z7*Z7", "Z5", "Z"])
+def test_census_matches_dfs_oracle(text):
+    spec = parse_group_spec(text)
+    for n_max in range(9):
+        census = enumerate_saw(spec, n_max)
+        counts, endpoint_counts = dfs_census(spec, n_max)
+        assert census.n_max == n_max
+        assert census.counts == counts
+        # dict equality: endpoint order is not part of the census
+        assert census.endpoint_counts == endpoint_counts
 
 
 def test_census_validation():
