@@ -3,10 +3,16 @@
 Bond percolation on the d-regular tree seen from the root is a
 Galton-Watson process: the root has Binomial(d, p) open edges, every
 other vertex Binomial(d-1, p).  Crossing probabilities, survival
-probability and mean cluster size are computed here without any graph,
-and critical-cluster sizes are sampled as branching-process total
-progeny, which serves as the independent check for the graph-based
-percolation estimators.
+probability and mean cluster size are computed here without any graph.
+
+Critical-cluster sizes are sampled as branching-process total progeny,
+one whole generation per round: the k vertices of a generation have
+Binomial((d-1)k, p) children between them, because a sum of k
+independent Binomial(d-1, p) counts is Binomial((d-1)k, p).  So each
+round costs one binomial draw per trial still alive, and a trial stops
+when its generation is empty or is censored as soon as the vertices
+counted so far exceed the cap.  These samples serve as the independent
+check for the graph-based percolation estimators.
 """
 
 from __future__ import annotations
@@ -108,7 +114,6 @@ def estimate_pc_exact(d: int, tol: float = 1e-9) -> tuple[float, float]:
     return lo, hi
 
 
-_PROGENY_BLOCK = 256
 # trials per counter-based stream; it keys the streams, so changing it
 # changes every sample
 _PROGENY_CHUNK = 4096
@@ -121,43 +126,48 @@ def total_progeny_samples(
     trials: int,
     seed: int,
 ) -> np.ndarray:
-    """Root-cluster sizes on the d-regular tree, censored at n_max.
+    """Root-cluster sizes T on the d-regular tree, censored at n_max.
 
-    Uses the random-walk representation of total progeny: explore
-    vertices in generation order keeping a count of unexplored frontier
-    members; the root contributes Binomial(d, p) children, everyone else
-    Binomial(d-1, p).  Sizes that would exceed n_max are reported as
-    n_max + 1 (censored), which stands in for the boundary-touch flag of
-    ball-based sampling.
+    Explores the Galton-Watson tree one generation per round: the root's
+    generation has Binomial(d, p) vertices, and a generation of k
+    vertices has Binomial((d-1)k, p) children, the sum of their k
+    independent Binomial(d-1, p) offspring counts.  A trial adds each
+    generation to its size and stops when the generation is empty (its
+    size is then T), or as soon as its size exceeds n_max, when it is
+    reported as n_max + 1: that already proves T > n_max, and it stands
+    in for the boundary-touch flag of ball-based sampling.  So every
+    sample is min(T, n_max + 1), exactly.  Cost: one binomial draw per
+    alive trial per generation, O(sum over generations of alive trials).
 
     Deterministic in (seed, trial index): trials are processed in fixed
-    chunks, each with its own counter-based stream.
+    chunks of `_PROGENY_CHUNK`, each with its own counter-based stream
+    `trial_rng(seed, chunk)`, so a prefix of the trials does not depend
+    on how many follow.  The samples differ from those of the earlier
+    vertex-by-vertex exploration in blocks of Binomial(d-1, p) draws;
+    their law does not.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     out = np.empty(trials, dtype=np.int64)
     for start in range(0, trials, _PROGENY_CHUNK):
         stop = min(start + _PROGENY_CHUNK, trials)
         rng = trial_rng(seed, start // _PROGENY_CHUNK)
-        m = stop - start
-        size = np.ones(m, dtype=np.int64)
-        frontier = rng.binomial(d, p, size=m).astype(np.int64)
-        alive = frontier > 0
-        while alive.any():
-            idx = np.nonzero(alive)[0]
-            # explore up to a block of vertices per alive trial
-            steps = np.minimum(frontier[idx], _PROGENY_BLOCK).astype(np.int64)
-            block = int(steps.max())
-            kids = rng.binomial(d - 1, p, size=(len(idx), block))
-            mask = np.arange(block)[None, :] < steps[:, None]
-            born = (kids * mask).sum(axis=1)
-            size[idx] += steps
-            frontier[idx] += born - steps
-            done = frontier[idx] <= 0
-            capped = size[idx] > n_max
-            size[idx[capped]] = n_max + 1
-            alive[idx[done | capped]] = False
-        out[start:stop] = size
+        # per alive trial: its index in out, its vertices before the newest
+        # generation, and the newest generation's size
+        idx = np.arange(start, stop)
+        size = np.ones(stop - start, dtype=np.int64)
+        frontier = rng.binomial(d, p, size=stop - start)
+        while idx.size:
+            size += frontier
+            capped = size > n_max
+            ended = (frontier == 0) & ~capped
+            out[idx[capped]] = n_max + 1
+            out[idx[ended]] = size[ended]
+            alive = ~(capped | ended)
+            idx, size = idx[alive], size[alive]
+            frontier = rng.binomial((d - 1) * frontier[alive], p)
     return out
 
 

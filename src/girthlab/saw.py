@@ -14,6 +14,7 @@ cross-checked against the census in tests.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -329,7 +330,10 @@ def susceptibility_saw(
     """chi(z) over a grid in [0, mu_hat^{-1}) with the ratio
     chi(z) * (mu_hat^{-1} - z), the bounded-above-and-below witness.
 
-    Tree specs use the exact closed form chi(z) = 1 + dz/(1-(d-1)z).
+    Tree specs use the exact closed form chi(z) = 1 + dz/(1-(d-1)z);
+    other specs sum c_n z^n over the census and add the certified
+    submultiplicative tail, the `chi` and `chi_tail` of `green_function`
+    without its per-endpoint table.
     """
     d = spec.degree
     if census is not None and mu_hat is None:
@@ -338,6 +342,11 @@ def susceptibility_saw(
         mu_hat = float(d - 1)
     if mu_hat is None:
         raise ValueError("need a census or a tree spec to fix mu_hat")
+    if not spec.is_tree:
+        if census is None:
+            raise ValueError("non-tree spec needs a census")
+        if census.n_max < truncation:
+            raise ValueError("census horizon below truncation")
     mu_inv = 1.0 / mu_hat
     rows = []
     for z in z_grid:
@@ -348,10 +357,13 @@ def susceptibility_saw(
             tail = 0.0
             certified = True
         else:
-            g = green_function(spec, z, truncation, census=census)
-            chi = g.chi
-            tail = g.chi_tail
-            certified = g.certified
+            if z < 0:
+                raise ValueError("z must be >= 0")
+            chi = 0.0
+            for n in range(truncation + 1):
+                chi += census.counts[n] * z**n
+            tail = _chi_tail_census(census, z, truncation)
+            certified = tail < math.inf
         rows.append(
             {"z": z, "chi": chi, "tail": tail, "certified": certified,
              "ratio_lo": chi * (mu_inv - z),
@@ -370,8 +382,11 @@ def bubble_diagram(
     """B(z) = sum_x G_z(x)^2, truncated with a rigorous tail.
 
     Tree mode: B_N = 1 + sum_{r<=N} |S_r| z^{2r}, tail exactly geometric.
-    Census mode: sum over walk-length pairs (n, m <= N) with the chained
-    kernel tail over n + m > N, certified when z(d-1)rho_ub < 1.
+    Census mode: sum over walk-length pairs (n, m <= N) of
+    O[n][m] z^(n+m), where O[n][m] = sum_x c_n(x) c_m(x) is counted
+    exactly in int64 (it is at most c_n c_m) from one pass that numbers
+    the endpoint words; the chained kernel tail covers n + m > N and is
+    certified when z(d-1)rho_ub < 1.
     """
     d = spec.degree
     if census is None and spec.is_tree:
@@ -388,14 +403,30 @@ def bubble_diagram(
     elif census is not None:
         if census.n_max < truncation:
             raise ValueError("census horizon below truncation")
+        if max(census.counts[:truncation + 1]) ** 2 >= 2**63:
+            raise OverflowError("walk counts too large for int64 overlaps")
+        # per n: the id of each endpoint word (one id per distinct word)
+        # and c_n(x)
+        word_id: dict[Word, int] = {}
+        n_entries = 0
+        columns = []
+        for n in range(truncation + 1):
+            ec = census.endpoint_counts[n]
+            ids = np.fromiter(map(word_id.setdefault, ec, itertools.count(n_entries)),
+                              dtype=np.intp, count=len(ec))
+            n_entries += len(ec)
+            columns.append((ids, np.fromiter(ec.values(), dtype=np.int64, count=len(ec))))
+        overlap = [[0] * (truncation + 1) for _ in range(truncation + 1)]
+        by_id = np.zeros(n_entries, dtype=np.int64)
+        for n, (ids_n, c_n) in enumerate(columns):
+            by_id[ids_n] = c_n
+            for m, (ids_m, c_m) in enumerate(columns):
+                overlap[n][m] = int(np.dot(by_id[ids_m], c_m))
+            by_id[ids_n] = 0
         value = 0.0
         for n in range(truncation + 1):
             for m in range(truncation + 1):
-                ec_n = census.endpoint_counts[n]
-                ec_m = census.endpoint_counts[m]
-                small, big = (ec_n, ec_m) if len(ec_n) <= len(ec_m) else (ec_m, ec_n)
-                overlap = sum(c * big[x] for x, c in small.items() if x in big)
-                value += overlap * z ** (n + m)
+                value += overlap[n][m] * z ** (n + m)
         if rho_ub is not None and z * (d - 1) * rho_ub < 1.0:
             lam = z * (d - 1) * rho_ub
             pref = (d / (d - 1)) ** 2 / (1.0 - rho_ub) ** 2

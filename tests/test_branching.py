@@ -1,6 +1,7 @@
 """Branching-process oracle: the independent ground truth for tree percolation."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -141,6 +142,46 @@ def test_progeny_p_zero_and_validation():
     assert (sizes == 1).all()
     with pytest.raises(ValueError):
         total_progeny_samples(4, 0.5, 10, trials=0, seed=0)
+    with pytest.raises(ValueError):
+        total_progeny_samples(4, 0.5, -1, trials=10, seed=0)
+
+
+def test_progeny_p_one_and_zero_cap():
+    # p = 1: the tree is infinite, so every sample is censored
+    sizes = total_progeny_samples(4, 1.0, 1000, trials=5000, seed=3)
+    assert (sizes == 1001).all()
+    # n_max = 0: every cluster has the root, so every sample is 1 = n_max + 1
+    for p in (0.0, 0.25, 1.0):
+        assert (total_progeny_samples(3, p, 0, trials=5000, seed=4) == 1).all()
+
+
+def cluster_size_law(d, p, n):
+    """P(|C| = n) on the d-regular tree, exactly (Fisher-Essam): rooted
+    subtrees of n vertices times the probability that exactly their
+    n - 1 edges and none of their (d-2)n + 2 boundary edges are open."""
+    p = Fraction(p)
+    return (Fraction(d, (d - 2) * n + 2) * math.comb((d - 1) * n, n - 1)
+            * p ** (n - 1) * (1 - p) ** ((d - 2) * n + 2))
+
+
+def test_cluster_size_law_sums_to_one_below_pc():
+    # subcritical: no infinite cluster, so the law has total mass 1
+    assert float(sum(cluster_size_law(4, 0.25, n) for n in range(1, 1000))) == \
+        pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("d,p", [(3, 0.5), (3, 0.25), (4, 1 / 3), (4, 0.25)])
+def test_progeny_matches_exact_cluster_size_law(d, p):
+    n_max, trials = 12, 40_000
+    sizes = total_progeny_samples(d, p, n_max, trials=trials, seed=17)
+    assert sizes.min() >= 1 and sizes.max() <= n_max + 1
+    censored = 1 - float(sum(cluster_size_law(d, p, n) for n in range(1, n_max + 1)))
+    cases = [(float(cluster_size_law(d, p, n)), np.mean(sizes == n))
+             for n in (1, 2, 3, 4, 5, n_max)]
+    cases.append((censored, np.mean(sizes == n_max + 1)))
+    for prob, freq in cases:
+        se = math.sqrt(prob * (1 - prob) / trials)
+        assert abs(freq - prob) <= 4 * se, (prob, freq, se)
 
 
 def test_tail_curve():

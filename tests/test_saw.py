@@ -262,7 +262,50 @@ def test_susceptibility_ratio_census_bounded():
         assert 0 < r["ratio_lo"] <= r["ratio_hi"] < math.inf
 
 
+@pytest.mark.parametrize("text", ["Z5*Z5", "Z2*Z3*Z4"])
+def test_susceptibility_census_matches_green_function(text):
+    spec = parse_group_spec(text)
+    census = enumerate_saw(spec, 8)
+    mu_inv = 1.0 / connective_constant(census).mu_hat
+    zs = [0.0, 0.3 * mu_inv, 0.5 * mu_inv, 0.9 * mu_inv]
+    for truncation in (0, 5, 8):
+        rows = susceptibility_saw(spec, zs, truncation, census=census)
+        for z, r in zip(zs, rows):
+            g = green_function(spec, z, truncation, census=census)
+            # bit-equal: the same sum in the same order
+            assert r["chi"] == g.chi
+            assert r["tail"] == g.chi_tail
+            assert r["certified"] == g.certified
+    with pytest.raises(ValueError):
+        susceptibility_saw(spec, [0.1], 9, census=census)
+    with pytest.raises(ValueError):
+        susceptibility_saw(spec, [0.1], 5, mu_hat=3.0)
+
+
 # --- bubble -----------------------------------------------------------------
+
+def pair_intersection_bubble(census, z, truncation):
+    """The census bubble sum as one dict intersection per (n, m) pair."""
+    value = 0.0
+    for n in range(truncation + 1):
+        for m in range(truncation + 1):
+            ec_n = census.endpoint_counts[n]
+            ec_m = census.endpoint_counts[m]
+            small, big = (ec_n, ec_m) if len(ec_n) <= len(ec_m) else (ec_m, ec_n)
+            overlap = sum(c * big[x] for x, c in small.items() if x in big)
+            value += overlap * z ** (n + m)
+    return value
+
+
+@pytest.mark.parametrize("text", ["Z5*Z5", "Z*Z5", "Z2*Z3*Z4"])
+def test_bubble_census_matches_pair_intersections(text):
+    spec = parse_group_spec(text)
+    census = enumerate_saw(spec, 8)
+    mu_inv = 1.0 / connective_constant(census).mu_hat
+    for truncation in range(9):
+        for z in (0.5 * mu_inv, mu_inv, 0.3):
+            res = bubble_diagram(spec, z, truncation, census=census, rho_ub=0.95)
+            assert res.value == pair_intersection_bubble(census, z, truncation)
 
 def test_bubble_tree_value():
     res = bubble_diagram(F2, 1 / 3, 40)
