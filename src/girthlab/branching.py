@@ -94,24 +94,10 @@ def mean_cluster_size(d: int, p: float) -> float:
 
 
 def critical_probability(d: int) -> float:
+    """p_c = 1/(d-1) on the d-regular tree: the branching process is
+    supercritical iff its mean offspring p(d-1) exceeds 1 (Lyons-Peres,
+    *Probability on Trees and Networks*, ch. 5)."""
     return 1.0 / (d - 1)
-
-
-def estimate_pc_exact(d: int, tol: float = 1e-9) -> tuple[float, float]:
-    """Bisection interval for p_c from the survival oracle (tree-exact).
-
-    Each step is decided by p (d-1) > 1, the supercriticality test that
-    `branch_survival` applies before it iterates: the oracle's own
-    predicate, without running its fixed-point iteration.
-    """
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid * (d - 1) > 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
 
 
 # trials per counter-based stream; it keys the streams, so changing it

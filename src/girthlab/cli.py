@@ -177,12 +177,9 @@ def parse_verify_config(text: str) -> VerifyConfig:
     if cp.has_section("verify"):
         sec = cp["verify"]
         cfg.seed = sec.getint("seed", 0)
-        cfg.workers = sec.getint("workers", 1)
         cfg.theta_star = sec.getfloat("theta_star", 0.5)
         if "eps" in sec:
             cfg.eps = sec.getfloat("eps")
-    if cfg.workers < 1:
-        raise CliError("workers must be >= 1")
     for name in cp.sections():
         if not name.startswith("graph:"):
             continue
@@ -203,8 +200,7 @@ def parse_verify_config(text: str) -> VerifyConfig:
 
 
 def serialize_verify_config(cfg: VerifyConfig) -> str:
-    lines = ["[verify]", f"seed = {cfg.seed}", f"workers = {cfg.workers}",
-             f"theta_star = {cfg.theta_star}"]
+    lines = ["[verify]", f"seed = {cfg.seed}", f"theta_star = {cfg.theta_star}"]
     if cfg.eps is not None:
         lines.append(f"eps = {cfg.eps}")
     for job in cfg.jobs:
@@ -224,8 +220,6 @@ def serialize_verify_config(cfg: VerifyConfig) -> str:
 
 def cmd_verify(args, outputs: OutputSet) -> int:
     cfg = parse_verify_config(Path(args.config).read_text())
-    if args.workers is not None:
-        cfg.workers = args.workers
     if args.seed is not None:
         cfg.seed = args.seed
     cert = run_certificate(cfg)
@@ -301,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the full inequality certificate")
     v.add_argument("--config", required=True)
-    v.add_argument("--workers", type=int, default=None)
     v.add_argument("--seed", type=int, default=None)
     v.add_argument("--strict", action="store_true",
                    help="nonzero exit when any entry is inconclusive")

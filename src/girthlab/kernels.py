@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .groups import Ball, GroupSpec
+from .groups import Ball, GroupSpec, ball as build_ball
 
 FLOAT_MASS_TOL = 1e-12
 
@@ -203,13 +203,16 @@ def estimate_spectral_radius(
     spec: GroupSpec,
     n_steps: int,
     rho_ub: float | None = None,
-    ball_radius: int | None = None,
+    srw: KernelTable | None = None,
 ) -> RhoEstimate:
     """Lower-bound sequence (p^{2n}(0,0))^{1/2n} plus a certified upper bound.
 
     Trees use the radial birth-death reduction (n_steps up to ~10^3 is
     cheap) and Kesten's formula 2*sqrt(d-1)/d for the upper bound.  Other
-    specs run the ball kernel and require a user-supplied upper bound.
+    specs read the return probabilities p^n(0,0), n <= n_steps, from the
+    SRW table `srw` (built on a radius-n_steps ball when not given; a
+    given table must belong to `spec` and reach horizon n_steps) and
+    require a user-supplied upper bound.  `srw` is unused on trees.
     """
     if n_steps % 2 != 0:
         raise ValueError("n_steps must be even")
@@ -222,12 +225,11 @@ def estimate_spectral_radius(
             ub = rho_ub
             provenance = "user-supplied"
     else:
-        from .groups import ball as build_ball
-
-        radius = ball_radius if ball_radius is not None else n_steps
-        b = build_ball(spec, min(radius, n_steps))
-        table = srw_kernel(b, min(n_steps, b.radius))
-        returns = np.array([table.prob(n, 0) for n in range(len(table.steps))])
+        if srw is None:
+            srw = srw_kernel(build_ball(spec, n_steps), n_steps)
+        elif srw.kind != "srw" or srw.ball.spec != spec or srw.horizon < n_steps:
+            raise ValueError("srw must be an SRW table of spec with horizon >= n_steps")
+        returns = [srw.prob(n, 0) for n in range(n_steps + 1)]
         ub = rho_ub
         provenance = "user-supplied" if rho_ub is not None else "missing"
     seq = [float(returns[2 * n]) ** (1.0 / (2 * n)) for n in range(1, (len(returns) - 1) // 2 + 1)]

@@ -1,8 +1,8 @@
 """Deterministic splittable random streams.
 
 Every Monte Carlo trial draws from a counter-based Philox stream keyed by
-(master seed, stream index), so results are bit-identical regardless of
-worker count or platform, and trials can run in any order.
+(master seed, stream index), so results are bit-identical from run to run
+and across platforms, and trials can run in any order.
 """
 
 from __future__ import annotations

@@ -14,12 +14,13 @@ import time
 from dataclasses import dataclass, field, asdict
 
 from . import branching, percolation, saw as saw_mod
-from .groups import GroupSpec, ball as build_ball, girth as girth_of, parse_group_spec
+from .groups import ball as build_ball, parse_group_spec
 from .kernels import (
     check_nbw_le_rho_power,
     check_nbw_le_srw_tail,
     estimate_spectral_radius,
-    kesten_rho,
+    nbw_kernel,
+    srw_kernel,
 )
 
 PASS = "pass"
@@ -102,23 +103,21 @@ def check_bnp_bound(
 ) -> Entry:
     """p_c <= 1/(d-1) + C log(1+(1-rho)^{-2}) / (d*girth).
 
-    A girth lower bound is safe: it only enlarges the right-hand side.
+    Pass when the whole p_c interval is under the bound, fail when none of
+    it is, and inconclusive when the interval straddles the bound.  A girth
+    lower bound is safe: it only enlarges the right-hand side.
     """
+    anchor = "pc<=1/(d-1)+C*log(...)/(d*g)"
     if rho_ub is None or big_c is None:
-        return Entry("pc_degree_girth_bound", "pc<=1/(d-1)+C*log(...)/(d*g)",
-                     math.nan, math.nan, INCONCLUSIVE,
+        return Entry("pc_degree_girth_bound", anchor, math.nan, math.nan, INCONCLUSIVE,
                      note="needs rho_ub and the universal constant C")
     bound = 1.0 / (d - 1) + big_c * math.log(1.0 + (1.0 - rho_ub) ** -2) / (d * girth_lb)
     if pc_hi <= bound:
-        return Entry("pc_degree_girth_bound", "pc<=1/(d-1)+C*log(...)/(d*g)",
-                     pc_hi, bound, PASS)
-    if pc_lo <= bound:
-        return Entry("pc_degree_girth_bound", "pc<=1/(d-1)+C*log(...)/(d*g)",
-                     pc_hi, bound, PASS,
-                     note="pc interval straddles the bound: consistent within "
-                          "estimation error")
-    return Entry("pc_degree_girth_bound", "pc<=1/(d-1)+C*log(...)/(d*g)",
-                 pc_hi, bound, FAIL)
+        return Entry("pc_degree_girth_bound", anchor, pc_hi, bound, PASS)
+    if pc_lo > bound:
+        return Entry("pc_degree_girth_bound", anchor, pc_hi, bound, FAIL)
+    return Entry("pc_degree_girth_bound", anchor, pc_hi, bound, INCONCLUSIVE,
+                 note=f"pc interval [{pc_lo:.6g}, {pc_hi:.6g}] straddles the bound")
 
 
 def check_mu_pc(mu_ub: float, pc_lo: float, pc_hi: float) -> Entry:
@@ -148,14 +147,12 @@ class GraphJob:
 class VerifyConfig:
     jobs: list[GraphJob] = field(default_factory=list)
     seed: int = 0
-    workers: int = 1
     theta_star: float = 0.5
     eps: float | None = None
 
     def to_dict(self) -> dict:
         return {"jobs": [asdict(j) for j in self.jobs], "seed": self.seed,
-                "workers": self.workers, "theta_star": self.theta_star,
-                "eps": self.eps}
+                "theta_star": self.theta_star, "eps": self.eps}
 
 
 @dataclass
@@ -188,34 +185,32 @@ def _graph_certificate(job: GraphJob, seed: int, theta_star: float,
     d = spec.degree
     entries: list[Entry] = []
 
-    if spec.is_tree:
-        # no cyclic factor of order >= 3, so the Cayley graph has no cycle
-        g_report = None
-        girth_lb = math.inf
-    else:
-        g_report = girth_of(spec, max(job.radius, 3))
-        girth_lb = float(g_report.girth if g_report.girth is not None
-                         else g_report.lower_bound)
+    # girth is the smallest cyclic order >= 3 (None: a tree, infinite girth)
+    girth = spec.known_girth
+    girth_lb = math.inf if girth is None else float(girth)
 
+    # one ball and one SRW table serve the kernel checks and, off trees, rho
+    b = build_ball(spec, job.radius)
+    srw = srw_kernel(b, job.radius)
     rho = estimate_spectral_radius(spec, 200 if spec.is_tree else 2 * (job.radius // 2),
-                                   rho_ub=job.rho_ub, ball_radius=job.radius)
+                                   rho_ub=job.rho_ub, srw=srw)
     rho_ub = rho.rho_ub
 
-    # p_c: exact branching interval on trees, crossing bisection otherwise
+    # p_c: the closed form 1/(d-1) on trees, crossing bisection otherwise
     if spec.is_tree:
-        pc_lo, pc_hi = branching.estimate_pc_exact(d)
-        pc_prov = "tree-branching-oracle"
+        pc_lo = pc_hi = branching.critical_probability(d)
+        pc_prov = "closed form 1/(d-1), Lyons-Peres ch. 5"
     else:
         est = percolation.estimate_pc(spec, job.pc_radius, job.pc_trials, seed,
                                       theta_star=theta_star)
         pc_lo, pc_hi = est.lo, est.hi
         pc_prov = f"crossing-bisection R={job.pc_radius}"
 
-    b = build_ball(spec, job.radius)
     n_check = min(job.kernel_steps, job.radius)
     if rho_ub is not None and rho_ub < 1.0:
-        tail_entries = check_nbw_le_srw_tail(b, n_check, rho_ub)
-        rho_entries = check_nbw_le_rho_power(b, n_check, rho_ub)
+        nbw = nbw_kernel(b, n_check)
+        tail_entries = check_nbw_le_srw_tail(b, n_check, rho_ub, srw=srw, nbw=nbw)
+        rho_entries = check_nbw_le_rho_power(b, n_check, rho_ub, nbw=nbw)
         for name, chk in (("nbw_le_srw_tail", tail_entries), ("nbw_le_rho_power", rho_entries)):
             worst = min(chk, key=lambda e: e.margin)
             entries.append(Entry(name, "walk-kernel inequality", worst.lhs, worst.rhs,
@@ -290,7 +285,7 @@ def _graph_certificate(job: GraphJob, seed: int, theta_star: float,
         "graph": spec.describe(),
         "inputs": {
             "degree": d,
-            "girth": "infinite (tree)" if g_report is None else str(g_report),
+            "girth": "infinite (tree)" if girth is None else str(girth),
             "rho_ub": {"value": _num(rho_ub) if rho_ub is not None else None,
                        "provenance": rho.rho_ub_provenance},
             "pc_interval": {"lo": pc_lo, "hi": pc_hi, "provenance": pc_prov},
@@ -305,27 +300,10 @@ def _graph_certificate(job: GraphJob, seed: int, theta_star: float,
 
 def run_certificate(config: VerifyConfig) -> Certificate:
     start = time.time()
-    if config.workers > 1 and len(config.jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            graphs = list(
-                pool.map(
-                    _graph_certificate,
-                    config.jobs,
-                    [config.seed] * len(config.jobs),
-                    [config.theta_star] * len(config.jobs),
-                    [config.eps] * len(config.jobs),
-                )
-            )
-    else:
-        graphs = [
-            _graph_certificate(job, config.seed, config.theta_star, config.eps)
-            for job in config.jobs
-        ]
+    graphs = [_graph_certificate(job, config.seed, config.theta_star, config.eps)
+              for job in config.jobs]
     meta = {
         "seed": config.seed,
-        "workers": config.workers,
         "config": config.to_dict(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "duration_s": round(time.time() - start, 3),

@@ -12,7 +12,6 @@ from girthlab.branching import (
     branch_survival,
     critical_probability,
     crossing_probability_exact,
-    estimate_pc_exact,
     mean_cluster_size,
     survival_probability,
     tail_curve,
@@ -85,27 +84,13 @@ def test_mean_cluster_size_closed_form():
 
 
 def test_critical_probability_and_pc_interval():
-    assert critical_probability(4) == pytest.approx(1 / 3)
-    for d in (3, 4):
-        lo, hi = estimate_pc_exact(d)
-        assert hi - lo < 1e-8
-        assert lo <= critical_probability(d) <= hi
-
-
-def test_pc_interval_matches_survival_bisection():
-    # the bisection as it ran on the survival oracle itself
-    def bisect(d, tol):
-        lo, hi = 0.0, 1.0
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if survival_probability(d, mid) > 0.0:
-                hi = mid
-            else:
-                lo = mid
-        return lo, hi
-
-    for d in (3, 4, 5):
-        assert estimate_pc_exact(d, tol=1e-6) == bisect(d, 1e-6)
+    # the closed form 1/(d-1) is the edge of the survival oracle's
+    # supercritical phase: theta vanishes there and is positive just above
+    for d in (3, 4, 5, 6):
+        pc = critical_probability(d)
+        assert pc == 1 / (d - 1)
+        assert survival_probability(d, pc) == 0.0
+        assert survival_probability(d, pc + 1e-6) > 0.0
 
 
 # --- total progeny sampler --------------------------------------------------

@@ -112,10 +112,18 @@ def test_verify_config_round_trip():
     cfg = VerifyConfig(
         jobs=[GraphJob("Z*Z", radius=5, bnp_c=1.5),
               GraphJob("Z5*Z5", radius=4, rho_ub=0.95)],
-        seed=11, workers=2, theta_star=0.4, eps=0.01,
+        seed=11, theta_star=0.4, eps=0.01,
     )
     back = parse_verify_config(serialize_verify_config(cfg))
     assert back.to_dict() == cfg.to_dict()
+
+
+def test_verify_config_ignores_unknown_keys():
+    # a key an older config still carries (the benchmark's README config
+    # has one) is ignored, not an error
+    cfg = parse_verify_config("[verify]\nseed = 4\nretired = 1\n\n[graph:Z*Z]\nradius = 3\n")
+    assert cfg.seed == 4 and [j.radius for j in cfg.jobs] == [3]
+    assert "retired" not in cfg.to_dict()
 
 
 def test_verify_cli_tree_config(tmp_path, capsys):

@@ -236,6 +236,10 @@ def test_girth_values():
     assert girth(Z5Z5, 6).girth == 5
     assert girth(parse_group_spec("Z3*Z3"), 4).girth == 3
     assert girth(parse_group_spec("Z7*Z7"), 6).girth == 7
+    # the certificate trusts the closed form; the BFS is its oracle
+    for text in ("Z5*Z5", "Z3*Z4", "Z2*Z3*Z4", "Z*Z5", "Z3*Z", "Z7*Z7", "Z*Z", "Z2*Z*Z2"):
+        spec = parse_group_spec(text)
+        assert spec.known_girth == girth(spec, 4).girth, text
 
 
 def test_girth_bound_for_trees():
@@ -249,4 +253,4 @@ def test_girth_bound_for_trees():
 @settings(max_examples=7, deadline=None)
 def test_girth_equals_smallest_cyclic_order(m):
     spec = GroupSpec((m, m))
-    assert girth(spec, m).girth == m
+    assert girth(spec, m).girth == m == spec.known_girth

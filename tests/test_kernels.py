@@ -175,15 +175,27 @@ def test_estimate_spectral_radius_tree():
 
 
 def test_estimate_spectral_radius_requires_ub_for_nontree():
-    est = estimate_spectral_radius(Z5Z5, 6, ball_radius=6)
+    est = estimate_spectral_radius(Z5Z5, 6)
     assert est.rho_ub is None
     assert est.rho_ub_provenance == "missing"
     with pytest.raises(ValueError):
         est.require_upper_bound()
-    est2 = estimate_spectral_radius(Z5Z5, 6, rho_ub=0.95, ball_radius=6)
+    est2 = estimate_spectral_radius(Z5Z5, 6, rho_ub=0.95)
     assert est2.rho_ub == 0.95
     assert est2.rho_ub_provenance == "user-supplied"
     assert est2.lower_bound <= 0.95
+
+
+def test_estimate_spectral_radius_reads_shared_srw_table():
+    own = estimate_spectral_radius(Z5Z5, 6, rho_ub=0.95)
+    b = ball(Z5Z5, 7)
+    shared = estimate_spectral_radius(Z5Z5, 6, rho_ub=0.95, srw=srw_kernel(b, 7))
+    assert shared == own  # bit-equal return sequence from the larger ball
+    exact = estimate_spectral_radius(Z5Z5, 6, srw=srw_kernel(b, 7, exact=True))
+    assert exact.sequence == pytest.approx(own.sequence, rel=1e-12)
+    for bad in (srw_kernel(b, 4), srw_kernel(ball(F2, 7), 7), nbw_kernel(b, 7)):
+        with pytest.raises(ValueError):
+            estimate_spectral_radius(Z5Z5, 6, srw=bad)
 
 
 def test_estimate_spectral_radius_rejects_odd():

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import conftest
 from girthlab.kernels import kesten_rho
 from girthlab.verify import (
     Certificate,
@@ -62,9 +63,9 @@ def test_check_bnp_bound():
     # infinite girth: bound is exactly 1/(d-1)
     e = check_bnp_bound(4, math.inf, 0.87, 1.0, 0.33, 0.333)
     assert e.status == "pass" and e.rhs == pytest.approx(1 / 3)
-    # interval straddling the bound is consistent, not a failure
+    # an interval straddling the bound decides nothing
     e2 = check_bnp_bound(4, math.inf, 0.87, 1.0, 0.3333, 0.3334)
-    assert e2.status == "pass" and "straddles" in e2.note
+    assert e2.status == "inconclusive" and "straddles" in e2.note
     e3 = check_bnp_bound(4, math.inf, 0.87, 1.0, 0.4, 0.45)
     assert e3.status == "fail"
     assert check_bnp_bound(4, 5.0, None, 1.0, 0.3, 0.35).status == "inconclusive"
@@ -75,6 +76,13 @@ def test_check_mu_pc():
     assert e.status == "pass"
     assert "interval ends" in e.note
     assert check_mu_pc(2.0, 0.33, 0.4).status == "fail"
+
+
+def _certify(config):
+    """run_certificate, asserting that no entry passes with a negative margin."""
+    cert = run_certificate(config)
+    assert conftest.negative_margin_passes(cert) == []
+    return cert
 
 
 def _small_config(**overrides):
@@ -93,7 +101,7 @@ EXPECTED_IDS = {
 
 
 def test_run_certificate_tree_all_pass():
-    cert = run_certificate(_small_config())
+    cert = _certify(_small_config())
     assert len(cert.graphs) == 1
     g = cert.graphs[0]
     assert g["graph"] == "Z*Z"
@@ -102,11 +110,13 @@ def test_run_certificate_tree_all_pass():
     assert cert.inconclusive_count == 0
     assert g["inputs"]["girth"] == "infinite (tree)"
     assert g["inputs"]["rho_ub"]["provenance"] == "exact-formula"
-    assert g["inputs"]["pc_interval"]["provenance"] == "tree-branching-oracle"
+    pc = g["inputs"]["pc_interval"]
+    assert pc["lo"] == pc["hi"] == 1 / 3
+    assert pc["provenance"].startswith("closed form 1/(d-1)")
 
 
 def test_certificate_margins_recomputable():
-    cert = run_certificate(_small_config())
+    cert = _certify(_small_config())
     for e in cert.entries:
         lhs, rhs, margin = e["lhs"], e["rhs"], e["margin"]
         if isinstance(lhs, float) and isinstance(rhs, float):
@@ -116,7 +126,7 @@ def test_certificate_margins_recomputable():
 
 
 def test_certificate_json_meta_toggle():
-    cert = run_certificate(_small_config())
+    cert = _certify(_small_config())
     with_meta = json.loads(cert.to_json())
     without = json.loads(cert.to_json(include_meta=False))
     assert "meta" in with_meta and "timestamp" in with_meta["meta"]
@@ -127,7 +137,7 @@ def test_certificate_json_meta_toggle():
 def test_missing_rho_ub_degrades_to_inconclusive():
     job = GraphJob("Z5*Z5", radius=4, kernel_steps=3, saw_n_max=5,
                    trials=40, pc_trials=40, pc_radius=4)
-    cert = run_certificate(VerifyConfig(jobs=[job], seed=1))
+    cert = _certify(VerifyConfig(jobs=[job], seed=1))
     by_id = {e["id"]: e for e in cert.entries}
     for rho_dependent in ("nbw_le_srw_tail", "nbw_le_rho_power", "perccond",
                           "girth_threshold", "pc_degree_girth_bound"):
@@ -138,16 +148,15 @@ def test_missing_rho_ub_degrades_to_inconclusive():
     assert {e["id"] for e in cert.entries} == EXPECTED_IDS  # nothing omitted
 
 
-def test_certificate_deterministic_across_worker_counts():
-    job_a = GraphJob("Z*Z", radius=4, kernel_steps=3, saw_n_max=4,
-                     trials=30, pc_trials=30, pc_radius=3, bnp_c=1.0)
-    job_b = GraphJob("Z5*Z5", radius=4, kernel_steps=3, saw_n_max=4,
-                     trials=30, pc_trials=30, pc_radius=3, rho_ub=0.95)
-    cfg1 = VerifyConfig(jobs=[job_a, job_b], seed=5, workers=1)
-    cfg2 = VerifyConfig(jobs=[job_a, job_b], seed=5, workers=3)
-    c1 = run_certificate(cfg1)
-    c2 = run_certificate(cfg2)
-    assert c1.to_json(include_meta=False) == c2.to_json(include_meta=False)
+def test_certificate_girth_from_closed_form():
+    # a radius-3 ball only sees cycles of length <= 7, so a BFS would
+    # certify no more than girth > 6; the closed form records 7
+    job = GraphJob("Z7*Z7", radius=3, kernel_steps=3, saw_n_max=4,
+                   trials=20, pc_trials=20, pc_radius=3, rho_ub=0.95, bnp_c=1.0)
+    cert = _certify(VerifyConfig(jobs=[job], seed=2))
+    assert cert.graphs[0]["inputs"]["girth"] == "7"
+    by_id = {e["id"]: e for e in cert.entries}
+    assert by_id["girth_threshold"]["rhs"] == 7.0
 
 
 def test_certificate_failed_flag():
