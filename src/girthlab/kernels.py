@@ -324,7 +324,7 @@ def check_nbw_le_srw_tail(
     if n_max > nbw.horizon or n_max > horizon:
         raise ValueError("kernel horizon too small for requested n_max")
     vs = _test_vertex_list(ball, test_vertices)
-    tail = _geometric_tail(rho_ub, horizon + 1, exact)
+    tail = series_tail(rho_ub, horizon + 1, exact=exact)
     spec_name = ball.spec.describe()
 
     def block(n, rows):
@@ -388,11 +388,10 @@ def check_nbw_le_rho_power(
         raise ValueError("kernel horizon too small for requested n_max")
     vs = _test_vertex_list(ball, test_vertices)
     idx = None if exact else np.asarray(vs, dtype=np.intp)
-    one = Fraction(1) if exact else 1.0
     entries = []
     spec_name = ball.spec.describe()
     for n in range(n_max + 1):
-        bound = rho_ub**n / (one - rho_ub)
+        bound = series_tail(rho_ub, n, exact=exact)
         if exact:
             rows = _exact_rows(vs, nbw.steps[n], itertools.repeat(_with_float(bound)))
         else:
@@ -420,7 +419,40 @@ def _exact_rows(vs, step: dict, bounds):
         yield x, 0.0 if lhs is _ZERO else float(lhs), rhs_float, lhs <= rhs
 
 
-def _geometric_tail(rho_ub, start: int, exact: bool):
-    """sum_{j >= start} rho_ub^j."""
-    one = Fraction(1) if exact else 1.0
-    return rho_ub**start / (one - rho_ub)
+def series_tail(base, start: int, legs: int = 1, exact: bool = False):
+    """sum_{s >= start} C(s+legs-1, legs-1) base^s, in closed form.
+
+    The coefficient counts the ways to split s steps over `legs` chained
+    legs, so legs = 1 is the geometric tail base^start / (1 - base).  In
+    general the sum is base^start * sum_{j<legs} C(start+legs-1, legs-1-j)
+    base^j / (1-base)^{j+1}.  Exact mode works in Fractions; a Fraction
+    base in float mode gives a float.  inf when base >= 1, where the
+    series diverges.  Raises ValueError if base < 0 or legs < 1.
+    """
+    if not base >= 0 or legs < 1:
+        raise ValueError("series_tail needs base >= 0 and legs >= 1")
+    if base >= 1:
+        return math.inf
+    rest = (Fraction(1) if exact else 1.0) - base
+    return sum(math.comb(start + legs - 1, legs - 1 - j) * base ** (start + j) / rest ** (j + 1)
+               for j in range(legs))
+
+
+def chained_tail(d: int, rho_ub, x: float, start: int, legs: int) -> float:
+    """Tail over s >= start of the envelope of `legs` chained two-point
+    functions at weight x per step.
+
+    The kernel bound q^n(0,y) <= rho^n / (1 - rho) and the (d-1)^n
+    branching of non-backtracking paths give the two-point envelope
+    d/((d-1)(1-rho)) * sum_n lam^n, lam = x(d-1)rho; chaining `legs` of
+    them (the bubble is 2, the triangle 3) gives
+    (d/((d-1)(1-rho)))^legs * series_tail(lam, start, legs).  inf when
+    rho_ub is None or lam >= 1.  Raises ValueError if rho_ub is not in
+    (0, 1) or x < 0.
+    """
+    if rho_ub is None:
+        return math.inf
+    if not 0 < rho_ub < 1:
+        raise ValueError("need 0 < rho_ub < 1")
+    pref = d / ((d - 1) * (1.0 - rho_ub))
+    return pref**legs * series_tail(x * (d - 1) * rho_ub, start, legs)

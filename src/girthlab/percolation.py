@@ -8,7 +8,6 @@ as the independent oracle.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -16,6 +15,7 @@ import numpy as np
 
 from . import branching
 from .groups import Ball, GroupSpec, Word, ball as build_ball, normal_form, word_length
+from .kernels import chained_tail
 from .rng import trial_rng
 from .stats import (
     DiagramResult,
@@ -191,35 +191,6 @@ def two_point(
     return binomial_estimate(hits, trials), exact
 
 
-def two_point_decay_bound(
-    d: int, p: float, rho_ub: float, distance: int
-) -> float | None:
-    """d/((d-1)(1-rho)) * sum_{n >= dist} [p(d-1)rho]^n, the certified
-    decay envelope; None when p(d-1)rho >= 1."""
-    lam = p * (d - 1) * rho_ub
-    if lam >= 1.0:
-        return None
-    pref = d / ((d - 1) * (1.0 - rho_ub))
-    return pref * lam**distance / (1.0 - lam)
-
-
-def _triangle_tail_bound(d: int, p: float, rho_ub: float, truncation: int) -> float | None:
-    """Tail over r1+r2+r3 > R of the chained diagram bound, or None."""
-    lam = p * (d - 1) * rho_ub
-    if lam >= 1.0:
-        return None
-    pref = d**3 / ((d - 1) ** 3 * (1.0 - rho_ub) ** 3)
-    total = 0.0
-    s = truncation + 1
-    while True:
-        term = 0.5 * (s + 1) * (s + 2) * lam**s
-        total += term
-        if term < 1e-16 * max(total, 1.0):
-            break
-        s += 1
-    return pref * total
-
-
 # elements of one (rows, V, L) block in _pairwise_distance_counts: keeps
 # each temporary under ~0.5 MB; 1 << 18 ran no faster and raised the
 # certificate's peak RSS by ~2 MB
@@ -304,14 +275,20 @@ def triangle_diagram(
     seed: int = 0,
 ) -> DiagramResult:
     """Truncated triangle sum over pairs in the radius-R ball with
-    d(x,y) <= R, plus the chained geometric tail bound.
+    d(x,y) <= R, plus a tail bound.
 
     exact-tree uses tau = p^dist (unique open paths on trees); mc uses a
     per-vertex cluster-membership frequency for tau, mapped to pairs by
-    vertex transitivity.
+    vertex transitivity.  The tail covers r1 + r2 + r3 > R with the
+    three-leg envelope `kernels.chained_tail(d, rho_ub, p, R + 1, 3)`:
+    finite iff p(d-1)rho_ub < 1, inf when rho_ub is None.
+
+    Raises ValueError if p is not in [0, 1] or rho_ub is not in (0, 1).
     """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must be in [0, 1]")
+    tail = chained_tail(spec.degree, rho_ub, p, truncation + 1, legs=3)
     b = build_ball(spec, truncation)
-    d = spec.degree
     if method == "exact-tree":
         if not spec.is_tree:
             raise ValueError("exact-tree method requires a tree spec")
@@ -339,16 +316,7 @@ def triangle_diagram(
                 c = counts[r1, r2, r]
                 if c:
                     value += c * float(tau[r1]) * float(tau[r]) * float(tau[r2])
-    tail = _triangle_tail_bound(d, p, rho_ub, truncation) if rho_ub is not None else None
-    return DiagramResult(
-        value=value,
-        truncation=truncation,
-        tail_bound=tail if tail is not None else math.inf,
-        method=method,
-        params={"p": p, "rho_ub": rho_ub, "d": d,
-                "tail_condition": (rho_ub is not None and p * (d - 1) * rho_ub < 1.0)},
-        certified=tail is not None,
-    )
+    return DiagramResult(value, truncation, tail, method)
 
 
 def tree_triangle_exact(d: int, p: float, tol: float = 1e-14) -> float:

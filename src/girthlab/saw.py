@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import GroupSpec, Word, append_syllable, tree_sphere_size, word_length
+from .kernels import chained_tail, series_tail
 from .rng import trial_rng
 from .stats import DiagramResult, Estimate, mean_estimate
 
@@ -252,16 +253,9 @@ class GreenTable:
     certified: bool
 
 
-def _geometric_series_tail(base: float, start: int) -> float:
-    return base**start / (1.0 - base)
-
-
 def _chi_tail_tree(d: int, z: float, truncation: int) -> float:
     """Exact tail of chi on a tree: c_n = d(d-1)^{n-1}; finite iff z(d-1) < 1."""
-    if z * (d - 1) < 1.0:
-        base = z * (d - 1)
-        return (d / (d - 1)) * _geometric_series_tail(base, truncation + 1)
-    return math.inf
+    return (d / (d - 1)) * series_tail(z * (d - 1), truncation + 1)
 
 
 def _chi_tail_census(census: SawCensus, z: float, truncation: int) -> float:
@@ -271,10 +265,8 @@ def _chi_tail_census(census: SawCensus, z: float, truncation: int) -> float:
     mu = connective_constant(census)
     a = 1 + min(range(len(mu.sequence)), key=lambda i: mu.sequence[i])
     mu_hat = mu.best_upper
-    if z * mu_hat >= 1.0:
-        return math.inf
     m_const = max(census.counts[r] / mu_hat**r for r in range(a))
-    return m_const * _geometric_series_tail(mu_hat * z, truncation + 1)
+    return m_const * series_tail(mu_hat * z, truncation + 1)
 
 
 def green_function(
@@ -287,7 +279,8 @@ def green_function(
     """Truncated G_z(x) = sum_{n<=N} c_n(x) z^n and chi(z) = sum c_n z^n.
 
     Tree specs need no census: the unique geodesic gives c_n(x) = [n = |x|].
-    The per-vertex tail follows the chained kernel estimate and needs
+    The per-vertex tail is the one-leg envelope
+    `kernels.chained_tail(d, rho_ub, z, N + 1, 1)`, finite iff
     z(d-1)rho_ub < 1; the chi tail uses submultiplicativity of c_n.
     """
     if z < 0:
@@ -310,12 +303,7 @@ def green_function(
         chi_tail = _chi_tail_tree(d, z, truncation)
     else:
         raise ValueError("non-tree spec needs a census")
-    lam = z * (d - 1) * (rho_ub if rho_ub is not None else math.inf)
-    if rho_ub is not None and lam < 1.0:
-        pref = d / ((d - 1) * (1.0 - rho_ub))
-        vertex_tail = pref * _geometric_series_tail(lam, truncation + 1)
-    else:
-        vertex_tail = math.inf
+    vertex_tail = chained_tail(d, rho_ub, z, truncation + 1, legs=1)
     return GreenTable(z, truncation, values, chi, vertex_tail, chi_tail,
                       certified=chi_tail < math.inf)
 
@@ -381,24 +369,24 @@ def bubble_diagram(
 ) -> DiagramResult:
     """B(z) = sum_x G_z(x)^2, truncated with a rigorous tail.
 
-    Tree mode: B_N = 1 + sum_{r<=N} |S_r| z^{2r}, tail exactly geometric.
+    Tree mode: B_N = 1 + sum_{r<=N} |S_r| z^{2r}, tail exactly geometric,
+    finite iff (d-1)z^2 < 1.
     Census mode: sum over walk-length pairs (n, m <= N) of
     O[n][m] z^(n+m), where O[n][m] = sum_x c_n(x) c_m(x) is counted
     exactly in int64 (it is at most c_n c_m) from one pass that numbers
-    the endpoint words; the chained kernel tail covers n + m > N and is
-    certified when z(d-1)rho_ub < 1.
+    the endpoint words; the two-leg envelope
+    `kernels.chained_tail(d, rho_ub, z, N + 1, 2)` covers n + m > N and is
+    finite iff z(d-1)rho_ub < 1.  The tail is inf where it is not finite.
+
+    Raises ValueError if z < 0 or rho_ub is not in (0, 1).
     """
+    if z < 0:
+        raise ValueError("z must be >= 0")
     d = spec.degree
     if census is None and spec.is_tree:
         value = 1.0 + sum(tree_sphere_size(d, r) * z ** (2 * r)
                           for r in range(1, truncation + 1))
-        base = (d - 1) * z * z
-        if base < 1.0:
-            tail = (d / (d - 1)) * _geometric_series_tail(base, truncation + 1)
-            certified = True
-        else:
-            tail = math.inf
-            certified = False
+        tail = (d / (d - 1)) * series_tail((d - 1) * z * z, truncation + 1)
         method = "exact-tree"
     elif census is not None:
         if census.n_max < truncation:
@@ -427,30 +415,8 @@ def bubble_diagram(
         for n in range(truncation + 1):
             for m in range(truncation + 1):
                 value += overlap[n][m] * z ** (n + m)
-        if rho_ub is not None and z * (d - 1) * rho_ub < 1.0:
-            lam = z * (d - 1) * rho_ub
-            pref = (d / (d - 1)) ** 2 / (1.0 - rho_ub) ** 2
-            tail = 0.0
-            s = truncation + 1
-            while True:
-                term = (s + 1) * lam**s
-                tail += term
-                if term < 1e-16 * max(tail, 1.0):
-                    break
-                s += 1
-            tail *= pref
-            certified = True
-        else:
-            tail = math.inf
-            certified = False
+        tail = chained_tail(d, rho_ub, z, truncation + 1, legs=2)
         method = "census"
     else:
         raise ValueError("non-tree spec needs a census")
-    return DiagramResult(
-        value=value,
-        truncation=truncation,
-        tail_bound=tail,
-        method=method,
-        params={"z": z, "rho_ub": rho_ub, "d": d},
-        certified=certified,
-    )
+    return DiagramResult(value, truncation, tail, method)

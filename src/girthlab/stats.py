@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,14 +94,17 @@ def fit_loglog(
 
 @dataclass
 class DiagramResult:
-    """Truncated diagram value plus a rigorous tail bound when certified."""
+    """Truncated diagram value plus a rigorous bound on the rest of the
+    sum; tail_bound is inf when no finite bound is certified."""
 
     value: float
     truncation: int
     tail_bound: float
     method: str
-    params: dict = field(default_factory=dict)
-    certified: bool = True
+
+    @property
+    def certified(self) -> bool:
+        return self.tail_bound < math.inf
 
     @property
     def upper(self) -> float:

@@ -81,21 +81,21 @@ def girth_threshold(rho_ub: float, big_c: float) -> float:
 
 
 def check_girth_threshold(
-    rho_ub: float | None, big_c: float | None, girth_lb: float
+    rho_ub: float | None, big_c: float | None, girth: float
 ) -> Entry:
-    """Compare the graph's girth certificate against the sufficient threshold L."""
+    """Compare the graph's exact girth against the sufficient threshold L."""
     if rho_ub is None or big_c is None:
         return Entry("girth_threshold", "girth>=L(rho,C)", math.nan, math.nan,
                      INCONCLUSIVE, note="needs rho_ub and the universal constant C")
     L = girth_threshold(rho_ub, big_c)
-    return Entry("girth_threshold", "girth>=L(rho,C)", L, girth_lb,
-                 PASS if girth_lb >= L else FAIL,
-                 note="rhs is the certified girth (or lower bound)")
+    return Entry("girth_threshold", "girth>=L(rho,C)", L, girth,
+                 PASS if girth >= L else FAIL,
+                 note="rhs is the exact girth (inf on trees)")
 
 
 def check_bnp_bound(
     d: int,
-    girth_lb: float,
+    girth: float,
     rho_ub: float | None,
     big_c: float | None,
     pc_lo: float,
@@ -104,14 +104,13 @@ def check_bnp_bound(
     """p_c <= 1/(d-1) + C log(1+(1-rho)^{-2}) / (d*girth).
 
     Pass when the whole p_c interval is under the bound, fail when none of
-    it is, and inconclusive when the interval straddles the bound.  A girth
-    lower bound is safe: it only enlarges the right-hand side.
+    it is, and inconclusive when the interval straddles the bound.
     """
     anchor = "pc<=1/(d-1)+C*log(...)/(d*g)"
     if rho_ub is None or big_c is None:
         return Entry("pc_degree_girth_bound", anchor, math.nan, math.nan, INCONCLUSIVE,
                      note="needs rho_ub and the universal constant C")
-    bound = 1.0 / (d - 1) + big_c * math.log(1.0 + (1.0 - rho_ub) ** -2) / (d * girth_lb)
+    bound = 1.0 / (d - 1) + big_c * math.log(1.0 + (1.0 - rho_ub) ** -2) / (d * girth)
     if pc_hi <= bound:
         return Entry("pc_degree_girth_bound", anchor, pc_hi, bound, PASS)
     if pc_lo > bound:
@@ -185,9 +184,8 @@ def _graph_certificate(job: GraphJob, seed: int, theta_star: float,
     d = spec.degree
     entries: list[Entry] = []
 
-    # girth is the smallest cyclic order >= 3 (None: a tree, infinite girth)
-    girth = spec.known_girth
-    girth_lb = math.inf if girth is None else float(girth)
+    # girth is the smallest cyclic order >= 3, infinite on trees
+    girth = math.inf if spec.known_girth is None else float(spec.known_girth)
 
     # one ball and one SRW table serve the kernel checks and, off trees, rho
     b = build_ball(spec, job.radius)
@@ -232,8 +230,8 @@ def _graph_certificate(job: GraphJob, seed: int, theta_star: float,
                              INCONCLUSIVE, note="no certified rho upper bound"))
 
     entries.append(check_perccond(d, pc_hi, rho_ub))
-    entries.append(check_girth_threshold(rho_ub, job.bnp_c, girth_lb))
-    entries.append(check_bnp_bound(d, girth_lb, rho_ub, job.bnp_c, pc_lo, pc_hi))
+    entries.append(check_girth_threshold(rho_ub, job.bnp_c, girth))
+    entries.append(check_bnp_bound(d, girth, rho_ub, job.bnp_c, pc_lo, pc_hi))
 
     census = saw_mod.enumerate_saw(spec, job.saw_n_max)
     mu = saw_mod.connective_constant(census)
@@ -285,7 +283,7 @@ def _graph_certificate(job: GraphJob, seed: int, theta_star: float,
         "graph": spec.describe(),
         "inputs": {
             "degree": d,
-            "girth": "infinite (tree)" if girth is None else str(girth),
+            "girth": "infinite (tree)" if spec.is_tree else str(spec.known_girth),
             "rho_ub": {"value": _num(rho_ub) if rho_ub is not None else None,
                        "provenance": rho.rho_ub_provenance},
             "pc_interval": {"lo": pc_lo, "hi": pc_hi, "provenance": pc_prov},

@@ -102,6 +102,11 @@ def test_saw_chi_and_bubble(tmp_path, capsys):
     assert "bubble z=0.333333" in capsys.readouterr().out
 
 
+def test_saw_bubble_rejects_negative_z(tmp_path):
+    args = ["saw", "--spec", "Z5*Z5", "--nmax", "6", "--bubble-z", "-0.5", "--rho-ub", "0.9"]
+    assert run(args, tmp_path) == 2
+
+
 def test_parse_grid():
     assert _parse_grid("0.1, 0.2 0.3") == [0.1, 0.2, 0.3]
     with pytest.raises(CliError):

@@ -10,15 +10,19 @@ from hypothesis import given, settings, strategies as st
 from girthlab.groups import ball, parse_group_spec
 from girthlab.kernels import (
     FLOAT_MASS_TOL,
+    chained_tail,
     check_nbw_le_rho_power,
     check_nbw_le_srw_tail,
     estimate_spectral_radius,
     kesten_rho,
     kesten_rho_upper_fraction,
     nbw_kernel,
+    series_tail,
     srw_kernel,
     tree_return_probabilities,
 )
+from girthlab.percolation import triangle_diagram
+from girthlab.saw import bubble_diagram, enumerate_saw
 
 F2 = parse_group_spec("Z*Z")
 Z5Z5 = parse_group_spec("Z5*Z5")
@@ -308,3 +312,106 @@ def test_kernel_inequalities_reject_vertices_outside_ball(exact, vertex):
         check_nbw_le_rho_power(b, 2, rho, test_vertices=[0, vertex], exact=exact)
     with pytest.raises(ValueError, match="outside"):
         check_nbw_le_srw_tail(b, 2, rho, test_vertices=[vertex], exact=exact)
+
+
+# --- closed-form envelope tails ----------------------------------------------
+
+@pytest.mark.parametrize("legs", [1, 2, 3])
+@pytest.mark.parametrize("start", [0, 1, 7])
+@pytest.mark.parametrize("base", [Fraction(0), Fraction(1, 3), Fraction(7, 8),
+                                  Fraction(999, 1000)])
+def test_series_tail_telescopes_exactly(base, start, legs):
+    def coeff(s):
+        return math.comb(s + legs - 1, legs - 1)
+
+    for terms in (1, 5):
+        head = sum(coeff(s) * base**s for s in range(start, start + terms))
+        assert (series_tail(base, start, legs, exact=True) - head
+                == series_tail(base, start + terms, legs, exact=True))
+    if start == 0:
+        # the full sum is the negative binomial series (1 - base)^-legs
+        assert series_tail(base, 0, legs, exact=True) == (1 - base) ** -legs
+
+
+@pytest.mark.parametrize("legs", [1, 2, 3])
+@pytest.mark.parametrize("start", [0, 1, 7, 40])
+@pytest.mark.parametrize("base", [0.1, 0.5, 0.866, 0.99, 1 - 1e-6])
+def test_series_tail_float_matches_fraction(base, start, legs):
+    exact = series_tail(Fraction(base), start, legs, exact=True)
+    assert series_tail(base, start, legs) == pytest.approx(float(exact), rel=1e-13)
+
+
+def test_series_tail_one_leg_is_the_geometric_tail():
+    # the kernel checks read this form bit for bit in both arithmetics
+    rho = Fraction(7, 10)
+    assert series_tail(rho, 5, exact=True) == rho**5 / (1 - rho)
+    assert series_tail(rho, 5) == rho**5 / (1.0 - rho)
+    assert series_tail(0.7, 5) == 0.7**5 / (1.0 - 0.7)
+
+
+def test_series_tail_edges():
+    assert series_tail(1.0, 3, 2) == math.inf
+    assert series_tail(Fraction(3, 2), 0) == math.inf
+    for base, legs in ((-0.1, 1), (math.nan, 1), (0.5, 0)):
+        with pytest.raises(ValueError):
+            series_tail(base, 0, legs)
+
+
+def test_chained_tail_two_point_envelope():
+    lam = 0.2 * 3 * 0.9
+    assert chained_tail(4, 0.9, 0.2, 3, legs=1) == pytest.approx(
+        4 / (3 * 0.1) * lam**3 / (1 - lam))
+    assert chained_tail(4, 0.9, 0.5, 3, legs=1) == math.inf  # p(d-1)rho >= 1
+
+
+@pytest.mark.parametrize("legs", [1, 2, 3])
+def test_chained_tail_matches_term_by_term_sum(legs):
+    # lam = 0.81: the terms past s = 600 add less than 1e-40 of the sum
+    d, rho, x, start = 4, 0.9, 0.3, 6
+    lam = x * (d - 1) * rho
+    direct = sum(math.comb(s + legs - 1, legs - 1) * lam**s for s in range(start, 600))
+    pref = (d / ((d - 1) * (1 - rho))) ** legs
+    assert chained_tail(d, rho, x, start, legs) == pytest.approx(pref * direct, rel=1e-13)
+
+
+def test_chained_tail_finite_just_below_one():
+    d, rho = 4, 0.9
+    for gap in (1e-6, 1e-9):
+        x = (1 - gap) / ((d - 1) * rho)
+        for legs in (1, 2, 3):
+            tail = chained_tail(d, rho, x, 5, legs)
+            assert 0 < tail < math.inf
+            # in Fractions at the same float lam: 1 - lam is exact in float
+            lam = Fraction(x * (d - 1) * rho)
+            exact = ((Fraction(d) / ((d - 1) * (1 - Fraction(rho)))) ** legs
+                     * series_tail(lam, 5, legs, exact=True))
+            assert tail == pytest.approx(float(exact), rel=1e-13)
+
+
+def test_chained_tail_missing_rho_or_divergent_is_inf():
+    assert chained_tail(4, None, 0.1, 3, legs=3) == math.inf
+    assert chained_tail(4, 0.9, 1 / 2.7, 3, legs=2) == math.inf  # lam = 1
+    assert chained_tail(4, 0.9, 0.9, 3, legs=3) == math.inf
+
+
+@pytest.mark.parametrize("rho", [0.0, 1.0, 1.5, -0.2, math.nan])
+def test_chained_tail_rejects_rho_outside_unit_interval(rho):
+    with pytest.raises(ValueError):
+        chained_tail(4, rho, 0.1, 3, legs=1)
+
+
+def test_chained_tail_rejects_negative_weight():
+    with pytest.raises(ValueError):
+        chained_tail(4, 0.9, -0.5, 3, legs=2)
+
+
+@pytest.mark.parametrize("gap", [0.5, 1e-9])
+def test_diagram_tails_are_the_chained_envelope(gap):
+    rho = math.sqrt(3) / 2
+    x = (1 - gap) / (3 * rho)
+    tri = triangle_diagram(F2, x, 3, method="exact-tree", rho_ub=rho)
+    assert tri.tail_bound == chained_tail(4, rho, x, 4, legs=3) < math.inf
+    census = enumerate_saw(Z5Z5, 5)
+    bub = bubble_diagram(Z5Z5, x, 5, census=census, rho_ub=rho)
+    assert bub.tail_bound == chained_tail(4, rho, x, 6, legs=2) < math.inf
+    assert tri.certified and bub.certified

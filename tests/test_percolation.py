@@ -26,7 +26,6 @@ from girthlab.percolation import (
     tree_triangle_exact,
     triangle_diagram,
     two_point,
-    two_point_decay_bound,
 )
 
 F2 = parse_group_spec("Z*Z")
@@ -104,13 +103,6 @@ def test_two_point_tree_exact():
     assert est2.trials == 10
 
 
-def test_two_point_decay_bound():
-    val = two_point_decay_bound(4, 0.2, 0.9, distance=3)
-    lam = 0.2 * 3 * 0.9
-    assert val == pytest.approx(4 / (3 * 0.1) * lam**3 / (1 - lam))
-    assert two_point_decay_bound(4, 0.5, 0.9, 3) is None  # p(d-1)rho >= 1
-
-
 def test_theta_curve_decreasing():
     curve = theta_curve(F2, 0.45, [1, 2, 3, 4], trials=400, seed=6)
     vals = [e.value for _, e in curve]
@@ -153,6 +145,12 @@ def test_triangle_certification():
     assert res.upper == res.value + res.tail_bound
     res2 = triangle_diagram(F2, 1 / 3, 3, method="exact-tree")
     assert not res2.certified and res2.tail_bound == math.inf
+
+
+@pytest.mark.parametrize("p, rho_ub", [(-0.1, 0.9), (1.5, 0.9), (0.1, 1.5), (0.1, 0.0)])
+def test_triangle_rejects_bad_p_and_rho(p, rho_ub):
+    with pytest.raises(ValueError):
+        triangle_diagram(F2, p, 3, method="exact-tree", rho_ub=rho_ub)
 
 
 def test_triangle_mc_agrees_with_exact_on_tree():

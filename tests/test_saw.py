@@ -343,5 +343,15 @@ def test_bubble_census_z5z5():
 def test_bubble_validation():
     with pytest.raises(ValueError):
         bubble_diagram(Z5Z5, 0.2, 5)
+
+
+def test_bubble_rejects_negative_z_and_bad_rho():
+    census = enumerate_saw(Z5Z5, 4)
+    with pytest.raises(ValueError):
+        bubble_diagram(Z5Z5, -0.5, 4, census=census, rho_ub=0.9)
+    with pytest.raises(ValueError):
+        bubble_diagram(F2, -0.1, 4)
+    with pytest.raises(ValueError):
+        bubble_diagram(Z5Z5, 0.2, 4, census=census, rho_ub=1.5)
     with pytest.raises(ValueError):
         bubble_diagram(Z5Z5, 0.2, 9, census=enumerate_saw(Z5Z5, 8), rho_ub=0.9)
