@@ -7,9 +7,12 @@ is fixed by its endpoint's normal-form word plus, for each m-cycle
 syllable, which way round the cycle it went.  `enumerate_saw` walks the
 words once each and carries exact integer walk counts per length.
 Everything downstream (connective-constant bounds, endpoint law, speed,
-chi, bubble) is derived from the census where affordable; Rosenbluth
-sampling covers lengths beyond the enumeration ceiling and is
-cross-checked against the census in tests.
+chi, bubble) is derived from the census where affordable.  Rosenbluth
+sampling covers lengths beyond the enumeration ceiling with the same
+block structure: a growing walk's unvisited neighbours depend only on
+its current block and the steps taken in it, so all trials advance
+together as a chain of small integer states, with no words built.  It
+is cross-checked against the census and an exact law in tests.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupSpec, Word, append_syllable, tree_sphere_size, word_length
+from .groups import GroupSpec, Word, tree_sphere_size, word_length
 from .kernels import chained_tail, series_tail
 from .rng import trial_rng
 from .stats import DiagramResult, Estimate, mean_estimate
@@ -44,10 +47,6 @@ class SawCensus:
         spec = self.spec
         total = sum(c * word_length(spec, x) for x, c in self.endpoint_counts[n].items())
         return total / self.counts[n]
-
-
-def _neighbors(spec: GroupSpec, w: Word) -> list[Word]:
-    return [append_syllable(spec, w, f, e) for f, e in spec.generators()]
 
 
 def enumerate_saw(spec: GroupSpec, n_max: int) -> SawCensus:
@@ -210,36 +209,99 @@ class RosenbluthResult:
         return float((self.weights * self.endpoint_dists).sum() / w) / self.n
 
 
+# trials per counter-based stream; it keys the streams, so changing it
+# changes every sample
+_ROSENBLUTH_CHUNK = 4096
+
+
 def rosenbluth_sampler(spec: GroupSpec, n: int, trials: int, seed: int) -> RosenbluthResult:
     """Sequential SAW growth with importance weights; E[weight] = c_n.
 
-    At each step the walk picks uniformly among non-visited neighbors and
-    multiplies its weight by the number of choices; dead ends carry
-    weight 0.
+    At each step the walk picks uniformly among its k non-visited
+    neighbours and multiplies its weight by k; a dead end (k = 0) carries
+    weight 0 and keeps the endpoint distance where it stopped.
+
+    No walk is stored.  A SAW never re-enters a block it has left, and
+    inside a block it moves monotonically (the fact `enumerate_saw` uses),
+    so a trial's state is three integers: the factor f of its current
+    block, the steps e taken in it and the distance D of its completed
+    syllables.  Every generator of every factor g != f opens a fresh
+    block, and the current block goes on one more step always on ``Z``,
+    never on ``Z2`` and on ``Zm`` while e < m - 1; so k is d, d - 1 or
+    d - 2.  Going on sets e += 1; opening g's block adds the current
+    syllable's length min(e, m - e) to D and sets f = g, e = 1.  The
+    endpoint distance is D plus that length.  All trials of a chunk
+    advance together, one numpy step per walk step: O(n * trials) in
+    numpy.
+
+    Deterministic in (seed, trial index): trials are processed in fixed
+    chunks of `_ROSENBLUTH_CHUNK`, each with its own counter-based stream
+    `trial_rng(seed, chunk)`, from which one row-major matrix r of
+    `integers(0, L, (trials in chunk, n))` is drawn, L the lcm of the
+    possible k >= 1.  A step takes move r mod k, exactly uniform because k
+    divides L, and a prefix of the trials does not depend on how many
+    follow.  Each weight is the exact integer product of its k's, rounded
+    once to float64; past the float range this raises OverflowError.  The
+    samples differ from those of the earlier per-trial sampler over tuple
+    words; their law does not.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    d = spec.degree
+    # per factor, and a last row for the start (no block yet): the
+    # new-block moves and the factor each opens, the steps the block
+    # allows, and its cycle length m for min(e, m - e) (2n + 2 on Z)
+    rows = len(spec.orders) + 1
+    fresh = np.zeros(rows, dtype=np.int64)
+    opens = np.zeros((rows, d), dtype=np.int64)
+    limit = np.full(rows, n + 1, dtype=np.int64)
+    cycle = np.full(rows, 2 * n + 2, dtype=np.int64)
+    limit[-1] = 0
+    for f in range(rows):
+        targets = [g for g, _ in spec.generators() if g != f]
+        fresh[f] = len(targets)
+        opens[f, :len(targets)] = targets
+    for f, m in enumerate(spec.orders):
+        if m is not None:
+            limit[f], cycle[f] = m - 1, m
+    # k is d at the start, d - 1 inside a block that can go on or a Z2
+    # block, and d - 2 at the last step round an m-cycle
+    ks = {d, d - 1} if spec.is_tree else {d, d - 1, d - 2}
+    span = math.lcm(*(k for k in ks if k >= 1))
     weights = np.zeros(trials)
-    dists = np.zeros(trials, dtype=np.int64)
-    dead = 0
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        w: Word = ()
-        visited = {w}
-        weight = 1
-        for _ in range(n):
-            choices = [u for u in _neighbors(spec, w) if u not in visited]
-            if not choices:
-                weight = 0
-                break
-            weight *= len(choices)
-            w = choices[rng.integers(len(choices))]
-            visited.add(w)
-        if weight == 0:
-            dead += 1
-        weights[t] = weight
-        dists[t] = word_length(spec, w)
-    return RosenbluthResult(n, trials, weights, dists, dead)
+    dists = np.empty(trials, dtype=np.int64)
+    for start in range(0, trials, _ROSENBLUTH_CHUNK):
+        size = min(_ROSENBLUTH_CHUNK, trials - start)
+        draws = trial_rng(seed, start // _ROSENBLUTH_CHUNK).integers(0, span, size=(size, n))
+        # per trial: the state (f, e, D) and its steps with k = d - 1 and
+        # with k = d - 2; a dead trial's state stays put, so its k stays 0
+        f = np.full(size, rows - 1)
+        e = np.zeros(size, dtype=np.int64)
+        behind = np.zeros(size, dtype=np.int64)
+        below = np.zeros((2, size), dtype=np.int64)
+        for step in range(n):
+            can = e < limit[f]
+            k = fresh[f] + can
+            j = draws[:, step] % np.maximum(k, 1)
+            stay = can & (j == 0)
+            jump = (k > 0) & ~stay
+            below[0] += k == d - 1
+            below[1] += k == d - 2
+            behind += np.where(jump, np.minimum(e, cycle[f] - e), 0)
+            f = np.where(jump, opens[f, j - can], f)
+            e = np.where(jump, 1, e + stay)
+        dists[start:start + size] = behind + np.minimum(e, cycle[f] - e)
+        alive = k > 0
+        # each distinct (steps at k = d - 1, steps at k = d - 2) once, in
+        # Python integers
+        codes, inverse = np.unique(below[0][alive] * (n + 1) + below[1][alive],
+                                   return_inverse=True)
+        exact = [float(d ** (n - b1 - b2) * (d - 1) ** b1 * (d - 2) ** b2)
+                 for b1, b2 in (divmod(c, n + 1) for c in codes.tolist())]
+        weights[start:start + size][alive] = np.array(exact)[inverse]
+    return RosenbluthResult(n, trials, weights, dists, int(np.count_nonzero(weights == 0)))
 
 
 @dataclass
@@ -322,6 +384,8 @@ def susceptibility_saw(
     other specs sum c_n z^n over the census and add the certified
     submultiplicative tail, the `chi` and `chi_tail` of `green_function`
     without its per-endpoint table.
+
+    Raises ValueError if a grid point is < 0 or >= mu_hat^{-1}.
     """
     d = spec.degree
     if census is not None and mu_hat is None:
@@ -338,6 +402,8 @@ def susceptibility_saw(
     mu_inv = 1.0 / mu_hat
     rows = []
     for z in z_grid:
+        if z < 0:
+            raise ValueError("z must be >= 0")
         if z >= mu_inv:
             raise ValueError(f"grid point z={z} >= mu_hat^-1={mu_inv}")
         if spec.is_tree:
@@ -345,8 +411,6 @@ def susceptibility_saw(
             tail = 0.0
             certified = True
         else:
-            if z < 0:
-                raise ValueError("z must be >= 0")
             chi = 0.0
             for n in range(truncation + 1):
                 chi += census.counts[n] * z**n

@@ -107,6 +107,12 @@ def test_saw_bubble_rejects_negative_z(tmp_path):
     assert run(args, tmp_path) == 2
 
 
+def test_saw_chi_rejects_negative_z(tmp_path):
+    args = ["saw", "--spec", "Z*Z", "--nmax", "8", "--z-grid", "-0.5 0.1"]
+    assert run(args, tmp_path) == 2
+    assert not (tmp_path / "chi_ZxZ.csv").exists()
+
+
 def test_parse_grid():
     assert _parse_grid("0.1, 0.2 0.3") == [0.1, 0.2, 0.3]
     with pytest.raises(CliError):

@@ -202,6 +202,97 @@ def test_rosenbluth_deterministic():
         rosenbluth_sampler(F2, 0, 10, 0)
 
 
+def test_rosenbluth_rejects_no_trials():
+    for trials in (0, -1):
+        with pytest.raises(ValueError):
+            rosenbluth_sampler(F2, 5, trials, 0)
+
+
+def rosenbluth_law(spec, n):
+    """Exact law of (weight, endpoint distance) under Rosenbluth growth,
+    by a DFS over tuple words: a walk picks uniformly among the
+    neighbours it has not visited, so a SAW (or a walk trapped after
+    fewer than n steps, weight 0) has probability prod 1/k_i."""
+    law = {}
+    gens = spec.generators()
+
+    def grow(w, visited, depth, weight, prob):
+        if depth == n:
+            key = (weight, word_length(spec, w))
+            law[key] = law.get(key, 0.0) + prob
+            return
+        choices = [u for u in (append_syllable(spec, w, f, e) for f, e in gens)
+                   if u not in visited]
+        if not choices:
+            key = (0, word_length(spec, w))
+            law[key] = law.get(key, 0.0) + prob
+            return
+        for u in choices:
+            visited.add(u)
+            grow(u, visited, depth + 1, weight * len(choices), prob / len(choices))
+            visited.discard(u)
+
+    grow((), {()}, 0, 1, 1.0)
+    return law
+
+
+@pytest.mark.parametrize("text", ["Z5*Z5", "Z2*Z3*Z4", "Z3*Z", "Z4*Z4"])
+def test_rosenbluth_exact_law(text):
+    spec = parse_group_spec(text)
+    trials = 50_000
+    for n in range(1, 7):
+        law = rosenbluth_law(spec, n)
+        assert sum(law.values()) == pytest.approx(1.0)
+        res = rosenbluth_sampler(spec, n, trials, seed=100 + n)
+        pairs, freq = np.unique(np.stack([res.weights, res.endpoint_dists]),
+                                axis=1, return_counts=True)
+        seen = {(int(w), int(x)): c / trials for (w, x), c in zip(pairs.T, freq)}
+        assert set(seen) <= set(law)
+        for key, p in law.items():
+            se = math.sqrt(p * (1 - p) / trials)
+            assert abs(seen.get(key, 0.0) - p) <= 4 * se, (text, n, key)
+        assert res.dead_ends == sum(res.weights == 0)
+
+
+@pytest.mark.parametrize("text", ["Z*Z", "Z2*Z2*Z2", "Z"])
+def test_rosenbluth_tree_weights_exact(text):
+    spec = parse_group_spec(text)
+    d = spec.degree
+    for n in (1, 7, 37, 40, 44):
+        res = rosenbluth_sampler(spec, n, 300, seed=n)
+        assert res.dead_ends == 0
+        # the exact integer rounded once, not a running float product
+        # (on Z*Z they differ at n = 37 and 44; n = 40 is 4 * 3**39)
+        assert (res.weights == float(d * (d - 1) ** (n - 1))).all()
+        assert (res.endpoint_dists == n).all()
+
+
+def test_rosenbluth_single_cycle():
+    z5 = parse_group_spec("Z5")
+    res = rosenbluth_sampler(z5, 4, 200, seed=1)
+    assert (res.weights == 2).all() and res.dead_ends == 0
+    assert (res.endpoint_dists == 1).all()
+    res = rosenbluth_sampler(z5, 5, 200, seed=1)
+    assert (res.weights == 0).all() and res.dead_ends == 200
+    assert (res.endpoint_dists == 1).all()
+
+
+def test_rosenbluth_weight_overflow():
+    with pytest.raises(OverflowError):
+        rosenbluth_sampler(F2, 700, 3, seed=0)
+
+
+def test_rosenbluth_prefix_stable():
+    full = rosenbluth_sampler(Z5Z5, 10, 9000, seed=5)
+    for t in (1, 100, 4096, 5000):
+        part = rosenbluth_sampler(Z5Z5, 10, t, seed=5)
+        assert np.array_equal(part.weights, full.weights[:t])
+        assert np.array_equal(part.endpoint_dists, full.endpoint_dists[:t])
+        assert part.dead_ends == sum(full.weights[:t] == 0)
+    other = rosenbluth_sampler(Z5Z5, 10, 9000, seed=6)
+    assert not np.array_equal(other.weights, full.weights)
+
+
 # --- generating functions ---------------------------------------------------
 
 def test_green_function_tree_chi():
@@ -250,6 +341,14 @@ def test_susceptibility_ratio_tree_closed_form():
         assert r["certified"]
     with pytest.raises(ValueError):
         susceptibility_saw(F2, [0.34], truncation=10)
+
+
+def test_susceptibility_rejects_negative_z():
+    with pytest.raises(ValueError):
+        susceptibility_saw(F2, [-0.5], truncation=8)
+    census = enumerate_saw(Z5Z5, 6)
+    with pytest.raises(ValueError):
+        susceptibility_saw(Z5Z5, [0.1, -0.1], truncation=6, census=census)
 
 
 def test_susceptibility_ratio_census_bounded():
