@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -270,10 +271,68 @@ class CheckEntry:
 _ZERO = Fraction(0)
 
 
-def _test_vertex_list(ball: Ball, test_vertices) -> list:
+@dataclass(frozen=True, eq=False)
+class CheckResult:
+    """The verdicts of one kernel-inequality check, one column per test vertex.
+
+    `lhs`, `rhs` and `passed` are (n_max+1, len(xs)) arrays indexed
+    [n, k] for the pair (n, xs[k]); `J` is the SRW horizon of the tail
+    check and None for the rho-power check.  `pairs`, `violations` and
+    `worst` summarise the arrays without building entries.  As a sequence
+    the result is its `CheckEntry` list, n outer and x in `xs` order;
+    iteration and indexing build each entry on the fly.
+    """
+
+    check: str
+    spec: str
+    xs: list[int]
+    lhs: np.ndarray
+    rhs: np.ndarray
+    passed: np.ndarray
+    J: int | None = None
+
+    @property
+    def pairs(self) -> int:
+        return self.passed.size
+
+    @property
+    def violations(self) -> int:
+        return self.passed.size - int(np.count_nonzero(self.passed))
+
+    @property
+    def worst(self) -> CheckEntry:
+        """The entry of smallest margin rhs - lhs, the first in entry order
+        on ties.  Raises ValueError when there are no pairs."""
+        return self[int(np.argmin(self.rhs - self.lhs))]
+
+    def _entry(self, n, x, lhs, rhs, passed) -> CheckEntry:
+        params = {"spec": self.spec, "n": n, "x": x}
+        if self.J is not None:
+            params["J"] = self.J
+        return CheckEntry(self.check, params, lhs, rhs, passed)
+
+    def __len__(self) -> int:
+        return self.pairs
+
+    def __iter__(self):
+        for n in range(len(self.lhs)):
+            for row in zip(self.xs, self.lhs[n].tolist(), self.rhs[n].tolist(),
+                           self.passed[n].tolist()):
+                yield self._entry(n, *row)
+
+    def __getitem__(self, i) -> CheckEntry:
+        n, k = divmod(range(self.pairs)[operator.index(i)], len(self.xs))
+        return self._entry(n, self.xs[k], float(self.lhs[n, k]), float(self.rhs[n, k]),
+                           bool(self.passed[n, k]))
+
+
+def _test_vertex_list(ball: Ball, test_vertices) -> list[int]:
     if test_vertices is None:
         return list(range(ball.n_vertices))
-    vs = list(test_vertices)
+    try:
+        vs = [operator.index(x) for x in test_vertices]
+    except TypeError as exc:
+        raise ValueError(f"test vertices must be integer vertex ids: {exc}") from None
     outside = [x for x in vs if not 0 <= x < ball.n_vertices]
     if outside:
         raise ValueError(
@@ -295,25 +354,29 @@ def check_nbw_le_srw_tail(
     exact: bool = False,
     srw: KernelTable | None = None,
     nbw: KernelTable | None = None,
-) -> list[CheckEntry]:
+) -> CheckResult:
     """q^n(0,x) <= sum_{j=n..J} p^j(0,x) + rho_ub^{J+1}/(1-rho_ub), J = H.
 
     The tail term covers the truncated part of the SRW sum with the
-    geometric bound p^j(0,x) <= rho^j.  One entry per (n, x) pair, n
-    outer, x in `test_vertices` order (default: every ball vertex).
+    geometric bound p^j(0,x) <= rho^j.  Returns a `CheckResult` with one
+    column per x in `test_vertices` (default: every ball vertex) and one
+    row per n <= n_max; its entries come n outer, x in `test_vertices`
+    order, and are built only when iterated or indexed.
 
     Cost: the suffix sums S_n(x) = sum_{j=n..J} p^j(0,x) are built once,
     then each pair takes one comparison.  Exact mode builds them in
     Fractions in one O(H*V) pass over the SRW steps from j = J down to 0,
     and decides each pair by `lhs <= rhs` in Fractions.  Float mode
-    indexes each step once with the test vertices and adds whole arrays,
-    H(H+1)/2 additions in all, so that each S_n(x) is summed left to
-    right from j = n, bit for bit as a plain `sum` over j; a pair passes
-    when lhs <= rhs + FLOAT_MASS_TOL.
+    indexes each step once with the test vertices and adds whole
+    (n_max+1, len(xs)) arrays, one per offset j - n, so that each S_n(x)
+    is summed left to right from j = n, bit for bit as a plain `sum` over
+    j; a pair passes when lhs <= rhs + FLOAT_MASS_TOL.  Iterating the
+    result costs one `CheckEntry` per pair on top.
 
-    Raises ValueError if rho_ub is not in (0, 1), n_max exceeds a kernel
-    horizon, a test vertex is outside [0, ball.n_vertices), or a given
-    kernel table is not in the arithmetic `exact` selects.
+    Raises ValueError if rho_ub is not in (0, 1), n_max is negative or
+    exceeds a kernel horizon, a test vertex is not an integer in
+    [0, ball.n_vertices), or a given kernel table is not in the
+    arithmetic `exact` selects.
     """
     if not 0 < float(rho_ub) < 1:
         raise ValueError("need 0 < rho_ub < 1")
@@ -321,21 +384,12 @@ def check_nbw_le_srw_tail(
     nbw = nbw if nbw is not None else nbw_kernel(ball, n_max, exact=exact)
     _require_mode(exact, srw, nbw)
     horizon = srw.horizon
-    if n_max > nbw.horizon or n_max > horizon:
-        raise ValueError("kernel horizon too small for requested n_max")
+    if not 0 <= n_max <= min(nbw.horizon, horizon):
+        raise ValueError("n_max must be in [0, kernel horizon]")
     vs = _test_vertex_list(ball, test_vertices)
     tail = series_tail(rho_ub, horizon + 1, exact=exact)
-    spec_name = ball.spec.describe()
-
-    def block(n, rows):
-        return [
-            CheckEntry("nbw_le_srw_tail", {"spec": spec_name, "n": n, "x": x, "J": horizon},
-                       lhs, rhs, passed)
-            for x, lhs, rhs, passed in rows
-        ]
-
-    blocks = [None] * (n_max + 1)
     if exact:
+        rows = [None] * (n_max + 1)
         # S_n(x) at the test vertices, and (S_n(x) + tail, its float), as n falls
         suffix = dict.fromkeys(vs, _ZERO)
         bound = dict.fromkeys(vs, _with_float(_ZERO + tail))
@@ -345,19 +399,19 @@ def check_nbw_le_srw_tail(
                     suffix[x] += p
                     bound[x] = _with_float(suffix[x] + tail)
             if n <= n_max:
-                blocks[n] = block(n, _exact_rows(vs, nbw.steps[n], map(bound.get, vs)))
+                rows[n] = _exact_row(vs, nbw.steps[n], map(bound.get, vs))
+        lhs, rhs, passed = _exact_columns(rows)
     else:
         idx = np.asarray(vs, dtype=np.intp)
-        p = [srw.steps[j][idx] for j in range(horizon + 1)]
-        for n in range(n_max + 1):
-            lhs = nbw.steps[n][idx]
-            rhs = p[n].copy()
-            for j in range(n + 1, horizon + 1):
-                rhs += p[j]
-            rhs += tail
-            blocks[n] = block(n, zip(vs, lhs.tolist(), rhs.tolist(),
-                                     (lhs <= rhs + FLOAT_MASS_TOL).tolist()))
-    return [e for entries in blocks for e in entries]
+        p = np.array([srw.steps[j][idx] for j in range(horizon + 1)])
+        lhs = np.array([nbw.steps[n][idx] for n in range(n_max + 1)])
+        rhs = p[:n_max + 1].copy()
+        for k in range(1, horizon + 1):
+            rows_k = min(n_max + 1, horizon + 1 - k)  # rows n with n + k <= J
+            rhs[:rows_k] += p[k:k + rows_k]
+        rhs += tail
+        passed = lhs <= rhs + FLOAT_MASS_TOL
+    return CheckResult("nbw_le_srw_tail", ball.spec.describe(), vs, lhs, rhs, passed, J=horizon)
 
 
 def check_nbw_le_rho_power(
@@ -367,56 +421,63 @@ def check_nbw_le_rho_power(
     test_vertices: list[int] | None = None,
     exact: bool = False,
     nbw: KernelTable | None = None,
-) -> list[CheckEntry]:
+) -> CheckResult:
     """q^n(0,x) <= rho_ub^n / (1 - rho_ub) for all x and n <= n_max.
 
-    One entry per (n, x) pair, n outer, x in `test_vertices` order
-    (default: every ball vertex).  The right side is computed once per n,
-    so the cost is one comparison per pair.  Exact mode decides each pair
-    by `lhs <= rhs` in Fractions; float mode compares whole arrays, and a
-    pair passes when lhs <= rhs + FLOAT_MASS_TOL.
+    Returns a `CheckResult` with one column per x in `test_vertices`
+    (default: every ball vertex) and one row per n <= n_max; its entries
+    come n outer, x in `test_vertices` order, and are built only when
+    iterated or indexed.  The right side is computed once per n, so the
+    cost is one comparison per pair, plus one `CheckEntry` per pair when
+    the result is iterated.  Exact mode decides each pair by `lhs <= rhs`
+    in Fractions; float mode compares whole arrays, and a pair passes
+    when lhs <= rhs + FLOAT_MASS_TOL.
 
-    Raises ValueError if rho_ub is not in (0, 1), n_max exceeds the kernel
-    horizon, a test vertex is outside [0, ball.n_vertices), or a given
-    kernel table is not in the arithmetic `exact` selects.
+    Raises ValueError if rho_ub is not in (0, 1), n_max is negative or
+    exceeds the kernel horizon, a test vertex is not an integer in
+    [0, ball.n_vertices), or a given kernel table is not in the
+    arithmetic `exact` selects.
     """
     if not 0 < float(rho_ub) < 1:
         raise ValueError("need 0 < rho_ub < 1")
     nbw = nbw if nbw is not None else nbw_kernel(ball, n_max, exact=exact)
     _require_mode(exact, nbw)
-    if n_max > nbw.horizon:
-        raise ValueError("kernel horizon too small for requested n_max")
+    if not 0 <= n_max <= nbw.horizon:
+        raise ValueError("n_max must be in [0, kernel horizon]")
     vs = _test_vertex_list(ball, test_vertices)
-    idx = None if exact else np.asarray(vs, dtype=np.intp)
-    entries = []
-    spec_name = ball.spec.describe()
-    for n in range(n_max + 1):
-        bound = series_tail(rho_ub, n, exact=exact)
-        if exact:
-            rows = _exact_rows(vs, nbw.steps[n], itertools.repeat(_with_float(bound)))
-        else:
-            q = nbw.steps[n][idx]
-            bound = float(bound)
-            rows = zip(vs, q.tolist(), itertools.repeat(bound),
-                       (q <= bound + FLOAT_MASS_TOL).tolist())
-        entries.extend(
-            CheckEntry("nbw_le_rho_power", {"spec": spec_name, "n": n, "x": x},
-                       lhs, rhs, passed)
-            for x, lhs, rhs, passed in rows
-        )
-    return entries
+    bounds = [series_tail(rho_ub, n, exact=exact) for n in range(n_max + 1)]
+    if exact:
+        lhs, rhs, passed = _exact_columns(
+            [_exact_row(vs, nbw.steps[n], itertools.repeat(_with_float(bounds[n])))
+             for n in range(n_max + 1)])
+    else:
+        idx = np.asarray(vs, dtype=np.intp)
+        lhs = np.array([nbw.steps[n][idx] for n in range(n_max + 1)])
+        rhs = np.repeat(np.array(bounds, dtype=float)[:, None], len(vs), axis=1)
+        passed = lhs <= rhs + FLOAT_MASS_TOL
+    return CheckResult("nbw_le_rho_power", ball.spec.describe(), vs, lhs, rhs, passed)
 
 
 def _with_float(value) -> tuple:
     return value, float(value)
 
 
-def _exact_rows(vs, step: dict, bounds):
-    """(x, float(lhs), float(rhs), lhs <= rhs) per test vertex, lhs = q^n(0,x)
-    from `step` and (rhs, float(rhs)) from `bounds`; the verdict is exact."""
-    for x, (rhs, rhs_float) in zip(vs, bounds):
-        lhs = step.get(x, _ZERO)
-        yield x, 0.0 if lhs is _ZERO else float(lhs), rhs_float, lhs <= rhs
+def _exact_row(vs, step: dict, bounds) -> tuple:
+    """float(lhs), float(rhs) and the exact verdict lhs <= rhs per test
+    vertex, lhs = q^n(0,x) from `step` and (rhs, float(rhs)) from `bounds`."""
+    lhs, rhs, passed = [], [], []
+    for x, (bound, bound_float) in zip(vs, bounds):
+        q = step.get(x, _ZERO)
+        lhs.append(0.0 if q is _ZERO else float(q))
+        rhs.append(bound_float)
+        passed.append(q <= bound)
+    return lhs, rhs, passed
+
+
+def _exact_columns(rows) -> tuple:
+    """(lhs, rhs, passed) arrays from one `_exact_row` per n."""
+    lhs, rhs, passed = zip(*rows)
+    return np.array(lhs, dtype=float), np.array(rhs, dtype=float), np.array(passed, dtype=bool)
 
 
 def series_tail(base, start: int, legs: int = 1, exact: bool = False):

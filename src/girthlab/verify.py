@@ -207,12 +207,11 @@ def _graph_certificate(job: GraphJob, seed: int, theta_star: float,
     n_check = min(job.kernel_steps, job.radius)
     if rho_ub is not None and rho_ub < 1.0:
         nbw = nbw_kernel(b, n_check)
-        tail_entries = check_nbw_le_srw_tail(b, n_check, rho_ub, srw=srw, nbw=nbw)
-        rho_entries = check_nbw_le_rho_power(b, n_check, rho_ub, nbw=nbw)
-        for name, chk in (("nbw_le_srw_tail", tail_entries), ("nbw_le_rho_power", rho_entries)):
-            worst = min(chk, key=lambda e: e.margin)
-            entries.append(Entry(name, "walk-kernel inequality", worst.lhs, worst.rhs,
-                                 PASS if all(e.passed for e in chk) else FAIL,
+        for chk in (check_nbw_le_srw_tail(b, n_check, rho_ub, srw=srw, nbw=nbw),
+                    check_nbw_le_rho_power(b, n_check, rho_ub, nbw=nbw)):
+            worst = chk.worst
+            entries.append(Entry(chk.check, "walk-kernel inequality", worst.lhs, worst.rhs,
+                                 PASS if chk.violations == 0 else FAIL,
                                  note=f"worst margin over {len(chk)} (x,n) pairs"))
     else:
         for name in ("nbw_le_srw_tail", "nbw_le_rho_power"):

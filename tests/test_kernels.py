@@ -274,6 +274,33 @@ def _oracle_records(ball_, n_max, rho_ub, exact, srw, nbw):
     return tail_records, power_records
 
 
+def _assert_summary_matches_scan(result):
+    """pairs, violations and worst equal a scan of the materialised entries."""
+    entries = list(result)
+    assert result.pairs == len(result) == len(entries)
+    assert result.violations == sum(not e.passed for e in entries)
+    assert repr(result.worst) == repr(min(entries, key=lambda e: e.margin))
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_kernel_check_summary_unsorted_duplicates_and_ties(exact):
+    b = ball(F2, 4)
+    rho = kesten_rho_upper_fraction(4) if exact else 0.9
+    # descending ids with repeats: the worst pair is the first in list order
+    vs = [5, 0, *range(b.n_vertices - 1, 0, -3), 17, 5, 0]
+    for result in (check_nbw_le_srw_tail(b, 4, rho, test_vertices=vs, exact=exact),
+                   check_nbw_le_rho_power(b, 4, rho, test_vertices=vs, exact=exact)):
+        entries = list(result)
+        assert [repr(result[i]) for i in range(len(result))] == [repr(e) for e in entries]
+        assert repr(result[-1]) == repr(entries[-1])
+        least = min(e.margin for e in entries)
+        tied = [e for e in entries if e.margin == least]
+        assert len(tied) > 1  # symmetric vertices of the tree tie
+        assert repr(result.worst) == repr(tied[0])
+        assert result.worst.params["x"] != min(e.params["x"] for e in tied)
+        _assert_summary_matches_scan(result)
+
+
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
 @pytest.mark.parametrize("radius", [3, 5])
 @pytest.mark.parametrize(
@@ -289,14 +316,16 @@ def test_kernel_inequalities_match_per_pair_oracle(spec, rho_pass, radius, exact
     srw = srw_kernel(b, radius, exact=exact)
     nbw = nbw_kernel(b, radius, exact=exact)
     want_tail, want_power = _oracle_records(b, radius, rho, exact, srw, nbw)
-    got_tail = [e.to_record() for e in check_nbw_le_srw_tail(b, radius, rho, exact=exact,
-                                                             srw=srw, nbw=nbw)]
-    got_power = [e.to_record() for e in check_nbw_le_rho_power(b, radius, rho, exact=exact,
-                                                               nbw=nbw)]
+    tail = check_nbw_le_srw_tail(b, radius, rho, exact=exact, srw=srw, nbw=nbw)
+    power = check_nbw_le_rho_power(b, radius, rho, exact=exact, nbw=nbw)
+    got_tail = [e.to_record() for e in tail]
+    got_power = [e.to_record() for e in power]
     # repr also pins the value types (float, bool) and the params key order
     assert [repr(r) for r in got_tail] == [repr(r) for r in want_tail]
     assert [repr(r) for r in got_power] == [repr(r) for r in want_power]
-    violations = (sum(not r["pass"] for r in got_tail), sum(not r["pass"] for r in got_power))
+    _assert_summary_matches_scan(tail)
+    _assert_summary_matches_scan(power)
+    violations = (tail.violations, power.violations)
     if not failing:
         assert violations == (0, 0)
     elif spec is F2 and radius == 3:
@@ -312,6 +341,20 @@ def test_kernel_inequalities_reject_vertices_outside_ball(exact, vertex):
         check_nbw_le_rho_power(b, 2, rho, test_vertices=[0, vertex], exact=exact)
     with pytest.raises(ValueError, match="outside"):
         check_nbw_le_srw_tail(b, 2, rho, test_vertices=[vertex], exact=exact)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("vertex", [1.5, 2.0, "3"])
+def test_kernel_inequalities_reject_non_integer_vertices(exact, vertex):
+    b = ball(F2, 3)
+    rho = kesten_rho_upper_fraction(4)
+    with pytest.raises(ValueError, match="integer"):
+        check_nbw_le_rho_power(b, 2, rho, test_vertices=[0, vertex], exact=exact)
+    with pytest.raises(ValueError, match="integer"):
+        check_nbw_le_srw_tail(b, 2, rho, test_vertices=[vertex], exact=exact)
+    # numpy integers are vertex ids, recorded as Python ints
+    result = check_nbw_le_rho_power(b, 2, rho, test_vertices=np.arange(3), exact=exact)
+    assert [type(e.params["x"]) for e in result] == [int] * 9
 
 
 # --- closed-form envelope tails ----------------------------------------------

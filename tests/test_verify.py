@@ -6,8 +6,17 @@ import math
 import pytest
 
 import conftest
-from girthlab.kernels import kesten_rho
+from girthlab.groups import ball, parse_group_spec
+from girthlab.kernels import (
+    check_nbw_le_rho_power,
+    check_nbw_le_srw_tail,
+    kesten_rho,
+    nbw_kernel,
+    srw_kernel,
+)
 from girthlab.verify import (
+    FAIL,
+    PASS,
     Certificate,
     Entry,
     GraphJob,
@@ -157,6 +166,29 @@ def test_certificate_girth_from_closed_form():
     assert cert.graphs[0]["inputs"]["girth"] == "7"
     by_id = {e["id"]: e for e in cert.entries}
     assert by_id["girth_threshold"]["rhs"] == 7.0
+
+
+def test_certificate_kernel_entries_match_entry_scan():
+    # the README config at tiny sizes, against the per-pair scan verify used
+    # before the checks returned summaries
+    jobs = [GraphJob("Z*Z", radius=4, kernel_steps=6, saw_n_max=5, pc_radius=3,
+                     pc_trials=20, trials=20, bnp_c=1.0),
+            GraphJob("Z5*Z5", radius=3, kernel_steps=6, saw_n_max=5, pc_radius=3,
+                     pc_trials=20, trials=20, rho_ub=0.95, bnp_c=1.0)]
+    cert = _certify(VerifyConfig(jobs=jobs, seed=1))
+    for job, g in zip(jobs, cert.graphs):
+        b = ball(parse_group_spec(job.spec_text), job.radius)
+        n_check = min(job.kernel_steps, job.radius)
+        srw, nbw = srw_kernel(b, job.radius), nbw_kernel(b, n_check)
+        rho_ub = job.rho_ub if job.rho_ub is not None else kesten_rho(4)
+        by_id = {e["id"]: e for e in g["entries"]}
+        for chk in (list(check_nbw_le_srw_tail(b, n_check, rho_ub, srw=srw, nbw=nbw)),
+                    list(check_nbw_le_rho_power(b, n_check, rho_ub, nbw=nbw))):
+            worst = min(chk, key=lambda e: e.margin)
+            want = Entry(chk[0].check, "walk-kernel inequality", worst.lhs, worst.rhs,
+                         PASS if all(e.passed for e in chk) else FAIL,
+                         note=f"worst margin over {len(chk)} (x,n) pairs")
+            assert by_id[chk[0].check] == want.to_record()
 
 
 def test_certificate_failed_flag():
