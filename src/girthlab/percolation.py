@@ -8,6 +8,8 @@ as the independent oracle.
 
 from __future__ import annotations
 
+import heapq
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -119,6 +121,29 @@ def crossing_probability(ball: Ball, p: float, trials: int, seed: int) -> Estima
     return binomial_estimate(hits, trials)
 
 
+def crossing_threshold(ball: Ball, uniforms: np.ndarray) -> float:
+    """min over root -> radius-R paths of the largest edge uniform on the
+    path (-inf at radius 0, inf with no radius-R vertex), so the trial
+    crosses at p iff it is < p.  Bottleneck Dijkstra keyed on the path
+    maximum, stopping at the first radius-R vertex popped."""
+    adj, dist, radius = ball.adj, ball.dist, ball.radius
+    u = uniforms.tolist()
+    best = [-math.inf] + [2.0] * (ball.n_vertices - 1)  # 2.0: above every uniform
+    heap = [(-math.inf, 0)]
+    while heap:
+        m, x = heapq.heappop(heap)
+        if m > best[x]:
+            continue
+        if dist[x] == radius:
+            return m
+        for y, a in adj[x]:
+            w = max(u[a >> 1], m)
+            if w < best[y]:
+                best[y] = w
+                heapq.heappush(heap, (w, y))
+    return math.inf
+
+
 @dataclass
 class PcEstimate:
     lo: float
@@ -135,44 +160,44 @@ def estimate_pc(
     theta_star: float = 0.5,
     tol: float = 0.02,
 ) -> PcEstimate:
-    """Bisection of crossing probability against theta_star.
+    """Bisection of the empirical crossing curve against theta_star.
 
-    MC noise makes the curve only statistically monotone; the interval is
-    widened so both ends are consistent with the observed Wilson bands.
+    Trial t draws `edge_uniforms(ball, seed, t)` once; an edge is open at p
+    iff its uniform is < p, so the trial crosses at p iff its
+    `crossing_threshold` thr_t < p (thr_t = -inf at radius 0), and the
+    curve #{t: thr_t < p} / trials is exactly non-decreasing in p.  The
+    interval is widened so both ends are consistent with the observed
+    Wilson bands.  Raises ValueError unless 0 < theta_star < 1, tol > 0
+    and trials >= 1.
     """
     if not 0.0 < theta_star < 1.0:
         raise ValueError("theta_star must be in (0, 1)")
+    if not tol > 0.0 or trials < 1:
+        raise ValueError("tol must be > 0 and trials >= 1")
     b = build_ball(spec, radius)
+    thr = np.array([crossing_threshold(b, edge_uniforms(b, seed, t)) for t in range(trials)])
+
+    def crossing(p: float) -> Estimate:
+        return binomial_estimate(int(np.count_nonzero(thr < p)), trials)
+
     lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        est = crossing_probability(b, mid, trials, seed)
-        if est.value >= theta_star:
+    # lo < mid < hi fails once lo, hi are adjacent floats (tol below their spacing)
+    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+        if crossing(mid).value >= theta_star:
             hi = mid
         else:
             lo = mid
     # widen each end until its Wilson interval clears theta*, so MC
     # noise at the bisection budget never yields a false point estimate
     for _ in range(10):
-        if lo <= 0.0 or crossing_probability(b, lo, trials, seed).ci_hi < theta_star:
+        if lo <= 0.0 or crossing(lo).ci_hi < theta_star:
             break
         lo = max(0.0, lo - tol)
     for _ in range(10):
-        if hi >= 1.0 or crossing_probability(b, hi, trials, seed).ci_lo > theta_star:
+        if hi >= 1.0 or crossing(hi).ci_lo > theta_star:
             break
         hi = min(1.0, hi + tol)
     return PcEstimate(lo, hi, radius, theta_star)
-
-
-def theta_curve(
-    spec: GroupSpec, p: float, radii: list[int], trials: int, seed: int
-) -> list[tuple[int, Estimate]]:
-    """Crossing probability to each radius: a decreasing-in-R proxy for theta(p)."""
-    out = []
-    for r in radii:
-        b = build_ball(spec, r)
-        out.append((r, crossing_probability(b, p, trials, seed)))
-    return out
 
 
 def two_point(

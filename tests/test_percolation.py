@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from girthlab import branching
+from girthlab import branching, percolation
 from girthlab.groups import ball, inverse, multiply, parse_group_spec, word_length
 from girthlab.percolation import (
     UnionFind,
@@ -14,6 +14,8 @@ from girthlab.percolation import (
     cluster_partition,
     cluster_size_tail,
     crossing_probability,
+    crossing_threshold,
+    edge_uniforms,
     estimate_pc,
     fit_beta,
     fit_gamma,
@@ -22,7 +24,6 @@ from girthlab.percolation import (
     oracle_witness_radius,
     root_cluster,
     susceptibility,
-    theta_curve,
     tree_triangle_exact,
     triangle_diagram,
     two_point,
@@ -103,12 +104,6 @@ def test_two_point_tree_exact():
     assert est2.trials == 10
 
 
-def test_theta_curve_decreasing():
-    curve = theta_curve(F2, 0.45, [1, 2, 3, 4], trials=400, seed=6)
-    vals = [e.value for _, e in curve]
-    assert all(a >= b - 0.05 for a, b in zip(vals, vals[1:]))
-
-
 def test_estimate_pc_tree_brackets_exact_value():
     est = estimate_pc(F2, radius=5, trials=300, seed=2, tol=0.02)
     assert est.lo < est.hi
@@ -119,6 +114,83 @@ def test_estimate_pc_tree_brackets_exact_value():
 def test_estimate_pc_validation():
     with pytest.raises(ValueError):
         estimate_pc(F2, 3, 10, 0, theta_star=1.0)
+    # tol <= 0 or NaN would bisect forever once lo and hi are adjacent floats
+    for tol, trials in ((0.0, 5), (-0.1, 5), (math.nan, 5), (0.02, 0)):
+        with pytest.raises(ValueError):
+            estimate_pc(F2, 2, trials, 0, tol=tol)
+
+
+def test_estimate_pc_tol_below_float_spacing_terminates():
+    est = estimate_pc(F2, 2, 5, 0, tol=1e-300)
+    assert 0.0 < est.lo < est.hi <= 1.0
+    assert np.nextafter(est.lo, 1.0) == est.hi
+
+
+def _estimate_pc_reference(spec, radius, trials, seed, theta_star=0.5, tol=0.02):
+    """Reference for `estimate_pc`: the same bisection and widening, with
+    every step re-running all trials through `crossing_probability`."""
+    b = ball(spec, radius)
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if crossing_probability(b, mid, trials, seed).value >= theta_star:
+            hi = mid
+        else:
+            lo = mid
+    for _ in range(10):
+        if lo <= 0.0 or crossing_probability(b, lo, trials, seed).ci_hi < theta_star:
+            break
+        lo = max(0.0, lo - tol)
+    for _ in range(10):
+        if hi >= 1.0 or crossing_probability(b, hi, trials, seed).ci_lo > theta_star:
+            break
+        hi = min(1.0, hi + tol)
+    return lo, hi
+
+
+@pytest.mark.parametrize("spec", ["Z*Z", "Z5*Z5", "Z2*Z3"])
+@pytest.mark.parametrize("radius", range(7))
+def test_estimate_pc_equals_reference_bisection(spec, radius):
+    g = parse_group_spec(spec)
+    for seed in (1, 8):
+        for theta_star in (0.3, 0.5, 0.7):
+            est = estimate_pc(g, radius, 40, seed, theta_star=theta_star)
+            ref = _estimate_pc_reference(g, radius, 40, seed, theta_star=theta_star)
+            assert (est.lo, est.hi) == ref
+            assert (est.radius, est.theta_star) == (radius, theta_star)
+
+
+@given(st.sampled_from(["Z*Z", "Z5*Z5", "Z2*Z3"]), st.integers(0, 4),
+       st.integers(0, 2**32), st.floats(0.0, 1.0), st.integers(0, 24))
+@settings(max_examples=60, deadline=None)
+def test_threshold_count_equals_crossing_hits(spec, radius, seed, p, pick):
+    b = ball(parse_group_spec(spec), radius)
+    trials = 25
+    us = [edge_uniforms(b, seed, t) for t in range(trials)]
+    thr = np.array([crossing_threshold(b, u) for u in us])
+    # a random p, then p exactly at a trial's threshold and at one of its
+    # edge uniforms, where the strict u < p decides the tie
+    ps = [p]
+    if np.isfinite(thr[pick]):
+        ps.append(float(thr[pick]))
+    if b.n_edges:
+        ps.append(float(us[pick][pick % b.n_edges]))
+    for q in ps:
+        hits = int(np.count_nonzero(thr < q))
+        assert crossing_probability(b, q, trials, seed).value == hits / trials
+
+
+def test_estimate_pc_draws_each_trial_once(monkeypatch):
+    streams = []
+    real = percolation.trial_rng
+
+    def counting(seed, stream):
+        streams.append(stream)
+        return real(seed, stream)
+
+    monkeypatch.setattr(percolation, "trial_rng", counting)
+    estimate_pc(Z5Z5, 4, 30, seed=3)
+    assert sorted(streams) == list(range(30))
 
 
 # --- triangle diagram -------------------------------------------------------
