@@ -1,18 +1,22 @@
-"""Exact random-walk kernels on Cayley balls.
+"""Random-walk kernels on Cayley balls.
 
 Simple random walk (SRW) and non-backtracking walk (NBW) distributions
 started from the root, valid for the infinite graph up to the horizon
 H = min(N, R): mass cannot feel the missing boundary edges before step
-R+1.  Two arithmetic modes: exact Fractions (ground truth at small scale)
-and float64 (production, drift <= 1e-12 per mass check).
+R+1.  Two arithmetic modes.  Exact mode (the ground truth) counts walks
+in integers: p^n(0,x) = N_n(x) / D_n, where N_n(x) is the number of
+n-step walks from the root to x inside the ball and D_n the number of
+n-step walks in all, d^n for the SRW and d(d-1)^(n-1) for the NBW.
+Float mode propagates float64 probabilities (drift <= 1e-12 per mass
+check).
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -27,33 +31,38 @@ class KernelTable:
     kind: str  # "srw" | "nbw"
     ball: Ball
     horizon: int  # H = min(N, R): steps exact for the infinite graph
-    steps: list  # per n: dict vertex -> Fraction, or numpy float array
+    # per n, one entry per vertex: exact mode, the walk counts N_n (int64
+    # while D_n < 2^63, Python ints in an object array beyond); float
+    # mode, the probabilities p^n(0, .)
+    counts: list
+    denominators: list | None  # exact mode: D_n per n; float mode: None
     exact: bool
+
+    @functools.cached_property
+    def steps(self) -> list:
+        """Per n: exact mode, a dict vertex -> Fraction over the support;
+        float mode, the probability array.  Built once, on first use."""
+        if not self.exact:
+            return self.counts
+        return [{v: self.prob(n, v) for v in self.support(n)} for n in range(len(self.counts))]
 
     def prob(self, n: int, vertex: int):
         """Probability the walk is at `vertex` after n steps."""
-        step = self.steps[n]
-        if isinstance(step, dict):
-            return step.get(vertex, Fraction(0))
-        return step[vertex]
+        c = self.counts[n][vertex]
+        return Fraction(int(c), self.denominators[n]) if self.exact else c
 
     def mass(self, n: int):
-        step = self.steps[n]
-        if isinstance(step, dict):
-            return sum(step.values())
-        return float(step.sum())
+        total = self.counts[n].sum()
+        return Fraction(int(total), self.denominators[n]) if self.exact else float(total)
 
     def support(self, n: int):
-        step = self.steps[n]
-        if isinstance(step, dict):
-            return sorted(step)
-        return [int(v) for v in np.nonzero(step)[0]]
+        return np.flatnonzero(self.counts[n]).tolist()
 
     def to_csv_rows(self):
         from .groups import word_str
 
         rows = []
-        for n, step in enumerate(self.steps):
+        for n in range(len(self.counts)):
             for v in self.support(n):
                 rows.append(
                     (self.kind, n, word_str(self.ball.spec, self.ball.words[v]),
@@ -62,90 +71,68 @@ class KernelTable:
         return rows
 
 
+def _fit(counts: np.ndarray, den: int) -> np.ndarray:
+    """`counts` as is while `den` fits int64, else as Python ints."""
+    return counts.astype(object) if den >= 2**63 and counts.dtype != object else counts
+
+
+def _push(values: np.ndarray, heads: np.ndarray, size: int) -> np.ndarray:
+    """Sum per-arc `values` into `size` vertex bins by `heads`: float64 by
+    np.bincount, counts exactly in their own dtype by np.add.at."""
+    if values.dtype == float:
+        return np.bincount(heads, weights=values, minlength=size)
+    out = np.zeros(size, dtype=values.dtype)
+    np.add.at(out, heads, values)
+    return out
+
+
 def srw_kernel(ball: Ball, n_steps: int, exact: bool = False) -> KernelTable:
     """n-step simple random walk distributions from the root."""
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     d = ball.spec.degree
-    if exact:
-        steps: list = [{0: Fraction(1)}]
-        inv_d = Fraction(1, d)
-        for _ in range(n_steps):
-            nxt: dict[int, Fraction] = {}
-            for u, mass in steps[-1].items():
-                share = mass * inv_d
-                for v, _ in ball.adj[u]:
-                    nxt[v] = nxt.get(v, Fraction(0)) + share
-            steps.append(nxt)
-    else:
-        nv = ball.n_vertices
-        cur = np.zeros(nv)
-        cur[0] = 1.0
-        steps = [cur]
-        for _ in range(n_steps):
-            cur = np.bincount(ball.arc_head, weights=cur[ball.arc_tail] / d, minlength=nv)
-            steps.append(cur)
-    return KernelTable("srw", ball, min(n_steps, ball.radius), steps, exact)
+    dens = [d**n for n in range(n_steps + 1)] if exact else None
+    cur = np.zeros(ball.n_vertices, dtype=np.int64 if exact else float)
+    cur[0] = 1
+    counts = [cur]
+    for n in range(1, n_steps + 1):
+        moved = _fit(cur, dens[n])[ball.arc_tail] if exact else cur[ball.arc_tail] / d
+        cur = _push(moved, ball.arc_head, ball.n_vertices)
+        counts.append(cur)
+    return KernelTable("srw", ball, min(n_steps, ball.radius), counts, dens, exact)
 
 
 def nbw_kernel(ball: Ball, n_steps: int, exact: bool = False) -> KernelTable:
     """n-step non-backtracking walk distributions from the root.
 
     First step uniform over the d root arcs, later steps uniform over the
-    d-1 continuations that do not reverse the previous arc.
+    d-1 continuations that do not reverse the previous arc.  Exact mode
+    counts the walks on each arc, with no division.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     d = ball.spec.degree
     if d < 3:
         raise ValueError("non-backtracking walk needs degree >= 3")
-    # a list for the Fraction loops, the array for numpy
-    head = ball.arc_head.tolist() if exact else ball.arc_head
-    root_arcs = [a for _, a in ball.adj[0]]
-
-    def vertex_marginal(arc_mass):
-        if isinstance(arc_mass, dict):
-            out: dict[int, Fraction] = {}
-            for a, mass in arc_mass.items():
-                v = head[a]
-                out[v] = out.get(v, Fraction(0)) + mass
-            return out
-        return np.bincount(head, weights=arc_mass, minlength=ball.n_vertices)
-
-    steps: list = []
-    if exact:
-        steps.append({0: Fraction(1)})
-        if n_steps >= 1:
-            arc: dict[int, Fraction] = {a: Fraction(1, d) for a in root_arcs}
-            steps.append(vertex_marginal(arc))
-            inv = Fraction(1, d - 1)
-            for _ in range(2, n_steps + 1):
-                nxt: dict[int, Fraction] = {}
-                for a, mass in arc.items():
-                    share = mass * inv
-                    banned = a ^ 1
-                    for _, b in ball.adj[head[a]]:
-                        if b != banned:
-                            nxt[b] = nxt.get(b, Fraction(0)) + share
-                arc = nxt
-                steps.append(vertex_marginal(arc))
-    else:
-        root = np.zeros(ball.n_vertices)
-        root[0] = 1.0
-        steps.append(root)
-        if n_steps >= 1:
-            arc = np.zeros(len(head))
-            arc[root_arcs] = 1.0 / d
-            steps.append(vertex_marginal(arc))
-            rev = np.arange(len(head)) ^ 1
-            for _ in range(2, n_steps + 1):
-                # push mass from arc (u,v) to all arcs out of v except (v,u);
-                # steps[-1] is the mass arriving at each vertex
-                nxt = steps[-1][ball.arc_tail] / (d - 1)
-                nxt -= arc[rev] / (d - 1)
-                arc = nxt
-                steps.append(vertex_marginal(arc))
-    return KernelTable("nbw", ball, min(n_steps, ball.radius), steps, exact)
+    head, tail, nv = ball.arc_head, ball.arc_tail, ball.n_vertices
+    dens = [1] + [d * (d - 1) ** (n - 1) for n in range(1, n_steps + 1)] if exact else None
+    root = np.zeros(nv, dtype=np.int64 if exact else float)
+    root[0] = 1
+    counts = [root]
+    if n_steps >= 1:
+        arc = np.zeros(len(head), dtype=root.dtype)
+        arc[np.flatnonzero(tail == 0)] = 1 if exact else 1.0 / d
+        counts.append(_push(arc, head, nv))
+        rev = np.arange(len(head)) ^ 1
+        for n in range(2, n_steps + 1):
+            # push mass from arc (u,v) to all arcs out of v except (v,u);
+            # counts[-1] is the mass arriving at each vertex
+            if exact:
+                arc = _fit(counts[-1], dens[n])[tail] - _fit(arc, dens[n])[rev]
+            else:
+                arc = counts[-1][tail] / (d - 1) - arc[rev] / (d - 1)
+            counts.append(_push(arc, head, nv))
+    return KernelTable("nbw", ball, min(n_steps, ball.radius), counts, dens, exact)
 
 
 def kesten_rho(d: int) -> float:
@@ -268,9 +255,6 @@ class CheckEntry:
         }
 
 
-_ZERO = Fraction(0)
-
-
 @dataclass(frozen=True, eq=False)
 class CheckResult:
     """The verdicts of one kernel-inequality check, one column per test vertex.
@@ -341,9 +325,33 @@ def _test_vertex_list(ball: Ball, test_vertices) -> list[int]:
     return vs
 
 
-def _require_mode(exact: bool, *tables: KernelTable) -> None:
-    if any(t.exact != exact for t in tables):
-        raise ValueError("kernel table arithmetic does not match exact")
+def _kernel_table(table, kind: str, ball: Ball, n_steps: int, exact: bool) -> KernelTable:
+    """`table`, or a new n_steps `kind` table of `ball` when None.  Raises
+    ValueError unless it is a `kind` table of this very ball in the
+    arithmetic `exact` selects."""
+    if table is None:
+        return (srw_kernel if kind == "srw" else nbw_kernel)(ball, n_steps, exact=exact)
+    if table.kind != kind or table.ball is not ball or table.exact != exact:
+        where = "this" if table.ball is ball else "another"
+        raise ValueError(f"{kind} must be an exact={exact} {kind} table of this ball, got an "
+                         f"exact={table.exact} {table.kind} table of {where} ball")
+    return table
+
+
+def _quotients(nums: np.ndarray, den: int, scale: int = 1, offset: int = 0) -> np.ndarray:
+    """(v*scale + offset) / den for each integer v of `nums`, rounded
+    correctly by Python's int division, as float(Fraction) rounds; one
+    division per distinct v."""
+    vals, inv = np.unique(nums, return_inverse=True)
+    return np.array([(v * scale + offset) / den for v in vals.tolist()], dtype=float)[inv]
+
+
+def _nbw_rows(nbw: KernelTable, idx: np.ndarray, n_max: int) -> np.ndarray:
+    """q^n(0,x) as floats, n = 0..n_max down the rows, x = idx across."""
+    if nbw.exact:
+        return np.array([_quotients(nbw.counts[n][idx], nbw.denominators[n])
+                         for n in range(n_max + 1)], dtype=float)
+    return np.array([nbw.counts[n][idx] for n in range(n_max + 1)], dtype=float)
 
 
 def check_nbw_le_srw_tail(
@@ -364,47 +372,49 @@ def check_nbw_le_srw_tail(
     order, and are built only when iterated or indexed.
 
     Cost: the suffix sums S_n(x) = sum_{j=n..J} p^j(0,x) are built once,
-    then each pair takes one comparison.  Exact mode builds them in
-    Fractions in one O(H*V) pass over the SRW steps from j = J down to 0,
-    and decides each pair by `lhs <= rhs` in Fractions.  Float mode
-    indexes each step once with the test vertices and adds whole
-    (n_max+1, len(xs)) arrays, one per offset j - n, so that each S_n(x)
-    is summed left to right from j = n, bit for bit as a plain `sum` over
-    j; a pair passes when lhs <= rhs + FLOAT_MASS_TOL.  Iterating the
-    result costs one `CheckEntry` per pair on top.
+    then each pair takes one comparison.  Exact mode works in integers:
+    S_n(x) = A_n(x)/d^J, A_n(x) = sum_{j>=n} N_j(x) d^{J-j} built as n
+    falls, the tail is a/b (rho_ub at its exact value), and a row of
+    pairs q = Q/D_n passes where (Q d^J - A_n D_n) b <= a D_n d^J.  Float
+    mode adds whole (n_max+1, len(xs)) arrays, one per offset j - n, so
+    each S_n(x) is summed left to right from j = n, bit for bit as a
+    plain `sum` over j; a pair passes when lhs <= rhs + FLOAT_MASS_TOL.
 
     Raises ValueError if rho_ub is not in (0, 1), n_max is negative or
     exceeds a kernel horizon, a test vertex is not an integer in
-    [0, ball.n_vertices), or a given kernel table is not in the
-    arithmetic `exact` selects.
+    [0, ball.n_vertices), or a given kernel table is of the wrong kind,
+    of another ball or not in the arithmetic `exact` selects.
     """
     if not 0 < float(rho_ub) < 1:
         raise ValueError("need 0 < rho_ub < 1")
-    srw = srw if srw is not None else srw_kernel(ball, ball.radius, exact=exact)
-    nbw = nbw if nbw is not None else nbw_kernel(ball, n_max, exact=exact)
-    _require_mode(exact, srw, nbw)
+    srw = _kernel_table(srw, "srw", ball, ball.radius, exact)
+    nbw = _kernel_table(nbw, "nbw", ball, n_max, exact)
     horizon = srw.horizon
     if not 0 <= n_max <= min(nbw.horizon, horizon):
         raise ValueError("n_max must be in [0, kernel horizon]")
     vs = _test_vertex_list(ball, test_vertices)
+    idx = np.asarray(vs, dtype=np.intp)
     tail = series_tail(rho_ub, horizon + 1, exact=exact)
+    lhs = _nbw_rows(nbw, idx, n_max)
     if exact:
-        rows = [None] * (n_max + 1)
-        # S_n(x) at the test vertices, and (S_n(x) + tail, its float), as n falls
-        suffix = dict.fromkeys(vs, _ZERO)
-        bound = dict.fromkeys(vs, _with_float(_ZERO + tail))
+        d = ball.spec.degree
+        d_J = d**horizon
+        a, b = tail.numerator, tail.denominator
+        # every |Q d^J - A_n D_n| <= (J+1) d^J D_n, which sets the dtype
+        reach = (horizon + 1) * d_J * nbw.denominators[n_max]
+        suffix = _fit(np.zeros(len(vs), dtype=np.int64), reach)
+        rhs, passed = np.empty_like(lhs), np.empty(lhs.shape, dtype=bool)
         for n in range(horizon, -1, -1):
-            for x, p in srw.steps[n].items():
-                if x in suffix:
-                    suffix[x] += p
-                    bound[x] = _with_float(suffix[x] + tail)
+            suffix = suffix + _fit(srw.counts[n][idx], reach) * d ** (horizon - n)
             if n <= n_max:
-                rows[n] = _exact_row(vs, nbw.steps[n], map(bound.get, vs))
-        lhs, rhs, passed = _exact_columns(rows)
+                den = nbw.denominators[n]
+                # Q <= D_n bounds the left side by D_n d^J: clamping the
+                # threshold there keeps it in int64 and changes no verdict
+                passed[n] = (_fit(nbw.counts[n][idx], reach) * d_J - suffix * den
+                             <= min(a * den * d_J // b, den * d_J))
+                rhs[n] = _quotients(suffix, d_J * b, b, a * d_J)
     else:
-        idx = np.asarray(vs, dtype=np.intp)
-        p = np.array([srw.steps[j][idx] for j in range(horizon + 1)])
-        lhs = np.array([nbw.steps[n][idx] for n in range(n_max + 1)])
+        p = np.array([srw.counts[j][idx] for j in range(horizon + 1)])
         rhs = p[:n_max + 1].copy()
         for k in range(1, horizon + 1):
             rows_k = min(n_max + 1, horizon + 1 - k)  # rows n with n + k <= J
@@ -428,56 +438,36 @@ def check_nbw_le_rho_power(
     (default: every ball vertex) and one row per n <= n_max; its entries
     come n outer, x in `test_vertices` order, and are built only when
     iterated or indexed.  The right side is computed once per n, so the
-    cost is one comparison per pair, plus one `CheckEntry` per pair when
-    the result is iterated.  Exact mode decides each pair by `lhs <= rhs`
-    in Fractions; float mode compares whole arrays, and a pair passes
-    when lhs <= rhs + FLOAT_MASS_TOL.
+    cost is one comparison per pair.  Exact mode takes rho_ub at its
+    exact value and the bound as a/b: a row of pairs q = Q/D_n passes
+    where Q b <= a D_n, i.e. Q <= floor(a D_n / b); float mode passes a
+    pair when lhs <= rhs + FLOAT_MASS_TOL.
 
     Raises ValueError if rho_ub is not in (0, 1), n_max is negative or
     exceeds the kernel horizon, a test vertex is not an integer in
-    [0, ball.n_vertices), or a given kernel table is not in the
-    arithmetic `exact` selects.
+    [0, ball.n_vertices), or a given table is not an NBW table of this
+    ball in the arithmetic `exact` selects.
     """
     if not 0 < float(rho_ub) < 1:
         raise ValueError("need 0 < rho_ub < 1")
-    nbw = nbw if nbw is not None else nbw_kernel(ball, n_max, exact=exact)
-    _require_mode(exact, nbw)
+    nbw = _kernel_table(nbw, "nbw", ball, n_max, exact)
     if not 0 <= n_max <= nbw.horizon:
         raise ValueError("n_max must be in [0, kernel horizon]")
     vs = _test_vertex_list(ball, test_vertices)
+    idx = np.asarray(vs, dtype=np.intp)
     bounds = [series_tail(rho_ub, n, exact=exact) for n in range(n_max + 1)]
+    lhs = _nbw_rows(nbw, idx, n_max)
+    rhs = np.repeat(np.array(bounds, dtype=float)[:, None], len(vs), axis=1)
     if exact:
-        lhs, rhs, passed = _exact_columns(
-            [_exact_row(vs, nbw.steps[n], itertools.repeat(_with_float(bounds[n])))
-             for n in range(n_max + 1)])
+        # Q <= D_n: clamping the threshold at D_n keeps it in int64 and
+        # changes no verdict
+        passed = np.array([
+            nbw.counts[n][idx] <= min(bound.numerator * nbw.denominators[n] // bound.denominator,
+                                      nbw.denominators[n])
+            for n, bound in enumerate(bounds)], dtype=bool)
     else:
-        idx = np.asarray(vs, dtype=np.intp)
-        lhs = np.array([nbw.steps[n][idx] for n in range(n_max + 1)])
-        rhs = np.repeat(np.array(bounds, dtype=float)[:, None], len(vs), axis=1)
         passed = lhs <= rhs + FLOAT_MASS_TOL
     return CheckResult("nbw_le_rho_power", ball.spec.describe(), vs, lhs, rhs, passed)
-
-
-def _with_float(value) -> tuple:
-    return value, float(value)
-
-
-def _exact_row(vs, step: dict, bounds) -> tuple:
-    """float(lhs), float(rhs) and the exact verdict lhs <= rhs per test
-    vertex, lhs = q^n(0,x) from `step` and (rhs, float(rhs)) from `bounds`."""
-    lhs, rhs, passed = [], [], []
-    for x, (bound, bound_float) in zip(vs, bounds):
-        q = step.get(x, _ZERO)
-        lhs.append(0.0 if q is _ZERO else float(q))
-        rhs.append(bound_float)
-        passed.append(q <= bound)
-    return lhs, rhs, passed
-
-
-def _exact_columns(rows) -> tuple:
-    """(lhs, rhs, passed) arrays from one `_exact_row` per n."""
-    lhs, rhs, passed = zip(*rows)
-    return np.array(lhs, dtype=float), np.array(rhs, dtype=float), np.array(passed, dtype=bool)
 
 
 def series_tail(base, start: int, legs: int = 1, exact: bool = False):
@@ -486,14 +476,17 @@ def series_tail(base, start: int, legs: int = 1, exact: bool = False):
     The coefficient counts the ways to split s steps over `legs` chained
     legs, so legs = 1 is the geometric tail base^start / (1 - base).  In
     general the sum is base^start * sum_{j<legs} C(start+legs-1, legs-1-j)
-    base^j / (1-base)^{j+1}.  Exact mode works in Fractions; a Fraction
-    base in float mode gives a float.  inf when base >= 1, where the
+    base^j / (1-base)^{j+1}.  Exact mode works in Fractions, reading a
+    float base at its exact binary value; a Fraction base in float mode
+    gives a float.  inf when base >= 1, where the
     series diverges.  Raises ValueError if base < 0 or legs < 1.
     """
     if not base >= 0 or legs < 1:
         raise ValueError("series_tail needs base >= 0 and legs >= 1")
     if base >= 1:
         return math.inf
+    if exact:
+        base = Fraction(base)  # a float base at its exact binary value
     rest = (Fraction(1) if exact else 1.0) - base
     return sum(math.comb(start + legs - 1, legs - 1 - j) * base ** (start + j) / rest ** (j + 1)
                for j in range(legs))

@@ -27,6 +27,68 @@ from girthlab.saw import bubble_diagram, enumerate_saw
 F2 = parse_group_spec("Z*Z")
 Z5Z5 = parse_group_spec("Z5*Z5")
 Z2Z2Z2 = parse_group_spec("Z2*Z2*Z2")
+KERNELS = {"srw": srw_kernel, "nbw": nbw_kernel}
+
+
+def _fraction_steps(b, kind, n_steps):
+    """Walk distributions propagated as dicts vertex -> Fraction over the
+    ball's adjacency lists: the reference the integer-count kernels match."""
+    d = b.spec.degree
+    steps = [{0: Fraction(1)}]
+    if kind == "srw":
+        for _ in range(n_steps):
+            nxt = {}
+            for u, mass in steps[-1].items():
+                for v, _ in b.adj[u]:
+                    nxt[v] = nxt.get(v, Fraction(0)) + mass / d
+            steps.append(nxt)
+        return steps
+    head = b.arc_head.tolist()
+    arc = {a: Fraction(1, d) for _, a in b.adj[0]}
+    for n in range(1, n_steps + 1):
+        if n > 1:
+            nxt = {}
+            for a, mass in arc.items():
+                for _, c in b.adj[head[a]]:
+                    if c != a ^ 1:
+                        nxt[c] = nxt.get(c, Fraction(0)) + mass / (d - 1)
+            arc = nxt
+        at = {}
+        for a, mass in arc.items():
+            at[head[a]] = at.get(head[a], Fraction(0)) + mass
+        steps.append(at)
+    return steps
+
+
+@pytest.mark.parametrize("kind", ["srw", "nbw"])
+@pytest.mark.parametrize("radius", [0, 1, 3, 5])
+@pytest.mark.parametrize("spec", ["Z*Z", "Z5*Z5", "Z2*Z2*Z2", "Z2*Z3*Z4"])
+def test_exact_steps_match_fraction_propagation(spec, radius, kind):
+    b = ball(parse_group_spec(spec), radius)
+    n_steps = radius + 2  # past the horizon, where mass leaves the ball
+    table = KERNELS[kind](b, n_steps, exact=True)
+    want = _fraction_steps(b, kind, n_steps)
+    assert table.steps == want
+    assert table.denominators == [1] + [
+        b.spec.degree ** n if kind == "srw" else b.spec.degree * (b.spec.degree - 1) ** (n - 1)
+        for n in range(1, n_steps + 1)]
+    for n, step in enumerate(want):
+        assert all(type(v) is int for v in table.steps[n])
+        assert table.support(n) == sorted(step)
+        assert table.mass(n) == sum(step.values())
+        assert [table.prob(n, v) for v in range(b.n_vertices)] == [
+            step.get(v, Fraction(0)) for v in range(b.n_vertices)]
+
+
+@pytest.mark.parametrize("kind", ["srw", "nbw"])
+def test_exact_counts_switch_to_python_ints_past_int64(kind):
+    # D_40 = 4^40 (SRW) and 4*3^39 (NBW) both exceed 2^63
+    b = ball(F2, 3)
+    table = KERNELS[kind](b, 40, exact=True)
+    assert table.denominators[40] > 2**63
+    assert [c.dtype == object for c in table.counts] == [
+        den >= 2**63 for den in table.denominators]
+    assert table.steps == _fraction_steps(b, kind, 40)
 
 
 def test_srw_exact_small_values():
@@ -247,10 +309,13 @@ def test_kernel_inequality_rejects_bad_rho_and_horizon():
         check_nbw_le_rho_power(b, 2, 0.9, nbw=nbw_kernel(b, 2, exact=True))
 
 
-def _oracle_records(ball_, n_max, rho_ub, exact, srw, nbw):
+def _oracle_records(ball_, n_max, rho_ub, exact, srw, nbw, xs=None):
     """Both checks as one comparison per pair with the SRW tail re-summed
-    for every (n, x): the reference the suffix-sum checks must match."""
+    for every (n, x): the reference the suffix-sum checks must match.
+    Exact mode reads rho_ub at its exact value and compares Fractions."""
     one = Fraction(1) if exact else 1.0
+    if exact:
+        rho_ub = Fraction(rho_ub)
     horizon = srw.horizon
     tail = rho_ub ** (horizon + 1) / (one - rho_ub)
     spec = ball_.spec.describe()
@@ -260,7 +325,7 @@ def _oracle_records(ball_, n_max, rho_ub, exact, srw, nbw):
         return {"check": check, "params": params, "lhs": float(lhs), "rhs": float(rhs),
                 "margin": float(rhs) - float(lhs), "pass": passed}
 
-    xs = range(ball_.n_vertices)
+    xs = range(ball_.n_vertices) if xs is None else xs
     tail_records = [
         record("nbw_le_srw_tail", {"spec": spec, "n": n, "x": x, "J": horizon},
                nbw.prob(n, x), sum(srw.prob(j, x) for j in range(n, horizon + 1)) + tail)
@@ -332,6 +397,70 @@ def test_kernel_inequalities_match_per_pair_oracle(spec, rho_pass, radius, exact
         assert violations == (48, 52)
 
 
+@pytest.mark.parametrize("rho", [Fraction(1, 10), 0.95], ids=["rho-1/10", "rho-0.95"])
+def test_exact_tail_check_past_int64_matches_oracle(rho):
+    # Z2*Z3 grows slowly enough for J = 27, where the tail check's
+    # cross-product A_n(x) D_n at the root passes 2^63, so an int64 path
+    # would wrap
+    radius = 27
+    b = ball(parse_group_spec("Z2*Z3"), radius)
+    srw = srw_kernel(b, radius, exact=True)
+    nbw = nbw_kernel(b, radius, exact=True)
+    a_root = sum(int(srw.counts[j][0]) * 3 ** (radius - j) for j in (radius - 1, radius))
+    assert a_root * nbw.denominators[radius - 1] > 2**63
+    xs = list(range(0, b.n_vertices, 4001))
+    want_tail, want_power = _oracle_records(b, radius, rho, True, srw, nbw, xs)
+    tail = check_nbw_le_srw_tail(b, radius, rho, xs, exact=True, srw=srw, nbw=nbw)
+    power = check_nbw_le_rho_power(b, radius, rho, xs, exact=True, nbw=nbw)
+    assert [repr(e.to_record()) for e in tail] == [repr(r) for r in want_tail]
+    assert [repr(e.to_record()) for e in power] == [repr(r) for r in want_power]
+    assert (tail.violations, power.violations) == ((63, 87) if rho == Fraction(1, 10) else (0, 0))
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_kernel_checks_reject_foreign_tables(exact):
+    b = ball(Z5Z5, 4)
+    srw, nbw = srw_kernel(b, 4, exact=exact), nbw_kernel(b, 4, exact=exact)
+    twin = ball(Z5Z5, 4)  # an equal ball, but not the one checked
+    foreign_tail = [
+        dict(srw=nbw, nbw=srw), dict(srw=nbw, nbw=nbw), dict(srw=srw, nbw=srw),
+        dict(srw=srw_kernel(twin, 4, exact=exact), nbw=nbw),
+        dict(srw=srw, nbw=nbw_kernel(twin, 4, exact=exact)),
+        dict(srw=srw_kernel(b, 4, exact=not exact), nbw=nbw),
+    ]
+    for tables in foreign_tail:
+        with pytest.raises(ValueError, match="table of"):
+            check_nbw_le_srw_tail(b, 4, 0.95, exact=exact, **tables)
+    for table in (srw, nbw_kernel(twin, 4, exact=exact), nbw_kernel(b, 4, exact=not exact)):
+        with pytest.raises(ValueError, match="table of"):
+            check_nbw_le_rho_power(b, 4, 0.95, exact=exact, nbw=table)
+    assert check_nbw_le_srw_tail(b, 4, 0.95, exact=exact, srw=srw, nbw=nbw).pairs == 5 * 137
+    assert check_nbw_le_rho_power(b, 4, 0.95, exact=exact, nbw=nbw).pairs == 5 * 137
+
+
+def test_exact_checks_decide_ties_in_integers():
+    # rho = 1/5 gives rho/(1-rho) = 1/4 = q^1(0,x) at the 4 neighbours of
+    # the root: an exact tie, which passes; 1e-30 lower it fails, while
+    # lhs and rhs round to the same float
+    b = ball(F2, 2)
+    neighbours = [v for v in range(b.n_vertices) if b.dist[v] == 1]
+    tie = check_nbw_le_rho_power(b, 1, Fraction(1, 5), exact=True)
+    assert tie.violations == 0 and tie.worst.margin == 0.0
+    below = check_nbw_le_rho_power(b, 1, Fraction(1, 5) - Fraction(1, 10**30), exact=True)
+    assert below.violations == 4
+    assert [e.params["x"] for e in below if not e.passed] == neighbours
+    assert all(e.lhs == e.rhs == 0.25 for e in below if not e.passed)
+
+
+def test_exact_checks_read_a_float_rho_at_its_exact_value():
+    b = ball(Z5Z5, 5)
+    for check in (check_nbw_le_srw_tail, check_nbw_le_rho_power):
+        as_float = check(b, 5, 0.95, exact=True)
+        as_fraction = check(b, 5, Fraction(0.95), exact=True)
+        for field in ("lhs", "rhs", "passed"):
+            assert np.array_equal(getattr(as_float, field), getattr(as_fraction, field))
+
+
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
 @pytest.mark.parametrize("vertex", [10**6, 53, -1])
 def test_kernel_inequalities_reject_vertices_outside_ball(exact, vertex):
@@ -382,6 +511,15 @@ def test_series_tail_telescopes_exactly(base, start, legs):
 def test_series_tail_float_matches_fraction(base, start, legs):
     exact = series_tail(Fraction(base), start, legs, exact=True)
     assert series_tail(base, start, legs) == pytest.approx(float(exact), rel=1e-13)
+
+
+@pytest.mark.parametrize("legs", [1, 2, 3])
+def test_series_tail_exact_reads_a_float_base_exactly(legs):
+    got = series_tail(0.95, 6, legs, exact=True)
+    assert type(got) is Fraction
+    assert got == series_tail(Fraction(0.95), 6, legs, exact=True)
+    if legs == 1:
+        assert got == Fraction(0.95) ** 6 / (1 - Fraction(0.95))
 
 
 def test_series_tail_one_leg_is_the_geometric_tail():
