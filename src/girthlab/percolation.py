@@ -344,7 +344,7 @@ def triangle_diagram(
     return DiagramResult(value, truncation, tail, method)
 
 
-def tree_triangle_exact(d: int, p: float, tol: float = 1e-14) -> float:
+def tree_triangle_exact(d: int, p: float) -> float:
     """Closed-form triangle sum on the d-regular tree via the tripod
     decomposition: every pair (x, y) has a median c of the triple
     (0, x, y), and the weight is p^{2(u+v+w)} for arm lengths u, v, w."""

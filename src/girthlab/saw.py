@@ -1,5 +1,5 @@
-"""Self-avoiding walk: exact enumeration, Rosenbluth sampling, generating
-functions and the bubble diagram.
+"""Self-avoiding walk: exact enumeration, Rosenbluth sampling, the
+susceptibility chi(z) and the bubble diagram.
 
 The census needs no ball: the Cayley graph of a free product of cyclic
 groups is a tree of blocks (lines, single edges and m-cycles), so a SAW
@@ -7,7 +7,9 @@ is fixed by its endpoint's normal-form word plus, for each m-cycle
 syllable, which way round the cycle it went.  `enumerate_saw` walks the
 words once each and carries exact integer walk counts per length.
 Everything downstream (connective-constant bounds, endpoint law, speed,
-chi, bubble) is derived from the census where affordable.  Rosenbluth
+chi, bubble) is derived from the census where affordable.  chi has one
+path, `susceptibility_saw`: the closed form on trees, else the census sum
+plus a submultiplicative tail.  Rosenbluth
 sampling covers lengths beyond the enumeration ceiling with the same
 block structure: a growing walk's unvisited neighbours depend only on
 its current block and the steps taken in it, so all trials advance
@@ -124,6 +126,8 @@ class MuBounds:
 
 
 def connective_constant(census: SawCensus) -> MuBounds:
+    if census.n_max < 1:
+        raise ValueError("the connective-constant bound needs a census with n_max >= 1")
     seq = [census.counts[n] ** (1.0 / n) for n in range(1, census.n_max + 1)]
     tree_exact = float(census.spec.degree - 1) if census.spec.is_tree else None
     return MuBounds(seq, min(seq), tree_exact)
@@ -146,12 +150,14 @@ def saw_endpoint_law(
     """sup_x c_n(x)/c_n across n, with the exponential-envelope comparison.
 
     eps defaults to half the gap that would push the envelope base to 1.
+    The fitted rate is nan when the census has fewer than two lengths.
     """
     d = census.spec.degree
     sup_probs = [(n, census.sup_endpoint_probability(n)) for n in range(1, census.n_max + 1)]
-    ns = np.array([n for n, _ in sup_probs], dtype=float)
-    ls = np.log([v for _, v in sup_probs])
-    rate = float(np.polyfit(ns, ls, 1)[0])
+    rate = math.nan
+    if len(sup_probs) >= 2:
+        ns, ps = zip(*sup_probs)
+        rate = float(np.polyfit(ns, np.log(ps), 1)[0])
     if rho_ub is None:
         return EndpointDecay(sup_probs, rate, math.nan, math.nan, False)
     mu_inv = 1.0 / connective_constant(census).mu_hat
@@ -304,22 +310,6 @@ def rosenbluth_sampler(spec: GroupSpec, n: int, trials: int, seed: int) -> Rosen
     return RosenbluthResult(n, trials, weights, dists, int(np.count_nonzero(weights == 0)))
 
 
-@dataclass
-class GreenTable:
-    z: float
-    truncation: int
-    values: dict[Word, float]  # endpoint word -> truncated G_z(x)
-    chi: float  # truncated chi(z)
-    vertex_tail: float  # uniform per-vertex tail bound (inf if uncertified)
-    chi_tail: float
-    certified: bool
-
-
-def _chi_tail_tree(d: int, z: float, truncation: int) -> float:
-    """Exact tail of chi on a tree: c_n = d(d-1)^{n-1}; finite iff z(d-1) < 1."""
-    return (d / (d - 1)) * series_tail(z * (d - 1), truncation + 1)
-
-
 def _chi_tail_census(census: SawCensus, z: float, truncation: int) -> float:
     """Certified chi tail via submultiplicativity: with mu_hat = c_a^{1/a}
     minimized over a, c_n <= M mu_hat^n where M = max_{r<a} c_r / mu_hat^r,
@@ -331,43 +321,20 @@ def _chi_tail_census(census: SawCensus, z: float, truncation: int) -> float:
     return m_const * series_tail(mu_hat * z, truncation + 1)
 
 
-def green_function(
-    spec: GroupSpec,
-    z: float,
-    truncation: int,
-    census: SawCensus | None = None,
-    rho_ub: float | None = None,
-) -> GreenTable:
-    """Truncated G_z(x) = sum_{n<=N} c_n(x) z^n and chi(z) = sum c_n z^n.
-
-    Tree specs need no census: the unique geodesic gives c_n(x) = [n = |x|].
-    The per-vertex tail is the one-leg envelope
-    `kernels.chained_tail(d, rho_ub, z, N + 1, 1)`, finite iff
-    z(d-1)rho_ub < 1; the chi tail uses submultiplicativity of c_n.
-    """
-    if z < 0:
+def _check_sum_inputs(spec: GroupSpec, zs: list[float], truncation: int,
+                      census: SawCensus | None) -> None:
+    """Reject inputs `susceptibility_saw` and `bubble_diagram` cannot sum:
+    z < 0, truncation < 0, a truncation past the census horizon, and a
+    non-tree spec without a census."""
+    if any(z < 0 for z in zs):
         raise ValueError("z must be >= 0")
-    d = spec.degree
-    if census is not None:
-        if census.n_max < truncation:
-            raise ValueError("census horizon below truncation")
-        values: dict[Word, float] = {}
-        chi = 0.0
-        for n in range(truncation + 1):
-            zn = z**n
-            chi += census.counts[n] * zn
-            for x, c in census.endpoint_counts[n].items():
-                values[x] = values.get(x, 0.0) + c * zn
-        chi_tail = _chi_tail_census(census, z, truncation)
-    elif spec.is_tree:
-        chi = sum(tree_sphere_size(d, r) * z**r for r in range(truncation + 1))
-        values = {}  # per-vertex values on trees are just z^{|x|}
-        chi_tail = _chi_tail_tree(d, z, truncation)
-    else:
-        raise ValueError("non-tree spec needs a census")
-    vertex_tail = chained_tail(d, rho_ub, z, truncation + 1, legs=1)
-    return GreenTable(z, truncation, values, chi, vertex_tail, chi_tail,
-                      certified=chi_tail < math.inf)
+    if truncation < 0:
+        raise ValueError(f"truncation must be >= 0, got {truncation}")
+    if census is None:
+        if not spec.is_tree:
+            raise ValueError("non-tree spec needs a census")
+    elif census.n_max < truncation:
+        raise ValueError("census horizon below truncation")
 
 
 def susceptibility_saw(
@@ -375,35 +342,23 @@ def susceptibility_saw(
     z_grid: list[float],
     truncation: int,
     census: SawCensus | None = None,
-    mu_hat: float | None = None,
 ):
     """chi(z) over a grid in [0, mu_hat^{-1}) with the ratio
     chi(z) * (mu_hat^{-1} - z), the bounded-above-and-below witness.
 
-    Tree specs use the exact closed form chi(z) = 1 + dz/(1-(d-1)z);
-    other specs sum c_n z^n over the census and add the certified
-    submultiplicative tail, the `chi` and `chi_tail` of `green_function`
-    without its per-endpoint table.
+    mu_hat is d - 1 on trees and `connective_constant(census).mu_hat`
+    otherwise.  Tree specs use the exact closed form
+    chi(z) = 1 + dz/(1-(d-1)z); other specs sum c_n z^n for n <= truncation
+    over the census and add the certified submultiplicative tail.
 
-    Raises ValueError if a grid point is < 0 or >= mu_hat^{-1}.
+    Raises ValueError for the inputs `_check_sum_inputs` rejects and if a
+    grid point is >= mu_hat^{-1}.
     """
+    _check_sum_inputs(spec, z_grid, truncation, census)
     d = spec.degree
-    if census is not None and mu_hat is None:
-        mu_hat = connective_constant(census).mu_hat
-    if spec.is_tree and mu_hat is None:
-        mu_hat = float(d - 1)
-    if mu_hat is None:
-        raise ValueError("need a census or a tree spec to fix mu_hat")
-    if not spec.is_tree:
-        if census is None:
-            raise ValueError("non-tree spec needs a census")
-        if census.n_max < truncation:
-            raise ValueError("census horizon below truncation")
-    mu_inv = 1.0 / mu_hat
+    mu_inv = 1.0 / (d - 1 if spec.is_tree else connective_constant(census).mu_hat)
     rows = []
     for z in z_grid:
-        if z < 0:
-            raise ValueError("z must be >= 0")
         if z >= mu_inv:
             raise ValueError(f"grid point z={z} >= mu_hat^-1={mu_inv}")
         if spec.is_tree:
@@ -433,8 +388,8 @@ def bubble_diagram(
 ) -> DiagramResult:
     """B(z) = sum_x G_z(x)^2, truncated with a rigorous tail.
 
-    Tree mode: B_N = 1 + sum_{r<=N} |S_r| z^{2r}, tail exactly geometric,
-    finite iff (d-1)z^2 < 1.
+    Tree mode (no census): B_N = 1 + sum_{r<=N} |S_r| z^{2r}, tail exactly
+    geometric, finite iff (d-1)z^2 < 1.
     Census mode: sum over walk-length pairs (n, m <= N) of
     O[n][m] z^(n+m), where O[n][m] = sum_x c_n(x) c_m(x) is counted
     exactly in int64 (it is at most c_n c_m) from one pass that numbers
@@ -442,19 +397,17 @@ def bubble_diagram(
     `kernels.chained_tail(d, rho_ub, z, N + 1, 2)` covers n + m > N and is
     finite iff z(d-1)rho_ub < 1.  The tail is inf where it is not finite.
 
-    Raises ValueError if z < 0 or rho_ub is not in (0, 1).
+    Raises ValueError for the inputs `_check_sum_inputs` rejects and, in
+    census mode, if rho_ub is not in (0, 1).
     """
-    if z < 0:
-        raise ValueError("z must be >= 0")
+    _check_sum_inputs(spec, [z], truncation, census)
     d = spec.degree
-    if census is None and spec.is_tree:
+    if census is None:
         value = 1.0 + sum(tree_sphere_size(d, r) * z ** (2 * r)
                           for r in range(1, truncation + 1))
         tail = (d / (d - 1)) * series_tail((d - 1) * z * z, truncation + 1)
         method = "exact-tree"
-    elif census is not None:
-        if census.n_max < truncation:
-            raise ValueError("census horizon below truncation")
+    else:
         if max(census.counts[:truncation + 1]) ** 2 >= 2**63:
             raise OverflowError("walk counts too large for int64 overlaps")
         # per n: the id of each endpoint word (one id per distinct word)
@@ -481,6 +434,4 @@ def bubble_diagram(
                 value += overlap[n][m] * z ** (n + m)
         tail = chained_tail(d, rho_ub, z, truncation + 1, legs=2)
         method = "census"
-    else:
-        raise ValueError("non-tree spec needs a census")
     return DiagramResult(value, truncation, tail, method)

@@ -22,6 +22,7 @@ from .kernels import (
     nbw_kernel,
     srw_kernel,
 )
+from .stats import DiagramResult
 
 PASS = "pass"
 FAIL = "fail"
@@ -127,6 +128,13 @@ def check_mu_pc(mu_ub: float, pc_lo: float, pc_hi: float) -> Entry:
     return Entry("mu_pc_product", "mu*pc>=1", 1.0, product_hi,
                  PASS if product_hi >= 1.0 else FAIL,
                  note=f"interval ends: [{product_lo:.6g}, {product_hi:.6g}]")
+
+
+def _diagram_entry(entry_id: str, anchor: str, result: DiagramResult) -> Entry:
+    """Truncated value against value + tail; pass iff the tail is certified."""
+    return Entry(entry_id, anchor, result.value, result.upper,
+                 PASS if result.certified else INCONCLUSIVE,
+                 note=f"method={result.method} truncation={result.truncation}")
 
 
 @dataclass
@@ -244,10 +252,7 @@ def _graph_certificate(job: GraphJob, seed: int, theta_star: float,
         tri = percolation.triangle_diagram(spec, pc_hi, min(job.radius, 4),
                                            method="mc", rho_ub=rho_ub,
                                            trials=job.trials, seed=seed)
-    entries.append(Entry("triangle_finite", "triangle diagram finite at pc",
-                         tri.value, tri.value + tri.tail_bound,
-                         PASS if tri.certified else INCONCLUSIVE,
-                         note=f"method={tri.method} truncation={tri.truncation}"))
+    entries.append(_diagram_entry("triangle_finite", "triangle diagram finite at pc", tri))
 
     # bubble diagram at z = 1/mu_hat
     z = 1.0 / mu.mu_hat
@@ -255,10 +260,7 @@ def _graph_certificate(job: GraphJob, seed: int, theta_star: float,
         bub = saw_mod.bubble_diagram(spec, z, 40)
     else:
         bub = saw_mod.bubble_diagram(spec, z, census.n_max, census=census, rho_ub=rho_ub)
-    entries.append(Entry("bubble_finite", "bubble diagram finite at 1/mu",
-                         bub.value, bub.value + bub.tail_bound,
-                         PASS if bub.certified else INCONCLUSIVE,
-                         note=f"method={bub.method} truncation={bub.truncation}"))
+    entries.append(_diagram_entry("bubble_finite", "bubble diagram finite at 1/mu", bub))
 
     # endpoint decay envelope and positive speed
     decay = saw_mod.saw_endpoint_law(census, rho_ub=rho_ub, eps=eps)
@@ -269,8 +271,7 @@ def _graph_certificate(job: GraphJob, seed: int, theta_star: float,
                                   f"fitted rate {decay.fitted_rate:.6g}"))
     else:
         entries.append(Entry("endpoint_decay", "sup_x law(n,x) <= C*lambda^n",
-                             decay.bound_base if not math.isnan(decay.bound_base) else math.nan,
-                             1.0, INCONCLUSIVE,
+                             decay.bound_base, 1.0, INCONCLUSIVE,
                              note="envelope base >= 1 or rho_ub missing"))
     n_speed = census.n_max
     speed = saw_mod.speed_exact(census, n_speed)

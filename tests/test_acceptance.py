@@ -91,14 +91,14 @@ def test_criterion_03_kernel_inequality_suite():
         chunk = 20_000
         for start in range(0, b.n_vertices, chunk):
             vs = list(range(start, min(start + chunk, b.n_vertices)))
-            for entries in (
+            for result in (
                 check_nbw_le_srw_tail(b, 10, rho_ub, test_vertices=vs,
                                      exact=exact, srw=srw, nbw=nbw),
                 check_nbw_le_rho_power(b, 10, rho_ub, test_vertices=vs,
                                     exact=exact, nbw=nbw),
             ):
-                total += len(entries)
-                violations += sum(not e.passed for e in entries)
+                total += result.pairs
+                violations += result.violations
         # every (x, n <= 10) pair was covered by both inequalities
     expected = 2 * 11 * (ball(F2, 10).n_vertices + ball(Z5Z5, 10).n_vertices)
     ok = violations == 0 and total == expected

@@ -1,6 +1,7 @@
 """CLI behaviour: outputs, determinism, exit codes and plots."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from girthlab.cli import (
     _parse_grid,
     CliError,
 )
-from girthlab.verify import GraphJob, VerifyConfig
+from girthlab.verify import GraphJob, VerifyConfig, run_certificate
 
 
 def run(args, tmp_path):
@@ -113,6 +114,20 @@ def test_saw_chi_rejects_negative_z(tmp_path):
     assert not (tmp_path / "chi_ZxZ.csv").exists()
 
 
+@pytest.mark.parametrize("spec_args", [["--spec", "Z*Z"],
+                                       ["--spec", "Z5*Z5", "--rho-ub", "0.9"]])
+def test_saw_bubble_rejects_negative_truncation(tmp_path, capsys, spec_args):
+    args = ["saw", *spec_args, "--nmax", "4", "--bubble-z", "0.2", "--N", "-1"]
+    assert run(args, tmp_path) == 2
+    assert "truncation must be >= 0" in capsys.readouterr().err
+
+
+def test_saw_empty_census(tmp_path, capsys):
+    assert run(["saw", "--spec", "Z5*Z5", "--nmax", "0"], tmp_path) == 2
+    assert "n_max >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "census_Z5xZ5.csv").exists()
+
+
 def test_parse_grid():
     assert _parse_grid("0.1, 0.2 0.3") == [0.1, 0.2, 0.3]
     with pytest.raises(CliError):
@@ -161,6 +176,35 @@ def test_verify_cli_strict_inconclusive(tmp_path):
     )
     assert run(["verify", "--config", str(cfg)], tmp_path) == 0
     assert run(["verify", "--config", str(cfg), "--strict"], tmp_path) == 1
+
+
+def test_verify_cli_empty_census(tmp_path, capsys):
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("[verify]\nseed = 3\n\n[graph:Z*Z]\nradius = 3\nsaw_n_max = 0\n"
+                   "pc_radius = 3\npc_trials = 20\n")
+    assert run(["verify", "--config", str(cfg)], tmp_path) == 2
+    assert "n_max >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "certificate.json").exists()
+
+
+def test_readme_config_block(tmp_path):
+    # the ```ini block of README.md, as a user would paste it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    cert = run_certificate(parse_verify_config(block))
+    by_graph = {g["graph"]: {e["id"]: e["status"] for e in g["entries"]}
+                for g in cert.graphs}
+    assert set(by_graph) == {"Z*Z", "Z5*Z5"}
+    assert "fail" not in by_graph["Z*Z"].values()
+    # the README's note: Z5*Z5 with rho_ub = 0.95 fails both girth checks
+    assert by_graph["Z5*Z5"]["perccond"] == "fail"
+    assert by_graph["Z5*Z5"]["girth_threshold"] == "fail"
+    assert cert.failed
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(block)
+    assert run(["verify", "--config", str(cfg)], tmp_path) == 1
+    doc = json.loads((tmp_path / "certificate.json").read_text())
+    assert json.dumps(doc["graphs"], sort_keys=True) == json.dumps(cert.graphs, sort_keys=True)
 
 
 def test_report_plot_deterministic(tmp_path):

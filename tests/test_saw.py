@@ -11,7 +11,6 @@ from girthlab.saw import (
     bubble_diagram,
     connective_constant,
     enumerate_saw,
-    green_function,
     low_displacement_mass,
     rosenbluth_sampler,
     saw_endpoint_law,
@@ -123,6 +122,12 @@ def test_connective_constant_bounds():
     assert tree_mu.sequence[-1] == pytest.approx(3 * (4 / 3) ** (1 / 8))
 
 
+@pytest.mark.parametrize("spec", [F2, Z5Z5])
+def test_connective_constant_needs_a_step(spec):
+    with pytest.raises(ValueError, match="n_max >= 1"):
+        connective_constant(enumerate_saw(spec, 0))
+
+
 # --- endpoint law and speed -------------------------------------------------
 
 def test_endpoint_decay_tree():
@@ -140,6 +145,16 @@ def test_endpoint_decay_without_rho():
     decay = saw_endpoint_law(enumerate_saw(F2, 5))
     assert not decay.bound_applies
     assert math.isnan(decay.bound_base)
+
+
+@pytest.mark.parametrize("rho_ub", [None, 0.95])
+def test_endpoint_decay_one_length_skips_the_fit(rho_ub):
+    # one (n, sup prob) point: no line to fit, and no polyfit warning
+    # (warnings are errors under pytest)
+    decay = saw_endpoint_law(enumerate_saw(Z5Z5, 1), rho_ub=rho_ub)
+    assert decay.sup_probs == [(1, 0.25)]
+    assert math.isnan(decay.fitted_rate)
+    assert decay.bound_applies == (rho_ub is not None)
 
 
 def test_endpoint_decay_base_too_large():
@@ -295,44 +310,6 @@ def test_rosenbluth_prefix_stable():
 
 # --- generating functions ---------------------------------------------------
 
-def test_green_function_tree_chi():
-    z = 0.2
-    g = green_function(F2, z, truncation=30)
-    closed = 1 + 4 * z / (1 - 3 * z)
-    assert g.chi + g.chi_tail >= closed - 1e-12
-    assert g.chi <= closed
-    assert g.certified
-    assert closed - g.chi < 1e-6  # truncation 30 at z=0.2 is tiny
-
-
-def test_green_function_census_matches_tree():
-    census = enumerate_saw(F2, 8)
-    z = 0.25
-    g_census = green_function(F2, z, 8, census=census, rho_ub=math.sqrt(3) / 2)
-    g_tree = green_function(F2, z, 8, rho_ub=math.sqrt(3) / 2)
-    assert g_census.chi == pytest.approx(g_tree.chi)
-    assert g_census.vertex_tail == pytest.approx(g_tree.vertex_tail)
-    # per-endpoint values on the tree are z^{|x|}
-    for x, v in g_census.values.items():
-        assert v == pytest.approx(z ** word_length(F2, x))
-
-
-def test_green_function_validation():
-    with pytest.raises(ValueError):
-        green_function(F2, -0.1, 5)
-    with pytest.raises(ValueError):
-        green_function(Z5Z5, 0.2, 5)  # non-tree needs census
-    census = enumerate_saw(Z5Z5, 4)
-    with pytest.raises(ValueError):
-        green_function(Z5Z5, 0.2, 5, census=census)
-
-
-def test_green_function_uncertified_beyond_radius():
-    g = green_function(F2, 0.4, 10)  # z(d-1) > 1
-    assert not g.certified
-    assert g.chi_tail == math.inf
-
-
 def test_susceptibility_ratio_tree_closed_form():
     rows = susceptibility_saw(F2, [0.0, 0.1, 0.2, 0.3], truncation=10)
     for r in rows:
@@ -361,24 +338,55 @@ def test_susceptibility_ratio_census_bounded():
         assert 0 < r["ratio_lo"] <= r["ratio_hi"] < math.inf
 
 
+def block_tree_counts(spec, n_max):
+    """c_0..c_n_max without words: with P_f the arcs of one factor-f block
+    (2 z^k per k >= 1 on Z, z on Z2, 2 z^j per 1 <= j < m on Zm), the walks
+    whose first block is in factor f have generating function
+    W_f = P_f (1 + sum_{g != f} W_g); each pass fixes one more coefficient."""
+    arcs = []
+    for m in spec.orders:
+        arc = [0] * (n_max + 1)
+        for j in range(1, n_max + 1 if m is None else min(m, n_max + 1)):
+            arc[j] = 1 if m == 2 else 2
+        arcs.append(arc)
+    first = [[0] * (n_max + 1) for _ in arcs]
+    for _ in range(n_max):
+        # what may follow a factor-f block: nothing, or a block in g != f
+        rest = [[int(i == 0) + sum(w[i] for g, w in enumerate(first) if g != f)
+                 for i in range(n_max + 1)] for f in range(len(arcs))]
+        first = [[sum(arc[j] * r[i - j] for j in range(1, i + 1)) for i in range(n_max + 1)]
+                 for arc, r in zip(arcs, rest)]
+    return [int(n == 0) + sum(w[n] for w in first) for n in range(n_max + 1)]
+
+
 @pytest.mark.parametrize("text", ["Z5*Z5", "Z2*Z3*Z4"])
-def test_susceptibility_census_matches_green_function(text):
+def test_susceptibility_tail_bounds_the_longer_sum(text):
+    # chi and its submultiplicative tail from a 5-step census bracket the
+    # 12-step sum, whose c_6..c_12 the tail never saw; a 12-step census of
+    # Z2*Z3*Z4 (4.2M walks at n = 11 alone) is too slow for tier 1, so the
+    # counts come from the block-tree recursion, checked against the
+    # census to n = 8
     spec = parse_group_spec(text)
-    census = enumerate_saw(spec, 8)
-    mu_inv = 1.0 / connective_constant(census).mu_hat
-    zs = [0.0, 0.3 * mu_inv, 0.5 * mu_inv, 0.9 * mu_inv]
-    for truncation in (0, 5, 8):
-        rows = susceptibility_saw(spec, zs, truncation, census=census)
-        for z, r in zip(zs, rows):
-            g = green_function(spec, z, truncation, census=census)
-            # bit-equal: the same sum in the same order
-            assert r["chi"] == g.chi
-            assert r["tail"] == g.chi_tail
-            assert r["certified"] == g.certified
-    with pytest.raises(ValueError):
-        susceptibility_saw(spec, [0.1], 9, census=census)
-    with pytest.raises(ValueError):
-        susceptibility_saw(spec, [0.1], 5, mu_hat=3.0)
+    counts = block_tree_counts(spec, 12)
+    assert counts[:9] == enumerate_saw(spec, 8).counts
+    short = enumerate_saw(spec, 5)
+    mu_inv = 1.0 / connective_constant(short).mu_hat
+    zs = [f * mu_inv for f in (0.3, 0.5, 0.9)]
+    for z, r in zip(zs, susceptibility_saw(spec, zs, 5, census=short)):
+        chi_12 = sum(c * z**n for n, c in enumerate(counts))
+        assert r["certified"]
+        assert r["chi"] < chi_12 <= r["chi"] + r["tail"]
+
+
+def test_susceptibility_validation():
+    census = enumerate_saw(Z5Z5, 8)
+    with pytest.raises(ValueError, match="horizon"):
+        susceptibility_saw(Z5Z5, [0.1], 9, census=census)
+    with pytest.raises(ValueError, match="needs a census"):
+        susceptibility_saw(Z5Z5, [0.1], 5)
+    for spec, c in ((F2, None), (Z5Z5, census)):
+        with pytest.raises(ValueError, match="truncation must be >= 0"):
+            susceptibility_saw(spec, [0.1], -1, census=c)
 
 
 # --- bubble -----------------------------------------------------------------
@@ -454,3 +462,11 @@ def test_bubble_rejects_negative_z_and_bad_rho():
         bubble_diagram(Z5Z5, 0.2, 4, census=census, rho_ub=1.5)
     with pytest.raises(ValueError):
         bubble_diagram(Z5Z5, 0.2, 9, census=enumerate_saw(Z5Z5, 8), rho_ub=0.9)
+
+
+def test_bubble_rejects_negative_truncation():
+    # the tree tail used to restart at r = 0 and report a certified 1.0
+    with pytest.raises(ValueError, match="truncation must be >= 0"):
+        bubble_diagram(F2, 0.2, -1)
+    with pytest.raises(ValueError, match="truncation must be >= 0"):
+        bubble_diagram(Z5Z5, 0.2, -1, census=enumerate_saw(Z5Z5, 4), rho_ub=0.9)

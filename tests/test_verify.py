@@ -191,6 +191,14 @@ def test_certificate_kernel_entries_match_entry_scan():
             assert by_id[chk[0].check] == want.to_record()
 
 
+def test_certificate_one_step_census_reports_no_fitted_rate():
+    # one census length: the endpoint fit is skipped, not a polyfit warning
+    # (an error under pytest)
+    cert = _certify(_small_config(saw_n_max=1))
+    by_id = {e["id"]: e for e in cert.entries}
+    assert by_id["endpoint_decay"]["note"].endswith("fitted rate nan")
+
+
 def test_certificate_failed_flag():
     cert = Certificate(
         graphs=[{"graph": "x", "inputs": {},
