@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import branching, percolation, plots, saw as saw_mod
-from .groups import GroupSpecError, ball as build_ball, girth as girth_of, parse_group_spec, word_str
+from .groups import GroupSpecError, ball as build_ball, parse_group_spec, word_str
 from .kernels import estimate_spectral_radius, nbw_kernel, srw_kernel
 from .verify import GraphJob, VerifyConfig, run_certificate
 
@@ -68,16 +68,12 @@ def _parse_grid(text: str) -> list[float]:
 
 def cmd_graph(args, outputs: OutputSet) -> int:
     spec = parse_group_spec(args.spec)
-    if args.girth_rmax:
-        rep = girth_of(spec, args.girth_rmax)
-        print(f"girth={rep} degree={spec.degree}")
+    print(f"girth={spec.known_girth or 'inf'} degree={spec.degree}")
     if args.R is not None:
         b = build_ball(spec, args.R)
         path = _out_dir(args) / f"ball_{spec.describe().replace('*', 'x')}_R{args.R}.txt"
         outputs.write(path, b.export_edge_list())
         print(f"ball R={args.R}: {b.n_vertices} vertices, {b.n_edges} edges -> {path}")
-    if args.girth_rmax is None and args.R is None:
-        print(f"degree={spec.degree} tree={spec.is_tree}")
     return 0
 
 
@@ -94,7 +90,7 @@ def cmd_kernel(args, outputs: OutputSet) -> int:
     path = _out_dir(args) / f"kernel_{spec.describe().replace('*', 'x')}.csv"
     outputs.write(path, _csv_text(["kind", "n", "vertex", "probability"], rows))
     print(f"wrote {path}")
-    rho = estimate_spectral_radius(spec, 200, rho_ub=args.rho_ub) if spec.is_tree else None
+    rho = estimate_spectral_radius(spec, 200) if spec.is_tree else None
     if rho is not None:
         print(f"rho: lower_bound={rho.lower_bound:.6f} upper={rho.rho_ub:.6f} "
               f"({rho.rho_ub_provenance})")
@@ -142,8 +138,9 @@ def cmd_saw(args, outputs: OutputSet) -> int:
     path = _out_dir(args) / f"census_{spec.describe().replace('*', 'x')}.csv"
     outputs.write(path, _csv_text(["n", "c_n"], rows))
     mu = saw_mod.connective_constant(census)
-    print(f"census: c_{args.nmax}={census.counts[args.nmax]} "
-          f"mu_ub={mu.best_upper:.6f} -> {path}")
+    # printed only once every step has succeeded: a failure discards the files
+    lines = [f"census: c_{args.nmax}={census.counts[args.nmax]} "
+             f"mu_ub={mu.best_upper:.6f} -> {path}"]
     if args.z_grid:
         zs = _parse_grid(args.z_grid)
         curve = saw_mod.susceptibility_saw(spec, zs, args.nmax, census=census)
@@ -152,7 +149,7 @@ def cmd_saw(args, outputs: OutputSet) -> int:
         cpath = _out_dir(args) / f"chi_{spec.describe().replace('*', 'x')}.csv"
         outputs.write(cpath, _csv_text(["z", "value", "tail", "certified",
                                         "ratio_lo", "ratio_hi"], crows))
-        print(f"chi curve ({len(zs)} points) -> {cpath}")
+        lines.append(f"chi curve ({len(zs)} points) -> {cpath}")
     if args.bubble_z is not None:
         n_trunc = args.N if args.N is not None else args.nmax
         if spec.is_tree:
@@ -160,13 +157,14 @@ def cmd_saw(args, outputs: OutputSet) -> int:
         else:
             bub = saw_mod.bubble_diagram(spec, args.bubble_z, min(n_trunc, args.nmax),
                                          census=census, rho_ub=args.rho_ub)
-        print(f"bubble z={args.bubble_z}: value={bub.value:.6f} "
-              f"tail={bub.tail_bound:.3g} certified={bub.certified}")
+        lines.append(f"bubble z={args.bubble_z}: value={bub.value:.6f} "
+                     f"tail={bub.tail_bound:.3g} certified={bub.certified}")
     if args.trials:
         res = saw_mod.rosenbluth_sampler(spec, args.nmax, args.trials, args.seed)
         est = res.c_n_estimate
-        print(f"rosenbluth n={args.nmax} T={args.trials}: c_n_hat={est.value:.2f} "
-              f"(exact {census.counts[args.nmax]}), speed={res.speed_estimate:.4f}")
+        lines.append(f"rosenbluth n={args.nmax} T={args.trials}: c_n_hat={est.value:.2f} "
+                     f"(exact {census.counts[args.nmax]}), speed={res.speed_estimate:.4f}")
+    print("\n".join(lines))
     return 0
 
 
@@ -250,9 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="girthlab")
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("graph", help="build balls, compute girth, export edge lists")
+    g = sub.add_parser("graph", help="print girth and degree, export ball edge lists")
     g.add_argument("--spec", required=True)
-    g.add_argument("--girth-rmax", type=int, default=None)
     g.add_argument("--R", type=int, default=None)
     g.add_argument("--out", default=None)
     g.set_defaults(func=cmd_graph)
@@ -263,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--N", type=int, default=None)
     k.add_argument("--kind", choices=("srw", "nbw", "both"), default="both")
     k.add_argument("--exact", action="store_true")
-    k.add_argument("--rho-ub", type=float, default=None, dest="rho_ub")
     k.add_argument("--out", default=None)
     k.set_defaults(func=cmd_kernel)
 

@@ -1,4 +1,5 @@
-"""Free products of cyclic groups: normal forms, Cayley balls, girth.
+"""Free products of cyclic groups: normal forms, Cayley balls, girth from
+the cyclic orders.
 
 A group is specified as ``Z`` or ``Zm`` factors joined by ``*``, e.g.
 ``Z*Z`` (free group of rank 2), ``Z5*Z5``, ``Z2*Z2*Z2``.  Vertices of the
@@ -174,7 +175,6 @@ class Ball:
     words: list[Word]
     index: dict[Word, int]
     dist: list[int]
-    girth_found: int | None  # shortest cycle through root seen, None if acyclic so far
     arc_tail: np.ndarray = field(repr=False)
     arc_head: np.ndarray = field(repr=False)
 
@@ -203,14 +203,9 @@ class Ball:
             adj[u].append((v, a))
         return adj
 
-    def girth_status(self) -> str:
-        if self.girth_found is not None:
-            return f"girth={self.girth_found}"
-        return f"girth>{2 * self.radius}"
-
     def export_edge_list(self) -> str:
         lines = [
-            f"# R={self.radius} d={self.spec.degree} {self.girth_status()} "
+            f"# R={self.radius} d={self.spec.degree} girth={self.spec.known_girth or 'inf'} "
             f"vertices={self.n_vertices}"
         ]
         lines.extend(f"{u} {v}" for u, v in self.edges())
@@ -230,7 +225,6 @@ def ball(spec: GroupSpec, radius: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> 
     dist = [0]
     arc_tail: list[int] = []
     arc_head: list[int] = []
-    girth_found: int | None = None
     # vertex ids are BFS order, so scanning `words` as it grows is the
     # queue, and after the first radius-R vertex every vertex is at radius R
     for u, wu in enumerate(words):
@@ -252,12 +246,6 @@ def ball(spec: GroupSpec, radius: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> 
             elif v < u:
                 # v was expanded first and already holds this edge
                 continue
-            else:
-                # non-tree edge: closes a cycle through the root of length
-                # dist(u) + dist(v) + 1
-                cyc = du + dist[v] + 1
-                if girth_found is None or cyc < girth_found:
-                    girth_found = cyc
             arc_tail += (u, v)
             arc_head += (v, u)
     return Ball(
@@ -268,32 +256,7 @@ def ball(spec: GroupSpec, radius: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> 
         dist=dist,
         arc_tail=np.array(arc_tail, dtype=np.intp),
         arc_head=np.array(arc_head, dtype=np.intp),
-        girth_found=girth_found,
     )
-
-
-@dataclass(frozen=True)
-class GirthReport:
-    girth: int | None  # exact girth, or None when only a bound is certified
-    lower_bound: int  # girth > lower_bound when girth is None
-
-    def __str__(self) -> str:
-        return str(self.girth) if self.girth is not None else f">{self.lower_bound}"
-
-
-def girth(spec: GroupSpec, r_max: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> GirthReport:
-    """Exact girth if a cycle closes within radius r_max, else a certified bound.
-
-    The graph is vertex-transitive, so the shortest cycle may be assumed to
-    pass through the root; BFS to radius r_max sees every such cycle of
-    length <= 2*r_max + 1.
-    """
-    if r_max < 1:
-        raise ValueError("r_max must be >= 1")
-    b = ball(spec, r_max, vertex_cap=vertex_cap)
-    if b.girth_found is not None:
-        return GirthReport(girth=b.girth_found, lower_bound=b.girth_found - 1)
-    return GirthReport(girth=None, lower_bound=2 * r_max)
 
 
 def tree_vertex_count(d: int, radius: int) -> int:

@@ -172,19 +172,10 @@ def tree_return_probabilities(d: int, n_steps: int) -> np.ndarray:
 
 @dataclass
 class RhoEstimate:
-    spec: GroupSpec
     sequence: list[float]  # (p^{2n}(0,0))^{1/2n} for n = 1..len
     lower_bound: float
     rho_ub: float | None
     rho_ub_provenance: str  # "exact-formula" | "user-supplied" | "missing"
-
-    def require_upper_bound(self) -> float:
-        if self.rho_ub is None:
-            raise ValueError(
-                f"no certified spectral-radius upper bound for {self.spec.describe()}; "
-                "supply one (non-tree free products have no exact formula here)"
-            )
-        return self.rho_ub
 
 
 def estimate_spectral_radius(
@@ -201,17 +192,19 @@ def estimate_spectral_radius(
     SRW table `srw` (built on a radius-n_steps ball when not given; a
     given table must belong to `spec` and reach horizon n_steps) and
     require a user-supplied upper bound.  `srw` is unused on trees.
+
+    Raises ValueError if n_steps is odd or a tree is given a `rho_ub`.
     """
     if n_steps % 2 != 0:
         raise ValueError("n_steps must be even")
     d = spec.degree
     if spec.is_tree:
+        if rho_ub is not None:
+            raise ValueError(f"{spec.describe()} is a tree: rho is Kesten's "
+                             "2*sqrt(d-1)/d, not an input")
         returns = tree_return_probabilities(d, n_steps)
         ub = kesten_rho(d)
         provenance = "exact-formula"
-        if rho_ub is not None:
-            ub = rho_ub
-            provenance = "user-supplied"
     else:
         if srw is None:
             srw = srw_kernel(build_ball(spec, n_steps), n_steps)
@@ -222,7 +215,6 @@ def estimate_spectral_radius(
         provenance = "user-supplied" if rho_ub is not None else "missing"
     seq = [float(returns[2 * n]) ** (1.0 / (2 * n)) for n in range(1, (len(returns) - 1) // 2 + 1)]
     return RhoEstimate(
-        spec=spec,
         sequence=seq,
         lower_bound=max(seq) if seq else 0.0,
         rho_ub=ub,

@@ -144,7 +144,7 @@ class GraphJob:
     kernel_steps: int = 6
     saw_n_max: int = 6
     trials: int = 200
-    rho_ub: float | None = None  # mandatory for non-tree rho-dependent checks
+    rho_ub: float | None = None  # non-trees only; needed by rho-dependent checks
     bnp_c: float | None = None  # universal constant: input, never a default
     pc_radius: int = 6
     pc_trials: int = 100
@@ -213,7 +213,7 @@ def _graph_certificate(job: GraphJob, seed: int, theta_star: float,
         pc_prov = f"crossing-bisection R={job.pc_radius}"
 
     n_check = min(job.kernel_steps, job.radius)
-    if rho_ub is not None and rho_ub < 1.0:
+    if rho_ub is not None:
         nbw = nbw_kernel(b, n_check)
         for chk in (check_nbw_le_srw_tail(b, n_check, rho_ub, srw=srw, nbw=nbw),
                     check_nbw_le_rho_power(b, n_check, rho_ub, nbw=nbw)):
@@ -296,7 +296,29 @@ def _graph_certificate(job: GraphJob, seed: int, theta_star: float,
     }
 
 
+def _check_job(job: GraphJob) -> None:
+    """Raise ValueError, naming the graph and the key, if `job` cannot be
+    certified: degree < 3, a size below its minimum, a rho_ub outside
+    (0, 1) or on a tree (whose rho is Kesten's), or a bnp_C that is not
+    positive."""
+    spec = parse_group_spec(job.spec_text)
+    bad = [(spec.degree < 3, f"need degree >= 3, got {spec.degree}")]
+    bad += [(getattr(job, key) < low, f"need {key} >= {low}, got {getattr(job, key)}")
+            for key, low in (("saw_n_max", 1), ("trials", 1), ("pc_trials", 1),
+                             ("radius", 0), ("kernel_steps", 0), ("pc_radius", 0))]
+    if job.rho_ub is not None:
+        bad += [(spec.is_tree, "rho_ub must not be set on a tree: rho is 2*sqrt(d-1)/d"),
+                (not 0 < job.rho_ub < 1, f"need 0 < rho_ub < 1, got {job.rho_ub}")]
+    if job.bnp_c is not None:
+        bad.append((not job.bnp_c > 0, f"need bnp_C > 0, got {job.bnp_c}"))
+    for is_bad, why in bad:
+        if is_bad:
+            raise ValueError(f"[graph:{job.spec_text}] {why}")
+
+
 def run_certificate(config: VerifyConfig) -> Certificate:
+    for job in config.jobs:  # every job, before the first does any work
+        _check_job(job)
     start = time.time()
     graphs = [_graph_certificate(job, config.seed, config.theta_star, config.eps)
               for job in config.jobs]

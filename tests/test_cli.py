@@ -2,6 +2,7 @@
 
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -22,15 +23,17 @@ def run(args, tmp_path):
 
 
 def test_graph_girth_print(tmp_path, capsys):
-    assert run(["graph", "--spec", "Z5*Z5", "--girth-rmax", "6"], tmp_path) == 0
-    assert "girth=5 degree=4" in capsys.readouterr().out
+    assert run(["graph", "--spec", "Z5*Z5"], tmp_path) == 0
+    assert capsys.readouterr().out == "girth=5 degree=4\n"
+    assert run(["graph", "--spec", "Z*Z"], tmp_path) == 0
+    assert capsys.readouterr().out == "girth=inf degree=4\n"
 
 
 def test_graph_ball_export(tmp_path, capsys):
     assert run(["graph", "--spec", "Z5*Z5", "--R", "2"], tmp_path) == 0
     out = tmp_path / "ball_Z5xZ5_R2.txt"
     assert out.exists()
-    assert out.read_text().startswith("# R=2 d=4")
+    assert out.read_text().startswith("# R=2 d=4 girth=5 vertices=17\n")
     assert "17 vertices" in capsys.readouterr().out
 
 
@@ -122,6 +125,17 @@ def test_saw_bubble_rejects_negative_truncation(tmp_path, capsys, spec_args):
     assert "truncation must be >= 0" in capsys.readouterr().err
 
 
+def test_saw_failure_names_no_file(tmp_path, capsys):
+    # the census CSV is written, then the bubble fails and it is discarded:
+    # stdout must not have named it
+    args = ["saw", "--spec", "Z5*Z5", "--nmax", "4", "--bubble-z", "0.2", "--N", "-1",
+            "--rho-ub", "0.9"]
+    assert run(args, tmp_path) == 2
+    out = capsys.readouterr()
+    assert "census:" not in out.out and "error:" in out.err
+    assert not list(tmp_path.iterdir())
+
+
 def test_saw_empty_census(tmp_path, capsys):
     assert run(["saw", "--spec", "Z5*Z5", "--nmax", "0"], tmp_path) == 2
     assert "n_max >= 1" in capsys.readouterr().err
@@ -187,10 +201,12 @@ def test_verify_cli_empty_census(tmp_path, capsys):
     assert not (tmp_path / "certificate.json").exists()
 
 
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
 def test_readme_config_block(tmp_path):
     # the ```ini block of README.md, as a user would paste it
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    block = re.search(r"```ini\n(.*?)```", README, re.S).group(1)
     cert = run_certificate(parse_verify_config(block))
     by_graph = {g["graph"]: {e["id"]: e["status"] for e in g["entries"]}
                 for g in cert.graphs}
@@ -205,6 +221,28 @@ def test_readme_config_block(tmp_path):
     assert run(["verify", "--config", str(cfg)], tmp_path) == 1
     doc = json.loads((tmp_path / "certificate.json").read_text())
     assert json.dumps(doc["graphs"], sort_keys=True) == json.dumps(cert.graphs, sort_keys=True)
+
+
+def test_readme_cli_block(tmp_path, monkeypatch, capsys):
+    # every line of the README's ## CLI block, run as written from a
+    # directory whose verify.cfg is the README's ini block
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("GIRTHLAB_OUT", raising=False)
+    (tmp_path / "verify.cfg").write_text(re.search(r"```ini\n(.*?)```", README, re.S).group(1))
+    cli = re.search(r"## CLI\n\n```sh\n(.*?)```", README, re.S).group(1)
+    lines = cli.splitlines()
+    assert len(lines) == 8
+    outs = []
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "girthlab"
+        # verify exits 1: the README note says some Z5*Z5 entries fail
+        assert main(argv[1:]) == (1 if argv[1] == "verify" else 0), line
+        outs.append(capsys.readouterr().out)
+    # the graph line prints exactly its comment
+    comment = lines[0].split("#", 1)[1].strip()
+    assert comment == "girth=5 degree=4" and outs[0] == comment + "\n"
+    assert (tmp_path / "crossing-vs-p.svg").read_text().startswith("<svg")
 
 
 def test_report_plot_deterministic(tmp_path):

@@ -11,7 +11,6 @@ from girthlab.groups import (
     GroupSpecError,
     append_syllable,
     ball,
-    girth,
     inverse,
     multiply,
     normal_form,
@@ -111,15 +110,12 @@ def test_tree_ball_sizes_match_formula():
         b = ball(spec, 5)
         assert b.n_vertices == tree_vertex_count(d, 5)
         assert b.sphere_sizes() == [tree_sphere_size(d, r) for r in range(6)]
-        assert b.girth_found is None
 
 
 def test_z5z5_ball_counts():
     b = ball(Z5Z5, 2)
     assert b.n_vertices == 17  # cycles overlap: smaller than the tree ball (21)
     assert b.sphere_sizes() == [1, 4, 12]
-    b6 = ball(Z5Z5, 6)
-    assert b6.girth_found == 5
 
 
 def test_interior_vertices_have_full_degree():
@@ -156,7 +152,9 @@ def test_arc_reversal_involution():
 def _reference_ball(spec, radius):
     """The neighbour-list BFS that `ball` replaced, with its `edges()` and
     arc numbering: (words, dist, adj, girth_found, edges, arc_tail,
-    arc_head, arc_rev, out_arcs)."""
+    arc_head, arc_rev, out_arcs).  girth_found is the shortest cycle
+    through the root that the BFS closes, None if it closes none; it is
+    the oracle for `GroupSpec.known_girth`."""
     gens = spec.generators()
     words, index, dist, adj = [()], {(): 0}, [0], [[]]
     girth_found = None
@@ -209,7 +207,6 @@ def test_ball_matches_neighbour_list_bfs(text):
         (words, dist, adj, girth_found, edges,
          tail, head, rev, out_arcs) = _reference_ball(spec, radius)
         assert b.words == words and b.dist == dist
-        assert b.girth_found == girth_found
         assert b.edges() == edges and b.n_edges == len(edges)
         assert b.arc_tail.tolist() == tail and b.arc_head.tolist() == head
         assert [a ^ 1 for a in range(len(head))] == rev
@@ -226,31 +223,36 @@ def test_export_edge_list_header():
     b = ball(Z5Z5, 2)
     text = b.export_edge_list()
     head = text.splitlines()[0]
-    assert head.startswith("#") and "R=2" in head and "d=4" in head
+    assert head.startswith("#") and "R=2" in head and "d=4" in head and "girth=5" in head
     assert len(text.splitlines()) == 1 + b.n_edges
 
 
 # --- girth ------------------------------------------------------------------
 
+def _root_cycle(spec, radius):
+    """Shortest cycle through the root closed by the reference BFS."""
+    return _reference_ball(spec, radius)[3]
+
+
 def test_girth_values():
-    assert girth(Z5Z5, 6).girth == 5
-    assert girth(parse_group_spec("Z3*Z3"), 4).girth == 3
-    assert girth(parse_group_spec("Z7*Z7"), 6).girth == 7
-    # the certificate trusts the closed form; the BFS is its oracle
+    assert _root_cycle(Z5Z5, 6) == Z5Z5.known_girth == 5
+    assert _root_cycle(parse_group_spec("Z3*Z3"), 4) == 3
+    assert _root_cycle(parse_group_spec("Z7*Z7"), 6) == 7
+    # the certificate trusts the closed form; the reference BFS is its oracle
     for text in ("Z5*Z5", "Z3*Z4", "Z2*Z3*Z4", "Z*Z5", "Z3*Z", "Z7*Z7", "Z*Z", "Z2*Z*Z2"):
         spec = parse_group_spec(text)
-        assert spec.known_girth == girth(spec, 4).girth, text
+        assert spec.known_girth == _root_cycle(spec, 4), text
 
 
 def test_girth_bound_for_trees():
-    rep = girth(F2, 5)
-    assert rep.girth is None
-    assert rep.lower_bound == 10
-    assert str(rep) == ">10"
+    # a tree closes no cycle; its girth is infinite
+    for spec in (F2, Z2CUBED):
+        assert _root_cycle(spec, 5) is None and spec.known_girth is None
+    assert ball(F2, 2).export_edge_list().startswith("# R=2 d=4 girth=inf ")
 
 
 @given(st.integers(3, 9))
 @settings(max_examples=7, deadline=None)
 def test_girth_equals_smallest_cyclic_order(m):
     spec = GroupSpec((m, m))
-    assert girth(spec, m).girth == m == spec.known_girth
+    assert _root_cycle(spec, m) == m == spec.known_girth

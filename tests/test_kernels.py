@@ -238,14 +238,15 @@ def test_estimate_spectral_radius_tree():
     assert est.rho_ub_provenance == "exact-formula"
     assert est.lower_bound <= est.rho_ub
     assert len(est.sequence) == 100
+    # a tree's rho is Kesten's value, never an input: 0.85 is below it
+    with pytest.raises(ValueError, match="tree"):
+        estimate_spectral_radius(F2, 200, rho_ub=0.85)
 
 
 def test_estimate_spectral_radius_requires_ub_for_nontree():
     est = estimate_spectral_radius(Z5Z5, 6)
     assert est.rho_ub is None
     assert est.rho_ub_provenance == "missing"
-    with pytest.raises(ValueError):
-        est.require_upper_bound()
     est2 = estimate_spectral_radius(Z5Z5, 6, rho_ub=0.95)
     assert est2.rho_ub == 0.95
     assert est2.rho_ub_provenance == "user-supplied"

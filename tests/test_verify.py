@@ -6,6 +6,8 @@ import math
 import pytest
 
 import conftest
+from girthlab import verify
+from girthlab.cli import main, serialize_verify_config
 from girthlab.groups import ball, parse_group_spec
 from girthlab.kernels import (
     check_nbw_le_rho_power,
@@ -197,6 +199,44 @@ def test_certificate_one_step_census_reports_no_fitted_rate():
     cert = _certify(_small_config(saw_n_max=1))
     by_id = {e["id"]: e for e in cert.entries}
     assert by_id["endpoint_decay"]["note"].endswith("fitted rate nan")
+
+
+@pytest.mark.parametrize("spec_text,overrides,key", [
+    ("Z3", {}, "degree"),  # a triangle: 1/mu_hat divided by zero
+    ("Z", {}, "degree"),
+    ("Z2*Z2", {}, "degree"),
+    ("Z*Z", {"saw_n_max": 0}, "saw_n_max"),
+    ("Z*Z", {"trials": 0}, "trials"),
+    ("Z*Z", {"pc_trials": 0}, "pc_trials"),
+    ("Z*Z", {"radius": -1}, "radius"),
+    ("Z*Z", {"kernel_steps": -1}, "kernel_steps"),
+    ("Z*Z", {"pc_radius": -1}, "pc_radius"),
+    ("Z*Z", {"rho_ub": 0.85}, "rho_ub"),  # below Kesten's sqrt(3)/2: passed everything
+    ("Z5*Z5", {"rho_ub": 1.0}, "rho_ub"),
+    ("Z5*Z5", {"rho_ub": 0.0}, "rho_ub"),
+    ("Z5*Z5", {"bnp_c": 0.0}, "bnp_C"),  # L = 0 turned girth_threshold into a pass
+    ("Z5*Z5", {"bnp_c": -1.0}, "bnp_C"),
+])
+def test_bad_job_rejected_before_any_work(spec_text, overrides, key, monkeypatch,
+                                          tmp_path, capsys):
+    sizes = dict(radius=3, kernel_steps=3, saw_n_max=4, trials=20, pc_trials=20, pc_radius=3)
+    bad = GraphJob(spec_text, **{**sizes, **overrides})
+    # a good job first: every job is checked before the first one builds a ball
+    cfg = VerifyConfig(jobs=[GraphJob("Z2*Z2*Z2", **sizes), bad], seed=1)
+
+    def build_ball(*args, **kwargs):
+        raise AssertionError("a ball was built before every job was checked")
+
+    monkeypatch.setattr(verify, "build_ball", build_ball)
+    with pytest.raises(ValueError) as exc:
+        run_certificate(cfg)
+    assert str(exc.value).startswith(f"[graph:{spec_text}] ") and key in str(exc.value)
+    path = tmp_path / "bad.cfg"
+    path.write_text(serialize_verify_config(cfg))
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [graph:{spec_text}] ") and "Traceback" not in err
+    assert not (tmp_path / "certificate.json").exists()
 
 
 def test_certificate_failed_flag():
