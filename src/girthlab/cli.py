@@ -15,10 +15,8 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import branching, percolation, plots, saw as saw_mod
-from .groups import GroupSpecError, ball as build_ball, parse_group_spec, word_str
+from . import percolation, plots, saw as saw_mod
+from .groups import GroupSpecError, ball as build_ball, parse_group_spec
 from .kernels import estimate_spectral_radius, nbw_kernel, srw_kernel
 from .verify import GraphJob, VerifyConfig, run_certificate
 
@@ -133,6 +131,8 @@ def cmd_perc(args, outputs: OutputSet) -> int:
 
 def cmd_saw(args, outputs: OutputSet) -> int:
     spec = parse_group_spec(args.spec)
+    if spec.is_tree and args.rho_ub is not None:
+        raise CliError("--rho-ub must not be set on a tree: rho is 2*sqrt(d-1)/d")
     census = saw_mod.enumerate_saw(spec, args.nmax)
     rows = [(n, str(census.counts[n])) for n in range(args.nmax + 1)]
     path = _out_dir(args) / f"census_{spec.describe().replace('*', 'x')}.csv"
@@ -169,8 +169,15 @@ def cmd_saw(args, outputs: OutputSet) -> int:
 
 
 def parse_verify_config(text: str) -> VerifyConfig:
-    cp = configparser.ConfigParser()
-    cp.read_string(text)
+    """Read a verify config.  Raises ValueError for malformed INI (no
+    section header, a duplicate section or key), a section other than
+    [verify] and [graph:SPEC], and a config with no graph section.
+    Unknown keys are ignored; values are literal (no % interpolation)."""
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        cp.read_string(text)
+    except configparser.Error as exc:
+        raise ValueError(f"malformed config: {exc}") from exc
     cfg = VerifyConfig()
     if cp.has_section("verify"):
         sec = cp["verify"]
@@ -179,8 +186,10 @@ def parse_verify_config(text: str) -> VerifyConfig:
         if "eps" in sec:
             cfg.eps = sec.getfloat("eps")
     for name in cp.sections():
-        if not name.startswith("graph:"):
+        if name == "verify":
             continue
+        if not name.startswith("graph:"):
+            raise ValueError(f"unknown section [{name}]: expected [verify] or [graph:SPEC]")
         sec = cp[name]
         job = GraphJob(spec_text=name.split(":", 1)[1])
         job.radius = sec.getint("radius", job.radius)
@@ -194,26 +203,9 @@ def parse_verify_config(text: str) -> VerifyConfig:
         if "bnp_C" in sec and sec["bnp_C"].strip():
             job.bnp_c = sec.getfloat("bnp_C")
         cfg.jobs.append(job)
+    if not cfg.jobs:
+        raise ValueError("config has no [graph:SPEC] section")
     return cfg
-
-
-def serialize_verify_config(cfg: VerifyConfig) -> str:
-    lines = ["[verify]", f"seed = {cfg.seed}", f"theta_star = {cfg.theta_star}"]
-    if cfg.eps is not None:
-        lines.append(f"eps = {cfg.eps}")
-    for job in cfg.jobs:
-        lines += ["", f"[graph:{job.spec_text}]",
-                  f"radius = {job.radius}",
-                  f"kernel_steps = {job.kernel_steps}",
-                  f"saw_n_max = {job.saw_n_max}",
-                  f"trials = {job.trials}",
-                  f"pc_radius = {job.pc_radius}",
-                  f"pc_trials = {job.pc_trials}"]
-        if job.rho_ub is not None:
-            lines.append(f"rho_ub = {job.rho_ub}")
-        if job.bnp_c is not None:
-            lines.append(f"bnp_C = {job.bnp_c}")
-    return "\n".join(lines) + "\n"
 
 
 def cmd_verify(args, outputs: OutputSet) -> int:

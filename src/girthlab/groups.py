@@ -35,7 +35,6 @@ class GroupSpec:
     """Free product of cyclic factors.  order None means infinite (Z)."""
 
     orders: tuple[int | None, ...]
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not self.orders:
@@ -43,10 +42,6 @@ class GroupSpec:
         for m in self.orders:
             if m is not None and m < 2:
                 raise GroupSpecError(f"cyclic order must be >= 2, got {m}")
-        if not self.labels:
-            object.__setattr__(
-                self, "labels", tuple(_LABELS[i % 26] for i in range(len(self.orders)))
-            )
 
     @property
     def degree(self) -> int:
@@ -146,7 +141,7 @@ def word_str(spec: GroupSpec, w: Word) -> str:
         return "e"
     parts = []
     for factor, exp in w:
-        lab = spec.labels[factor]
+        lab = _LABELS[factor % 26]
         parts.append(lab if exp == 1 else f"{lab}^{exp}")
     return ".".join(parts)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import branching
-from .groups import Ball, GroupSpec, Word, ball as build_ball, normal_form, word_length
+from .groups import Ball, GroupSpec, ball as build_ball, normal_form, word_length
 from .kernels import chained_tail
 from .rng import trial_rng
 from .stats import (
@@ -148,8 +148,10 @@ def crossing_threshold(ball: Ball, uniforms: np.ndarray) -> float:
 class PcEstimate:
     lo: float
     hi: float
-    radius: int
-    theta_star: float
+
+
+# bisection stops once the bracket is this narrow; widening steps by it too
+_PC_TOL = 0.02
 
 
 def estimate_pc(
@@ -158,7 +160,6 @@ def estimate_pc(
     trials: int,
     seed: int,
     theta_star: float = 0.5,
-    tol: float = 0.02,
 ) -> PcEstimate:
     """Bisection of the empirical crossing curve against theta_star.
 
@@ -167,13 +168,13 @@ def estimate_pc(
     `crossing_threshold` thr_t < p (thr_t = -inf at radius 0), and the
     curve #{t: thr_t < p} / trials is exactly non-decreasing in p.  The
     interval is widened so both ends are consistent with the observed
-    Wilson bands.  Raises ValueError unless 0 < theta_star < 1, tol > 0
-    and trials >= 1.
+    Wilson bands.  Raises ValueError unless 0 < theta_star < 1 and
+    trials >= 1.
     """
     if not 0.0 < theta_star < 1.0:
         raise ValueError("theta_star must be in (0, 1)")
-    if not tol > 0.0 or trials < 1:
-        raise ValueError("tol must be > 0 and trials >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     b = build_ball(spec, radius)
     thr = np.array([crossing_threshold(b, edge_uniforms(b, seed, t)) for t in range(trials)])
 
@@ -181,8 +182,8 @@ def estimate_pc(
         return binomial_estimate(int(np.count_nonzero(thr < p)), trials)
 
     lo, hi = 0.0, 1.0
-    # lo < mid < hi fails once lo, hi are adjacent floats (tol below their spacing)
-    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+    while hi - lo > _PC_TOL:
+        mid = 0.5 * (lo + hi)
         if crossing(mid).value >= theta_star:
             hi = mid
         else:
@@ -192,21 +193,19 @@ def estimate_pc(
     for _ in range(10):
         if lo <= 0.0 or crossing(lo).ci_hi < theta_star:
             break
-        lo = max(0.0, lo - tol)
+        lo = max(0.0, lo - _PC_TOL)
     for _ in range(10):
         if hi >= 1.0 or crossing(hi).ci_lo > theta_star:
             break
-        hi = min(1.0, hi + tol)
-    return PcEstimate(lo, hi, radius, theta_star)
+        hi = min(1.0, hi + _PC_TOL)
+    return PcEstimate(lo, hi)
 
 
 def two_point(
-    ball: Ball, p: float, x: int | Word, trials: int, seed: int
+    ball: Ball, p: float, x: int, trials: int, seed: int
 ) -> tuple[Estimate, float | None]:
-    """MC estimate of P_p(0 <-> x); second value is the exact tree closed
-    form p^dist(x) when the spec is a tree."""
-    if not isinstance(x, int):
-        x = ball.index[x]
+    """MC estimate of P_p(0 <-> x) for vertex index x; second value is the
+    exact tree closed form p^dist(x) when the spec is a tree."""
     hits = 0
     for t in range(trials):
         mask = open_mask(ball, p, seed, t)
@@ -371,7 +370,6 @@ def nonuniqueness_witness(
     trials: int,
     seed: int,
     theta_radius: int | None = None,
-    rho_ub: float | None = None,
 ):
     """Margin theta(p)^2 - P_p(0 <-> x) for x at distance R.
 
@@ -420,8 +418,6 @@ def cluster_size_tail(
     n_max: int,
     trials: int,
     seed: int,
-    fit_window: tuple[float, float] | None = None,
-    residual_cutoff: float = 0.25,
 ):
     """P(|C(0)| >= n) curve with a log-log fit for the delta exponent.
 
@@ -434,10 +430,8 @@ def cluster_size_tail(
     sizes = branching.total_progeny_samples(d, p, n_max, trials, seed)
     ns = np.unique(np.round(np.geomspace(1, n_max, 60)).astype(np.int64))
     curve = branching.tail_curve(sizes, ns)
-    if fit_window is None:
-        fit_window = (max(10.0, n_max ** 0.25), float(n_max))
     fit = fit_loglog(ns, curve, name="delta_tail", target=-0.5,
-                     window=fit_window, residual_cutoff=residual_cutoff)
+                     window=(max(10.0, n_max ** 0.25), float(n_max)), residual_cutoff=0.25)
     return ns, curve, fit
 
 

@@ -14,7 +14,8 @@ WIDTH = 640
 HEIGHT = 420
 MARGIN = 56
 
-PLOT_KINDS = ("crossing-vs-p", "tail-loglog", "chi-ratio", "speed-vs-n", "decay-rate")
+# each plots the CSV of one command: perc, perc --tail and saw --z-grid
+PLOT_KINDS = ("crossing-vs-p", "tail-loglog", "chi-ratio")
 
 
 def _fmt(x: float) -> str:
@@ -146,24 +147,6 @@ def render_plot(kind: str, csv_text: str) -> str:
         pts = sorted((float(r["z"]), float(r["ratio_lo"])) for r in rows)
         c = SvgCanvas(*_axes([x for x, _ in pts], [y for _, y in pts]))
         c.frame("chi(z) * (1/mu - z)", "z", "ratio")
-        c.polyline(pts)
-        c.dots(pts)
-        return c.render()
-    if kind == "speed-vs-n":
-        rows = _read_csv(csv_text, ("n", "speed"))
-        pts = sorted((float(r["n"]), float(r["speed"])) for r in rows)
-        c = SvgCanvas(*_axes([x for x, _ in pts], [0.0, 1.05]))
-        c.frame("SAW speed vs n", "n", "E[dist]/n")
-        c.polyline(pts)
-        c.dots(pts)
-        return c.render()
-    if kind == "decay-rate":
-        rows = _read_csv(csv_text, ("n", "sup_prob"))
-        pts = sorted((float(r["n"]), float(r["sup_prob"])) for r in rows
-                     if float(r["sup_prob"]) > 0)
-        c = SvgCanvas(*_axes([x for x, _ in pts], [y for _, y in pts], False, True),
-                      logy=True)
-        c.frame("endpoint law sup_x P(SAW(n)=x)", "n", "sup prob")
         c.polyline(pts)
         c.dots(pts)
         return c.render()

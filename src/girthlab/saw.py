@@ -38,17 +38,8 @@ class SawCensus:
     counts: list[int]  # c_n, exact
     endpoint_counts: list[dict[Word, int]]  # per n: endpoint word -> c_n(x)
 
-    def endpoint_law(self, n: int) -> dict[Word, float]:
-        cn = self.counts[n]
-        return {x: c / cn for x, c in self.endpoint_counts[n].items()}
-
     def sup_endpoint_probability(self, n: int) -> float:
         return max(self.endpoint_counts[n].values()) / self.counts[n]
-
-    def mean_endpoint_distance(self, n: int) -> float:
-        spec = self.spec
-        total = sum(c * word_length(spec, x) for x, c in self.endpoint_counts[n].items())
-        return total / self.counts[n]
 
 
 def enumerate_saw(spec: GroupSpec, n_max: int) -> SawCensus:
@@ -175,24 +166,9 @@ def speed_exact(census: SawCensus, n: int) -> float:
     """E[dist(0, endpoint)] / n under the uniform length-n SAW law."""
     if n < 1 or n > census.n_max:
         raise ValueError("n outside census range")
-    return census.mean_endpoint_distance(n) / n
-
-
-def low_displacement_mass(census: SawCensus, n: int, alpha: float) -> float:
-    """P(dist(0, SAW(n)) <= alpha * n), exact from the census."""
-    cutoff = alpha * n
     spec = census.spec
-    total = sum(c for x, c in census.endpoint_counts[n].items()
-                if word_length(spec, x) <= cutoff)
-    return total / census.counts[n]
-
-
-def speed_alpha(d: int, rho_ub: float, mu_inv: float, eps: float = 0.0) -> float:
-    """alpha with (d-1)^alpha * lambda < 1, half way to the threshold."""
-    lam = (mu_inv + eps) * (d - 1) * rho_ub
-    if lam >= 1.0:
-        raise ValueError("envelope base >= 1: no positive alpha certified")
-    return -0.5 * math.log(lam) / math.log(d - 1)
+    total = sum(c * word_length(spec, x) for x, c in census.endpoint_counts[n].items())
+    return total / census.counts[n] / n
 
 
 @dataclass

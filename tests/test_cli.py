@@ -11,11 +11,10 @@ from girthlab import plots
 from girthlab.cli import (
     main,
     parse_verify_config,
-    serialize_verify_config,
     _parse_grid,
     CliError,
 )
-from girthlab.verify import GraphJob, VerifyConfig, run_certificate
+from girthlab.verify import run_certificate
 
 
 def run(args, tmp_path):
@@ -142,20 +141,18 @@ def test_saw_empty_census(tmp_path, capsys):
     assert not (tmp_path / "census_Z5xZ5.csv").exists()
 
 
+def test_saw_rho_ub_on_tree_rejected(tmp_path, capsys):
+    args = ["saw", "--spec", "Z*Z", "--nmax", "4", "--bubble-z", "0.2", "--rho-ub", "0.5"]
+    assert run(args, tmp_path) == 2
+    captured = capsys.readouterr()
+    assert "error: --rho-ub must not be set on a tree" in captured.err
+    assert captured.out == "" and not (tmp_path / "census_ZxZ.csv").exists()
+
+
 def test_parse_grid():
     assert _parse_grid("0.1, 0.2 0.3") == [0.1, 0.2, 0.3]
     with pytest.raises(CliError):
         _parse_grid("0.3 0.1")
-
-
-def test_verify_config_round_trip():
-    cfg = VerifyConfig(
-        jobs=[GraphJob("Z*Z", radius=5, bnp_c=1.5),
-              GraphJob("Z5*Z5", radius=4, rho_ub=0.95)],
-        seed=11, theta_star=0.4, eps=0.01,
-    )
-    back = parse_verify_config(serialize_verify_config(cfg))
-    assert back.to_dict() == cfg.to_dict()
 
 
 def test_verify_config_ignores_unknown_keys():
@@ -164,6 +161,27 @@ def test_verify_config_ignores_unknown_keys():
     cfg = parse_verify_config("[verify]\nseed = 4\nretired = 1\n\n[graph:Z*Z]\nradius = 3\n")
     assert cfg.seed == 4 and [j.radius for j in cfg.jobs] == [3]
     assert "retired" not in cfg.to_dict()
+
+
+GOOD_GRAPH = "[graph:Z*Z]\nradius = 3\nsaw_n_max = 4\npc_radius = 3\npc_trials = 20\n"
+
+
+@pytest.mark.parametrize("text,why", [
+    (GOOD_GRAPH + "\n" + GOOD_GRAPH, "already exists"),  # duplicate section
+    ("seed = 3\n" + GOOD_GRAPH, "no section headers"),
+    (GOOD_GRAPH + "radius = 4\n", "already exists"),  # duplicate key
+    ("[verify]\nseed = 3\n\n[graf:Z5*Z5]\nradius = 3\n", "unknown section [graf:Z5*Z5]"),
+    ("[verify]\nseed = 3\n", "no [graph:SPEC] section"),
+    ("[verify]\nseed = 5%\n\n" + GOOD_GRAPH, "'5%'"),  # no % interpolation
+], ids=["duplicate-section", "no-header", "duplicate-key", "unknown-section", "no-graph",
+        "percent-sign"])
+def test_verify_cli_bad_config(text, why, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert run(["verify", "--config", str(cfg)], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and why in err and "Traceback" not in err
+    assert not (tmp_path / "certificate.json").exists()
 
 
 def test_verify_cli_tree_config(tmp_path, capsys):
@@ -242,7 +260,9 @@ def test_readme_cli_block(tmp_path, monkeypatch, capsys):
     # the graph line prints exactly its comment
     comment = lines[0].split("#", 1)[1].strip()
     assert comment == "girth=5 degree=4" and outs[0] == comment + "\n"
-    assert (tmp_path / "crossing-vs-p.svg").read_text().startswith("<svg")
+    # the report plots the whole p-grid, not the --tail run's single p
+    svg = (tmp_path / "crossing-vs-p.svg").read_text()
+    assert svg.startswith("<svg") and svg.count("<circle") == 3
 
 
 def test_report_plot_deterministic(tmp_path):
@@ -271,15 +291,28 @@ def test_report_empty_csv(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind,header,row", [
-    ("tail-loglog", "n,survival_fraction", "10,0.25"),
-    ("chi-ratio", "z,ratio_lo", "0.1,0.35"),
-    ("speed-vs-n", "n,speed", "3,0.9"),
-    ("decay-rate", "n,sup_prob", "4,0.01"),
-])
-def test_all_plot_kinds_render(kind, header, row):
-    svg = plots.render_plot(kind, f"{header}\n{row}\n{row.replace(',', '0,')}\n")
+# per plot kind: the command that writes its CSV, and that CSV's name
+PLOT_PRODUCERS = {
+    "crossing-vs-p": (["perc", "--spec", "Z*Z", "--p-grid", "0.2 0.3 0.4", "--R", "3",
+                       "--trials", "40", "--seed", "1"], "crossing_ZxZ.csv"),
+    "tail-loglog": (["perc", "--spec", "Z*Z", "--p", "0.3333", "--R", "2", "--trials",
+                     "400", "--seed", "1", "--tail", "--nmax", "1000"], "tail_ZxZ.csv"),
+    "chi-ratio": (["saw", "--spec", "Z5*Z5", "--nmax", "6", "--z-grid", "0.1 0.2 0.3"],
+                  "chi_Z5xZ5.csv"),
+}
+
+
+@pytest.mark.parametrize("kind", plots.PLOT_KINDS)
+def test_all_plot_kinds_render(kind, tmp_path):
+    assert set(PLOT_PRODUCERS) == set(plots.PLOT_KINDS)
+    argv, csv_name = PLOT_PRODUCERS[kind]
+    assert run(argv, tmp_path) == 0
+    svg_path = tmp_path / f"{kind}.svg"
+    assert main(["report", "--kind", kind, "--input", str(tmp_path / csv_name),
+                 "--out", str(svg_path)]) == 0
+    svg = svg_path.read_text()
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+    assert svg.count("<circle") >= 3
 
 
 def test_unknown_plot_kind():

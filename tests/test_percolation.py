@@ -99,13 +99,10 @@ def test_two_point_tree_exact():
     est, exact = two_point(b, 0.5, x, trials=800, seed=4)
     assert exact == pytest.approx(0.25)
     assert est.ci_lo - 0.01 <= exact <= est.ci_hi + 0.01
-    # also accepts the word itself
-    est2, _ = two_point(b, 0.5, b.words[x], trials=10, seed=4)
-    assert est2.trials == 10
 
 
 def test_estimate_pc_tree_brackets_exact_value():
-    est = estimate_pc(F2, radius=5, trials=300, seed=2, tol=0.02)
+    est = estimate_pc(F2, radius=5, trials=300, seed=2)
     assert est.lo < est.hi
     assert est.lo <= 1 / 3 + 0.06 and est.hi >= 1 / 3 - 0.06
     assert 0.0 <= est.lo and est.hi <= 1.0
@@ -114,16 +111,8 @@ def test_estimate_pc_tree_brackets_exact_value():
 def test_estimate_pc_validation():
     with pytest.raises(ValueError):
         estimate_pc(F2, 3, 10, 0, theta_star=1.0)
-    # tol <= 0 or NaN would bisect forever once lo and hi are adjacent floats
-    for tol, trials in ((0.0, 5), (-0.1, 5), (math.nan, 5), (0.02, 0)):
-        with pytest.raises(ValueError):
-            estimate_pc(F2, 2, trials, 0, tol=tol)
-
-
-def test_estimate_pc_tol_below_float_spacing_terminates():
-    est = estimate_pc(F2, 2, 5, 0, tol=1e-300)
-    assert 0.0 < est.lo < est.hi <= 1.0
-    assert np.nextafter(est.lo, 1.0) == est.hi
+    with pytest.raises(ValueError):
+        estimate_pc(F2, 2, 0, 0)
 
 
 def _estimate_pc_reference(spec, radius, trials, seed, theta_star=0.5, tol=0.02):
@@ -157,7 +146,6 @@ def test_estimate_pc_equals_reference_bisection(spec, radius):
             est = estimate_pc(g, radius, 40, seed, theta_star=theta_star)
             ref = _estimate_pc_reference(g, radius, 40, seed, theta_star=theta_star)
             assert (est.lo, est.hi) == ref
-            assert (est.radius, est.theta_star) == (radius, theta_star)
 
 
 @given(st.sampled_from(["Z*Z", "Z5*Z5", "Z2*Z3"]), st.integers(0, 4),

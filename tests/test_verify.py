@@ -7,7 +7,7 @@ import pytest
 
 import conftest
 from girthlab import verify
-from girthlab.cli import main, serialize_verify_config
+from girthlab.cli import main
 from girthlab.groups import ball, parse_group_spec
 from girthlab.kernels import (
     check_nbw_le_rho_power,
@@ -231,8 +231,14 @@ def test_bad_job_rejected_before_any_work(spec_text, overrides, key, monkeypatch
     with pytest.raises(ValueError) as exc:
         run_certificate(cfg)
     assert str(exc.value).startswith(f"[graph:{spec_text}] ") and key in str(exc.value)
+
+    def section(spec, keys):
+        return f"\n[graph:{spec}]\n" + "".join(
+            f"{'bnp_C' if k == 'bnp_c' else k} = {v}\n" for k, v in keys.items())
+
     path = tmp_path / "bad.cfg"
-    path.write_text(serialize_verify_config(cfg))
+    path.write_text("[verify]\nseed = 1\n" + section("Z2*Z2*Z2", sizes)
+                    + section(spec_text, {**sizes, **overrides}))
     assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: [graph:{spec_text}] ") and "Traceback" not in err
