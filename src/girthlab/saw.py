@@ -4,28 +4,28 @@ susceptibility chi(z) and the bubble diagram.
 The census needs no ball: the Cayley graph of a free product of cyclic
 groups is a tree of blocks (lines, single edges and m-cycles), so a SAW
 is fixed by its endpoint's normal-form word plus, for each m-cycle
-syllable, which way round the cycle it went.  `enumerate_saw` walks the
-words once each and carries exact integer walk counts per length.
-Everything downstream (connective-constant bounds, endpoint law, speed,
-chi, bubble) is derived from the census where affordable.  chi has one
-path, `susceptibility_saw`: the closed form on trees, else the census sum
-plus a submultiplicative tail.  Rosenbluth
-sampling covers lengths beyond the enumeration ceiling with the same
-block structure: a growing walk's unvisited neighbours depend only on
-its current block and the steps taken in it, so all trials advance
-together as a chain of small integer states, with no words built.  It
-is cross-checked against the census and an exact law in tests.
+syllable, which way round the cycle it went.  A word's walk counts are
+the product of one polynomial per syllable, so `enumerate_saw` extends
+whole classes of words sharing a polynomial at once, with exact integer
+counts.  Endpoint law, speed and bubble are sums over those classes;
+mu bounds and chi read the counts.  chi has one path, `susceptibility_saw`:
+the closed form on trees, else the census sum plus a submultiplicative
+tail.  Rosenbluth sampling covers lengths beyond the enumeration
+ceiling with the same block structure: a growing walk's unvisited
+neighbours depend only on its current block and the steps taken in it,
+so all trials advance together as a chain of small integer states, with
+no words built.  It is cross-checked against the census and an exact
+law in tests.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupSpec, Word, tree_sphere_size, word_length
+from .groups import GroupSpec, Word, tree_sphere_size
 from .kernels import chained_tail, series_tail
 from .rng import trial_rng
 from .stats import DiagramResult, Estimate, mean_estimate
@@ -37,9 +37,12 @@ class SawCensus:
     n_max: int
     counts: list[int]  # c_n, exact
     endpoint_counts: list[dict[Word, int]]  # per n: endpoint word -> c_n(x)
+    classes: list[tuple[int, dict[int, int]]]  # (number of words, {n: c_n(x)}) per polynomial
 
     def sup_endpoint_probability(self, n: int) -> float:
-        return max(self.endpoint_counts[n].values()) / self.counts[n]
+        if n < 0 or n > self.n_max:
+            raise ValueError("n outside census range")
+        return max(poly[n] for _, poly in self.classes if n in poly) / self.counts[n]
 
 
 def enumerate_saw(spec: GroupSpec, n_max: int) -> SawCensus:
@@ -54,36 +57,40 @@ def enumerate_saw(spec: GroupSpec, n_max: int) -> SawCensus:
     length when 2e = m).  c_n(x) is the z^n coefficient of the product
     of these per-syllable polynomials.
 
-    A depth-first pass over words keeps each pending word's polynomial
-    truncated at n_max, so the cost is one step per (word, n) entry of
-    the output rather than one per walk.  Counts are exact Python
-    integers.  The order of each ``endpoint_counts[n]`` dict is not part
-    of the result.
+    A depth-first pass extends classes of words sharing a last factor and
+    a polynomial truncated at n_max: per (class, syllable group) the child
+    polynomial is computed once and the child words are hashed once and
+    copied into each ``endpoint_counts[n]`` by dict operations, with no
+    Python-level step per (word, n) entry.  Counts are exact Python
+    integers; the order of each ``endpoint_counts[n]`` is not part of the
+    result.  A word's length is its polynomial's lowest power.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    # per factor: (s, t, syllables) whose walks are an arc of s steps or, on
-    # an m-cycle, also one of t = m - s steps the other way; s ascends, s <= t
+    # per factor: (s, t, one-syllable words): an arc of s steps or, on an
+    # m-cycle, also one of t = m - s steps the other way; s ascends, s <= t
     moves = []
     for f, m in enumerate(spec.orders):
         if m is None:
-            groups = [(k, None, ((f, k), (f, -k))) for k in range(1, n_max + 1)]
+            groups = [(k, None, (((f, k),), ((f, -k),))) for k in range(1, n_max + 1)]
         elif m == 2:
-            groups = [(1, None, ((f, 1),))]
+            groups = [(1, None, (((f, 1),),))]
         else:
-            groups = [(e, m - e, ((f, e),) if 2 * e == m else ((f, e), (f, m - e)))
+            groups = [(e, m - e, (((f, e),),) if 2 * e == m else (((f, e),), ((f, m - e),)))
                       for e in range(1, m // 2 + 1)]
         moves.append((f, groups))
     endpoint_counts: list[dict[Word, int]] = [{} for _ in range(n_max + 1)]
     endpoint_counts[0][()] = 1
-    # pending words: (word, its last factor, {n: c_n(word)}, lowest such n)
-    stack: list[tuple[Word, int, dict[int, int], int]] = [((), -1, {0: 1}, 0)]
+    # sorted polynomial items -> number of endpoint words with that polynomial
+    sizes: dict[tuple[tuple[int, int], ...], int] = {((0, 1),): 1}
+    # pending classes: (words, their last factor, {n: c_n(word)}, lowest such n)
+    stack: list[tuple[list[Word], int, dict[int, int], int]] = [([()], -1, {0: 1}, 0)]
     while stack:
-        w, last, poly, lo = stack.pop()
+        words, last, poly, lo = stack.pop()
         for f, groups in moves:
             if f == last:
                 continue
-            for s, t, syllables in groups:
+            for s, t, tails in groups:
                 child_lo = lo + s
                 if child_lo > n_max:
                     break
@@ -94,14 +101,19 @@ def enumerate_saw(spec: GroupSpec, n_max: int) -> SawCensus:
                     for n, c in poly.items():
                         if n <= cut:
                             child[n + t] = child.get(n + t, 0) + c
-                for syl in syllables:
-                    x = w + (syl,)
-                    for n, c in child.items():
-                        endpoint_counts[n][x] = c
-                    if child_lo < n_max:
-                        stack.append((x, f, child, child_lo))
-    counts = [sum(ec.values()) for ec in endpoint_counts]
-    return SawCensus(spec, n_max, counts, endpoint_counts)
+                xs = [w + tail for w in words for tail in tails]
+                # each word is hashed once; later copies reuse the stored hashes
+                keys = xs
+                for n, c in child.items():
+                    keys = dict.fromkeys(keys, c)
+                    endpoint_counts[n].update(keys)
+                items = tuple(sorted(child.items()))
+                sizes[items] = sizes.get(items, 0) + len(xs)
+                if child_lo < n_max:
+                    stack.append((xs, f, child, child_lo))
+    classes = [(size, dict(items)) for items, size in sizes.items()]
+    counts = [sum(size * poly.get(n, 0) for size, poly in classes) for n in range(n_max + 1)]
+    return SawCensus(spec, n_max, counts, endpoint_counts, classes)
 
 
 @dataclass
@@ -166,8 +178,8 @@ def speed_exact(census: SawCensus, n: int) -> float:
     """E[dist(0, endpoint)] / n under the uniform length-n SAW law."""
     if n < 1 or n > census.n_max:
         raise ValueError("n outside census range")
-    spec = census.spec
-    total = sum(c * word_length(spec, x) for x, c in census.endpoint_counts[n].items())
+    # a word's length is the lowest power of its polynomial
+    total = sum(size * poly.get(n, 0) * min(poly) for size, poly in census.classes)
     return total / census.counts[n] / n
 
 
@@ -368,8 +380,8 @@ def bubble_diagram(
     geometric, finite iff (d-1)z^2 < 1.
     Census mode: sum over walk-length pairs (n, m <= N) of
     O[n][m] z^(n+m), where O[n][m] = sum_x c_n(x) c_m(x) is counted
-    exactly in int64 (it is at most c_n c_m) from one pass that numbers
-    the endpoint words; the two-leg envelope
+    exactly in Python ints as the sum over the census classes of
+    size * c_n * c_m; the two-leg envelope
     `kernels.chained_tail(d, rho_ub, z, N + 1, 2)` covers n + m > N and is
     finite iff z(d-1)rho_ub < 1.  The tail is inf where it is not finite.
 
@@ -384,26 +396,13 @@ def bubble_diagram(
         tail = (d / (d - 1)) * series_tail((d - 1) * z * z, truncation + 1)
         method = "exact-tree"
     else:
-        if max(census.counts[:truncation + 1]) ** 2 >= 2**63:
-            raise OverflowError("walk counts too large for int64 overlaps")
-        # per n: the id of each endpoint word (one id per distinct word)
-        # and c_n(x)
-        word_id: dict[Word, int] = {}
-        n_entries = 0
-        columns = []
-        for n in range(truncation + 1):
-            ec = census.endpoint_counts[n]
-            ids = np.fromiter(map(word_id.setdefault, ec, itertools.count(n_entries)),
-                              dtype=np.intp, count=len(ec))
-            n_entries += len(ec)
-            columns.append((ids, np.fromiter(ec.values(), dtype=np.int64, count=len(ec))))
         overlap = [[0] * (truncation + 1) for _ in range(truncation + 1)]
-        by_id = np.zeros(n_entries, dtype=np.int64)
-        for n, (ids_n, c_n) in enumerate(columns):
-            by_id[ids_n] = c_n
-            for m, (ids_m, c_m) in enumerate(columns):
-                overlap[n][m] = int(np.dot(by_id[ids_m], c_m))
-            by_id[ids_n] = 0
+        for size, poly in census.classes:
+            terms = [(n, c) for n, c in poly.items() if n <= truncation]
+            for n, c_n in terms:
+                row = overlap[n]
+                for m, c_m in terms:
+                    row[m] += size * c_n * c_m
         value = 0.0
         for n in range(truncation + 1):
             for m in range(truncation + 1):

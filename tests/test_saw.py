@@ -1,6 +1,7 @@
 """Self-avoiding-walk census, Rosenbluth sampling and generating functions."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -53,6 +54,13 @@ def test_census_endpoint_consistency():
                 == max(census.endpoint_counts[n].values()) / census.counts[n])
 
 
+@pytest.mark.parametrize("n", [-1, 4])
+def test_sup_endpoint_probability_range(n):
+    census = enumerate_saw(Z5Z5, 3)
+    with pytest.raises(ValueError, match="census range"):
+        census.sup_endpoint_probability(n)
+
+
 def test_census_tree_endpoints_unique():
     census = enumerate_saw(F2, 6)
     for n in range(7):
@@ -97,6 +105,29 @@ def test_census_matches_dfs_oracle(text):
         assert census.counts == counts
         # dict equality: endpoint order is not part of the census
         assert census.endpoint_counts == endpoint_counts
+        # the classes partition the endpoint words and carry their counts
+        words = set().union(*census.endpoint_counts)
+        assert sum(size for size, _ in census.classes) == len(words)
+        for n in range(n_max + 1):
+            from_classes = Counter()
+            for size, poly in census.classes:
+                if n in poly:
+                    from_classes[poly[n]] += size
+            assert from_classes == Counter(census.endpoint_counts[n].values())
+        # a word's length is the lowest power of its class polynomial
+        for n in range(1, n_max + 1):
+            if census.counts[n] == 0:  # Z5 has no SAW longer than 4
+                continue
+            total = sum(c * word_length(spec, x) for x, c in census.endpoint_counts[n].items())
+            assert speed_exact(census, n) == total / census.counts[n] / n
+
+
+def test_census_z5z5_n12():
+    census = enumerate_saw(Z5Z5, 12)
+    assert census.counts == [1, 4, 12, 36, 108, 320, 952, 2832, 8424, 25056, 74528,
+                             221680, 659376]
+    assert [len(ec) for ec in census.endpoint_counts] == [
+        1, 4, 12, 36, 108, 304, 872, 2464, 6936, 19376, 53920, 149456, 413104]
 
 
 def test_census_validation():
