@@ -183,8 +183,6 @@ def parse_verify_config(text: str) -> VerifyConfig:
         sec = cp["verify"]
         cfg.seed = sec.getint("seed", 0)
         cfg.theta_star = sec.getfloat("theta_star", 0.5)
-        if "eps" in sec:
-            cfg.eps = sec.getfloat("eps")
     for name in cp.sections():
         if name == "verify":
             continue
@@ -195,7 +193,6 @@ def parse_verify_config(text: str) -> VerifyConfig:
         job.radius = sec.getint("radius", job.radius)
         job.kernel_steps = sec.getint("kernel_steps", job.kernel_steps)
         job.saw_n_max = sec.getint("saw_n_max", job.saw_n_max)
-        job.trials = sec.getint("trials", job.trials)
         job.pc_radius = sec.getint("pc_radius", job.pc_radius)
         job.pc_trials = sec.getint("pc_trials", job.pc_trials)
         if "rho_ub" in sec and sec["rho_ub"].strip():

@@ -16,11 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import branching
-from .groups import Ball, GroupSpec, ball as build_ball, normal_form, word_length
-from .kernels import chained_tail
+from .groups import Ball, GroupSpec, ball as build_ball
 from .rng import trial_rng
 from .stats import (
-    DiagramResult,
     Estimate,
     ExponentFit,
     binomial_estimate,
@@ -213,134 +211,6 @@ def two_point(
         hits += x in members
     exact = p ** ball.dist[x] if ball.spec.is_tree else None
     return binomial_estimate(hits, trials), exact
-
-
-# elements of one (rows, V, L) block in _pairwise_distance_counts: keeps
-# each temporary under ~0.5 MB; 1 << 18 ran no faster and raised the
-# certificate's peak RSS by ~2 MB
-_PAIR_BLOCK_ELEMS = 1 << 16
-
-
-def _pairwise_distance_counts(ball: Ball, max_dist: int) -> np.ndarray:
-    """counts[r1, r2, r] = # pairs (x, y) with |x|=r1, |y|=r2, d(x,y)=r.
-
-    d(x, y) = |x^{-1} y| comes from the normal forms x = s_1..s_a and
-    y = t_1..t_b.  With k the length of their common syllable prefix, the
-    prefix cancels in x^{-1} y.  If s_{k+1} and t_{k+1} lie in the same
-    factor they merge into the single syllable s_{k+1}^{-1} t_{k+1}, which
-    is not the identity because the syllables differ, so
-    d = sum_{i>k+1} |s_i| + sum_{j>k+1} |t_j| + |s_{k+1}^{-1} t_{k+1}|;
-    otherwise (different factors, or one word a prefix of the other)
-    d = sum_{i>k} |s_i| + sum_{j>k} |t_j|.
-
-    Cost: O(V^2 L) int64 array operations, L the largest syllable count,
-    in blocks of rows of bounded size.  Exact: every length comes from
-    `word_length` and `normal_form`, and no float is involved.
-    """
-    spec = ball.spec
-    R = ball.radius
-    V = ball.n_vertices
-    words = ball.words
-    L = max(len(w) for w in words)
-    # prefix[v, j-1] = index of v's first j syllables (v itself past its end),
-    # so the common prefix length is the number of equal columns (x == y
-    # gets k = L, past both ends, where every table below reads 0 or -1)
-    prefix = np.empty((V, L), dtype=np.int64)
-    # per syllable position, padded to L+1 columns: factor (-1 past the
-    # end), exponent and syllable length, then suffix sums of the lengths
-    factor = np.full((V, L + 1), -1, dtype=np.int64)
-    exp = np.zeros((V, L + 1), dtype=np.int64)
-    syl_len = np.zeros((V, L + 1), dtype=np.int64)
-    for v, w in enumerate(words):
-        prefix[v] = v
-        for j, (f, e) in enumerate(w):
-            prefix[v, j] = ball.index[w[: j + 1]]
-            factor[v, j] = f
-            exp[v, j] = e
-            syl_len[v, j] = word_length(spec, (w[j],))
-    suffix = np.cumsum(syl_len[:, ::-1], axis=1)[:, ::-1]
-    # merged[f, e + off] = |(f, e)| for every exponent difference e
-    off = 2 * int(np.abs(exp).max())
-    merged = np.array(
-        [[word_length(spec, normal_form(spec, [(f, e)])) for e in range(-off, off + 1)]
-         for f in range(len(spec.orders))],
-        dtype=np.int64,
-    )
-
-    dist = np.asarray(ball.dist, dtype=np.int64)
-    n_bins = (R + 1) * (R + 1) * (max_dist + 1)
-    flat = np.zeros(n_bins, dtype=np.int64)
-    block = max(1, _PAIR_BLOCK_ELEMS // (V * max(L, 1)))
-    for start in range(0, V, block):
-        xs = np.arange(start, min(start + block, V))
-        k = (prefix[xs, None, :] == prefix[None, :, :]).sum(axis=2)
-        # flat indices of (x, k) and (y, k) into the (V, L+1) tables
-        ix = xs[:, None] * (L + 1) + k
-        iy = np.arange(V) * (L + 1) + k
-        d = np.take(suffix, ix) + np.take(suffix, iy)
-        fx, fy = np.take(factor, ix), np.take(factor, iy)
-        merge = (fx == fy) & (fx >= 0)
-        ix, iy = ix[merge], iy[merge]
-        d[merge] += (merged[fx[merge], np.take(exp, iy) - np.take(exp, ix) + off]
-                     - np.take(syl_len, ix) - np.take(syl_len, iy))
-        keep = d <= max_dist
-        cell = (dist[xs, None] * (R + 1) + dist[None, :]) * (max_dist + 1) + d
-        flat += np.bincount(cell[keep], minlength=n_bins)
-    return flat.reshape(R + 1, R + 1, max_dist + 1)
-
-
-def triangle_diagram(
-    spec: GroupSpec,
-    p: float,
-    truncation: int,
-    method: str = "exact-tree",
-    rho_ub: float | None = None,
-    trials: int = 0,
-    seed: int = 0,
-) -> DiagramResult:
-    """Truncated triangle sum over pairs in the radius-R ball with
-    d(x,y) <= R, plus a tail bound.
-
-    exact-tree uses tau = p^dist (unique open paths on trees); mc uses a
-    per-vertex cluster-membership frequency for tau, mapped to pairs by
-    vertex transitivity.  The tail covers r1 + r2 + r3 > R with the
-    three-leg envelope `kernels.chained_tail(d, rho_ub, p, R + 1, 3)`:
-    finite iff p(d-1)rho_ub < 1, inf when rho_ub is None.
-
-    Raises ValueError if p is not in [0, 1] or rho_ub is not in (0, 1).
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be in [0, 1]")
-    tail = chained_tail(spec.degree, rho_ub, p, truncation + 1, legs=3)
-    b = build_ball(spec, truncation)
-    if method == "exact-tree":
-        if not spec.is_tree:
-            raise ValueError("exact-tree method requires a tree spec")
-        tau = np.array([p ** r for r in range(2 * truncation + 1)])
-    elif method == "mc":
-        if trials < 1:
-            raise ValueError("mc method needs trials >= 1")
-        freq = np.zeros(b.n_vertices)
-        for t in range(trials):
-            mask = open_mask(b, p, seed, t)
-            members, _ = root_cluster(b, mask)
-            freq[members] += 1.0
-        freq /= trials
-        # tau indexed by distance via transitivity: average over the sphere
-        tau = (np.bincount(b.dist, weights=freq, minlength=truncation + 1)
-               / np.bincount(b.dist, minlength=truncation + 1))
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    counts = _pairwise_distance_counts(b, truncation)
-    value = 0.0
-    for r1 in range(truncation + 1):
-        for r2 in range(truncation + 1):
-            for r in range(truncation + 1):
-                c = counts[r1, r2, r]
-                if c:
-                    value += c * float(tau[r1]) * float(tau[r]) * float(tau[r2])
-    return DiagramResult(value, truncation, tail, method)
 
 
 def tree_triangle_exact(d: int, p: float) -> float:

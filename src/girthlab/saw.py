@@ -40,9 +40,17 @@ class SawCensus:
     classes: list[tuple[int, dict[int, int]]]  # (number of words, {n: c_n(x)}) per polynomial
 
     def sup_endpoint_probability(self, n: int) -> float:
+        self._require_walks(n)
+        return max(poly[n] for _, poly in self.classes if n in poly) / self.counts[n]
+
+    def _require_walks(self, n: int) -> None:
+        """Raise ValueError unless 0 <= n <= n_max and c_n > 0 (a finite
+        graph, such as a single cycle ``Z5``, has no SAW past its size)."""
         if n < 0 or n > self.n_max:
             raise ValueError("n outside census range")
-        return max(poly[n] for _, poly in self.classes if n in poly) / self.counts[n]
+        if self.counts[n] == 0:
+            raise ValueError(f"no self-avoiding walk of length {n} on "
+                             f"{self.spec.describe()}: c_{n} = 0")
 
 
 def enumerate_saw(spec: GroupSpec, n_max: int) -> SawCensus:
@@ -131,53 +139,19 @@ class MuBounds:
 def connective_constant(census: SawCensus) -> MuBounds:
     if census.n_max < 1:
         raise ValueError("the connective-constant bound needs a census with n_max >= 1")
+    if 0 in census.counts:  # a finite graph: c_n = 0 from its size on
+        census._require_walks(census.counts.index(0))
     seq = [census.counts[n] ** (1.0 / n) for n in range(1, census.n_max + 1)]
     tree_exact = float(census.spec.degree - 1) if census.spec.is_tree else None
     return MuBounds(seq, min(seq), tree_exact)
 
 
-@dataclass
-class EndpointDecay:
-    sup_probs: list[tuple[int, float]]  # (n, sup_x c_n(x)/c_n)
-    fitted_rate: float  # slope of log sup-prob vs n
-    bound_base: float  # lambda = (mu_hat^{-1} + eps)(d-1) rho_ub
-    bound_constant: float  # max_n sup_prob / lambda^n over the range
-    bound_applies: bool  # lambda < 1
-
-
-def saw_endpoint_law(
-    census: SawCensus,
-    rho_ub: float | None = None,
-    eps: float | None = None,
-) -> EndpointDecay:
-    """sup_x c_n(x)/c_n across n, with the exponential-envelope comparison.
-
-    eps defaults to half the gap that would push the envelope base to 1.
-    The fitted rate is nan when the census has fewer than two lengths.
-    """
-    d = census.spec.degree
-    sup_probs = [(n, census.sup_endpoint_probability(n)) for n in range(1, census.n_max + 1)]
-    rate = math.nan
-    if len(sup_probs) >= 2:
-        ns, ps = zip(*sup_probs)
-        rate = float(np.polyfit(ns, np.log(ps), 1)[0])
-    if rho_ub is None:
-        return EndpointDecay(sup_probs, rate, math.nan, math.nan, False)
-    mu_inv = 1.0 / connective_constant(census).mu_hat
-    if eps is None:
-        gap = 1.0 / ((d - 1) * rho_ub) - mu_inv
-        eps = 0.5 * gap if gap > 0 else 0.0
-    base = (mu_inv + eps) * (d - 1) * rho_ub
-    if base >= 1.0:
-        return EndpointDecay(sup_probs, rate, base, math.inf, False)
-    const = max(v / base**n for n, v in sup_probs)
-    return EndpointDecay(sup_probs, rate, base, const, True)
-
-
 def speed_exact(census: SawCensus, n: int) -> float:
-    """E[dist(0, endpoint)] / n under the uniform length-n SAW law."""
-    if n < 1 or n > census.n_max:
+    """E[dist(0, endpoint)] / n under the uniform length-n SAW law.
+    Raises ValueError unless 1 <= n <= n_max and c_n > 0."""
+    if n < 1:
         raise ValueError("n outside census range")
+    census._require_walks(n)
     # a word's length is the lowest power of its polynomial
     total = sum(size * poly.get(n, 0) * min(poly) for size, poly in census.classes)
     return total / census.counts[n] / n

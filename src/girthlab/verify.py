@@ -16,13 +16,13 @@ from dataclasses import dataclass, field, asdict
 from . import branching, percolation, saw as saw_mod
 from .groups import ball as build_ball, parse_group_spec
 from .kernels import (
+    chained_tail,
     check_nbw_le_rho_power,
     check_nbw_le_srw_tail,
     estimate_spectral_radius,
     nbw_kernel,
     srw_kernel,
 )
-from .stats import DiagramResult
 
 PASS = "pass"
 FAIL = "fail"
@@ -130,11 +130,22 @@ def check_mu_pc(mu_ub: float, pc_lo: float, pc_hi: float) -> Entry:
                  note=f"interval ends: [{product_lo:.6g}, {product_hi:.6g}]")
 
 
-def _diagram_entry(entry_id: str, anchor: str, result: DiagramResult) -> Entry:
-    """Truncated value against value + tail; pass iff the tail is certified."""
-    return Entry(entry_id, anchor, result.value, result.upper,
-                 PASS if result.certified else INCONCLUSIVE,
-                 note=f"method={result.method} truncation={result.truncation}")
+def check_endpoint_decay(d: int, rho_ub: float | None, mu_lo: float | None) -> Entry:
+    """sup_x c_n(x)/c_n <= C lambda^n, lambda = (d-1) rho_ub / mu_lo and
+    C = d/((d-1)(1-rho_ub)).
+
+    Every SAW is a non-backtracking walk, so c_n(x) <= d (d-1)^{n-1}
+    rho^n/(1-rho), and c_n >= mu^n by submultiplicativity: the envelope
+    needs a lower bound on mu.  Pass iff lambda < 1, inconclusive
+    otherwise or without rho_ub or mu_lo.
+    """
+    anchor = "sup_x law(n,x) <= C*lambda^n"
+    if mu_lo is None or rho_ub is None:
+        why = "no certified lower bound on mu" if mu_lo is None else "no certified rho upper bound"
+        return Entry("endpoint_decay", anchor, math.nan, 1.0, INCONCLUSIVE, note=why)
+    lam = (d - 1) * rho_ub / mu_lo
+    return Entry("endpoint_decay", anchor, lam, 1.0, PASS if lam < 1.0 else INCONCLUSIVE,
+                 note=f"envelope constant {d / ((d - 1) * (1.0 - rho_ub)):.6g}")
 
 
 @dataclass
@@ -143,7 +154,6 @@ class GraphJob:
     radius: int = 6
     kernel_steps: int = 6
     saw_n_max: int = 6
-    trials: int = 200
     rho_ub: float | None = None  # non-trees only; needed by rho-dependent checks
     bnp_c: float | None = None  # universal constant: input, never a default
     pc_radius: int = 6
@@ -155,11 +165,10 @@ class VerifyConfig:
     jobs: list[GraphJob] = field(default_factory=list)
     seed: int = 0
     theta_star: float = 0.5
-    eps: float | None = None
 
     def to_dict(self) -> dict:
         return {"jobs": [asdict(j) for j in self.jobs], "seed": self.seed,
-                "theta_star": self.theta_star, "eps": self.eps}
+                "theta_star": self.theta_star}
 
 
 @dataclass
@@ -186,8 +195,7 @@ class Certificate:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _graph_certificate(job: GraphJob, seed: int, theta_star: float,
-                       eps: float | None) -> dict:
+def _graph_certificate(job: GraphJob, seed: int, theta_star: float) -> dict:
     spec = parse_group_spec(job.spec_text)
     d = spec.degree
     entries: list[Entry] = []
@@ -244,35 +252,36 @@ def _graph_certificate(job: GraphJob, seed: int, theta_star: float,
     mu = saw_mod.connective_constant(census)
     entries.append(check_mu_pc(mu.best_upper, pc_lo, pc_hi))
 
-    # triangle diagram at the conservative end of the p_c interval
+    # triangle at the conservative p_c end: the tripod closed form on
+    # trees; elsewhere the x = y = 0 term tau(0,0)^3 = 1 below and the whole
+    # three-leg envelope above, finite exactly when perccond passes
+    tri_anchor = "triangle diagram finite at pc"
     if spec.is_tree:
-        tri = percolation.triangle_diagram(spec, pc_hi, min(job.radius, 5),
-                                           method="exact-tree", rho_ub=rho_ub)
+        tri = percolation.tree_triangle_exact(d, pc_hi)
+        entries.append(Entry("triangle_finite", tri_anchor, tri, tri, PASS,
+                             note="tree closed form (tripod sum)"))
     else:
-        tri = percolation.triangle_diagram(spec, pc_hi, min(job.radius, 4),
-                                           method="mc", rho_ub=rho_ub,
-                                           trials=job.trials, seed=seed)
-    entries.append(_diagram_entry("triangle_finite", "triangle diagram finite at pc", tri))
+        tri = chained_tail(d, rho_ub, pc_hi, 0, legs=3)
+        entries.append(Entry("triangle_finite", tri_anchor, 1.0, tri,
+                             PASS if tri < math.inf else INCONCLUSIVE,
+                             note="whole three-leg envelope: finite iff "
+                                  "pc_hi*(d-1)*rho_ub < 1, the perccond rule"))
 
-    # bubble diagram at z = 1/mu_hat
-    z = 1.0 / mu.mu_hat
-    if spec.is_tree:
-        bub = saw_mod.bubble_diagram(spec, z, 40)
-    else:
-        bub = saw_mod.bubble_diagram(spec, z, census.n_max, census=census, rho_ub=rho_ub)
-    entries.append(_diagram_entry("bubble_finite", "bubble diagram finite at 1/mu", bub))
+    # SAW entries need mu from below: mu = d-1 on trees, and no certified
+    # lower bound elsewhere yet
+    mu_lo = mu.tree_exact
+    bub_anchor = "bubble diagram finite at 1/mu"
+    if mu_lo is None:
+        entries.append(Entry("bubble_finite", bub_anchor, math.nan, math.nan, INCONCLUSIVE,
+                             note="no certified lower bound on mu"))
+    else:  # the bubble increases in z, and 1/mu_lo >= z_c
+        bub = saw_mod.bubble_diagram(spec, 1.0 / mu_lo, 40)
+        entries.append(Entry("bubble_finite", bub_anchor, bub.value, bub.upper,
+                             PASS if bub.certified else INCONCLUSIVE,
+                             note=f"method={bub.method} truncation={bub.truncation}"))
+    entries.append(check_endpoint_decay(d, rho_ub, mu_lo))
 
-    # endpoint decay envelope and positive speed
-    decay = saw_mod.saw_endpoint_law(census, rho_ub=rho_ub, eps=eps)
-    if decay.bound_applies:
-        entries.append(Entry("endpoint_decay", "sup_x law(n,x) <= C*lambda^n",
-                             decay.bound_base, 1.0, PASS,
-                             note=f"envelope constant {decay.bound_constant:.6g}, "
-                                  f"fitted rate {decay.fitted_rate:.6g}"))
-    else:
-        entries.append(Entry("endpoint_decay", "sup_x law(n,x) <= C*lambda^n",
-                             decay.bound_base, 1.0, INCONCLUSIVE,
-                             note="envelope base >= 1 or rho_ub missing"))
+    # positive speed
     n_speed = census.n_max
     speed = saw_mod.speed_exact(census, n_speed)
     entries.append(Entry("saw_speed_positive", "E dist(0,SAW(n))/n > 0",
@@ -304,7 +313,7 @@ def _check_job(job: GraphJob) -> None:
     spec = parse_group_spec(job.spec_text)
     bad = [(spec.degree < 3, f"need degree >= 3, got {spec.degree}")]
     bad += [(getattr(job, key) < low, f"need {key} >= {low}, got {getattr(job, key)}")
-            for key, low in (("saw_n_max", 1), ("trials", 1), ("pc_trials", 1),
+            for key, low in (("saw_n_max", 1), ("pc_trials", 1),
                              ("radius", 0), ("kernel_steps", 0), ("pc_radius", 0))]
     if job.rho_ub is not None:
         bad += [(spec.is_tree, "rho_ub must not be set on a tree: rho is 2*sqrt(d-1)/d"),
@@ -320,8 +329,7 @@ def run_certificate(config: VerifyConfig) -> Certificate:
     for job in config.jobs:  # every job, before the first does any work
         _check_job(job)
     start = time.time()
-    graphs = [_graph_certificate(job, config.seed, config.theta_star, config.eps)
-              for job in config.jobs]
+    graphs = [_graph_certificate(job, config.seed, config.theta_star) for job in config.jobs]
     meta = {
         "seed": config.seed,
         "config": config.to_dict(),

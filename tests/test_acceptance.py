@@ -202,11 +202,11 @@ def test_criterion_10_speed(census_f2, census_z5z5):
 def test_criterion_11_reproducibility():
     jobs = [
         GraphJob("Z*Z", radius=6, kernel_steps=5, saw_n_max=6,
-                 trials=60, pc_trials=60, pc_radius=4, bnp_c=1.0),
+                 pc_trials=60, pc_radius=4, bnp_c=1.0),
         GraphJob("Z2*Z2*Z2", radius=6, kernel_steps=5, saw_n_max=6,
-                 trials=60, pc_trials=60, pc_radius=4, bnp_c=1.0),
+                 pc_trials=60, pc_radius=4, bnp_c=1.0),
         GraphJob("Z5*Z5", radius=5, kernel_steps=5, saw_n_max=6,
-                 trials=60, pc_trials=60, pc_radius=4, rho_ub=0.95, bnp_c=1.0),
+                 pc_trials=60, pc_radius=4, rho_ub=0.95, bnp_c=1.0),
     ]
     first = run_certificate(VerifyConfig(jobs=jobs, seed=13))
     second = run_certificate(VerifyConfig(jobs=jobs, seed=13))

@@ -156,11 +156,13 @@ def test_parse_grid():
 
 
 def test_verify_config_ignores_unknown_keys():
-    # a key an older config still carries (the benchmark's README config
-    # has one) is ignored, not an error
-    cfg = parse_verify_config("[verify]\nseed = 4\nretired = 1\n\n[graph:Z*Z]\nradius = 3\n")
+    # keys an older config still carries (the benchmark's README config
+    # has one) are ignored, not an error: trials and eps are retired
+    cfg = parse_verify_config("[verify]\nseed = 4\nretired = 1\neps = 0.1\n\n"
+                              "[graph:Z*Z]\nradius = 3\ntrials = 200\n")
     assert cfg.seed == 4 and [j.radius for j in cfg.jobs] == [3]
-    assert "retired" not in cfg.to_dict()
+    doc = cfg.to_dict()
+    assert "retired" not in doc and "eps" not in doc and "trials" not in doc["jobs"][0]
 
 
 GOOD_GRAPH = "[graph:Z*Z]\nradius = 3\nsaw_n_max = 4\npc_radius = 3\npc_trials = 20\n"

@@ -1,7 +1,5 @@
 """Percolation estimators cross-checked against the branching oracle."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +8,6 @@ from girthlab import branching, percolation
 from girthlab.groups import ball, inverse, multiply, parse_group_spec, word_length
 from girthlab.percolation import (
     UnionFind,
-    _pairwise_distance_counts,
     cluster_partition,
     cluster_size_tail,
     crossing_probability,
@@ -25,7 +22,6 @@ from girthlab.percolation import (
     root_cluster,
     susceptibility,
     tree_triangle_exact,
-    triangle_diagram,
     two_point,
 )
 
@@ -190,37 +186,9 @@ def test_tree_triangle_closed_form():
         tree_triangle_exact(4, 0.6)
 
 
-def test_triangle_truncation_approaches_closed_form():
-    target = tree_triangle_exact(4, 1 / 3)
-    vals = [triangle_diagram(F2, 1 / 3, R, method="exact-tree").value
-            for R in (2, 3, 4, 5)]
-    assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
-    assert vals[-1] < target
-    assert target - vals[-1] < 0.25
-
-
-def test_triangle_certification():
-    res = triangle_diagram(F2, 1 / 3, 3, method="exact-tree", rho_ub=math.sqrt(3) / 2)
-    assert res.certified and res.tail_bound < math.inf
-    assert res.upper == res.value + res.tail_bound
-    res2 = triangle_diagram(F2, 1 / 3, 3, method="exact-tree")
-    assert not res2.certified and res2.tail_bound == math.inf
-
-
-@pytest.mark.parametrize("p, rho_ub", [(-0.1, 0.9), (1.5, 0.9), (0.1, 1.5), (0.1, 0.0)])
-def test_triangle_rejects_bad_p_and_rho(p, rho_ub):
-    with pytest.raises(ValueError):
-        triangle_diagram(F2, p, 3, method="exact-tree", rho_ub=rho_ub)
-
-
-def test_triangle_mc_agrees_with_exact_on_tree():
-    exact = triangle_diagram(F2, 0.3, 3, method="exact-tree").value
-    mc = triangle_diagram(F2, 0.3, 3, method="mc", trials=800, seed=5).value
-    assert mc == pytest.approx(exact, rel=0.15)
-
-
 def _pair_counts_oracle(b, max_dist):
-    """The pair table by one word product per pair: |x^{-1} y| for all (x, y)."""
+    """The pair table by one word product per pair: counts[r1, r2, r] = #
+    pairs (x, y) of the ball with |x| = r1, |y| = r2 and |x^{-1} y| = r."""
     spec = b.spec
     counts = np.zeros((b.radius + 1, b.radius + 1, max_dist + 1), dtype=np.int64)
     inverses = [inverse(spec, w) for w in b.words]
@@ -232,31 +200,20 @@ def _pair_counts_oracle(b, max_dist):
     return counts
 
 
-@pytest.mark.parametrize("spec, radius, max_dist", [
-    ("Z*Z", 5, 5),
-    ("Z5*Z5", 4, 4),
-    ("Z5*Z5", 6, 6),
-    ("Z2*Z3*Z4", 4, 4),
-    ("Z*Z5", 4, 3),
-    ("Z3*Z", 5, 5),
-    ("Z2*Z2*Z2", 4, 4),
-    ("Z4*Z4", 4, 8),
-    ("Z*Z", 0, 0),
-])
-def test_pairwise_distance_counts_match_word_products(spec, radius, max_dist):
-    b = ball(parse_group_spec(spec), radius)
-    got = _pairwise_distance_counts(b, max_dist)
-    assert got.dtype == np.int64
-    assert np.array_equal(got, _pair_counts_oracle(b, max_dist))
-
-
-def test_triangle_method_validation():
-    with pytest.raises(ValueError):
-        triangle_diagram(Z5Z5, 0.3, 3, method="exact-tree")
-    with pytest.raises(ValueError):
-        triangle_diagram(F2, 0.3, 3, method="mc", trials=0)
-    with pytest.raises(ValueError):
-        triangle_diagram(F2, 0.3, 3, method="bogus")
+def test_triangle_truncation_approaches_closed_form():
+    # an independent oracle for the tripod closed form: the triangle sum
+    # over pairs of the radius-R ball with d(x, y) <= R, tau = p^dist on
+    # a tree, rises towards 37/9 from below
+    p = 1 / 3
+    target = tree_triangle_exact(4, p)
+    vals = []
+    for R in (2, 3, 4):
+        counts = _pair_counts_oracle(ball(F2, R), R)
+        vals.append(sum(int(c) * p ** (r1 + r2 + r)
+                        for (r1, r2, r), c in np.ndenumerate(counts) if c))
+    assert vals[0] < vals[1] < vals[2] < target
+    # pinned values of this truncated sum
+    assert vals == pytest.approx([3.25514, 3.73251, 3.95321], abs=5e-6)
 
 
 # --- non-uniqueness witness -------------------------------------------------

@@ -7,16 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from girthlab.cli import main
 from girthlab.groups import append_syllable, parse_group_spec, word_length
+from girthlab.kernels import kesten_rho
 from girthlab.saw import (
     bubble_diagram,
     connective_constant,
     enumerate_saw,
     rosenbluth_sampler,
-    saw_endpoint_law,
     speed_exact,
     susceptibility_saw,
 )
+from girthlab.verify import check_endpoint_decay
 
 F2 = parse_group_spec("Z*Z")
 Z5Z5 = parse_group_spec("Z5*Z5")
@@ -159,36 +161,28 @@ def test_connective_constant_needs_a_step(spec):
 # --- endpoint law and speed -------------------------------------------------
 
 def test_endpoint_decay_tree():
-    census = enumerate_saw(F2, 8)
-    decay = saw_endpoint_law(census, rho_ub=math.sqrt(3) / 2)
-    assert decay.bound_applies
-    assert decay.bound_base < 1.0
-    assert decay.fitted_rate < 0
-    # envelope really dominates: sup prob <= C * base^n
-    for n, v in decay.sup_probs:
-        assert v <= decay.bound_constant * decay.bound_base**n * (1 + 1e-12)
+    # the endpoint_decay envelope against the census, at Kesten's rho and
+    # the exact tree mu = d - 1
+    for spec in (F2, Z2CUBED):
+        d, rho = spec.degree, kesten_rho(spec.degree)
+        entry = check_endpoint_decay(d, rho, d - 1)
+        lam, const = entry.lhs, d / ((d - 1) * (1 - rho))
+        assert entry.status == "pass" and lam < 1
+        census = enumerate_saw(spec, 8)
+        for n in range(9):
+            assert census.sup_endpoint_probability(n) <= const * lam**n
 
 
 def test_endpoint_decay_without_rho():
-    decay = saw_endpoint_law(enumerate_saw(F2, 5))
-    assert not decay.bound_applies
-    assert math.isnan(decay.bound_base)
-
-
-@pytest.mark.parametrize("rho_ub", [None, 0.95])
-def test_endpoint_decay_one_length_skips_the_fit(rho_ub):
-    # one (n, sup prob) point: no line to fit, and no polyfit warning
-    # (warnings are errors under pytest)
-    decay = saw_endpoint_law(enumerate_saw(Z5Z5, 1), rho_ub=rho_ub)
-    assert decay.sup_probs == [(1, 0.25)]
-    assert math.isnan(decay.fitted_rate)
-    assert decay.bound_applies == (rho_ub is not None)
+    entry = check_endpoint_decay(4, None, 3.0)
+    assert entry.status == "inconclusive" and math.isnan(entry.lhs)
+    assert entry.note == "no certified rho upper bound"
 
 
 def test_endpoint_decay_base_too_large():
-    decay = saw_endpoint_law(enumerate_saw(F2, 5), rho_ub=0.999, eps=0.5)
-    assert not decay.bound_applies
-    assert decay.bound_base >= 1.0
+    # (d-1) rho_ub above mu_lo: the envelope does not decay, which decides nothing
+    entry = check_endpoint_decay(4, 0.995, 2.9)
+    assert entry.lhs > 1.0 and entry.status == "inconclusive"
 
 
 def test_speed_exact():
@@ -200,6 +194,28 @@ def test_speed_exact():
     assert 0.8 < s < 1.0
     with pytest.raises(ValueError):
         speed_exact(census5, 9)
+
+
+@pytest.mark.parametrize("call", [
+    lambda c: connective_constant(c),
+    lambda c: speed_exact(c, 6),
+    lambda c: c.sup_endpoint_probability(5),
+    ["saw", "--spec", "Z5", "--nmax", "6"],
+    ["saw", "--spec", "Z5", "--nmax", "6", "--z-grid", "0.1"],
+], ids=["connective_constant", "speed_exact", "sup_endpoint_probability", "cli",
+        "cli-z-grid"])
+def test_finite_factor_empty_length_is_a_value_error(call, tmp_path, capsys):
+    # a single 5-cycle has no self-avoiding walk of length >= 5
+    census = enumerate_saw(parse_group_spec("Z5"), 6)
+    assert census.counts[4:] == [2, 0, 0]
+    if callable(call):
+        with pytest.raises(ValueError, match=r"length [56] on Z5: c_[56] = 0"):
+            call(census)
+    else:
+        assert main(call + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: no self-avoiding walk of length 5 on Z5")
+        assert "Traceback" not in err and list(tmp_path.iterdir()) == []
 
 
 # --- Rosenbluth -------------------------------------------------------------

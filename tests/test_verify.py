@@ -10,12 +10,14 @@ from girthlab import verify
 from girthlab.cli import main
 from girthlab.groups import ball, parse_group_spec
 from girthlab.kernels import (
+    chained_tail,
     check_nbw_le_rho_power,
     check_nbw_le_srw_tail,
     kesten_rho,
     nbw_kernel,
     srw_kernel,
 )
+from girthlab.percolation import tree_triangle_exact
 from girthlab.verify import (
     FAIL,
     PASS,
@@ -23,7 +25,9 @@ from girthlab.verify import (
     Entry,
     GraphJob,
     VerifyConfig,
+    _num,
     check_bnp_bound,
+    check_endpoint_decay,
     check_girth_threshold,
     check_mu_pc,
     check_perccond,
@@ -98,7 +102,7 @@ def _certify(config):
 
 def _small_config(**overrides):
     job = GraphJob("Z*Z", radius=5, kernel_steps=4, saw_n_max=5,
-                   trials=50, pc_trials=50, pc_radius=4, bnp_c=1.0)
+                   pc_trials=50, pc_radius=4, bnp_c=1.0)
     for k, v in overrides.items():
         setattr(job, k, v)
     return VerifyConfig(jobs=[job], seed=7)
@@ -147,7 +151,7 @@ def test_certificate_json_meta_toggle():
 
 def test_missing_rho_ub_degrades_to_inconclusive():
     job = GraphJob("Z5*Z5", radius=4, kernel_steps=3, saw_n_max=5,
-                   trials=40, pc_trials=40, pc_radius=4)
+                   pc_trials=40, pc_radius=4)
     cert = _certify(VerifyConfig(jobs=[job], seed=1))
     by_id = {e["id"]: e for e in cert.entries}
     for rho_dependent in ("nbw_le_srw_tail", "nbw_le_rho_power", "perccond",
@@ -163,7 +167,7 @@ def test_certificate_girth_from_closed_form():
     # a radius-3 ball only sees cycles of length <= 7, so a BFS would
     # certify no more than girth > 6; the closed form records 7
     job = GraphJob("Z7*Z7", radius=3, kernel_steps=3, saw_n_max=4,
-                   trials=20, pc_trials=20, pc_radius=3, rho_ub=0.95, bnp_c=1.0)
+                   pc_trials=20, pc_radius=3, rho_ub=0.95, bnp_c=1.0)
     cert = _certify(VerifyConfig(jobs=[job], seed=2))
     assert cert.graphs[0]["inputs"]["girth"] == "7"
     by_id = {e["id"]: e for e in cert.entries}
@@ -174,9 +178,9 @@ def test_certificate_kernel_entries_match_entry_scan():
     # the README config at tiny sizes, against the per-pair scan verify used
     # before the checks returned summaries
     jobs = [GraphJob("Z*Z", radius=4, kernel_steps=6, saw_n_max=5, pc_radius=3,
-                     pc_trials=20, trials=20, bnp_c=1.0),
+                     pc_trials=20, bnp_c=1.0),
             GraphJob("Z5*Z5", radius=3, kernel_steps=6, saw_n_max=5, pc_radius=3,
-                     pc_trials=20, trials=20, rho_ub=0.95, bnp_c=1.0)]
+                     pc_trials=20, rho_ub=0.95, bnp_c=1.0)]
     cert = _certify(VerifyConfig(jobs=jobs, seed=1))
     for job, g in zip(jobs, cert.graphs):
         b = ball(parse_group_spec(job.spec_text), job.radius)
@@ -193,20 +197,60 @@ def test_certificate_kernel_entries_match_entry_scan():
             assert by_id[chk[0].check] == want.to_record()
 
 
-def test_certificate_one_step_census_reports_no_fitted_rate():
-    # one census length: the endpoint fit is skipped, not a polyfit warning
-    # (an error under pytest)
-    cert = _certify(_small_config(saw_n_max=1))
+@pytest.mark.parametrize("spec_text,rho_ub", [
+    ("Z*Z", None), ("Z2*Z2*Z2", None),
+    ("Z5*Z5", 0.95), ("Z5*Z5", 0.6), ("Z5*Z5", None),
+])
+def test_triangle_entry_is_closed_form_or_whole_envelope(spec_text, rho_ub):
+    job = GraphJob(spec_text, radius=3, kernel_steps=3, saw_n_max=4, pc_radius=3,
+                   pc_trials=20, rho_ub=rho_ub, bnp_c=1.0)
+    g = _certify(VerifyConfig(jobs=[job], seed=1)).graphs[0]
+    by_id = {e["id"]: e for e in g["entries"]}
+    tri, d = by_id["triangle_finite"], g["inputs"]["degree"]
+    if parse_group_spec(spec_text).is_tree:
+        assert tri["lhs"] == tri["rhs"] == tree_triangle_exact(d, 1 / (d - 1))
+        assert tri["status"] == "pass"
+        if spec_text == "Z*Z":
+            assert tri["rhs"] == pytest.approx(37 / 9)
+    else:
+        pc_hi = g["inputs"]["pc_interval"]["hi"]
+        assert tri["lhs"] == 1.0
+        assert tri["rhs"] == _num(chained_tail(d, rho_ub, pc_hi, 0, 3))
+        # finite exactly when perccond's inequality holds
+        want = "pass" if by_id["perccond"]["status"] == "pass" else "inconclusive"
+        assert tri["status"] == want
+        assert (want == "pass") == (rho_ub == 0.6)
+
+
+def test_check_endpoint_decay():
+    rho = kesten_rho(4)
+    e = check_endpoint_decay(4, rho, 3.0)
+    assert e.status == "pass" and e.lhs == pytest.approx(rho)
+    assert e.note == f"envelope constant {4 / (3 * (1 - rho)):.6g}"
+    no_mu = check_endpoint_decay(4, 0.95, None)
+    assert no_mu.status == "inconclusive" and no_mu.note == "no certified lower bound on mu"
+
+
+def test_mu_upper_bound_passes_no_saw_entry():
+    # (d-1) rho_ub = 2.985 exceeds mu(Z5*Z5) = 2.97445 but not the census
+    # upper bound 3.0952: an upper bound on mu must not pass a SAW entry
+    job = GraphJob("Z5*Z5", radius=3, kernel_steps=3, saw_n_max=8, pc_radius=6,
+                   pc_trials=200, rho_ub=0.995, bnp_c=1.0)
+    cert = _certify(VerifyConfig(jobs=[job], seed=3))
     by_id = {e["id"]: e for e in cert.entries}
-    assert by_id["endpoint_decay"]["note"].endswith("fitted rate nan")
+    assert 3 * 0.995 < cert.graphs[0]["inputs"]["mu_ub"]["value"]
+    assert by_id["perccond"]["status"] == "fail"
+    for saw_entry in ("endpoint_decay", "bubble_finite"):
+        assert by_id[saw_entry]["status"] == "inconclusive"
+        assert by_id[saw_entry]["note"] == "no certified lower bound on mu"
 
 
 @pytest.mark.parametrize("spec_text,overrides,key", [
-    ("Z3", {}, "degree"),  # a triangle: 1/mu_hat divided by zero
+    ("Z3", {}, "degree"),  # a triangle: no SAW of length 3
     ("Z", {}, "degree"),
     ("Z2*Z2", {}, "degree"),
     ("Z*Z", {"saw_n_max": 0}, "saw_n_max"),
-    ("Z*Z", {"trials": 0}, "trials"),
+    ("Z5*Z5", {"rho_ub": math.nan}, "rho_ub"),
     ("Z*Z", {"pc_trials": 0}, "pc_trials"),
     ("Z*Z", {"radius": -1}, "radius"),
     ("Z*Z", {"kernel_steps": -1}, "kernel_steps"),
@@ -219,7 +263,7 @@ def test_certificate_one_step_census_reports_no_fitted_rate():
 ])
 def test_bad_job_rejected_before_any_work(spec_text, overrides, key, monkeypatch,
                                           tmp_path, capsys):
-    sizes = dict(radius=3, kernel_steps=3, saw_n_max=4, trials=20, pc_trials=20, pc_radius=3)
+    sizes = dict(radius=3, kernel_steps=3, saw_n_max=4, pc_trials=20, pc_radius=3)
     bad = GraphJob(spec_text, **{**sizes, **overrides})
     # a good job first: every job is checked before the first one builds a ball
     cfg = VerifyConfig(jobs=[GraphJob("Z2*Z2*Z2", **sizes), bad], seed=1)
