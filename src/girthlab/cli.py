@@ -8,7 +8,6 @@ are a pure function of the flags and the seed.
 from __future__ import annotations
 
 import argparse
-import configparser
 import io
 import csv
 import os
@@ -18,7 +17,7 @@ from pathlib import Path
 from . import percolation, plots, saw as saw_mod
 from .groups import GroupSpecError, ball as build_ball, parse_group_spec
 from .kernels import estimate_spectral_radius, nbw_kernel, srw_kernel
-from .verify import GraphJob, VerifyConfig, run_certificate
+from .verify import parse_verify_config, run_certificate
 
 
 class CliError(Exception):
@@ -166,43 +165,6 @@ def cmd_saw(args, outputs: OutputSet) -> int:
                      f"(exact {census.counts[args.nmax]}), speed={res.speed_estimate:.4f}")
     print("\n".join(lines))
     return 0
-
-
-def parse_verify_config(text: str) -> VerifyConfig:
-    """Read a verify config.  Raises ValueError for malformed INI (no
-    section header, a duplicate section or key), a section other than
-    [verify] and [graph:SPEC], and a config with no graph section.
-    Unknown keys are ignored; values are literal (no % interpolation)."""
-    cp = configparser.ConfigParser(interpolation=None)
-    try:
-        cp.read_string(text)
-    except configparser.Error as exc:
-        raise ValueError(f"malformed config: {exc}") from exc
-    cfg = VerifyConfig()
-    if cp.has_section("verify"):
-        sec = cp["verify"]
-        cfg.seed = sec.getint("seed", 0)
-        cfg.theta_star = sec.getfloat("theta_star", 0.5)
-    for name in cp.sections():
-        if name == "verify":
-            continue
-        if not name.startswith("graph:"):
-            raise ValueError(f"unknown section [{name}]: expected [verify] or [graph:SPEC]")
-        sec = cp[name]
-        job = GraphJob(spec_text=name.split(":", 1)[1])
-        job.radius = sec.getint("radius", job.radius)
-        job.kernel_steps = sec.getint("kernel_steps", job.kernel_steps)
-        job.saw_n_max = sec.getint("saw_n_max", job.saw_n_max)
-        job.pc_radius = sec.getint("pc_radius", job.pc_radius)
-        job.pc_trials = sec.getint("pc_trials", job.pc_trials)
-        if "rho_ub" in sec and sec["rho_ub"].strip():
-            job.rho_ub = sec.getfloat("rho_ub")
-        if "bnp_C" in sec and sec["bnp_C"].strip():
-            job.bnp_c = sec.getfloat("bnp_C")
-        cfg.jobs.append(job)
-    if not cfg.jobs:
-        raise ValueError("config has no [graph:SPEC] section")
-    return cfg
 
 
 def cmd_verify(args, outputs: OutputSet) -> int:

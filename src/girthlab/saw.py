@@ -130,11 +130,6 @@ class MuBounds:
     best_upper: float
     tree_exact: float | None  # d-1 when the spec is a tree
 
-    @property
-    def mu_hat(self) -> float:
-        """Committed upper bound on the connective constant."""
-        return self.tree_exact if self.tree_exact is not None else self.best_upper
-
 
 def connective_constant(census: SawCensus) -> MuBounds:
     if census.n_max < 1:
@@ -273,14 +268,13 @@ def rosenbluth_sampler(spec: GroupSpec, n: int, trials: int, seed: int) -> Rosen
 
 
 def _chi_tail_census(census: SawCensus, z: float, truncation: int) -> float:
-    """Certified chi tail via submultiplicativity: with mu_hat = c_a^{1/a}
-    minimized over a, c_n <= M mu_hat^n where M = max_{r<a} c_r / mu_hat^r,
-    so the tail is geometric with base mu_hat * z < 1."""
+    """Certified chi tail via submultiplicativity: with mu_ub = c_a^{1/a}
+    minimized over a, c_n <= M mu_ub^n where M = max_{r<a} c_r / mu_ub^r,
+    so the tail is geometric with base mu_ub * z < 1."""
     mu = connective_constant(census)
     a = 1 + min(range(len(mu.sequence)), key=lambda i: mu.sequence[i])
-    mu_hat = mu.best_upper
-    m_const = max(census.counts[r] / mu_hat**r for r in range(a))
-    return m_const * series_tail(mu_hat * z, truncation + 1)
+    m_const = max(census.counts[r] / mu.best_upper**r for r in range(a))
+    return m_const * series_tail(mu.best_upper * z, truncation + 1)
 
 
 def _check_sum_inputs(spec: GroupSpec, zs: list[float], truncation: int,
@@ -305,24 +299,24 @@ def susceptibility_saw(
     truncation: int,
     census: SawCensus | None = None,
 ):
-    """chi(z) over a grid in [0, mu_hat^{-1}) with the ratio
-    chi(z) * (mu_hat^{-1} - z), the bounded-above-and-below witness.
+    """chi(z) over a grid in [0, mu_ub^{-1}) with the ratio
+    chi(z) * (mu_ub^{-1} - z), the bounded-above-and-below witness.
 
-    mu_hat is d - 1 on trees and `connective_constant(census).mu_hat`
+    mu_ub is d - 1 on trees and `connective_constant(census).best_upper`
     otherwise.  Tree specs use the exact closed form
     chi(z) = 1 + dz/(1-(d-1)z); other specs sum c_n z^n for n <= truncation
     over the census and add the certified submultiplicative tail.
 
     Raises ValueError for the inputs `_check_sum_inputs` rejects and if a
-    grid point is >= mu_hat^{-1}.
+    grid point is >= mu_ub^{-1}.
     """
     _check_sum_inputs(spec, z_grid, truncation, census)
     d = spec.degree
-    mu_inv = 1.0 / (d - 1 if spec.is_tree else connective_constant(census).mu_hat)
+    mu_inv = 1.0 / (d - 1 if spec.is_tree else connective_constant(census).best_upper)
     rows = []
     for z in z_grid:
         if z >= mu_inv:
-            raise ValueError(f"grid point z={z} >= mu_hat^-1={mu_inv}")
+            raise ValueError(f"grid point z={z} >= mu_ub^-1={mu_inv}")
         if spec.is_tree:
             chi = 1.0 + d * z / (1.0 - (d - 1) * z)
             tail = 0.0

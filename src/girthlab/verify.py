@@ -8,10 +8,11 @@ than skipped.
 
 from __future__ import annotations
 
+import configparser
 import json
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, fields
 
 from . import branching, percolation, saw as saw_mod
 from .groups import ball as build_ball, parse_group_spec
@@ -156,7 +157,6 @@ class GraphJob:
     saw_n_max: int = 6
     rho_ub: float | None = None  # non-trees only; needed by rho-dependent checks
     bnp_c: float | None = None  # universal constant: input, never a default
-    pc_radius: int = 6
     pc_trials: int = 100
 
 
@@ -164,11 +164,48 @@ class GraphJob:
 class VerifyConfig:
     jobs: list[GraphJob] = field(default_factory=list)
     seed: int = 0
-    theta_star: float = 0.5
 
     def to_dict(self) -> dict:
-        return {"jobs": [asdict(j) for j in self.jobs], "seed": self.seed,
-                "theta_star": self.theta_star}
+        return {"jobs": [asdict(j) for j in self.jobs], "seed": self.seed}
+
+
+def parse_verify_config(text: str) -> VerifyConfig:
+    """Read a verify config: `seed` under [verify], and under each
+    [graph:SPEC] any `GraphJob` field by name (keys are case-insensitive,
+    so `bnp_C` sets `bnp_c`).  Int fields must parse as ints; a blank
+    float field (`rho_ub`, `bnp_C`) leaves it unset.
+
+    Raises ValueError for malformed INI (no section header, a duplicate
+    section or key), a section other than [verify] and [graph:SPEC], a
+    value that does not parse, and a config with no graph section.
+    Unknown keys are ignored; values are literal (no % interpolation)."""
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        cp.read_string(text)
+    except configparser.Error as exc:
+        raise ValueError(f"malformed config: {exc}") from exc
+    cfg = VerifyConfig()
+    if cp.has_section("verify"):
+        cfg.seed = cp["verify"].getint("seed", 0)
+    for name in cp.sections():
+        if name == "verify":
+            continue
+        if not name.startswith("graph:"):
+            raise ValueError(f"unknown section [{name}]: expected [verify] or [graph:SPEC]")
+        sec, spec_text = cp[name], name.split(":", 1)[1]
+        values = {}
+        for f in fields(GraphJob)[1:]:  # every field but spec_text
+            raw = sec.get(f.name)
+            if raw is None or (f.type != "int" and not raw.strip()):
+                continue
+            try:
+                values[f.name] = int(raw) if f.type == "int" else float(raw)
+            except ValueError as exc:
+                raise ValueError(f"[{name}] {f.name}: {exc}") from exc
+        cfg.jobs.append(GraphJob(spec_text, **values))
+    if not cfg.jobs:
+        raise ValueError("config has no [graph:SPEC] section")
+    return cfg
 
 
 @dataclass
@@ -195,7 +232,7 @@ class Certificate:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _graph_certificate(job: GraphJob, seed: int, theta_star: float) -> dict:
+def _graph_certificate(job: GraphJob, seed: int) -> dict:
     spec = parse_group_spec(job.spec_text)
     d = spec.degree
     entries: list[Entry] = []
@@ -215,10 +252,9 @@ def _graph_certificate(job: GraphJob, seed: int, theta_star: float) -> dict:
         pc_lo = pc_hi = branching.critical_probability(d)
         pc_prov = "closed form 1/(d-1), Lyons-Peres ch. 5"
     else:
-        est = percolation.estimate_pc(spec, job.pc_radius, job.pc_trials, seed,
-                                      theta_star=theta_star)
+        est = percolation.estimate_pc(spec, job.radius, job.pc_trials, seed)
         pc_lo, pc_hi = est.lo, est.hi
-        pc_prov = f"crossing-bisection R={job.pc_radius}"
+        pc_prov = f"crossing-bisection R={job.radius}"
 
     n_check = min(job.kernel_steps, job.radius)
     if rho_ub is not None:
@@ -308,18 +344,18 @@ def _graph_certificate(job: GraphJob, seed: int, theta_star: float) -> dict:
 def _check_job(job: GraphJob) -> None:
     """Raise ValueError, naming the graph and the key, if `job` cannot be
     certified: degree < 3, a size below its minimum, a rho_ub outside
-    (0, 1) or on a tree (whose rho is Kesten's), or a bnp_C that is not
-    positive."""
+    (0, 1) or on a tree (whose rho is Kesten's), or a bnp_C outside
+    (0, inf)."""
     spec = parse_group_spec(job.spec_text)
     bad = [(spec.degree < 3, f"need degree >= 3, got {spec.degree}")]
     bad += [(getattr(job, key) < low, f"need {key} >= {low}, got {getattr(job, key)}")
             for key, low in (("saw_n_max", 1), ("pc_trials", 1),
-                             ("radius", 0), ("kernel_steps", 0), ("pc_radius", 0))]
+                             ("radius", 0), ("kernel_steps", 0))]
     if job.rho_ub is not None:
         bad += [(spec.is_tree, "rho_ub must not be set on a tree: rho is 2*sqrt(d-1)/d"),
                 (not 0 < job.rho_ub < 1, f"need 0 < rho_ub < 1, got {job.rho_ub}")]
     if job.bnp_c is not None:
-        bad.append((not job.bnp_c > 0, f"need bnp_C > 0, got {job.bnp_c}"))
+        bad.append((not 0 < job.bnp_c < math.inf, f"need 0 < bnp_C < inf, got {job.bnp_c}"))
     for is_bad, why in bad:
         if is_bad:
             raise ValueError(f"[graph:{job.spec_text}] {why}")
@@ -329,7 +365,7 @@ def run_certificate(config: VerifyConfig) -> Certificate:
     for job in config.jobs:  # every job, before the first does any work
         _check_job(job)
     start = time.time()
-    graphs = [_graph_certificate(job, config.seed, config.theta_star) for job in config.jobs]
+    graphs = [_graph_certificate(job, config.seed) for job in config.jobs]
     meta = {
         "seed": config.seed,
         "config": config.to_dict(),

@@ -127,7 +127,7 @@ def test_criterion_05_bubble():
 def test_criterion_06_chi_scaling(census_z5z5):
     rows = saw_mod.susceptibility_saw(F2, [0.0, 0.1, 0.2, 0.3, 0.33], truncation=12)
     ok = all(abs(r["ratio_lo"] - (1 / 3 + r["z"] / 3)) < 1e-6 for r in rows)
-    mu_inv = 1.0 / saw_mod.connective_constant(census_z5z5).mu_hat
+    mu_inv = 1.0 / saw_mod.connective_constant(census_z5z5).best_upper
     zs = [f * mu_inv for f in (0.0, 0.25, 0.5, 0.75, 0.95)]
     rows5 = saw_mod.susceptibility_saw(Z5Z5, zs, truncation=12, census=census_z5z5)
     lo = min(r["ratio_lo"] for r in rows5)
@@ -202,11 +202,11 @@ def test_criterion_10_speed(census_f2, census_z5z5):
 def test_criterion_11_reproducibility():
     jobs = [
         GraphJob("Z*Z", radius=6, kernel_steps=5, saw_n_max=6,
-                 pc_trials=60, pc_radius=4, bnp_c=1.0),
+                 pc_trials=60, bnp_c=1.0),
         GraphJob("Z2*Z2*Z2", radius=6, kernel_steps=5, saw_n_max=6,
-                 pc_trials=60, pc_radius=4, bnp_c=1.0),
+                 pc_trials=60, bnp_c=1.0),
         GraphJob("Z5*Z5", radius=5, kernel_steps=5, saw_n_max=6,
-                 pc_trials=60, pc_radius=4, rho_ub=0.95, bnp_c=1.0),
+                 pc_trials=60, rho_ub=0.95, bnp_c=1.0),
     ]
     first = run_certificate(VerifyConfig(jobs=jobs, seed=13))
     second = run_certificate(VerifyConfig(jobs=jobs, seed=13))

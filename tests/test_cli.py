@@ -165,7 +165,7 @@ def test_verify_config_ignores_unknown_keys():
     assert "retired" not in doc and "eps" not in doc and "trials" not in doc["jobs"][0]
 
 
-GOOD_GRAPH = "[graph:Z*Z]\nradius = 3\nsaw_n_max = 4\npc_radius = 3\npc_trials = 20\n"
+GOOD_GRAPH = "[graph:Z*Z]\nradius = 3\nsaw_n_max = 4\npc_trials = 20\n"
 
 
 @pytest.mark.parametrize("text,why", [
@@ -191,7 +191,7 @@ def test_verify_cli_tree_config(tmp_path, capsys):
     cfg.write_text(
         "[verify]\nseed = 3\n\n"
         "[graph:Z*Z]\nradius = 4\nkernel_steps = 3\nsaw_n_max = 4\n"
-        "pc_radius = 3\npc_trials = 40\nbnp_C = 1.0\n"
+        "pc_trials = 40\nbnp_C = 1.0\n"
     )
     assert run(["verify", "--config", str(cfg)], tmp_path) == 0
     doc = json.loads((tmp_path / "certificate.json").read_text())
@@ -206,7 +206,7 @@ def test_verify_cli_strict_inconclusive(tmp_path):
     cfg.write_text(
         "[verify]\nseed = 3\n\n"
         "[graph:Z5*Z5]\nradius = 4\nkernel_steps = 3\nsaw_n_max = 4\n"
-        "pc_radius = 3\npc_trials = 40\n"
+        "pc_trials = 40\n"
     )
     assert run(["verify", "--config", str(cfg)], tmp_path) == 0
     assert run(["verify", "--config", str(cfg), "--strict"], tmp_path) == 1
@@ -215,7 +215,7 @@ def test_verify_cli_strict_inconclusive(tmp_path):
 def test_verify_cli_empty_census(tmp_path, capsys):
     cfg = tmp_path / "empty.cfg"
     cfg.write_text("[verify]\nseed = 3\n\n[graph:Z*Z]\nradius = 3\nsaw_n_max = 0\n"
-                   "pc_radius = 3\npc_trials = 20\n")
+                   "pc_trials = 20\n")
     assert run(["verify", "--config", str(cfg)], tmp_path) == 2
     assert "n_max >= 1" in capsys.readouterr().err
     assert not (tmp_path / "certificate.json").exists()

@@ -142,11 +142,9 @@ def test_connective_constant_bounds():
     mu = connective_constant(census)
     assert mu.best_upper == min(mu.sequence)
     assert mu.tree_exact is None
-    assert mu.mu_hat == mu.best_upper
     assert 3.0 < mu.best_upper < 4.0
     tree_mu = connective_constant(enumerate_saw(F2, 8))
     assert tree_mu.tree_exact == 3.0
-    assert tree_mu.mu_hat == 3.0
     # c_n^{1/n} = (d (d-1)^{n-1})^{1/n} decreases toward d-1 = 3
     assert tree_mu.sequence == sorted(tree_mu.sequence, reverse=True)
     assert tree_mu.sequence[-1] == pytest.approx(3 * (4 / 3) ** (1 / 8))
@@ -359,7 +357,7 @@ def test_susceptibility_rejects_negative_z():
 
 def test_susceptibility_ratio_census_bounded():
     census = enumerate_saw(Z5Z5, 8)
-    mu_inv = 1.0 / connective_constant(census).mu_hat
+    mu_inv = 1.0 / connective_constant(census).best_upper
     zs = [0.0, 0.5 * mu_inv, 0.9 * mu_inv]
     rows = susceptibility_saw(Z5Z5, zs, truncation=8, census=census)
     for r in rows:
@@ -399,7 +397,7 @@ def test_susceptibility_tail_bounds_the_longer_sum(text):
     counts = block_tree_counts(spec, 12)
     assert counts[:9] == enumerate_saw(spec, 8).counts
     short = enumerate_saw(spec, 5)
-    mu_inv = 1.0 / connective_constant(short).mu_hat
+    mu_inv = 1.0 / connective_constant(short).best_upper
     zs = [f * mu_inv for f in (0.3, 0.5, 0.9)]
     for z, r in zip(zs, susceptibility_saw(spec, zs, 5, census=short)):
         chi_12 = sum(c * z**n for n, c in enumerate(counts))
@@ -437,7 +435,7 @@ def pair_intersection_bubble(census, z, truncation):
 def test_bubble_census_matches_pair_intersections(text):
     spec = parse_group_spec(text)
     census = enumerate_saw(spec, 8)
-    mu_inv = 1.0 / connective_constant(census).mu_hat
+    mu_inv = 1.0 / connective_constant(census).best_upper
     for truncation in range(9):
         for z in (0.5 * mu_inv, mu_inv, 0.3):
             res = bubble_diagram(spec, z, truncation, census=census, rho_ub=0.95)
@@ -470,10 +468,10 @@ def test_bubble_census_matches_tree():
 
 def test_bubble_census_z5z5():
     census = enumerate_saw(Z5Z5, 8)
-    mu_hat = connective_constant(census).mu_hat
-    res = bubble_diagram(Z5Z5, 1 / mu_hat, 8, census=census, rho_ub=0.95)
+    mu_ub = connective_constant(census).best_upper
+    res = bubble_diagram(Z5Z5, 1 / mu_ub, 8, census=census, rho_ub=0.95)
     assert res.value > 1.0
-    assert res.certified == (1 / mu_hat * 3 * 0.95 < 1.0)
+    assert res.certified == (1 / mu_ub * 3 * 0.95 < 1.0)
 
 
 def test_bubble_validation():

@@ -1,5 +1,6 @@
 """Certificate assembly: individual checks and the end-to-end run."""
 
+import dataclasses
 import json
 import math
 
@@ -32,6 +33,7 @@ from girthlab.verify import (
     check_mu_pc,
     check_perccond,
     girth_threshold,
+    parse_verify_config,
     run_certificate,
 )
 
@@ -102,7 +104,7 @@ def _certify(config):
 
 def _small_config(**overrides):
     job = GraphJob("Z*Z", radius=5, kernel_steps=4, saw_n_max=5,
-                   pc_trials=50, pc_radius=4, bnp_c=1.0)
+                   pc_trials=50, bnp_c=1.0)
     for k, v in overrides.items():
         setattr(job, k, v)
     return VerifyConfig(jobs=[job], seed=7)
@@ -151,7 +153,7 @@ def test_certificate_json_meta_toggle():
 
 def test_missing_rho_ub_degrades_to_inconclusive():
     job = GraphJob("Z5*Z5", radius=4, kernel_steps=3, saw_n_max=5,
-                   pc_trials=40, pc_radius=4)
+                   pc_trials=40)
     cert = _certify(VerifyConfig(jobs=[job], seed=1))
     by_id = {e["id"]: e for e in cert.entries}
     for rho_dependent in ("nbw_le_srw_tail", "nbw_le_rho_power", "perccond",
@@ -167,7 +169,7 @@ def test_certificate_girth_from_closed_form():
     # a radius-3 ball only sees cycles of length <= 7, so a BFS would
     # certify no more than girth > 6; the closed form records 7
     job = GraphJob("Z7*Z7", radius=3, kernel_steps=3, saw_n_max=4,
-                   pc_trials=20, pc_radius=3, rho_ub=0.95, bnp_c=1.0)
+                   pc_trials=20, rho_ub=0.95, bnp_c=1.0)
     cert = _certify(VerifyConfig(jobs=[job], seed=2))
     assert cert.graphs[0]["inputs"]["girth"] == "7"
     by_id = {e["id"]: e for e in cert.entries}
@@ -177,9 +179,9 @@ def test_certificate_girth_from_closed_form():
 def test_certificate_kernel_entries_match_entry_scan():
     # the README config at tiny sizes, against the per-pair scan verify used
     # before the checks returned summaries
-    jobs = [GraphJob("Z*Z", radius=4, kernel_steps=6, saw_n_max=5, pc_radius=3,
+    jobs = [GraphJob("Z*Z", radius=4, kernel_steps=6, saw_n_max=5,
                      pc_trials=20, bnp_c=1.0),
-            GraphJob("Z5*Z5", radius=3, kernel_steps=6, saw_n_max=5, pc_radius=3,
+            GraphJob("Z5*Z5", radius=3, kernel_steps=6, saw_n_max=5,
                      pc_trials=20, rho_ub=0.95, bnp_c=1.0)]
     cert = _certify(VerifyConfig(jobs=jobs, seed=1))
     for job, g in zip(jobs, cert.graphs):
@@ -202,7 +204,7 @@ def test_certificate_kernel_entries_match_entry_scan():
     ("Z5*Z5", 0.95), ("Z5*Z5", 0.6), ("Z5*Z5", None),
 ])
 def test_triangle_entry_is_closed_form_or_whole_envelope(spec_text, rho_ub):
-    job = GraphJob(spec_text, radius=3, kernel_steps=3, saw_n_max=4, pc_radius=3,
+    job = GraphJob(spec_text, radius=3, kernel_steps=3, saw_n_max=4,
                    pc_trials=20, rho_ub=rho_ub, bnp_c=1.0)
     g = _certify(VerifyConfig(jobs=[job], seed=1)).graphs[0]
     by_id = {e["id"]: e for e in g["entries"]}
@@ -234,7 +236,7 @@ def test_check_endpoint_decay():
 def test_mu_upper_bound_passes_no_saw_entry():
     # (d-1) rho_ub = 2.985 exceeds mu(Z5*Z5) = 2.97445 but not the census
     # upper bound 3.0952: an upper bound on mu must not pass a SAW entry
-    job = GraphJob("Z5*Z5", radius=3, kernel_steps=3, saw_n_max=8, pc_radius=6,
+    job = GraphJob("Z5*Z5", radius=6, kernel_steps=3, saw_n_max=8,
                    pc_trials=200, rho_ub=0.995, bnp_c=1.0)
     cert = _certify(VerifyConfig(jobs=[job], seed=3))
     by_id = {e["id"]: e for e in cert.entries}
@@ -243,6 +245,11 @@ def test_mu_upper_bound_passes_no_saw_entry():
     for saw_entry in ("endpoint_decay", "bubble_finite"):
         assert by_id[saw_entry]["status"] == "inconclusive"
         assert by_id[saw_entry]["note"] == "no certified lower bound on mu"
+
+
+def _key(field_name):
+    """The config key that sets GraphJob field `field_name`."""
+    return "bnp_C" if field_name == "bnp_c" else field_name
 
 
 @pytest.mark.parametrize("spec_text,overrides,key", [
@@ -254,7 +261,7 @@ def test_mu_upper_bound_passes_no_saw_entry():
     ("Z*Z", {"pc_trials": 0}, "pc_trials"),
     ("Z*Z", {"radius": -1}, "radius"),
     ("Z*Z", {"kernel_steps": -1}, "kernel_steps"),
-    ("Z*Z", {"pc_radius": -1}, "pc_radius"),
+    ("Z*Z", {"bnp_c": math.inf}, "bnp_C"),  # L = girth = inf passed with margin nan
     ("Z*Z", {"rho_ub": 0.85}, "rho_ub"),  # below Kesten's sqrt(3)/2: passed everything
     ("Z5*Z5", {"rho_ub": 1.0}, "rho_ub"),
     ("Z5*Z5", {"rho_ub": 0.0}, "rho_ub"),
@@ -263,7 +270,7 @@ def test_mu_upper_bound_passes_no_saw_entry():
 ])
 def test_bad_job_rejected_before_any_work(spec_text, overrides, key, monkeypatch,
                                           tmp_path, capsys):
-    sizes = dict(radius=3, kernel_steps=3, saw_n_max=4, pc_trials=20, pc_radius=3)
+    sizes = dict(radius=3, kernel_steps=3, saw_n_max=4, pc_trials=20)
     bad = GraphJob(spec_text, **{**sizes, **overrides})
     # a good job first: every job is checked before the first one builds a ball
     cfg = VerifyConfig(jobs=[GraphJob("Z2*Z2*Z2", **sizes), bad], seed=1)
@@ -278,7 +285,7 @@ def test_bad_job_rejected_before_any_work(spec_text, overrides, key, monkeypatch
 
     def section(spec, keys):
         return f"\n[graph:{spec}]\n" + "".join(
-            f"{'bnp_C' if k == 'bnp_c' else k} = {v}\n" for k, v in keys.items())
+            f"{_key(k)} = {v}\n" for k, v in keys.items())
 
     path = tmp_path / "bad.cfg"
     path.write_text("[verify]\nseed = 1\n" + section("Z2*Z2*Z2", sizes)
@@ -287,6 +294,46 @@ def test_bad_job_rejected_before_any_work(spec_text, overrides, key, monkeypatch
     err = capsys.readouterr().err
     assert err.startswith(f"error: [graph:{spec_text}] ") and "Traceback" not in err
     assert not (tmp_path / "certificate.json").exists()
+
+
+def test_config_sets_every_job_field():
+    # each GraphJob field but spec_text, at a value other than its default
+    values = dict(radius=4, kernel_steps=3, saw_n_max=5, rho_ub=0.9, bnp_c=2.5,
+                  pc_trials=7)
+    assert [f.name for f in dataclasses.fields(GraphJob)][1:] == list(values)
+    for key, value in values.items():
+        assert getattr(GraphJob("Z5*Z5"), key) != value
+        cfg = parse_verify_config(f"[graph:Z5*Z5]\n{_key(key)} = {value}\n")
+        assert cfg.jobs == [GraphJob("Z5*Z5", **{key: value})]
+    text = "".join(f"{_key(k)} = {v}\n" for k, v in values.items())
+    assert parse_verify_config("[graph:Z5*Z5]\n" + text).jobs == [GraphJob("Z5*Z5", **values)]
+    # a blank float key means unset
+    assert parse_verify_config("[graph:Z5*Z5]\nrho_ub =\nbnp_C =\n").jobs == [GraphJob("Z5*Z5")]
+
+
+@pytest.mark.parametrize("key", ["radius", "pc_trials"])
+def test_config_blank_int_key_exits_2(key, tmp_path, capsys):
+    path = tmp_path / "blank.cfg"
+    path.write_text(f"[verify]\nseed = 1\n\n[graph:Z*Z]\n{key} =\n")
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [graph:Z*Z] {key}: ") and "Traceback" not in err
+    assert not (tmp_path / "certificate.json").exists()
+
+
+def test_config_retired_knobs_change_nothing():
+    # pc_radius and theta_star are no longer read: a config that still
+    # sets them gives the same jobs and the same certificate bytes
+    text = ("[verify]\nseed = 2\n\n"
+            "[graph:Z*Z]\nradius = 3\nsaw_n_max = 4\npc_trials = 20\nbnp_C = 1.0\n\n"
+            "[graph:Z5*Z5]\nradius = 3\nsaw_n_max = 4\npc_trials = 20\nrho_ub = 0.95\n")
+    old = text.replace("seed = 2\n", "seed = 2\ntheta_star = 0.3\n").replace(
+        "pc_trials", "pc_radius = 4\npc_trials")
+    assert old.count("pc_radius = 4") == 2
+    new_cfg, old_cfg = parse_verify_config(text), parse_verify_config(old)
+    assert new_cfg.jobs == old_cfg.jobs and new_cfg.to_dict() == old_cfg.to_dict()
+    assert (_certify(new_cfg).to_json(include_meta=False)
+            == _certify(old_cfg).to_json(include_meta=False))
 
 
 def test_certificate_failed_flag():
