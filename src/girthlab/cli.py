@@ -16,8 +16,8 @@ from pathlib import Path
 
 from . import percolation, plots, saw as saw_mod
 from .groups import GroupSpecError, ball as build_ball, parse_group_spec
-from .kernels import estimate_spectral_radius, nbw_kernel, srw_kernel
-from .verify import parse_verify_config, run_certificate
+from .kernels import estimate_spectral_radius, kesten_rho, nbw_kernel, srw_kernel
+from .verify import parse_verify_config, rho_ub_problem, run_certificate
 
 
 class CliError(Exception):
@@ -87,10 +87,10 @@ def cmd_kernel(args, outputs: OutputSet) -> int:
     path = _out_dir(args) / f"kernel_{spec.describe().replace('*', 'x')}.csv"
     outputs.write(path, _csv_text(["kind", "n", "vertex", "probability"], rows))
     print(f"wrote {path}")
-    rho = estimate_spectral_radius(spec, 200) if spec.is_tree else None
-    if rho is not None:
-        print(f"rho: lower_bound={rho.lower_bound:.6f} upper={rho.rho_ub:.6f} "
-              f"({rho.rho_ub_provenance})")
+    if spec.is_tree:
+        rho = estimate_spectral_radius(spec, 200)
+        print(f"rho: lower_bound={rho.lower_bound:.6f} "
+              f"upper={kesten_rho(spec.degree):.6f} (exact-formula)")
     return 0
 
 
@@ -130,8 +130,8 @@ def cmd_perc(args, outputs: OutputSet) -> int:
 
 def cmd_saw(args, outputs: OutputSet) -> int:
     spec = parse_group_spec(args.spec)
-    if spec.is_tree and args.rho_ub is not None:
-        raise CliError("--rho-ub must not be set on a tree: rho is 2*sqrt(d-1)/d")
+    if args.rho_ub is not None and (why := rho_ub_problem(spec, args.rho_ub, "--rho-ub")):
+        raise CliError(why)
     census = saw_mod.enumerate_saw(spec, args.nmax)
     rows = [(n, str(census.counts[n])) for n in range(args.nmax + 1)]
     path = _out_dir(args) / f"census_{spec.describe().replace('*', 'x')}.csv"

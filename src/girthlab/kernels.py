@@ -174,52 +174,35 @@ def tree_return_probabilities(d: int, n_steps: int) -> np.ndarray:
 class RhoEstimate:
     sequence: list[float]  # (p^{2n}(0,0))^{1/2n} for n = 1..len
     lower_bound: float
-    rho_ub: float | None
-    rho_ub_provenance: str  # "exact-formula" | "user-supplied" | "missing"
 
 
 def estimate_spectral_radius(
     spec: GroupSpec,
     n_steps: int,
-    rho_ub: float | None = None,
     srw: KernelTable | None = None,
 ) -> RhoEstimate:
-    """Lower-bound sequence (p^{2n}(0,0))^{1/2n} plus a certified upper bound.
+    """Lower-bound sequence (p^{2n}(0,0))^{1/2n}.
 
     Trees use the radial birth-death reduction (n_steps up to ~10^3 is
-    cheap) and Kesten's formula 2*sqrt(d-1)/d for the upper bound.  Other
-    specs read the return probabilities p^n(0,0), n <= n_steps, from the
-    SRW table `srw` (built on a radius-n_steps ball when not given; a
-    given table must belong to `spec` and reach horizon n_steps) and
-    require a user-supplied upper bound.  `srw` is unused on trees.
+    cheap); their rho is Kesten's `kesten_rho(d)`.  Other specs read the
+    return probabilities p^n(0,0), n <= n_steps, from the SRW table `srw`
+    (built on a radius-n_steps ball when not given; a given table must
+    belong to `spec` and reach horizon n_steps).  `srw` is unused on trees.
 
-    Raises ValueError if n_steps is odd or a tree is given a `rho_ub`.
+    Raises ValueError if n_steps is odd.
     """
     if n_steps % 2 != 0:
         raise ValueError("n_steps must be even")
-    d = spec.degree
     if spec.is_tree:
-        if rho_ub is not None:
-            raise ValueError(f"{spec.describe()} is a tree: rho is Kesten's "
-                             "2*sqrt(d-1)/d, not an input")
-        returns = tree_return_probabilities(d, n_steps)
-        ub = kesten_rho(d)
-        provenance = "exact-formula"
+        returns = tree_return_probabilities(spec.degree, n_steps)
     else:
         if srw is None:
             srw = srw_kernel(build_ball(spec, n_steps), n_steps)
         elif srw.kind != "srw" or srw.ball.spec != spec or srw.horizon < n_steps:
             raise ValueError("srw must be an SRW table of spec with horizon >= n_steps")
         returns = [srw.prob(n, 0) for n in range(n_steps + 1)]
-        ub = rho_ub
-        provenance = "user-supplied" if rho_ub is not None else "missing"
     seq = [float(returns[2 * n]) ** (1.0 / (2 * n)) for n in range(1, (len(returns) - 1) // 2 + 1)]
-    return RhoEstimate(
-        sequence=seq,
-        lower_bound=max(seq) if seq else 0.0,
-        rho_ub=ub,
-        rho_ub_provenance=provenance,
-    )
+    return RhoEstimate(sequence=seq, lower_bound=max(seq) if seq else 0.0)
 
 
 @dataclass

@@ -128,7 +128,6 @@ def enumerate_saw(spec: GroupSpec, n_max: int) -> SawCensus:
 class MuBounds:
     sequence: list[float]  # c_n^{1/n}, each an upper bound on mu
     best_upper: float
-    tree_exact: float | None  # d-1 when the spec is a tree
 
 
 def connective_constant(census: SawCensus) -> MuBounds:
@@ -137,8 +136,7 @@ def connective_constant(census: SawCensus) -> MuBounds:
     if 0 in census.counts:  # a finite graph: c_n = 0 from its size on
         census._require_walks(census.counts.index(0))
     seq = [census.counts[n] ** (1.0 / n) for n in range(1, census.n_max + 1)]
-    tree_exact = float(census.spec.degree - 1) if census.spec.is_tree else None
-    return MuBounds(seq, min(seq), tree_exact)
+    return MuBounds(seq, min(seq))
 
 
 def speed_exact(census: SawCensus, n: int) -> float:

@@ -1,9 +1,10 @@
 """Aggregate inequality certificate: one JSON record per configured check.
 
-Every estimated quantity enters a check at its conservative end, inputs
-carry provenance, and a check that cannot run (missing spectral-radius
-bound, missing universal constant) is emitted as `inconclusive` rather
-than skipped.
+Every input is a `Bracket` (lo, hi) with its provenance, and every entry
+is an inequality between two brackets decided by the one rule `status`.
+An end that needs a missing input (a spectral-radius upper bound, the
+universal constant, a lower bound on mu) is NaN, so the entry is emitted
+as `inconclusive` rather than skipped.
 """
 
 from __future__ import annotations
@@ -11,16 +12,19 @@ from __future__ import annotations
 import configparser
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass, field, asdict, fields
+from typing import NamedTuple
 
 from . import branching, percolation, saw as saw_mod
-from .groups import ball as build_ball, parse_group_spec
+from .groups import GroupSpec, ball as build_ball, parse_group_spec, word_str
 from .kernels import (
     chained_tail,
     check_nbw_le_rho_power,
     check_nbw_le_srw_tail,
     estimate_spectral_radius,
+    kesten_rho,
     nbw_kernel,
     srw_kernel,
 )
@@ -30,123 +34,116 @@ FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
 
 
+class Bracket(NamedTuple):
+    """A certified interval [lo, hi]; a NaN end means nothing certifies it."""
+
+    lo: float
+    hi: float
+
+    def record(self, provenance: str) -> dict:
+        return {"lo": _num(self.lo), "hi": _num(self.hi), "provenance": provenance}
+
+
+def point(x: float) -> Bracket:
+    return Bracket(x, x)
+
+
+NAN = point(math.nan)
+ONE = point(1.0)
+INF = point(math.inf)
+
+
+def increasing(f, *args: Bracket) -> Bracket:
+    """The range of f over brackets in each of which f is non-decreasing."""
+    return Bracket(f(*(a.lo for a in args)), f(*(a.hi for a in args)))
+
+
+def status(lhs: Bracket, rhs: Bracket, strict: bool) -> str:
+    """The one rule for `lhs < rhs` (`lhs <= rhs` when not strict): pass iff
+    the whole of lhs clears the whole of rhs, fail iff no part of it does,
+    inconclusive otherwise.  A NaN end compares False, so it never decides."""
+    if lhs.hi < rhs.lo if strict else lhs.hi <= rhs.lo:
+        return PASS
+    if lhs.lo >= rhs.hi if strict else lhs.lo > rhs.hi:
+        return FAIL
+    return INCONCLUSIVE
+
+
 @dataclass
 class Entry:
     id: str
-    anchor: str  # which inequality/quantity this certifies, or "plumbing"
-    lhs: float
-    rhs: float
-    status: str
+    anchor: str  # which inequality/quantity this certifies
+    lhs: Bracket
+    rhs: Bracket
+    strict: bool
     note: str = ""
 
     @property
+    def status(self) -> str:
+        return status(self.lhs, self.rhs, self.strict)
+
+    @property
     def margin(self) -> float:
-        return self.rhs - self.lhs
+        return self.rhs.lo - self.lhs.hi
 
     def to_record(self) -> dict:
-        return {
-            "id": self.id,
-            "anchor": self.anchor,
-            "lhs": _num(self.lhs),
-            "rhs": _num(self.rhs),
-            "margin": _num(self.margin),
-            "status": self.status,
-            "note": self.note,
-        }
+        """`lhs` = lhs.hi, `rhs` = rhs.lo and `margin` = rhs - lhs, plus
+        `lhs_lo`, `rhs_hi` and `strict`: enough to recompute the status."""
+        ends = {"lhs": self.lhs.hi, "lhs_lo": self.lhs.lo, "rhs": self.rhs.lo,
+                "rhs_hi": self.rhs.hi, "margin": self.margin}
+        return {"id": self.id, "anchor": self.anchor, **{k: _num(v) for k, v in ends.items()},
+                "strict": self.strict, "status": self.status, "note": self.note}
 
 
 def _num(x: float):
-    if x is None or isinstance(x, str):
-        return x
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        return "nan"
-    return float(x)
+    """x as a JSON value: an infinity or NaN as its string."""
+    return float(x) if math.isfinite(x) else str(float(x))
 
 
-def check_perccond(d: int, pc_hi: float, rho_ub: float | None) -> Entry:
-    """p_c (d-1) rho < 1, evaluated at the conservative interval ends."""
-    if rho_ub is None:
-        return Entry("perccond", "pc*(d-1)*rho<1", math.nan, 1.0, INCONCLUSIVE,
-                     note="no certified spectral-radius upper bound")
-    lhs = pc_hi * (d - 1) * rho_ub
-    return Entry("perccond", "pc*(d-1)*rho<1", lhs, 1.0,
-                 PASS if lhs < 1.0 else FAIL)
+def check_perccond(d: int, pc: Bracket, rho: Bracket) -> Entry:
+    """p_c (d-1) rho < 1."""
+    return Entry("perccond", "pc*(d-1)*rho<1",
+                 increasing(lambda p, r: p * (d - 1) * r, pc, rho), ONE, True)
 
 
-def girth_threshold(rho_ub: float, big_c: float) -> float:
-    """L = C log(1 + (1-rho)^{-2}) / (rho^{-1} - 1)."""
-    if not 0.0 < rho_ub < 1.0:
-        raise ValueError("need 0 < rho_ub < 1")
-    return big_c * math.log(1.0 + (1.0 - rho_ub) ** -2) / (1.0 / rho_ub - 1.0)
+def girth_threshold(rho: float, big_c: float) -> float:
+    """L = C log(1 + (1-rho)^{-2}) / (rho^{-1} - 1), increasing in rho; NaN
+    when an input is NaN."""
+    if rho <= 0.0 or rho >= 1.0:
+        raise ValueError("need 0 < rho < 1")
+    return big_c * math.log(1.0 + (1.0 - rho) ** -2) / (1.0 / rho - 1.0)
 
 
-def check_girth_threshold(
-    rho_ub: float | None, big_c: float | None, girth: float
-) -> Entry:
-    """Compare the graph's exact girth against the sufficient threshold L."""
-    if rho_ub is None or big_c is None:
-        return Entry("girth_threshold", "girth>=L(rho,C)", math.nan, math.nan,
-                     INCONCLUSIVE, note="needs rho_ub and the universal constant C")
-    L = girth_threshold(rho_ub, big_c)
-    return Entry("girth_threshold", "girth>=L(rho,C)", L, girth,
-                 PASS if girth >= L else FAIL,
+def check_girth_threshold(rho: Bracket, big_c: float, girth: float) -> Entry:
+    """L(rho, C) <= the graph's exact girth."""
+    return Entry("girth_threshold", "girth>=L(rho,C)",
+                 increasing(lambda r: girth_threshold(r, big_c), rho), point(girth), False,
                  note="rhs is the exact girth (inf on trees)")
 
 
-def check_bnp_bound(
-    d: int,
-    girth: float,
-    rho_ub: float | None,
-    big_c: float | None,
-    pc_lo: float,
-    pc_hi: float,
-) -> Entry:
-    """p_c <= 1/(d-1) + C log(1+(1-rho)^{-2}) / (d*girth).
-
-    Pass when the whole p_c interval is under the bound, fail when none of
-    it is, and inconclusive when the interval straddles the bound.
-    """
-    anchor = "pc<=1/(d-1)+C*log(...)/(d*g)"
-    if rho_ub is None or big_c is None:
-        return Entry("pc_degree_girth_bound", anchor, math.nan, math.nan, INCONCLUSIVE,
-                     note="needs rho_ub and the universal constant C")
-    bound = 1.0 / (d - 1) + big_c * math.log(1.0 + (1.0 - rho_ub) ** -2) / (d * girth)
-    if pc_hi <= bound:
-        return Entry("pc_degree_girth_bound", anchor, pc_hi, bound, PASS)
-    if pc_lo > bound:
-        return Entry("pc_degree_girth_bound", anchor, pc_hi, bound, FAIL)
-    return Entry("pc_degree_girth_bound", anchor, pc_hi, bound, INCONCLUSIVE,
-                 note=f"pc interval [{pc_lo:.6g}, {pc_hi:.6g}] straddles the bound")
+def check_bnp_bound(d: int, girth: float, rho: Bracket, big_c: float, pc: Bracket) -> Entry:
+    """p_c <= 1/(d-1) + C log(1+(1-rho)^{-2}) / (d*girth), increasing in rho."""
+    return Entry("pc_degree_girth_bound", "pc<=1/(d-1)+C*log(...)/(d*g)", pc,
+                 increasing(lambda r: 1.0 / (d - 1)
+                            + big_c * math.log(1.0 + (1.0 - r) ** -2) / (d * girth), rho),
+                 False)
 
 
-def check_mu_pc(mu_ub: float, pc_lo: float, pc_hi: float) -> Entry:
-    """mu * p_c >= 1 consistency: with an upper bound on mu the product at
-    the upper p_c end must not fall below 1."""
-    product_hi = mu_ub * pc_hi
-    product_lo = mu_ub * pc_lo
-    return Entry("mu_pc_product", "mu*pc>=1", 1.0, product_hi,
-                 PASS if product_hi >= 1.0 else FAIL,
-                 note=f"interval ends: [{product_lo:.6g}, {product_hi:.6g}]")
+def check_mu_pc(mu: Bracket, pc: Bracket) -> Entry:
+    """1 <= mu * p_c."""
+    return Entry("mu_pc_product", "mu*pc>=1", ONE, increasing(operator.mul, mu, pc), False)
 
 
-def check_endpoint_decay(d: int, rho_ub: float | None, mu_lo: float | None) -> Entry:
-    """sup_x c_n(x)/c_n <= C lambda^n, lambda = (d-1) rho_ub / mu_lo and
-    C = d/((d-1)(1-rho_ub)).
-
-    Every SAW is a non-backtracking walk, so c_n(x) <= d (d-1)^{n-1}
-    rho^n/(1-rho), and c_n >= mu^n by submultiplicativity: the envelope
-    needs a lower bound on mu.  Pass iff lambda < 1, inconclusive
-    otherwise or without rho_ub or mu_lo.
-    """
-    anchor = "sup_x law(n,x) <= C*lambda^n"
-    if mu_lo is None or rho_ub is None:
-        why = "no certified lower bound on mu" if mu_lo is None else "no certified rho upper bound"
-        return Entry("endpoint_decay", anchor, math.nan, 1.0, INCONCLUSIVE, note=why)
-    lam = (d - 1) * rho_ub / mu_lo
-    return Entry("endpoint_decay", anchor, lam, 1.0, PASS if lam < 1.0 else INCONCLUSIVE,
-                 note=f"envelope constant {d / ((d - 1) * (1.0 - rho_ub)):.6g}")
+def check_endpoint_decay(d: int, rho: Bracket, mu: Bracket) -> Entry:
+    """sup_x c_n(x)/c_n <= C lambda^n, C = d/((d-1)(1-rho)), needs lambda =
+    (d-1) rho / mu < 1: every SAW is a non-backtracking walk, so c_n(x) <=
+    d (d-1)^{n-1} rho^n/(1-rho), and c_n >= mu^n.  lambda is at most
+    (d-1) rho.hi / mu.lo, and 0 is its only lower end: the entry never fails."""
+    note = ("no certified lower bound on mu" if math.isnan(mu.lo) else
+            "no certified rho upper bound" if math.isnan(rho.hi) else
+            f"envelope constant {d / ((d - 1) * (1.0 - rho.hi)):.6g}")
+    return Entry("endpoint_decay", "sup_x law(n,x) <= C*lambda^n",
+                 Bracket(0.0, (d - 1) * rho.hi / mu.lo), ONE, True, note)
 
 
 @dataclass
@@ -155,7 +152,7 @@ class GraphJob:
     radius: int = 6
     kernel_steps: int = 6
     saw_n_max: int = 6
-    rho_ub: float | None = None  # non-trees only; needed by rho-dependent checks
+    rho_ub: float | None = None  # non-trees only, in [K, 1): rho's upper end
     bnp_c: float | None = None  # universal constant: input, never a default
     pc_trials: int = 100
 
@@ -235,125 +232,116 @@ class Certificate:
 def _graph_certificate(job: GraphJob, seed: int) -> dict:
     spec = parse_group_spec(job.spec_text)
     d = spec.degree
-    entries: list[Entry] = []
-
+    big_c = math.nan if job.bnp_c is None else job.bnp_c
     # girth is the smallest cyclic order >= 3, infinite on trees
     girth = math.inf if spec.known_girth is None else float(spec.known_girth)
 
-    # one ball and one SRW table serve the kernel checks and, off trees, rho
+    # one ball and one SRW table serve the kernel checks and the return rates
     b = build_ball(spec, job.radius)
     srw = srw_kernel(b, job.radius)
-    rho = estimate_spectral_radius(spec, 200 if spec.is_tree else 2 * (job.radius // 2),
-                                   rho_ub=job.rho_ub, srw=srw)
-    rho_ub = rho.rho_ub
+    returns = estimate_spectral_radius(spec, 200 if spec.is_tree else 2 * (job.radius // 2),
+                                       srw=srw).sequence
 
-    # p_c: the closed form 1/(d-1) on trees, crossing bisection otherwise
-    if spec.is_tree:
-        pc_lo = pc_hi = branching.critical_probability(d)
+    # rho >= Kesten's K on every d-regular graph, with equality on the tree
+    K = kesten_rho(d)
+    if spec.is_tree:  # closed forms throughout
+        rho, rho_prov = point(K), "exact: Kesten's 2*sqrt(d-1)/d"
+        pc = point(branching.critical_probability(d))
         pc_prov = "closed form 1/(d-1), Lyons-Peres ch. 5"
+        tri = point(percolation.tree_triangle_exact(d, pc.hi))
+        tri_note = "tree closed form (tripod sum)"
+        # the bubble increases in z, and z = 1/mu.lo = 1/(d-1) >= z_c
+        res = saw_mod.bubble_diagram(spec, 1.0 / (d - 1), 40)
+        bub = Bracket(res.value, res.upper)
+        bub_note = f"method={res.method} truncation={res.truncation}"
     else:
+        rho = Bracket(K, math.nan if job.rho_ub is None else job.rho_ub)
+        rho_prov = ("lo: Kesten's 2*sqrt(d-1)/d; "
+                    f"hi: {'missing' if job.rho_ub is None else 'rho_ub'}")
         est = percolation.estimate_pc(spec, job.radius, job.pc_trials, seed)
-        pc_lo, pc_hi = est.lo, est.hi
-        pc_prov = f"crossing-bisection R={job.radius}"
+        pc, pc_prov = Bracket(est.lo, est.hi), f"crossing-bisection R={job.radius}"
+        # the x = y = 0 term tau(0,0)^3 = 1 below, the whole three-leg
+        # envelope above: finite exactly when pc.hi*(d-1)*rho.hi < 1
+        tri = Bracket(1.0, math.nan if math.isnan(rho.hi)
+                      else chained_tail(d, rho.hi, pc.hi, 0, legs=3))
+        tri_note = "whole three-leg envelope from s = 0"
+        bub, bub_note = NAN, "no certified lower bound on mu"
 
-    n_check = min(job.kernel_steps, job.radius)
-    if rho_ub is not None:
+    if math.isnan(rho.hi):  # the kernel checks need an upper bound on rho
+        entries = [Entry(name, "walk-kernel inequality", NAN, NAN, False,
+                         note="no certified rho upper bound")
+                   for name in ("nbw_le_srw_tail", "nbw_le_rho_power")]
+    else:
+        entries = []
+        n_check = min(job.kernel_steps, job.radius)
         nbw = nbw_kernel(b, n_check)
-        for chk in (check_nbw_le_srw_tail(b, n_check, rho_ub, srw=srw, nbw=nbw),
-                    check_nbw_le_rho_power(b, n_check, rho_ub, nbw=nbw)):
+        for chk in (check_nbw_le_srw_tail(b, n_check, rho.hi, srw=srw, nbw=nbw),
+                    check_nbw_le_rho_power(b, n_check, rho.hi, nbw=nbw)):
             worst = chk.worst
-            entries.append(Entry(chk.check, "walk-kernel inequality", worst.lhs, worst.rhs,
-                                 PASS if chk.violations == 0 else FAIL,
-                                 note=f"worst margin over {len(chk)} (x,n) pairs"))
-    else:
-        for name in ("nbw_le_srw_tail", "nbw_le_rho_power"):
-            entries.append(Entry(name, "walk-kernel inequality", math.nan, math.nan,
-                                 INCONCLUSIVE, note="no certified rho upper bound"))
-
-    # spectral-radius sequence sanity: every element <= rho_ub
-    if rho_ub is not None:
-        worst = max(rho.sequence) if rho.sequence else 0.0
-        entries.append(Entry("return_rate_le_rho", "p^{2n}(0,0)^{1/2n}<=rho",
-                             worst, rho_ub, PASS if worst <= rho_ub + 1e-12 else FAIL))
-    else:
-        entries.append(Entry("return_rate_le_rho", "p^{2n}(0,0)^{1/2n}<=rho",
-                             max(rho.sequence) if rho.sequence else 0.0, math.nan,
-                             INCONCLUSIVE, note="no certified rho upper bound"))
-
-    entries.append(check_perccond(d, pc_hi, rho_ub))
-    entries.append(check_girth_threshold(rho_ub, job.bnp_c, girth))
-    entries.append(check_bnp_bound(d, girth, rho_ub, job.bnp_c, pc_lo, pc_hi))
+            n, x = worst.params["n"], worst.params["x"]
+            entries.append(Entry(chk.check, "walk-kernel inequality", point(worst.lhs),
+                                 point(worst.rhs), False,
+                                 note=f"worst margin at n={n} x={word_str(spec, b.words[x])} "
+                                      f"over {chk.pairs} (x,n) pairs"))
 
     census = saw_mod.enumerate_saw(spec, job.saw_n_max)
-    mu = saw_mod.connective_constant(census)
-    entries.append(check_mu_pc(mu.best_upper, pc_lo, pc_hi))
-
-    # triangle at the conservative p_c end: the tripod closed form on
-    # trees; elsewhere the x = y = 0 term tau(0,0)^3 = 1 below and the whole
-    # three-leg envelope above, finite exactly when perccond passes
-    tri_anchor = "triangle diagram finite at pc"
     if spec.is_tree:
-        tri = percolation.tree_triangle_exact(d, pc_hi)
-        entries.append(Entry("triangle_finite", tri_anchor, tri, tri, PASS,
-                             note="tree closed form (tripod sum)"))
-    else:
-        tri = chained_tail(d, rho_ub, pc_hi, 0, legs=3)
-        entries.append(Entry("triangle_finite", tri_anchor, 1.0, tri,
-                             PASS if tri < math.inf else INCONCLUSIVE,
-                             note="whole three-leg envelope: finite iff "
-                                  "pc_hi*(d-1)*rho_ub < 1, the perccond rule"))
+        mu, mu_prov = point(d - 1.0), "exact: d-1"
+    else:  # the census bounds mu from above only
+        mu = Bracket(math.nan, saw_mod.connective_constant(census).best_upper)
+        mu_prov = f"lo: missing; hi: census min c_n^(1/n), n<={census.n_max}"
+    speed = saw_mod.speed_exact(census, census.n_max)
 
-    # SAW entries need mu from below: mu = d-1 on trees, and no certified
-    # lower bound elsewhere yet
-    mu_lo = mu.tree_exact
-    bub_anchor = "bubble diagram finite at 1/mu"
-    if mu_lo is None:
-        entries.append(Entry("bubble_finite", bub_anchor, math.nan, math.nan, INCONCLUSIVE,
-                             note="no certified lower bound on mu"))
-    else:  # the bubble increases in z, and 1/mu_lo >= z_c
-        bub = saw_mod.bubble_diagram(spec, 1.0 / mu_lo, 40)
-        entries.append(Entry("bubble_finite", bub_anchor, bub.value, bub.upper,
-                             PASS if bub.certified else INCONCLUSIVE,
-                             note=f"method={bub.method} truncation={bub.truncation}"))
-    entries.append(check_endpoint_decay(d, rho_ub, mu_lo))
-
-    # positive speed
-    n_speed = census.n_max
-    speed = saw_mod.speed_exact(census, n_speed)
-    entries.append(Entry("saw_speed_positive", "E dist(0,SAW(n))/n > 0",
-                         0.0, speed, PASS if speed > 0 else FAIL,
-                         note=f"exact census speed at n={n_speed}"))
-
+    entries += [
+        Entry("return_rate_le_rho", "p^{2n}(0,0)^{1/2n}<=rho", point(max(returns, default=0.0)),
+              point(rho.hi), False),
+        check_perccond(d, pc, rho),
+        check_girth_threshold(rho, big_c, girth),
+        check_bnp_bound(d, girth, rho, big_c, pc),
+        check_mu_pc(mu, pc),
+        Entry("triangle_finite", "triangle diagram finite at pc", tri, INF, True, tri_note),
+        Entry("bubble_finite", "bubble diagram finite at 1/mu", bub, INF, True, bub_note),
+        check_endpoint_decay(d, rho, mu),
+        Entry("saw_speed_positive", "E dist(0,SAW(n))/n > 0", point(0.0), point(speed), True,
+              note=f"exact census speed at n={census.n_max}"),
+    ]
     return {
         "graph": spec.describe(),
         "inputs": {
             "degree": d,
             "girth": "infinite (tree)" if spec.is_tree else str(spec.known_girth),
-            "rho_ub": {"value": _num(rho_ub) if rho_ub is not None else None,
-                       "provenance": rho.rho_ub_provenance},
-            "pc_interval": {"lo": pc_lo, "hi": pc_hi, "provenance": pc_prov},
-            "mu_ub": {"value": mu.best_upper,
-                      "tree_exact": mu.tree_exact,
-                      "provenance": f"census min c_n^(1/n), n<={census.n_max}"},
+            "rho": rho.record(rho_prov),
+            "pc_interval": pc.record(pc_prov),
+            "mu": mu.record(mu_prov),
             "bnp_C": job.bnp_c,
         },
         "entries": [e.to_record() for e in entries],
     }
 
 
+def rho_ub_problem(spec: GroupSpec, rho_ub: float, key: str = "rho_ub") -> str:
+    """Why `rho_ub`, named `key`, cannot bound the spectral radius of `spec`
+    from above, or "" if it can: a tree's rho is Kesten's K = 2*sqrt(d-1)/d,
+    and every other d-regular graph has K <= rho (Kesten 1959)."""
+    if spec.is_tree:
+        return f"{key} must not be set on a tree: rho is 2*sqrt(d-1)/d"
+    K = kesten_rho(spec.degree)
+    return "" if K <= rho_ub < 1 else (f"need K <= {key} < 1, K = 2*sqrt(d-1)/d = {K:.6g} "
+                                        f"(Kesten's lower bound on rho), got {rho_ub}")
+
+
 def _check_job(job: GraphJob) -> None:
     """Raise ValueError, naming the graph and the key, if `job` cannot be
-    certified: degree < 3, a size below its minimum, a rho_ub outside
-    (0, 1) or on a tree (whose rho is Kesten's), or a bnp_C outside
-    (0, inf)."""
+    certified: degree < 3, a size below its minimum, a `rho_ub_problem`, or
+    a bnp_C outside (0, inf)."""
     spec = parse_group_spec(job.spec_text)
     bad = [(spec.degree < 3, f"need degree >= 3, got {spec.degree}")]
     bad += [(getattr(job, key) < low, f"need {key} >= {low}, got {getattr(job, key)}")
             for key, low in (("saw_n_max", 1), ("pc_trials", 1),
                              ("radius", 0), ("kernel_steps", 0))]
     if job.rho_ub is not None:
-        bad += [(spec.is_tree, "rho_ub must not be set on a tree: rho is 2*sqrt(d-1)/d"),
-                (not 0 < job.rho_ub < 1, f"need 0 < rho_ub < 1, got {job.rho_ub}")]
+        why = rho_ub_problem(spec, job.rho_ub)
+        bad.append((bool(why), why))
     if job.bnp_c is not None:
         bad.append((not 0 < job.bnp_c < math.inf, f"need 0 < bnp_C < inf, got {job.bnp_c}"))
     for is_bad, why in bad:

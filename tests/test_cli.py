@@ -149,6 +149,15 @@ def test_saw_rho_ub_on_tree_rejected(tmp_path, capsys):
     assert captured.out == "" and not (tmp_path / "census_ZxZ.csv").exists()
 
 
+def test_saw_rho_ub_below_kesten_rejected(tmp_path, capsys):
+    # every 4-regular graph has rho >= K = sqrt(3)/2 = 0.866025
+    args = ["saw", "--spec", "Z5*Z5", "--nmax", "4", "--bubble-z", "0.2", "--rho-ub", "0.65"]
+    assert run(args, tmp_path) == 2
+    captured = capsys.readouterr()
+    assert "error: need K <= --rho-ub < 1, K = 2*sqrt(d-1)/d = 0.866025" in captured.err
+    assert captured.out == "" and not list(tmp_path.iterdir())
+
+
 def test_parse_grid():
     assert _parse_grid("0.1, 0.2 0.3") == [0.1, 0.2, 0.3]
     with pytest.raises(CliError):
@@ -231,10 +240,16 @@ def test_readme_config_block(tmp_path):
     by_graph = {g["graph"]: {e["id"]: e["status"] for e in g["entries"]}
                 for g in cert.graphs}
     assert set(by_graph) == {"Z*Z", "Z5*Z5"}
-    assert "fail" not in by_graph["Z*Z"].values()
-    # the README's note: Z5*Z5 with rho_ub = 0.95 fails both girth checks
-    assert by_graph["Z5*Z5"]["perccond"] == "fail"
-    assert by_graph["Z5*Z5"]["girth_threshold"] == "fail"
+    assert set(by_graph["Z*Z"].values()) == {"pass"}
+    # the README's note: Z5*Z5 fails the girth threshold for every rho >= K,
+    # and p_c^lo*3*K < 1 < p_c^hi*3*rho_ub leaves perccond open
+    z5 = {status: sorted(i for i, s in by_graph["Z5*Z5"].items() if s == status)
+          for status in ("pass", "fail", "inconclusive")}
+    assert z5 == {"pass": ["nbw_le_rho_power", "nbw_le_srw_tail", "pc_degree_girth_bound",
+                           "return_rate_le_rho", "saw_speed_positive"],
+                  "fail": ["girth_threshold"],
+                  "inconclusive": ["bubble_finite", "endpoint_decay", "mu_pc_product",
+                                   "perccond", "triangle_finite"]}
     assert cert.failed
     cfg = tmp_path / "readme.cfg"
     cfg.write_text(block)

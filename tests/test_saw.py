@@ -18,7 +18,7 @@ from girthlab.saw import (
     speed_exact,
     susceptibility_saw,
 )
-from girthlab.verify import check_endpoint_decay
+from girthlab.verify import Bracket, check_endpoint_decay, point
 
 F2 = parse_group_spec("Z*Z")
 Z5Z5 = parse_group_spec("Z5*Z5")
@@ -141,10 +141,8 @@ def test_connective_constant_bounds():
     census = enumerate_saw(Z5Z5, 8)
     mu = connective_constant(census)
     assert mu.best_upper == min(mu.sequence)
-    assert mu.tree_exact is None
     assert 3.0 < mu.best_upper < 4.0
     tree_mu = connective_constant(enumerate_saw(F2, 8))
-    assert tree_mu.tree_exact == 3.0
     # c_n^{1/n} = (d (d-1)^{n-1})^{1/n} decreases toward d-1 = 3
     assert tree_mu.sequence == sorted(tree_mu.sequence, reverse=True)
     assert tree_mu.sequence[-1] == pytest.approx(3 * (4 / 3) ** (1 / 8))
@@ -163,8 +161,8 @@ def test_endpoint_decay_tree():
     # the exact tree mu = d - 1
     for spec in (F2, Z2CUBED):
         d, rho = spec.degree, kesten_rho(spec.degree)
-        entry = check_endpoint_decay(d, rho, d - 1)
-        lam, const = entry.lhs, d / ((d - 1) * (1 - rho))
+        entry = check_endpoint_decay(d, point(rho), point(d - 1))
+        lam, const = entry.lhs.hi, d / ((d - 1) * (1 - rho))
         assert entry.status == "pass" and lam < 1
         census = enumerate_saw(spec, 8)
         for n in range(9):
@@ -172,15 +170,15 @@ def test_endpoint_decay_tree():
 
 
 def test_endpoint_decay_without_rho():
-    entry = check_endpoint_decay(4, None, 3.0)
-    assert entry.status == "inconclusive" and math.isnan(entry.lhs)
+    entry = check_endpoint_decay(4, Bracket(kesten_rho(4), math.nan), point(3.0))
+    assert entry.status == "inconclusive" and math.isnan(entry.lhs.hi)
     assert entry.note == "no certified rho upper bound"
 
 
 def test_endpoint_decay_base_too_large():
     # (d-1) rho_ub above mu_lo: the envelope does not decay, which decides nothing
-    entry = check_endpoint_decay(4, 0.995, 2.9)
-    assert entry.lhs > 1.0 and entry.status == "inconclusive"
+    entry = check_endpoint_decay(4, point(0.995), point(2.9))
+    assert entry.lhs.hi > 1.0 and entry.status == "inconclusive"
 
 
 def test_speed_exact():

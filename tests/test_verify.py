@@ -9,7 +9,7 @@ import pytest
 import conftest
 from girthlab import verify
 from girthlab.cli import main
-from girthlab.groups import ball, parse_group_spec
+from girthlab.groups import ball, parse_group_spec, word_str
 from girthlab.kernels import (
     chained_tail,
     check_nbw_le_rho_power,
@@ -20,8 +20,7 @@ from girthlab.kernels import (
 )
 from girthlab.percolation import tree_triangle_exact
 from girthlab.verify import (
-    FAIL,
-    PASS,
+    Bracket,
     Certificate,
     Entry,
     GraphJob,
@@ -34,30 +33,78 @@ from girthlab.verify import (
     check_perccond,
     girth_threshold,
     parse_verify_config,
+    point,
     run_certificate,
+    status,
 )
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("lhs,rhs,strict,want", [
+    ((1, 2), (3, 4), True, "pass"),
+    ((1, 2), (3, 4), False, "pass"),
+    ((3, 4), (1, 2), True, "fail"),
+    ((3, 4), (1, 2), False, "fail"),
+    # touching ends: lhs.hi = rhs.lo passes only lhs <= rhs, and
+    # lhs.lo = rhs.hi fails only lhs < rhs
+    ((1, 2), (2, 3), False, "pass"),
+    ((1, 2), (2, 3), True, "inconclusive"),
+    ((2, 3), (1, 2), True, "fail"),
+    ((2, 3), (1, 2), False, "inconclusive"),
+    ((1, 1), (1, 1), False, "pass"),
+    ((1, 1), (1, 1), True, "fail"),
+    # a straddle decides nothing
+    ((1, 3), (2, 4), True, "inconclusive"),
+    ((1, 3), (2, 4), False, "inconclusive"),
+    # infinite ends
+    ((1, 5), (INF, INF), True, "pass"),
+    ((1, INF), (INF, INF), True, "inconclusive"),
+    ((1, INF), (INF, INF), False, "pass"),
+    ((0, 2), (-INF, 1), True, "inconclusive"),
+    ((2, 3), (-INF, 1), True, "fail"),
+    # a NaN in any one end certifies nothing at that end
+    ((NAN, 2), (3, 4), True, "pass"),
+    ((1, NAN), (3, 4), True, "inconclusive"),
+    ((1, 2), (NAN, 4), True, "inconclusive"),
+    ((1, 2), (3, NAN), True, "pass"),
+    ((NAN, 4), (1, 2), True, "inconclusive"),
+    ((3, NAN), (1, 2), False, "fail"),
+    ((3, 4), (NAN, 2), False, "fail"),
+    ((3, 4), (1, NAN), False, "inconclusive"),
+])
+def test_status_rule(lhs, rhs, strict, want):
+    assert status(Bracket(*lhs), Bracket(*rhs), strict) == want
+    entry = Entry("x", "anchor", Bracket(*lhs), Bracket(*rhs), strict)
+    assert entry.status == want
+    assert conftest.recomputed_status(json.loads(json.dumps(entry.to_record()))) == want
 
 
 def test_entry_record_and_margin():
-    e = Entry("x", "anchor", 1.0, 3.0, "pass")
-    assert e.margin == 2.0
+    e = Entry("x", "anchor", Bracket(0.5, 1.0), Bracket(3.0, 4.0), False)
+    assert e.margin == 2.0 and e.status == "pass"
     rec = e.to_record()
-    assert rec["margin"] == 2.0 and rec["anchor"] == "anchor"
-    inf_rec = Entry("y", "a", 0.0, math.inf, "pass").to_record()
-    assert inf_rec["rhs"] == "inf"
+    assert (rec["lhs_lo"], rec["lhs"], rec["rhs"], rec["rhs_hi"]) == (0.5, 1.0, 3.0, 4.0)
+    assert rec["margin"] == 2.0 and rec["anchor"] == "anchor" and rec["strict"] is False
+    inf_rec = Entry("y", "a", point(0.0), point(math.inf), True).to_record()
+    assert inf_rec["rhs"] == inf_rec["rhs_hi"] == "inf"
     json.dumps(inf_rec)  # serializable despite the infinity
 
 
 def test_check_perccond():
     rho = kesten_rho(4)
-    e = check_perccond(4, 1 / 3, rho)
+    e = check_perccond(4, point(1 / 3), point(rho))
     assert e.status == "pass"
     assert e.margin == pytest.approx(1 - rho, abs=1e-12)
-    # degenerate rho_ub = 1 at the tree pc: margin exactly 0, fail
-    e1 = check_perccond(4, 1 / 3, 1.0)
+    # degenerate rho = 1 at the tree pc: margin exactly 0, fail
+    e1 = check_perccond(4, point(1 / 3), point(1.0))
     assert e1.status == "fail" and e1.margin == pytest.approx(0.0)
-    e2 = check_perccond(4, 1 / 3, None)
+    e2 = check_perccond(4, point(1 / 3), Bracket(rho, math.nan))
     assert e2.status == "inconclusive"
+    # the lower ends decide a fail: p_c^lo (d-1) rho^lo < 1 leaves it open
+    e3 = check_perccond(4, Bracket(0.339375, 0.395), Bracket(rho, 0.95))
+    assert e3.status == "inconclusive"
+    assert e3.to_record()["lhs_lo"] == pytest.approx(0.881722, abs=1e-6)
 
 
 def test_girth_threshold_formula():
@@ -70,34 +117,46 @@ def test_girth_threshold_formula():
 
 
 def test_check_girth_threshold():
-    assert check_girth_threshold(0.9, 1.0, math.inf).status == "pass"
-    assert check_girth_threshold(0.9, 1.0, 5.0).status == "fail"
-    assert check_girth_threshold(None, 1.0, 5.0).status == "inconclusive"
-    assert check_girth_threshold(0.9, None, 5.0).status == "inconclusive"
+    K = kesten_rho(4)
+    assert check_girth_threshold(point(0.9), 1.0, math.inf).status == "pass"
+    assert check_girth_threshold(point(0.9), 1.0, 5.0).status == "fail"
+    assert check_girth_threshold(Bracket(K, math.nan), 1.0, 5.0).status == "fail"
+    assert check_girth_threshold(Bracket(K, math.nan), 1.0, 30.0).status == "inconclusive"
+    assert check_girth_threshold(point(0.9), math.nan, 5.0).status == "inconclusive"
+    # L increases in rho: rho's two ends give L's two ends
+    e = check_girth_threshold(Bracket(K, 0.95), 1.0, 5.0)
+    assert e.lhs == (girth_threshold(K, 1.0), girth_threshold(0.95, 1.0))
 
 
 def test_check_bnp_bound():
     # infinite girth: bound is exactly 1/(d-1)
-    e = check_bnp_bound(4, math.inf, 0.87, 1.0, 0.33, 0.333)
-    assert e.status == "pass" and e.rhs == pytest.approx(1 / 3)
+    e = check_bnp_bound(4, math.inf, point(0.87), 1.0, Bracket(0.33, 0.333))
+    assert e.status == "pass" and e.rhs == point(1 / 3)
     # an interval straddling the bound decides nothing
-    e2 = check_bnp_bound(4, math.inf, 0.87, 1.0, 0.3333, 0.3334)
-    assert e2.status == "inconclusive" and "straddles" in e2.note
-    e3 = check_bnp_bound(4, math.inf, 0.87, 1.0, 0.4, 0.45)
+    e2 = check_bnp_bound(4, math.inf, point(0.87), 1.0, Bracket(0.3333, 0.3334))
+    assert e2.status == "inconclusive"
+    e3 = check_bnp_bound(4, math.inf, point(0.87), 1.0, Bracket(0.4, 0.45))
     assert e3.status == "fail"
-    assert check_bnp_bound(4, 5.0, None, 1.0, 0.3, 0.35).status == "inconclusive"
+    # the bound increases in rho: Kesten's K alone can pass it, never fail it
+    rho = Bracket(kesten_rho(4), math.nan)
+    assert check_bnp_bound(4, 5.0, rho, 1.0, Bracket(0.3, 0.35)).status == "pass"
+    assert check_bnp_bound(4, 5.0, rho, 1.0, Bracket(0.55, 0.6)).status == "inconclusive"
+    assert check_bnp_bound(4, 5.0, point(0.9), math.nan, point(0.3)).status == "inconclusive"
 
 
 def test_check_mu_pc():
-    e = check_mu_pc(3.1, 0.33, 0.34)
-    assert e.status == "pass"
-    assert "interval ends" in e.note
-    assert check_mu_pc(2.0, 0.33, 0.4).status == "fail"
+    assert check_mu_pc(point(3.1), Bracket(0.33, 0.34)).status == "pass"
+    assert check_mu_pc(point(2.0), Bracket(0.33, 0.4)).status == "fail"
+    # an upper bound on mu alone can fail the product but never pass it
+    e = check_mu_pc(Bracket(math.nan, 3.1), Bracket(0.33, 0.34))
+    assert e.status == "inconclusive" and e.rhs.hi == pytest.approx(3.1 * 0.34)
 
 
 def _certify(config):
-    """run_certificate, asserting that no entry passes with a negative margin."""
+    """run_certificate, asserting that every recorded status is the one its
+    record gives and that no entry passes with a negative margin."""
     cert = run_certificate(config)
+    assert conftest.misrecorded_entries(cert) == []
     assert conftest.negative_margin_passes(cert) == []
     return cert
 
@@ -126,7 +185,8 @@ def test_run_certificate_tree_all_pass():
     assert not cert.failed
     assert cert.inconclusive_count == 0
     assert g["inputs"]["girth"] == "infinite (tree)"
-    assert g["inputs"]["rho_ub"]["provenance"] == "exact-formula"
+    assert g["inputs"]["rho"]["lo"] == g["inputs"]["rho"]["hi"] == kesten_rho(4)
+    assert g["inputs"]["mu"]["lo"] == g["inputs"]["mu"]["hi"] == 3.0
     pc = g["inputs"]["pc_interval"]
     assert pc["lo"] == pc["hi"] == 1 / 3
     assert pc["provenance"].startswith("closed form 1/(d-1)")
@@ -138,7 +198,7 @@ def test_certificate_margins_recomputable():
         lhs, rhs, margin = e["lhs"], e["rhs"], e["margin"]
         if isinstance(lhs, float) and isinstance(rhs, float):
             assert margin == pytest.approx(rhs - lhs)
-        assert e["status"] in ("pass", "fail", "inconclusive")
+        assert e["status"] == conftest.recomputed_status(e)
         assert e["anchor"]
 
 
@@ -159,8 +219,9 @@ def test_missing_rho_ub_degrades_to_inconclusive():
     for rho_dependent in ("nbw_le_srw_tail", "nbw_le_rho_power", "perccond",
                           "girth_threshold", "pc_degree_girth_bound"):
         assert by_id[rho_dependent]["status"] == "inconclusive"
-    # census-driven entries still run
-    assert by_id["mu_pc_product"]["status"] == "pass"
+    # census-driven entries still run; the census bounds mu only from above
+    assert by_id["mu_pc_product"]["status"] == "inconclusive"
+    assert by_id["mu_pc_product"]["rhs"] == "nan" and by_id["mu_pc_product"]["rhs_hi"] > 1
     assert by_id["saw_speed_positive"]["status"] == "pass"
     assert {e["id"] for e in cert.entries} == EXPECTED_IDS  # nothing omitted
 
@@ -193,15 +254,18 @@ def test_certificate_kernel_entries_match_entry_scan():
         for chk in (list(check_nbw_le_srw_tail(b, n_check, rho_ub, srw=srw, nbw=nbw)),
                     list(check_nbw_le_rho_power(b, n_check, rho_ub, nbw=nbw))):
             worst = min(chk, key=lambda e: e.margin)
-            want = Entry(chk[0].check, "walk-kernel inequality", worst.lhs, worst.rhs,
-                         PASS if all(e.passed for e in chk) else FAIL,
-                         note=f"worst margin over {len(chk)} (x,n) pairs")
+            word = word_str(b.spec, b.words[worst.params["x"]])
+            want = Entry(chk[0].check, "walk-kernel inequality", point(worst.lhs),
+                         point(worst.rhs), False,
+                         note=f"worst margin at n={worst.params['n']} x={word} "
+                              f"over {len(chk)} (x,n) pairs")
             assert by_id[chk[0].check] == want.to_record()
+            assert want.status == ("pass" if all(e.passed for e in chk) else "fail")
 
 
 @pytest.mark.parametrize("spec_text,rho_ub", [
     ("Z*Z", None), ("Z2*Z2*Z2", None),
-    ("Z5*Z5", 0.95), ("Z5*Z5", 0.6), ("Z5*Z5", None),
+    ("Z5*Z5", 0.95), ("Z*Z*Z5", 0.76), ("Z5*Z5", None),
 ])
 def test_triangle_entry_is_closed_form_or_whole_envelope(spec_text, rho_ub):
     job = GraphJob(spec_text, radius=3, kernel_steps=3, saw_n_max=4,
@@ -209,27 +273,30 @@ def test_triangle_entry_is_closed_form_or_whole_envelope(spec_text, rho_ub):
     g = _certify(VerifyConfig(jobs=[job], seed=1)).graphs[0]
     by_id = {e["id"]: e for e in g["entries"]}
     tri, d = by_id["triangle_finite"], g["inputs"]["degree"]
+    assert tri["rhs"] == tri["rhs_hi"] == "inf"
     if parse_group_spec(spec_text).is_tree:
-        assert tri["lhs"] == tri["rhs"] == tree_triangle_exact(d, 1 / (d - 1))
+        assert tri["lhs_lo"] == tri["lhs"] == tree_triangle_exact(d, 1 / (d - 1))
         assert tri["status"] == "pass"
         if spec_text == "Z*Z":
-            assert tri["rhs"] == pytest.approx(37 / 9)
+            assert tri["lhs"] == pytest.approx(37 / 9)
     else:
         pc_hi = g["inputs"]["pc_interval"]["hi"]
-        assert tri["lhs"] == 1.0
-        assert tri["rhs"] == _num(chained_tail(d, rho_ub, pc_hi, 0, 3))
+        assert tri["lhs_lo"] == 1.0
+        assert tri["lhs"] == (_num(chained_tail(d, rho_ub, pc_hi, 0, 3)) if rho_ub else "nan")
         # finite exactly when perccond's inequality holds
         want = "pass" if by_id["perccond"]["status"] == "pass" else "inconclusive"
         assert tri["status"] == want
-        assert (want == "pass") == (rho_ub == 0.6)
+        assert (want == "pass") == (spec_text == "Z*Z*Z5")
 
 
 def test_check_endpoint_decay():
     rho = kesten_rho(4)
-    e = check_endpoint_decay(4, rho, 3.0)
-    assert e.status == "pass" and e.lhs == pytest.approx(rho)
+    e = check_endpoint_decay(4, point(rho), point(3.0))
+    assert e.status == "pass" and e.lhs == (0.0, pytest.approx(rho))
     assert e.note == f"envelope constant {4 / (3 * (1 - rho)):.6g}"
-    no_mu = check_endpoint_decay(4, 0.95, None)
+    # lambda >= 1 leaves the envelope useless but fails nothing
+    assert check_endpoint_decay(4, point(0.95), point(2.0)).status == "inconclusive"
+    no_mu = check_endpoint_decay(4, point(0.95), Bracket(math.nan, 3.1))
     assert no_mu.status == "inconclusive" and no_mu.note == "no certified lower bound on mu"
 
 
@@ -240,8 +307,9 @@ def test_mu_upper_bound_passes_no_saw_entry():
                    pc_trials=200, rho_ub=0.995, bnp_c=1.0)
     cert = _certify(VerifyConfig(jobs=[job], seed=3))
     by_id = {e["id"]: e for e in cert.entries}
-    assert 3 * 0.995 < cert.graphs[0]["inputs"]["mu_ub"]["value"]
-    assert by_id["perccond"]["status"] == "fail"
+    assert 3 * 0.995 < cert.graphs[0]["inputs"]["mu"]["hi"]
+    # p_c^hi*3*0.995 > 1, but p_c^lo*3*K < 1: rho_ub alone decides no fail
+    assert by_id["perccond"]["status"] == "inconclusive"
     for saw_entry in ("endpoint_decay", "bubble_finite"):
         assert by_id[saw_entry]["status"] == "inconclusive"
         assert by_id[saw_entry]["note"] == "no certified lower bound on mu"
@@ -267,6 +335,7 @@ def _key(field_name):
     ("Z5*Z5", {"rho_ub": 0.0}, "rho_ub"),
     ("Z5*Z5", {"bnp_c": 0.0}, "bnp_C"),  # L = 0 turned girth_threshold into a pass
     ("Z5*Z5", {"bnp_c": -1.0}, "bnp_C"),
+    ("Z5*Z5", {"rho_ub": 0.65}, "rho_ub"),  # below Kesten's K: passed perccond
 ])
 def test_bad_job_rejected_before_any_work(spec_text, overrides, key, monkeypatch,
                                           tmp_path, capsys):
