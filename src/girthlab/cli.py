@@ -176,8 +176,12 @@ def cmd_verify(args, outputs: OutputSet) -> int:
     outputs.write(path, cert.to_json())
     for g in cert.graphs:
         for e in g["entries"]:
-            print(f"{g['graph']:>12} {e['id']:<24} {e['status']:<12} "
-                  f"margin={e['margin']}")
+            line = f"{g['graph']:>12} {e['id']:<24} {e['status']:<12} margin={e['margin']}"
+            if e["status"] != "pass":  # say why: both brackets and the note
+                line += f" lhs=[{e['lhs_lo']}, {e['lhs']}] rhs=[{e['rhs']}, {e['rhs_hi']}]"
+                if e["note"]:
+                    line += f" note: {e['note']}"
+            print(line)
     print(f"certificate -> {path}")
     if cert.failed:
         return 1

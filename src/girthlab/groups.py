@@ -2,10 +2,12 @@
 the cyclic orders.
 
 A group is specified as ``Z`` or ``Zm`` factors joined by ``*``, e.g.
-``Z*Z`` (free group of rank 2), ``Z5*Z5``, ``Z2*Z2*Z2``.  Vertices of the
-Cayley graph are normal-form words: sequences of (factor, exponent)
-syllables with adjacent syllables from distinct factors and exponents
-reduced mod the factor order.
+``Z*Z`` (free group of rank 2), ``Z5*Z5``, ``Z2*Z2*Z2``.  Group elements
+are normal-form words: sequences of (factor, exponent) syllables with
+adjacent syllables from distinct factors and exponents reduced mod the
+factor order.  A Cayley ball is built a sphere at a time from integer
+arrays: each vertex is stored as its prefix vertex and its last syllable,
+and its word is spelled out only on demand.
 """
 
 from __future__ import annotations
@@ -158,6 +160,10 @@ class Ball:
     Vertices at distance < R have full degree d; an edge between two
     radius-R vertices is not in the ball, so boundary vertices may not.
 
+    Vertex v > 0 is the normal-form word of vertex ``prefix[v]`` followed
+    by the syllable ``(factor[v], exponent[v])``; `word` spells it out.
+    The root's entries are -1, -1 and 0.
+
     Edge e is (u, v) with u < v; edges are ordered by u, then by the
     generator that leads from u to v.  Its arcs are 2e = u->v and
     2e+1 = v->u, so the reverse of arc a is a ^ 1.  ``arc_tail`` and
@@ -167,19 +173,28 @@ class Ball:
 
     spec: GroupSpec
     radius: int
-    words: list[Word]
-    index: dict[Word, int]
     dist: list[int]
+    prefix: np.ndarray = field(repr=False)
+    factor: np.ndarray = field(repr=False)
+    exponent: np.ndarray = field(repr=False)
     arc_tail: np.ndarray = field(repr=False)
     arc_head: np.ndarray = field(repr=False)
 
     @property
     def n_vertices(self) -> int:
-        return len(self.words)
+        return len(self.dist)
 
     @property
     def n_edges(self) -> int:
         return len(self.arc_head) // 2
+
+    def word(self, v: int) -> Word:
+        """Normal-form word of vertex v, read back along its prefix chain."""
+        syllables = []
+        while v > 0:
+            syllables.append((self.factor.item(v), self.exponent.item(v)))
+            v = self.prefix.item(v)
+        return tuple(reversed(syllables))
 
     def sphere_sizes(self) -> list[int]:
         sizes = [0] * (self.radius + 1)
@@ -211,46 +226,85 @@ DEFAULT_VERTEX_CAP = 5_000_000
 
 
 def ball(spec: GroupSpec, radius: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Ball:
-    """BFS ball of given radius around the identity."""
+    """BFS ball of given radius around the identity, built a sphere at a time.
+
+    Generator (f, s) takes u = p.(f, e) at distance r to a new vertex at
+    r + 1 when f is not u's last factor, or when it moves e away from 0
+    (on Zm: away along the shorter arc).  On an even Zm the antipode
+    p.(f, m/2) is reached from both sides; it belongs to the plus side
+    p.(f, m/2 - 1), which precedes its mirror p.(f, m/2 + 1) in BFS order,
+    so the mirror's step to it is an edge to an existing vertex.  On an odd
+    Zm the middle pair p.(f, (m-1)/2), p.(f, (m+1)/2) share a sphere and
+    their edge is recorded from the first.  Every other step goes back to
+    an earlier vertex, which already holds the edge.
+    """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     gens = spec.generators()
-    words: list[Word] = [IDENTITY]
-    index: dict[Word, int] = {IDENTITY: 0}
+    gen_factor = np.array([f for f, _ in gens])
+    gen_step = np.array([s for _, s in gens])
+    gen_order = np.array([spec.orders[f] or 0 for f, _ in gens])  # 0 for Z
+    plus_col = np.array([gens.index((f, 1)) for f, _ in gens])
+    finite, plus, half = gen_order > 0, gen_step > 0, gen_order // 2
+    first_exp = np.where(finite, gen_step % np.maximum(gen_order, 1), gen_step)
+    # a same-factor step makes a new vertex iff away_lo < e < away_hi
+    big = radius + 1  # beyond every Z exponent in the ball
+    away_lo = np.where(plus, 0, np.where(finite, half + 1, -big))
+    away_hi = np.where(plus, np.where(finite, half, big), np.where(finite, gen_order, 0))
+    # the e at which a same-factor step meets the mirror's side (0 = never):
+    # odd middle from the plus side, even antipode from the minus side
+    odd = gen_order % 2 == 1
+    mirror_exp = np.where(finite & (plus == odd), np.where(plus, half, half + 1), 0)
+    factor_order = np.array([m or 0 for m in spec.orders])
+    n_factors, span = len(spec.orders), factor_order.max()  # span > every Zm exponent
+
+    prefix, factor, exponent = [np.array([-1])], [np.array([-1])], [np.array([0])]
     dist = [0]
-    arc_tail: list[int] = []
-    arc_head: list[int] = []
-    # vertex ids are BFS order, so scanning `words` as it grows is the
-    # queue, and after the first radius-R vertex every vertex is at radius R
-    for u, wu in enumerate(words):
-        du = dist[u]
-        if du == radius:
-            break
-        for factor, exp in gens:
-            wv = append_syllable(spec, wu, factor, exp)
-            v = index.get(wv)
-            if v is None:
-                if len(words) >= vertex_cap:
-                    raise BallCapExceeded(
-                        f"ball exceeds vertex cap {vertex_cap} at radius {radius}"
-                    )
-                v = len(words)
-                index[wv] = v
-                words.append(wv)
-                dist.append(du + 1)
-            elif v < u:
-                # v was expanded first and already holds this edge
-                continue
-            arc_tail += (u, v)
-            arc_head += (v, u)
+    tails, heads = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    lo, hi = 0, 1  # ids of the current sphere
+    for r in range(radius):
+        p, f, e = prefix[-1], factor[-1], exponent[-1]
+        same = f[:, None] == gen_factor
+        ecol = e[:, None]
+        new = ~same | ((away_lo < ecol) & (ecol < away_hi))
+        to_mirror = same & (ecol == mirror_exp)
+        count = int(np.count_nonzero(new))
+        if hi + count > vertex_cap:
+            raise BallCapExceeded(f"ball exceeds vertex cap {vertex_cap} at radius {radius}")
+
+        ids = np.zeros(new.shape, dtype=np.intp)
+        rows, cols = np.nonzero(new)
+        ids[rows, cols] = np.arange(hi, hi + count)
+        grown = same[rows, cols]
+        prefix.append(np.where(grown, p[rows], lo + rows))
+        factor.append(gen_factor[cols])
+        exponent.append(np.where(grown, e[rows] + gen_step[cols], first_exp[cols]))
+
+        if to_mirror.any():
+            # the mirror of p.(f, e) is its sibling p.(f, m - e) in this sphere
+            keys = np.where(factor_order[f] > 0, (p * n_factors + f) * span + e, -1)
+            order = np.argsort(keys)
+            rows, cols = np.nonzero(to_mirror)
+            want = (p[rows] * n_factors + gen_factor[cols]) * span + gen_order[cols] - e[rows]
+            sib = order[np.searchsorted(keys[order], want)]
+            ids[rows, cols] = np.where(plus[cols], lo + sib, ids[sib, plus_col[cols]])
+
+        rows, cols = np.nonzero(new | to_mirror)
+        tails.append(lo + rows)
+        heads.append(ids[rows, cols])
+        dist.extend([r + 1] * count)
+        lo, hi = hi, hi + count
+
+    tail, head = np.concatenate(tails), np.concatenate(heads)
     return Ball(
         spec=spec,
         radius=radius,
-        words=words,
-        index=index,
         dist=dist,
-        arc_tail=np.array(arc_tail, dtype=np.intp),
-        arc_head=np.array(arc_head, dtype=np.intp),
+        prefix=np.concatenate(prefix),
+        factor=np.concatenate(factor),
+        exponent=np.concatenate(exponent),
+        arc_tail=np.stack([tail, head], axis=1).ravel(),
+        arc_head=np.stack([head, tail], axis=1).ravel(),
     )
 
 

@@ -61,13 +61,13 @@ class KernelTable:
     def to_csv_rows(self):
         from .groups import word_str
 
+        labels: dict[int, str] = {}  # a vertex is in the support of many n
         rows = []
         for n in range(len(self.counts)):
             for v in self.support(n):
-                rows.append(
-                    (self.kind, n, word_str(self.ball.spec, self.ball.words[v]),
-                     float(self.prob(n, v)))
-                )
+                if v not in labels:
+                    labels[v] = word_str(self.ball.spec, self.ball.word(v))
+                rows.append((self.kind, n, labels[v], float(self.prob(n, v))))
         return rows
 
 

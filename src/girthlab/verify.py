@@ -281,7 +281,7 @@ def _graph_certificate(job: GraphJob, seed: int) -> dict:
             n, x = worst.params["n"], worst.params["x"]
             entries.append(Entry(chk.check, "walk-kernel inequality", point(worst.lhs),
                                  point(worst.rhs), False,
-                                 note=f"worst margin at n={n} x={word_str(spec, b.words[x])} "
+                                 note=f"worst margin at n={n} x={word_str(spec, b.word(x))} "
                                       f"over {chk.pairs} (x,n) pairs"))
 
     census = saw_mod.enumerate_saw(spec, job.saw_n_max)

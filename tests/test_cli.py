@@ -233,7 +233,7 @@ def test_verify_cli_empty_census(tmp_path, capsys):
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
 
-def test_readme_config_block(tmp_path):
+def test_readme_config_block(tmp_path, capsys):
     # the ```ini block of README.md, as a user would paste it
     block = re.search(r"```ini\n(.*?)```", README, re.S).group(1)
     cert = run_certificate(parse_verify_config(block))
@@ -253,9 +253,20 @@ def test_readme_config_block(tmp_path):
     assert cert.failed
     cfg = tmp_path / "readme.cfg"
     cfg.write_text(block)
+    capsys.readouterr()
     assert run(["verify", "--config", str(cfg)], tmp_path) == 1
     doc = json.loads((tmp_path / "certificate.json").read_text())
     assert json.dumps(doc["graphs"], sort_keys=True) == json.dumps(cert.graphs, sort_keys=True)
+    # a pass line gives its margin; any other line also gives both brackets and the note
+    printed = {tuple(line.split()[:2]): line for line in capsys.readouterr().out.splitlines()}
+    for g in doc["graphs"]:
+        for e in g["entries"]:
+            line = printed[(g["graph"], e["id"])]
+            assert line.endswith(f"margin={e['margin']}") == (e["status"] == "pass"), line
+            if e["status"] != "pass":
+                assert f"lhs=[{e['lhs_lo']}, {e['lhs']}] rhs=[{e['rhs']}, {e['rhs_hi']}]" in line
+                assert line.endswith(f"note: {e['note']}" if e["note"] else "]"), line
+    assert "rhs=[1.0, 1.0]" in printed[("Z5*Z5", "perccond")]
 
 
 def test_readme_cli_block(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Normal forms, Cayley balls and girth."""
 
+import hashlib
 from collections import deque
 
 import pytest
@@ -100,8 +101,8 @@ def test_word_str():
 def test_ball_distances_match_word_length():
     for spec in (F2, Z5Z5, Z2CUBED):
         b = ball(spec, 4)
-        for v, w in enumerate(b.words):
-            assert b.dist[v] == word_length(spec, w)
+        for v in range(b.n_vertices):
+            assert b.dist[v] == word_length(spec, b.word(v))
 
 
 def test_tree_ball_sizes_match_formula():
@@ -195,28 +196,67 @@ def _reference_ball(spec, radius):
     return words, dist, adj, girth_found, edges, arc_tail, arc_head, arc_rev, out_arcs
 
 
-@pytest.mark.parametrize(
-    "text", ["Z*Z", "Z5*Z5", "Z2*Z3*Z4", "Z2*Z2*Z2", "Z3*Z3", "Z*Z5", "Z3*Z", "Z4*Z4", "Z7*Z7"]
-)
-def test_ball_matches_neighbour_list_bfs(text):
+def _assert_matches_reference(spec, radius):
     # edge ids key the percolation uniforms, so equal edge order pins the
     # Monte Carlo coupling; equal neighbour order pins the kernel sums
+    b = ball(spec, radius)
+    (words, dist, adj, girth_found, edges,
+     tail, head, rev, out_arcs) = _reference_ball(spec, radius)
+    b_words = [b.word(v) for v in range(b.n_vertices)]
+    assert b_words == words and b.dist == dist
+    assert [word_length(spec, w) for w in b_words] == b.dist
+    assert b.edges() == edges and b.n_edges == len(edges)
+    assert b.arc_tail.tolist() == tail and b.arc_head.tolist() == head
+    assert [a ^ 1 for a in range(len(head))] == rev
+    assert [[v for v, _ in nbrs] for nbrs in b.adj] == adj
+    assert [[a for _, a in nbrs] for nbrs in b.adj] == out_arcs
+
+
+@pytest.mark.parametrize(
+    "text", ["Z*Z", "Z5*Z5", "Z2*Z3*Z4", "Z2*Z2*Z2", "Z3*Z3", "Z*Z5", "Z3*Z", "Z4*Z4", "Z7*Z7",
+             "Z", "Z5", "Z6", "Z6*Z", "Z2*Z4*Z", "Z10*Z3"]
+)
+def test_ball_matches_neighbour_list_bfs(text):
+    # single factors end in an empty sphere; even cycles meet at an antipode
     spec = parse_group_spec(text)
-    for radius in range(7):
-        b = ball(spec, radius)
-        (words, dist, adj, girth_found, edges,
-         tail, head, rev, out_arcs) = _reference_ball(spec, radius)
-        assert b.words == words and b.dist == dist
-        assert b.edges() == edges and b.n_edges == len(edges)
-        assert b.arc_tail.tolist() == tail and b.arc_head.tolist() == head
-        assert [a ^ 1 for a in range(len(head))] == rev
-        assert [[v for v, _ in nbrs] for nbrs in b.adj] == adj
-        assert [[a for _, a in nbrs] for nbrs in b.adj] == out_arcs
+    for radius in range(9 if text in ("Z*Z", "Z5*Z5") else 7):
+        _assert_matches_reference(spec, radius)
+
+
+@given(st.lists(st.sampled_from([None, 2, 3, 4, 5, 6, 7, 8]), min_size=1, max_size=3),
+       st.integers(0, 5))
+@settings(max_examples=40, deadline=None)
+def test_ball_matches_reference_on_random_specs(orders, radius):
+    _assert_matches_reference(GroupSpec(tuple(orders)), radius)
 
 
 def test_ball_cap():
     with pytest.raises(BallCapExceeded):
         ball(F2, 10, vertex_cap=100)
+    # a ball of exactly the cap builds; one vertex fewer refuses it
+    for text, radius in (("Z*Z", 4), ("Z5*Z5", 5), ("Z2*Z3*Z4", 4), ("Z5", 4)):
+        spec = parse_group_spec(text)
+        size = ball(spec, radius).n_vertices
+        assert ball(spec, radius, vertex_cap=size).n_vertices == size
+        with pytest.raises(BallCapExceeded):
+            ball(spec, radius, vertex_cap=size - 1)
+
+
+# sha256 of `export_edge_list()` from the word-hashing BFS: edge ids key the
+# percolation uniforms, so these pin the Monte Carlo coupling
+GOLDEN_EDGE_LISTS = [
+    ("Z5*Z5", 6, 1033, 1082, "5bb8d25f898f123ed837cc60e66114e655df655bf09756ab7f482be400da4138"),
+    ("Z*Z", 8, 13121, 13120, "81f5c7cbf28712b61b22fc8178657c7e96343e908da608820deb2bfabde18051"),
+    ("Z2*Z3*Z4", 7, 10998, 12162,
+     "65b79c5dc3d9918376804015db30ddadf2d656618e44fa2abb3383843ccfa147"),
+]
+
+
+@pytest.mark.parametrize("text, radius, vertices, edges, digest", GOLDEN_EDGE_LISTS)
+def test_golden_edge_lists(text, radius, vertices, edges, digest):
+    b = ball(parse_group_spec(text), radius)
+    assert (b.n_vertices, b.n_edges) == (vertices, edges)
+    assert hashlib.sha256(b.export_edge_list().encode()).hexdigest() == digest
 
 
 def test_export_edge_list_header():

@@ -93,7 +93,8 @@ def test_exact_counts_switch_to_python_ints_past_int64(kind):
 def test_srw_exact_small_values():
     b = ball(Z5Z5, 4)
     kt = srw_kernel(b, 4, exact=True)
-    a = b.index[((0, 1),)]
+    a = 1  # the first generator's step from the root
+    assert b.word(a) == ((0, 1),)
     assert kt.prob(1, a) == Fraction(1, 4)
     assert kt.prob(2, 0) == Fraction(1, 4)
     assert kt.prob(0, 0) == 1

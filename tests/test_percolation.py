@@ -191,9 +191,10 @@ def _pair_counts_oracle(b, max_dist):
     pairs (x, y) of the ball with |x| = r1, |y| = r2 and |x^{-1} y| = r."""
     spec = b.spec
     counts = np.zeros((b.radius + 1, b.radius + 1, max_dist + 1), dtype=np.int64)
-    inverses = [inverse(spec, w) for w in b.words]
+    words = [b.word(v) for v in range(b.n_vertices)]
+    inverses = [inverse(spec, w) for w in words]
     for i, wi in enumerate(inverses):
-        for j, wj in enumerate(b.words):
+        for j, wj in enumerate(words):
             dij = word_length(spec, multiply(spec, wi, wj))
             if dij <= max_dist:
                 counts[b.dist[i], b.dist[j], dij] += 1

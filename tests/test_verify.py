@@ -254,7 +254,7 @@ def test_certificate_kernel_entries_match_entry_scan():
         for chk in (list(check_nbw_le_srw_tail(b, n_check, rho_ub, srw=srw, nbw=nbw)),
                     list(check_nbw_le_rho_power(b, n_check, rho_ub, nbw=nbw))):
             worst = min(chk, key=lambda e: e.margin)
-            word = word_str(b.spec, b.words[worst.params["x"]])
+            word = word_str(b.spec, b.word(worst.params["x"]))
             want = Entry(chk[0].check, "walk-kernel inequality", point(worst.lhs),
                          point(worst.rhs), False,
                          note=f"worst margin at n={worst.params['n']} x={word} "
