@@ -17,7 +17,7 @@ import numpy as np
 
 from . import branching
 from .groups import Ball, GroupSpec, ball as build_ball
-from .rng import trial_rng
+from .rng import trial_rng, trial_uniforms
 from .stats import (
     Estimate,
     ExponentFit,
@@ -26,36 +26,6 @@ from .stats import (
     mean_estimate,
     stderr,
 )
-
-
-class UnionFind:
-    """Disjoint sets with path halving and union by size."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return
-        if self.size[rx] < self.size[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        self.size[rx] += self.size[ry]
-
-    def component_size(self, x: int) -> int:
-        return self.size[self.find(x)]
-
-    def partition(self) -> list[int]:
-        return [self.find(i) for i in range(len(self.parent))]
 
 
 def edge_uniforms(ball: Ball, seed: int, trial: int) -> np.ndarray:
@@ -69,53 +39,33 @@ def open_mask(ball: Ball, p: float, seed: int, trial: int) -> np.ndarray:
     return edge_uniforms(ball, seed, trial) < p
 
 
-def root_cluster(ball: Ball, open_edges: np.ndarray, stop_at_boundary: bool = False):
-    """BFS the open cluster of the root.
-
-    Returns (members list, touched_boundary).  With stop_at_boundary the
-    search exits as soon as the radius-R sphere is reached (crossing
-    queries do not need the full cluster).
-    """
+def _reaches(ball: Ball, open_edges: np.ndarray, targets: bytes) -> bool:
+    """Whether the open cluster of the root holds a vertex v with
+    targets[v]: a BFS that stops at the first such vertex."""
+    if targets[0]:
+        return True
     adj = ball.adj
-    dist = ball.dist
-    radius = ball.radius
+    open_edges = memoryview(open_edges)  # Python bools, not numpy scalars
     seen = bytearray(ball.n_vertices)
     seen[0] = 1
-    members = [0]
-    touched = radius == 0
     queue = deque([0])
     while queue:
-        u = queue.popleft()
-        for v, a in adj[u]:
+        for v, a in adj[queue.popleft()]:
             if not seen[v] and open_edges[a >> 1]:
+                if targets[v]:
+                    return True
                 seen[v] = 1
-                members.append(v)
-                if dist[v] == radius:
-                    touched = True
-                    if stop_at_boundary:
-                        return members, True
                 queue.append(v)
-    return members, touched
-
-
-def cluster_partition(ball: Ball, open_edges: np.ndarray) -> list[int]:
-    """Full cluster partition by union-find (root representative per vertex)."""
-    uf = UnionFind(ball.n_vertices)
-    for eid, (u, v) in enumerate(ball.edges()):
-        if open_edges[eid]:
-            uf.union(u, v)
-    return uf.partition()
+    return False
 
 
 def crossing_probability(ball: Ball, p: float, trials: int, seed: int) -> Estimate:
     """Monte Carlo P_p(root <-> radius-R sphere) with Wilson interval."""
     if p == 0.0 and ball.radius > 0:
         return Estimate(0.0, 0.0, 0.0, trials)
-    hits = 0
-    for t in range(trials):
-        mask = open_mask(ball, p, seed, t)
-        _, touched = root_cluster(ball, mask, stop_at_boundary=True)
-        hits += touched
+    boundary = bytes(d == ball.radius for d in ball.dist)
+    hits = sum(_reaches(ball, u < p, boundary)
+               for u in trial_uniforms(seed, range(trials), ball.n_edges))
     return binomial_estimate(hits, trials)
 
 
@@ -125,8 +75,10 @@ def crossing_threshold(ball: Ball, uniforms: np.ndarray) -> float:
     crosses at p iff it is < p.  Bottleneck Dijkstra keyed on the path
     maximum, stopping at the first radius-R vertex popped."""
     adj, dist, radius = ball.adj, ball.dist, ball.radius
-    u = uniforms.tolist()
-    best = [-math.inf] + [2.0] * (ball.n_vertices - 1)  # 2.0: above every uniform
+    u = memoryview(uniforms)  # Python floats, not numpy scalars
+    # the few vertices reached so far; an absent one stands at 2.0, above
+    # every uniform
+    best = {0: -math.inf}
     heap = [(-math.inf, 0)]
     while heap:
         m, x = heapq.heappop(heap)
@@ -135,8 +87,10 @@ def crossing_threshold(ball: Ball, uniforms: np.ndarray) -> float:
         if dist[x] == radius:
             return m
         for y, a in adj[x]:
-            w = max(u[a >> 1], m)
-            if w < best[y]:
+            w = u[a >> 1]
+            if w < m:
+                w = m
+            if w < best.get(y, 2.0):
                 best[y] = w
                 heapq.heappush(heap, (w, y))
     return math.inf
@@ -161,20 +115,21 @@ def estimate_pc(
 ) -> PcEstimate:
     """Bisection of the empirical crossing curve against theta_star.
 
-    Trial t draws `edge_uniforms(ball, seed, t)` once; an edge is open at p
-    iff its uniform is < p, so the trial crosses at p iff its
-    `crossing_threshold` thr_t < p (thr_t = -inf at radius 0), and the
-    curve #{t: thr_t < p} / trials is exactly non-decreasing in p.  The
-    interval is widened so both ends are consistent with the observed
-    Wilson bands.  Raises ValueError unless 0 < theta_star < 1 and
-    trials >= 1.
+    Trial t draws its `edge_uniforms(ball, seed, t)` once, through
+    `trial_uniforms`; an edge is open at p iff its uniform is < p, so the
+    trial crosses at p iff its `crossing_threshold` thr_t < p
+    (thr_t = -inf at radius 0), and the curve #{t: thr_t < p} / trials is
+    exactly non-decreasing in p.  The interval is widened so both ends are
+    consistent with the observed Wilson bands.  Raises ValueError unless
+    0 < theta_star < 1 and trials >= 1.
     """
     if not 0.0 < theta_star < 1.0:
         raise ValueError("theta_star must be in (0, 1)")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     b = build_ball(spec, radius)
-    thr = np.array([crossing_threshold(b, edge_uniforms(b, seed, t)) for t in range(trials)])
+    thr = np.array([crossing_threshold(b, u)
+                    for u in trial_uniforms(seed, range(trials), b.n_edges)])
 
     def crossing(p: float) -> Estimate:
         return binomial_estimate(int(np.count_nonzero(thr < p)), trials)
@@ -203,12 +158,12 @@ def two_point(
     ball: Ball, p: float, x: int, trials: int, seed: int
 ) -> tuple[Estimate, float | None]:
     """MC estimate of P_p(0 <-> x) for vertex index x; second value is the
-    exact tree closed form p^dist(x) when the spec is a tree."""
-    hits = 0
-    for t in range(trials):
-        mask = open_mask(ball, p, seed, t)
-        members, _ = root_cluster(ball, mask)
-        hits += x in members
+    exact tree closed form p^dist(x) when the spec is a tree.  Each trial
+    searches the root's cluster only until it meets x."""
+    target = bytearray(ball.n_vertices)
+    target[x] = 1
+    hits = sum(_reaches(ball, u < p, target)
+               for u in trial_uniforms(seed, range(trials), ball.n_edges))
     exact = p ** ball.dist[x] if ball.spec.is_tree else None
     return binomial_estimate(hits, trials), exact
 

@@ -7,8 +7,33 @@ and across platforms, and trials can run in any order.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
+
 import numpy as np
 
 
+def _key(master_seed: int, stream: int) -> np.ndarray:
+    # an exact uint64 array: a Python list holding a word >= 2**63 would
+    # pass through float64 in numpy's key conversion
+    return np.array([master_seed & (2**64 - 1), stream], dtype=np.uint64)
+
+
 def trial_rng(master_seed: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[master_seed & (2**64 - 1), stream]))
+    return np.random.Generator(np.random.Philox(key=_key(master_seed, stream)))
+
+
+def trial_uniforms(master_seed: int, streams: Iterable[int], n: int) -> Iterator[np.ndarray]:
+    """For each t in `streams` the first n doubles of
+    `trial_rng(master_seed, t)`, bit for bit.
+
+    A Philox stream is fixed by its key and counter, so one generator,
+    re-keyed per stream through its `state` setter (counter 0, empty
+    buffer), replaces a fresh generator per trial and its entropy pull.
+    """
+    bits = np.random.Philox(key=_key(master_seed, 0))
+    fresh = bits.state
+    gen = np.random.Generator(bits)
+    for t in streams:
+        fresh["state"]["key"] = _key(master_seed, t)
+        bits.state = fresh
+        yield gen.random(n)

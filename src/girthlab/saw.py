@@ -6,22 +6,25 @@ groups is a tree of blocks (lines, single edges and m-cycles), so a SAW
 is fixed by its endpoint's normal-form word plus, for each m-cycle
 syllable, which way round the cycle it went.  A word's walk counts are
 the product of one polynomial per syllable, so `enumerate_saw` extends
-whole classes of words sharing a polynomial at once, with exact integer
-counts.  Endpoint law, speed and bubble are sums over those classes;
-mu bounds and chi read the counts.  chi has one path, `susceptibility_saw`:
-the closed form on trees, else the census sum plus a submultiplicative
-tail.  Rosenbluth sampling covers lengths beyond the enumeration
-ceiling with the same block structure: a growing walk's unvisited
-neighbours depend only on its current block and the steps taken in it,
-so all trials advance together as a chain of small integer states, with
-no words built.  It is cross-checked against the census and an exact
-law in tests.
+whole classes of words sharing a last factor and a polynomial at once,
+keeping only how many words each class holds: exact integer counts and
+no words.  Endpoint law, speed and bubble are sums over those classes;
+mu bounds and chi read the counts; the endpoint words are built only
+when `SawCensus.endpoint_counts` is first read.  chi has one path,
+`susceptibility_saw`: the closed form on trees, else the census sum
+plus a submultiplicative tail.  Rosenbluth sampling covers lengths
+beyond the enumeration ceiling with the same block structure: a growing
+walk's unvisited neighbours depend only on its current block and the
+steps taken in it, so all trials advance together as a chain of small
+integer states, with no words built.  It is cross-checked against the
+census and an exact law in tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,8 +39,29 @@ class SawCensus:
     spec: GroupSpec
     n_max: int
     counts: list[int]  # c_n, exact
-    endpoint_counts: list[dict[Word, int]]  # per n: endpoint word -> c_n(x)
     classes: list[tuple[int, dict[int, int]]]  # (number of words, {n: c_n(x)}) per polynomial
+
+    @cached_property
+    def endpoint_counts(self) -> list[dict[Word, int]]:
+        """Per n: endpoint word -> c_n(x), built on first read by a
+        depth-first pass over the classes of `enumerate_saw` that carries
+        their words.  Each child word is hashed once and copied into every
+        ``endpoint_counts[n]`` by dict operations; dict order is not part
+        of the result."""
+        endpoint_counts: list[dict[Word, int]] = [{} for _ in range(self.n_max + 1)]
+        endpoint_counts[0][()] = 1
+        # pending classes: (words, their last factor, {n: c_n(word)})
+        stack: list[tuple[list[Word], int, dict[int, int]]] = [([()], -1, {0: 1})]
+        while stack:
+            words, last, poly = stack.pop()
+            for f, tails, child in _children(self.spec, self.n_max, last, poly):
+                xs = [w + tail for w in words for tail in tails]
+                keys = xs  # later copies reuse the stored hashes
+                for n, c in child.items():
+                    keys = dict.fromkeys(keys, c)
+                    endpoint_counts[n].update(keys)
+                stack.append((xs, f, child))
+        return endpoint_counts
 
     def sup_endpoint_probability(self, n: int) -> float:
         self._require_walks(n)
@@ -53,6 +77,32 @@ class SawCensus:
                              f"{self.spec.describe()}: c_{n} = 0")
 
 
+def _children(spec: GroupSpec, n_max: int, last: int, poly: dict[int, int]):
+    """The one-syllable extensions of a class of words with last factor
+    `last` and walk counts `poly`, as (factor f, the syllables, the child
+    polynomial truncated at z^n_max): an arc of s steps in f or, on an
+    m-cycle, also one of t = m - s steps the other way, so the child is
+    poly * (z^s + z^t).  Only children of length <= n_max are listed."""
+    room = n_max - min(poly)
+    for f, m in enumerate(spec.orders):
+        if f == last:
+            continue
+        if m is None:
+            arcs = [(k, 0, (((f, k),), ((f, -k),))) for k in range(1, room + 1)]
+        elif m == 2:
+            arcs = [(1, 0, (((f, 1),),))] if room else []
+        else:
+            arcs = [(e, m - e, (((f, e),),) if 2 * e == m else (((f, e),), ((f, m - e),)))
+                    for e in range(1, min(m // 2, room) + 1)]
+        for s, t, tails in arcs:
+            child = {n + s: c for n, c in poly.items() if n + s <= n_max}
+            if t:
+                for n, c in poly.items():
+                    if n + t <= n_max:
+                        child[n + t] = child.get(n + t, 0) + c
+            yield f, tails, child
+
+
 def enumerate_saw(spec: GroupSpec, n_max: int) -> SawCensus:
     """Exact census of self-avoiding walks from the identity, n <= n_max.
 
@@ -65,63 +115,30 @@ def enumerate_saw(spec: GroupSpec, n_max: int) -> SawCensus:
     length when 2e = m).  c_n(x) is the z^n coefficient of the product
     of these per-syllable polynomials.
 
-    A depth-first pass extends classes of words sharing a last factor and
-    a polynomial truncated at n_max: per (class, syllable group) the child
-    polynomial is computed once and the child words are hashed once and
-    copied into each ``endpoint_counts[n]`` by dict operations, with no
-    Python-level step per (word, n) entry.  Counts are exact Python
-    integers; the order of each ``endpoint_counts[n]`` is not part of the
-    result.  A word's length is its polynomial's lowest power.
+    No word is built.  A class, the words sharing a last factor and a
+    polynomial truncated at n_max, is kept as its number of words; a
+    child class has its parent's number times that of the syllables
+    taking its arc (2 for ``Z`` +-k and ``Zm`` e != m/2, 1 for ``Z2`` and
+    the even-m antipode).  Classes are expanded in order of their lowest
+    power (the words' length), so each is complete before it is expanded.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    # per factor: (s, t, one-syllable words): an arc of s steps or, on an
-    # m-cycle, also one of t = m - s steps the other way; s ascends, s <= t
-    moves = []
-    for f, m in enumerate(spec.orders):
-        if m is None:
-            groups = [(k, None, (((f, k),), ((f, -k),))) for k in range(1, n_max + 1)]
-        elif m == 2:
-            groups = [(1, None, (((f, 1),),))]
-        else:
-            groups = [(e, m - e, (((f, e),),) if 2 * e == m else (((f, e),), ((f, m - e),)))
-                      for e in range(1, m // 2 + 1)]
-        moves.append((f, groups))
-    endpoint_counts: list[dict[Word, int]] = [{} for _ in range(n_max + 1)]
-    endpoint_counts[0][()] = 1
+    # per length: (last factor, sorted polynomial items) -> number of words
+    by_lo: list[dict] = [{} for _ in range(n_max + 1)]
+    by_lo[0][(-1, ((0, 1),))] = 1
     # sorted polynomial items -> number of endpoint words with that polynomial
-    sizes: dict[tuple[tuple[int, int], ...], int] = {((0, 1),): 1}
-    # pending classes: (words, their last factor, {n: c_n(word)}, lowest such n)
-    stack: list[tuple[list[Word], int, dict[int, int], int]] = [([()], -1, {0: 1}, 0)]
-    while stack:
-        words, last, poly, lo = stack.pop()
-        for f, groups in moves:
-            if f == last:
-                continue
-            for s, t, tails in groups:
-                child_lo = lo + s
-                if child_lo > n_max:
-                    break
-                cut = n_max - s
-                child = {n + s: c for n, c in poly.items() if n <= cut}
-                if t is not None:
-                    cut = n_max - t
-                    for n, c in poly.items():
-                        if n <= cut:
-                            child[n + t] = child.get(n + t, 0) + c
-                xs = [w + tail for w in words for tail in tails]
-                # each word is hashed once; later copies reuse the stored hashes
-                keys = xs
-                for n, c in child.items():
-                    keys = dict.fromkeys(keys, c)
-                    endpoint_counts[n].update(keys)
-                items = tuple(sorted(child.items()))
-                sizes[items] = sizes.get(items, 0) + len(xs)
-                if child_lo < n_max:
-                    stack.append((xs, f, child, child_lo))
+    sizes: dict[tuple[tuple[int, int], ...], int] = {}
+    for pending in by_lo:
+        for (last, items), size in pending.items():
+            sizes[items] = sizes.get(items, 0) + size
+            for f, tails, child in _children(spec, n_max, last, dict(items)):
+                key = (f, tuple(sorted(child.items())))
+                bucket = by_lo[key[1][0][0]]
+                bucket[key] = bucket.get(key, 0) + size * len(tails)
     classes = [(size, dict(items)) for items, size in sizes.items()]
     counts = [sum(size * poly.get(n, 0) for size, poly in classes) for n in range(n_max + 1)]
-    return SawCensus(spec, n_max, counts, endpoint_counts, classes)
+    return SawCensus(spec, n_max, counts, classes)
 
 
 @dataclass

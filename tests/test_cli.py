@@ -1,5 +1,6 @@
 """CLI behaviour: outputs, determinism, exit codes and plots."""
 
+import hashlib
 import json
 import re
 import shlex
@@ -267,6 +268,22 @@ def test_readme_config_block(tmp_path, capsys):
                 assert f"lhs=[{e['lhs_lo']}, {e['lhs']}] rhs=[{e['rhs']}, {e['rhs_hi']}]" in line
                 assert line.endswith(f"note: {e['note']}" if e["note"] else "]"), line
     assert "rhs=[1.0, 1.0]" in printed[("Z5*Z5", "perccond")]
+
+
+def test_readme_certificate_golden_digest():
+    # a speed-up must leave the README-config certificate byte-identical
+    block = re.search(r"```ini\n(.*?)```", README, re.S).group(1)
+    doc = run_certificate(parse_verify_config(block)).to_json(include_meta=False)
+    assert (hashlib.sha256(doc.encode()).hexdigest()
+            == "dd12363689cf79cb4efd6ff7b9fbdeac9a028c6850877b9d19bc87b18e2e9c41")
+
+
+def test_saw_census_golden_csv(tmp_path):
+    assert run(["saw", "--spec", "Z5*Z5", "--nmax", "12"], tmp_path) == 0
+    data = (tmp_path / "census_Z5xZ5.csv").read_bytes()
+    assert data.decode().splitlines()[-1] == "12,659376"
+    assert (hashlib.sha256(data).hexdigest()
+            == "f1bd002acc889ddaa5ebdccf3af6454117fa53b5caa78f019b3ffaacb08465cf")
 
 
 def test_readme_cli_block(tmp_path, monkeypatch, capsys):

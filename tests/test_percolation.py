@@ -1,5 +1,7 @@
 """Percolation estimators cross-checked against the branching oracle."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +9,6 @@ from hypothesis import given, settings, strategies as st
 from girthlab import branching, percolation
 from girthlab.groups import ball, inverse, multiply, parse_group_spec, word_length
 from girthlab.percolation import (
-    UnionFind,
-    cluster_partition,
     cluster_size_tail,
     crossing_probability,
     crossing_threshold,
@@ -19,7 +19,6 @@ from girthlab.percolation import (
     nonuniqueness_witness,
     open_mask,
     oracle_witness_radius,
-    root_cluster,
     susceptibility,
     tree_triangle_exact,
     two_point,
@@ -27,6 +26,71 @@ from girthlab.percolation import (
 
 F2 = parse_group_spec("Z*Z")
 Z5Z5 = parse_group_spec("Z5*Z5")
+
+
+class UnionFind:
+    """Disjoint sets with path halving and union by size."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.size = [1] * n
+
+    def find(self, x: int) -> int:
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, x: int, y: int) -> None:
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return
+        if self.size[rx] < self.size[ry]:
+            rx, ry = ry, rx
+        self.parent[ry] = rx
+        self.size[rx] += self.size[ry]
+
+    def component_size(self, x: int) -> int:
+        return self.size[self.find(x)]
+
+    def partition(self) -> list[int]:
+        return [self.find(i) for i in range(len(self.parent))]
+
+
+def root_cluster(ball, open_edges):
+    """The whole open cluster of the root by BFS: the oracle for the
+    searches of `crossing_probability` and `two_point`, which stop early.
+
+    Returns (members list, touched_boundary).
+    """
+    adj = ball.adj
+    dist = ball.dist
+    radius = ball.radius
+    seen = bytearray(ball.n_vertices)
+    seen[0] = 1
+    members = [0]
+    touched = radius == 0
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        for v, a in adj[u]:
+            if not seen[v] and open_edges[a >> 1]:
+                seen[v] = 1
+                members.append(v)
+                if dist[v] == radius:
+                    touched = True
+                queue.append(v)
+    return members, touched
+
+
+def cluster_partition(ball, open_edges) -> list[int]:
+    """Full cluster partition by union-find (root representative per vertex)."""
+    uf = UnionFind(ball.n_vertices)
+    for eid, (u, v) in enumerate(ball.edges()):
+        if open_edges[eid]:
+            uf.union(u, v)
+    return uf.partition()
 
 
 def test_union_find_components():
@@ -166,15 +230,31 @@ def test_threshold_count_equals_crossing_hits(spec, radius, seed, p, pick):
 
 def test_estimate_pc_draws_each_trial_once(monkeypatch):
     streams = []
-    real = percolation.trial_rng
+    real = percolation.trial_uniforms
 
-    def counting(seed, stream):
-        streams.append(stream)
-        return real(seed, stream)
+    def counting(seed, ids, n):
+        ids = list(ids)
+        for t, u in zip(ids, real(seed, ids, n)):
+            streams.append(t)
+            yield u
 
-    monkeypatch.setattr(percolation, "trial_rng", counting)
+    monkeypatch.setattr(percolation, "trial_uniforms", counting)
     estimate_pc(Z5Z5, 4, 30, seed=3)
     assert sorted(streams) == list(range(30))
+
+
+@given(st.sampled_from(["Z*Z", "Z5*Z5", "Z2*Z3", "Z4*Z"]), st.integers(0, 4),
+       st.floats(0.0, 1.0), st.integers(0, 10**6), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_early_stops_equal_whole_cluster(spec, radius, p, pick, seed):
+    b = ball(parse_group_spec(spec), radius)
+    x = pick % b.n_vertices
+    trials = 20
+    hits = sum(x in root_cluster(b, open_mask(b, p, seed, t))[0] for t in range(trials))
+    est, _ = two_point(b, p, x, trials, seed)
+    assert est.value == hits / trials
+    touched = sum(root_cluster(b, open_mask(b, p, seed, t))[1] for t in range(trials))
+    assert crossing_probability(b, p, trials, seed).value == touched / trials
 
 
 # --- triangle diagram -------------------------------------------------------

@@ -132,6 +132,26 @@ def test_census_z5z5_n12():
         1, 4, 12, 36, 108, 304, 872, 2464, 6936, 19376, 53920, 149456, 413104]
 
 
+def test_census_builds_no_words():
+    # the counts, mu, speed, endpoint sup and census bubble read the
+    # classes alone; `endpoint_counts`, the only place words are built,
+    # is cached in the instance on its first read
+    census = enumerate_saw(Z5Z5, 8)
+    fresh = enumerate_saw(Z5Z5, 8)
+    connective_constant(fresh)
+    speed_exact(fresh, 8)
+    fresh.sup_endpoint_probability(8)
+    bubble_diagram(Z5Z5, 0.2, 8, census=fresh, rho_ub=0.9)
+    assert "endpoint_counts" not in vars(fresh)
+    # built on first read, then kept; it matches the walk-by-walk oracle
+    assert fresh.endpoint_counts == dfs_census(Z5Z5, 8)[1]
+    assert fresh.endpoint_counts is fresh.endpoint_counts
+    # equality and repr ignore whether the words have been built
+    assert "endpoint_counts" not in vars(census)
+    assert census == fresh and repr(census) == repr(fresh)
+    assert census != enumerate_saw(Z5Z5, 7)
+
+
 def test_census_validation():
     with pytest.raises(ValueError):
         enumerate_saw(F2, -1)
