@@ -8,11 +8,14 @@ probability and mean cluster size are computed here without any graph.
 Critical-cluster sizes are sampled as branching-process total progeny,
 one whole generation per round: the k vertices of a generation have
 Binomial((d-1)k, p) children between them, because a sum of k
-independent Binomial(d-1, p) counts is Binomial((d-1)k, p).  So each
-round costs one binomial draw per trial still alive, and a trial stops
-when its generation is empty or is censored as soon as the vertices
-counted so far exceed the cap.  These samples serve as the independent
-check for the graph-based percolation estimators.
+independent Binomial(d-1, p) counts is Binomial((d-1)k, p).  A trial
+stops when its generation is empty, or is censored as soon as the
+vertices counted so far exceed the cap; either way its generation is
+then 0, and a Binomial(0, p) draw returns 0 without reading the stream.
+So a round costs one numpy binomial call over a chunk's rows, draws only
+for the trials still alive, and leaves the finished rows in place until
+fewer than half the rows are alive.  These samples serve as the
+independent check for the graph-based percolation estimators.
 """
 
 from __future__ import annotations
@@ -38,27 +41,6 @@ def crossing_probability_exact(d: int, p: float, radius: int) -> float:
     for _ in range(radius - 1):
         a = (1.0 - p + p * a) ** (d - 1)
     return 1.0 - (1.0 - p + p * a) ** d
-
-
-def _branch_survival_bisection(d: int, p: float, tol: float = FIXED_POINT_TOL) -> float:
-    """The fixed point of `branch_survival` located by bisection on
-    f(t) = 1-(1-pt)^(d-1) - t: the tests' second opinion."""
-
-    def f(t: float) -> float:
-        return 1.0 - (1.0 - p * t) ** (d - 1) - t
-
-    # f(0) = 0 always; the survival root is the positive zero when it exists.
-    # f is concave on [0,1], so f > 0 just right of 0 iff supercritical.
-    lo, hi = tol, 1.0
-    if f(lo) <= 0.0:
-        return 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def branch_survival(d: int, p: float) -> float:
@@ -123,7 +105,9 @@ def total_progeny_samples(
     reported as n_max + 1: that already proves T > n_max, and it stands
     in for the boundary-touch flag of ball-based sampling.  So every
     sample is min(T, n_max + 1), exactly.  Cost: one binomial draw per
-    alive trial per generation, O(sum over generations of alive trials).
+    alive trial per generation; a finished trial's row holds generation
+    0 and draws nothing until the rows are compacted, which happens once
+    fewer than half of them are alive.
 
     Deterministic in (seed, trial index): trials are processed in fixed
     chunks of `_PROGENY_CHUNK`, each with its own counter-based stream
@@ -140,20 +124,19 @@ def total_progeny_samples(
     for start in range(0, trials, _PROGENY_CHUNK):
         stop = min(start + _PROGENY_CHUNK, trials)
         rng = trial_rng(seed, start // _PROGENY_CHUNK)
-        # per alive trial: its index in out, its vertices before the newest
-        # generation, and the newest generation's size
+        # per row: its index in out, its vertices before the newest
+        # generation, and the newest generation's size, 0 once it is done
         idx = np.arange(start, stop)
         size = np.ones(stop - start, dtype=np.int64)
         frontier = rng.binomial(d, p, size=stop - start)
         while idx.size:
             size += frontier
-            capped = size > n_max
-            ended = (frontier == 0) & ~capped
-            out[idx[capped]] = n_max + 1
-            out[idx[ended]] = size[ended]
-            alive = ~(capped | ended)
-            idx, size = idx[alive], size[alive]
-            frontier = rng.binomial((d - 1) * frontier[alive], p)
+            frontier[size > n_max] = 0
+            if 2 * np.count_nonzero(frontier) < idx.size:
+                live = frontier > 0
+                out[idx[~live]] = np.minimum(size[~live], n_max + 1)
+                idx, size, frontier = idx[live], size[live], frontier[live]
+            frontier = rng.binomial((d - 1) * frontier, p)
     return out
 
 

@@ -115,27 +115,8 @@ def normal_form(spec: GroupSpec, syllables) -> Word:
     return w
 
 
-def multiply(spec: GroupSpec, a: Word, b: Word) -> Word:
-    w = a
-    for syl in b:
-        w = append_syllable(spec, w, *syl)
-    return w
-
-
 def inverse(spec: GroupSpec, w: Word) -> Word:
     return normal_form(spec, ((f, -e) for f, e in reversed(w)))
-
-
-def word_length(spec: GroupSpec, w: Word) -> int:
-    """Graph distance from the identity to w in the Cayley graph.
-
-    Each syllable contributes its distance inside the factor's cycle/line.
-    """
-    total = 0
-    for factor, exp in w:
-        m = spec.orders[factor]
-        total += abs(exp) if m is None else min(exp, m - exp)
-    return total
 
 
 def word_str(spec: GroupSpec, w: Word) -> str:
@@ -212,6 +193,13 @@ class Ball:
         for a, (u, v) in enumerate(zip(self.arc_tail.tolist(), self.arc_head.tolist())):
             adj[u].append((v, a))
         return adj
+
+    @cached_property
+    def edge_ends(self) -> list[int]:
+        """edge_ends[x] = the number of edges whose tail is <= x.  Edges are
+        ordered by tail, so every arc at x belongs to an edge below it."""
+        tails = self.arc_tail[::2]
+        return np.searchsorted(tails, np.arange(self.n_vertices), side="right").tolist()
 
     def export_edge_list(self) -> str:
         lines = [

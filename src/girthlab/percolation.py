@@ -17,7 +17,7 @@ import numpy as np
 
 from . import branching
 from .groups import Ball, GroupSpec, ball as build_ball
-from .rng import trial_rng, trial_uniforms
+from .rng import trial_rng, trial_streams
 from .stats import (
     Estimate,
     ExponentFit,
@@ -39,19 +39,28 @@ def open_mask(ball: Ball, p: float, seed: int, trial: int) -> np.ndarray:
     return edge_uniforms(ball, seed, trial) < p
 
 
-def _reaches(ball: Ball, open_edges: np.ndarray, targets: bytes) -> bool:
-    """Whether the open cluster of the root holds a vertex v with
-    targets[v]: a BFS that stops at the first such vertex."""
+def _reaches(ball: Ball, p: float, gen: np.random.Generator, targets: bytes) -> bool:
+    """Whether the root's cluster, with edge e open iff the e-th double of
+    `gen` is < p, holds a vertex v with targets[v]: a BFS that stops at the
+    first such vertex.  Before it expands x it draws the doubles up to
+    `ball.edge_ends[x]`, at least doubling what it holds, so a search that
+    stops early leaves the rest of the stream undrawn."""
     if targets[0]:
         return True
-    adj = ball.adj
-    open_edges = memoryview(open_edges)  # Python bools, not numpy scalars
+    adj, ends, n_edges = ball.adj, ball.edge_ends, ball.n_edges
+    uniforms = np.empty(n_edges)
+    u, drawn = memoryview(uniforms), 0  # Python floats, not numpy scalars
     seen = bytearray(ball.n_vertices)
     seen[0] = 1
     queue = deque([0])
     while queue:
-        for v, a in adj[queue.popleft()]:
-            if not seen[v] and open_edges[a >> 1]:
+        x = queue.popleft()
+        if ends[x] > drawn:
+            n = min(max(ends[x], 2 * drawn), n_edges)
+            gen.random(out=uniforms[drawn:n])
+            drawn = n
+        for v, a in adj[x]:
+            if not seen[v] and u[a >> 1] < p:
                 if targets[v]:
                     return True
                 seen[v] = 1
@@ -64,8 +73,7 @@ def crossing_probability(ball: Ball, p: float, trials: int, seed: int) -> Estima
     if p == 0.0 and ball.radius > 0:
         return Estimate(0.0, 0.0, 0.0, trials)
     boundary = bytes(d == ball.radius for d in ball.dist)
-    hits = sum(_reaches(ball, u < p, boundary)
-               for u in trial_uniforms(seed, range(trials), ball.n_edges))
+    hits = sum(_reaches(ball, p, gen, boundary) for gen in trial_streams(seed, range(trials)))
     return binomial_estimate(hits, trials)
 
 
@@ -115,8 +123,8 @@ def estimate_pc(
 ) -> PcEstimate:
     """Bisection of the empirical crossing curve against theta_star.
 
-    Trial t draws its `edge_uniforms(ball, seed, t)` once, through
-    `trial_uniforms`; an edge is open at p iff its uniform is < p, so the
+    Trial t draws its `edge_uniforms(ball, seed, t)` once, whole, through
+    `trial_streams`; an edge is open at p iff its uniform is < p, so the
     trial crosses at p iff its `crossing_threshold` thr_t < p
     (thr_t = -inf at radius 0), and the curve #{t: thr_t < p} / trials is
     exactly non-decreasing in p.  The interval is widened so both ends are
@@ -128,8 +136,8 @@ def estimate_pc(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     b = build_ball(spec, radius)
-    thr = np.array([crossing_threshold(b, u)
-                    for u in trial_uniforms(seed, range(trials), b.n_edges)])
+    thr = np.array([crossing_threshold(b, gen.random(b.n_edges))
+                    for gen in trial_streams(seed, range(trials))])
 
     def crossing(p: float) -> Estimate:
         return binomial_estimate(int(np.count_nonzero(thr < p)), trials)
@@ -162,8 +170,7 @@ def two_point(
     searches the root's cluster only until it meets x."""
     target = bytearray(ball.n_vertices)
     target[x] = 1
-    hits = sum(_reaches(ball, u < p, target)
-               for u in trial_uniforms(seed, range(trials), ball.n_edges))
+    hits = sum(_reaches(ball, p, gen, target) for gen in trial_streams(seed, range(trials)))
     exact = p ** ball.dist[x] if ball.spec.is_tree else None
     return binomial_estimate(hits, trials), exact
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from girthlab.branching import (
-    _branch_survival_bisection,
+    _PROGENY_CHUNK,
     branch_survival,
     critical_probability,
     crossing_probability_exact,
@@ -17,6 +17,8 @@ from girthlab.branching import (
     tail_curve,
     total_progeny_samples,
 )
+from girthlab.rng import trial_rng
+from oracles import branch_survival_bisection
 
 # theta(0.4) on the 4-regular tree, frozen after the two independent
 # fixed-point methods agreed to 1e-12
@@ -53,7 +55,7 @@ def test_survival_zero_at_and_below_critical():
 def test_survival_methods_agree():
     for d, p in ((4, 0.4), (4, 0.35), (3, 0.6), (3, 0.9)):
         a = branch_survival(d, p)
-        b = _branch_survival_bisection(d, p)
+        b = branch_survival_bisection(d, p)
         assert a == pytest.approx(b, abs=1e-9)
         assert 0 < a < 1
 
@@ -173,3 +175,59 @@ def test_tail_curve():
     sizes = np.array([1, 1, 2, 5, 10])
     ns = np.array([1, 2, 5, 6, 11])
     assert tail_curve(sizes, ns) == pytest.approx([1.0, 0.6, 0.4, 0.2, 0.0])
+
+
+# --- the progeny loop against its first form ---------------------------------
+
+def _total_progeny_reference(d, p, n_max, trials, seed):
+    """`total_progeny_samples` as first written: every generation compacts
+    the trials to the ones still alive before their next binomial draw."""
+    chunk = _PROGENY_CHUNK
+    out = np.empty(trials, dtype=np.int64)
+    for start in range(0, trials, chunk):
+        stop = min(start + chunk, trials)
+        rng = trial_rng(seed, start // chunk)
+        idx = np.arange(start, stop)
+        size = np.ones(stop - start, dtype=np.int64)
+        frontier = rng.binomial(d, p, size=stop - start)
+        while idx.size:
+            size += frontier
+            capped = size > n_max
+            ended = (frontier == 0) & ~capped
+            out[idx[capped]] = n_max + 1
+            out[idx[ended]] = size[ended]
+            alive = ~(capped | ended)
+            idx, size = idx[alive], size[alive]
+            frontier = rng.binomial((d - 1) * frontier[alive], p)
+    return out
+
+
+@pytest.mark.parametrize("d,p,n_max,trials,seed", [
+    (4, 1 / 3, 10**4, 10**5, 123),  # the critical benchmark call
+    (4, 1 / 3, 10**4, 10**5, 9),
+    (3, 0.7, 500, 6000, 1),  # supercritical: most trials hit the cap
+    (4, 0.0, 50, 3000, 2),
+    (4, 1.0, 50, 3000, 2),
+    (3, 0.25, 0, 3000, 4),
+    (3, 0.5, 200, 4097, 5),  # one row past a whole chunk
+    (4, 1 / 3, 200, 10, 6),
+])
+def test_progeny_equals_compacting_reference(d, p, n_max, trials, seed):
+    got = total_progeny_samples(d, p, n_max, trials, seed)
+    want = _total_progeny_reference(d, p, n_max, trials, seed)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_binomial_with_zero_trials_draws_nothing():
+    # the progeny loop keeps finished trials as rows with n = 0: this holds
+    # only while numpy's binomial returns 0 for them without a draw, so that
+    # the live rows' values and the stream's end point do not move
+    n = np.array([5, 40, 3, 1, 90, 7])
+    with_zeros = np.zeros(3 * n.size, dtype=n.dtype)
+    with_zeros[1::3] = n
+    for p in (0.3, 0.5, 0.9, 1.0):
+        a, b = trial_rng(8, 1), trial_rng(8, 1)
+        plain, padded = a.binomial(n, p), b.binomial(with_zeros, p)
+        assert np.array_equal(padded[1::3], plain)
+        assert not padded[0::3].any() and not padded[2::3].any()
+        assert a.random(4).tobytes() == b.random(4).tobytes()

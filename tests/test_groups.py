@@ -13,14 +13,13 @@ from girthlab.groups import (
     append_syllable,
     ball,
     inverse,
-    multiply,
     normal_form,
     parse_group_spec,
     tree_sphere_size,
     tree_vertex_count,
-    word_length,
     word_str,
 )
+from oracles import multiply, word_length
 
 F2 = parse_group_spec("Z*Z")
 Z5Z5 = parse_group_spec("Z5*Z5")
@@ -148,6 +147,22 @@ def test_arc_reversal_involution():
     for u, nbrs in enumerate(b.adj):
         for v, a in nbrs:
             assert (b.arc_tail[a], b.arc_head[a]) == (u, v)
+
+
+@given(st.sampled_from(["Z*Z", "Z5*Z5", "Z4*Z4", "Z2*Z3"]), st.integers(0, 6),
+       st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_edge_ends_cover_every_arc(text, radius, pick):
+    # odd middle pairs (Z5) and even antipodes (Z4) add edges between
+    # vertices of one sphere; a lazily drawing trial still reads only
+    # uniforms below edge_ends[x] when it expands x
+    b = ball(parse_group_spec(text), radius)
+    ends = b.edge_ends
+    assert len(ends) == b.n_vertices and ends[-1] == b.n_edges
+    for x, nbrs in enumerate(b.adj):
+        assert all(a >> 1 < ends[x] for _, a in nbrs)
+    x = pick % b.n_vertices
+    assert ends[x] == sum(u <= x for u, _ in b.edges())
 
 
 def _reference_ball(spec, radius):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from girthlab import branching, percolation
-from girthlab.groups import ball, inverse, multiply, parse_group_spec, word_length
+from girthlab.groups import ball, inverse, parse_group_spec
 from girthlab.percolation import (
     cluster_size_tail,
     crossing_probability,
@@ -23,6 +23,8 @@ from girthlab.percolation import (
     tree_triangle_exact,
     two_point,
 )
+from girthlab.stats import binomial_estimate
+from oracles import multiply, word_length
 
 F2 = parse_group_spec("Z*Z")
 Z5Z5 = parse_group_spec("Z5*Z5")
@@ -230,17 +232,53 @@ def test_threshold_count_equals_crossing_hits(spec, radius, seed, p, pick):
 
 def test_estimate_pc_draws_each_trial_once(monkeypatch):
     streams = []
-    real = percolation.trial_uniforms
+    real = percolation.trial_streams
 
-    def counting(seed, ids, n):
+    def counting(seed, ids):
         ids = list(ids)
-        for t, u in zip(ids, real(seed, ids, n)):
+        for t, gen in zip(ids, real(seed, ids)):
             streams.append(t)
-            yield u
+            yield gen
 
-    monkeypatch.setattr(percolation, "trial_uniforms", counting)
+    monkeypatch.setattr(percolation, "trial_streams", counting)
     estimate_pc(Z5Z5, 4, 30, seed=3)
     assert sorted(streams) == list(range(30))
+
+
+def _reaches_full(b, open_edges, targets):
+    """The early-stopping BFS over a whole trial's open-edge mask."""
+    if targets[0]:
+        return True
+    seen, queue = {0}, deque([0])
+    while queue:
+        for v, a in b.adj[queue.popleft()]:
+            if v not in seen and open_edges[a >> 1]:
+                if targets[v]:
+                    return True
+                seen.add(v)
+                queue.append(v)
+    return False
+
+
+def _hits_full(b, p, trials, seed, targets):
+    return sum(_reaches_full(b, open_mask(b, p, seed, t), targets) for t in range(trials))
+
+
+@pytest.mark.parametrize("spec", ["Z*Z", "Z5*Z5", "Z4*Z4", "Z2*Z3"])
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+def test_lazy_draws_equal_full_draws(spec, p):
+    # a trial that draws its uniforms as its search reaches them gets the
+    # hits of one that draws every edge's uniform up front
+    trials = 30
+    for radius in range(6):
+        b = ball(parse_group_spec(spec), radius)
+        boundary = [d == radius for d in b.dist]
+        hits = _hits_full(b, p, trials, 11, boundary)
+        assert crossing_probability(b, p, trials, 11).value == hits / trials
+        for x in {0, 1 % b.n_vertices, b.n_vertices // 2, b.n_vertices - 1}:
+            target = [v == x for v in range(b.n_vertices)]
+            est, _ = two_point(b, p, x, trials, 12)
+            assert est == binomial_estimate(_hits_full(b, p, trials, 12, target), trials)
 
 
 @given(st.sampled_from(["Z*Z", "Z5*Z5", "Z2*Z3", "Z4*Z"]), st.integers(0, 4),

@@ -2,14 +2,14 @@
 
 import pytest
 
-from girthlab.rng import trial_rng, trial_uniforms
+from girthlab.rng import trial_rng, trial_streams
 
 
 @pytest.mark.parametrize("seed", [0, -1, 2**63 + 5, 2**64 - 1])
 @pytest.mark.parametrize("n", [0, 1, 5, 1082])
 def test_trial_uniforms_equal_fresh_streams(seed, n):
     streams = [0, 1, 4095, 10**6]
-    got = list(trial_uniforms(seed, streams, n))
+    got = [gen.random(n) for gen in trial_streams(seed, streams)]
     assert len(got) == len(streams)
     for t, u in zip(streams, got):
         want = trial_rng(seed, t).random(n)
@@ -19,10 +19,22 @@ def test_trial_uniforms_equal_fresh_streams(seed, n):
 
 def test_trial_uniforms_order_and_repeats():
     # each stream starts afresh, whatever was drawn before it
-    a, b, c = trial_uniforms(9, [4, 2, 4], 7)
+    a, b, c = [gen.random(7) for gen in trial_streams(9, [4, 2, 4])]
     assert a.tobytes() == c.tobytes() == trial_rng(9, 4).random(7).tobytes()
     assert b.tobytes() == trial_rng(9, 2).random(7).tobytes()
-    assert list(trial_uniforms(3, range(0), 10)) == []
+    assert list(trial_streams(3, range(0))) == []
+
+
+@pytest.mark.parametrize("a", [0, 1, 3, 5, 64])
+def test_stream_drawn_in_pieces_equals_whole(a):
+    # a trial may stop drawing once it has read enough, or draw on later:
+    # the doubles it reads are the same prefix of its stream either way
+    streams = [0, 3, 2**40]
+    for b in (1, 77):
+        for t, gen in zip(streams, trial_streams(-5, streams)):
+            head, rest = gen.random(a), gen.random(b)
+            whole = trial_rng(-5, t).random(a + b)
+            assert head.tobytes() + rest.tobytes() == whole.tobytes()
 
 
 def test_trial_rng_keys_are_exact_64_bit_words():
