@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import io
 import csv
+import math
 import os
 import sys
 from pathlib import Path
@@ -111,10 +112,9 @@ def cmd_perc(args, outputs: OutputSet) -> int:
     outputs.write(path, _csv_text(["p", "R", "estimate", "ci_lo", "ci_hi", "T", "seed"], rows))
     print(f"wrote {path}")
     if args.pc:
-        est = percolation.estimate_pc(spec, args.R, args.trials, args.seed,
-                                      theta_star=args.theta_star)
+        est = percolation.pc_bracket(b, args.trials, args.seed)
         print(f"pc interval at R={args.R}: [{est.lo:.4f}, {est.hi:.4f}] "
-              f"(theta*={args.theta_star}, finite-size biased)")
+              "(theta*=0.5, finite-size biased)")
     if args.tail:
         if not spec.is_tree:
             raise CliError("--tail runs on tree specs (branching oracle)")
@@ -130,7 +130,7 @@ def cmd_perc(args, outputs: OutputSet) -> int:
 
 def cmd_saw(args, outputs: OutputSet) -> int:
     spec = parse_group_spec(args.spec)
-    if args.rho_ub is not None and (why := rho_ub_problem(spec, args.rho_ub, "--rho-ub")):
+    if not math.isnan(args.rho_ub) and (why := rho_ub_problem(spec, args.rho_ub, "--rho-ub")):
         raise CliError(why)
     census = saw_mod.enumerate_saw(spec, args.nmax)
     rows = [(n, str(census.counts[n])) for n in range(args.nmax + 1)]
@@ -225,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--p-grid", default=None, dest="p_grid")
     pc.add_argument("--trials", type=int, required=True)
     pc.add_argument("--seed", type=int, required=True)
-    pc.add_argument("--theta-star", type=float, default=0.5, dest="theta_star")
     pc.add_argument("--pc", action="store_true", help="bisection interval for pc")
     pc.add_argument("--tail", action="store_true", help="cluster-size tail (tree oracle)")
     pc.add_argument("--nmax", type=int, default=10_000)
@@ -238,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--N", type=int, default=None)
     s.add_argument("--z-grid", default=None, dest="z_grid")
     s.add_argument("--bubble-z", type=float, default=None, dest="bubble_z")
-    s.add_argument("--rho-ub", type=float, default=None, dest="rho_ub")
+    s.add_argument("--rho-ub", type=float, default=math.nan, dest="rho_ub")
     s.add_argument("--trials", type=int, default=0)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", default=None)

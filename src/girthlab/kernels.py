@@ -467,7 +467,7 @@ def series_tail(base, start: int, legs: int = 1, exact: bool = False):
                for j in range(legs))
 
 
-def chained_tail(d: int, rho_ub, x: float, start: int, legs: int) -> float:
+def chained_tail(d: int, rho_ub: float, x: float, start: int, legs: int) -> float:
     """Tail over s >= start of the envelope of `legs` chained two-point
     functions at weight x per step.
 
@@ -476,11 +476,11 @@ def chained_tail(d: int, rho_ub, x: float, start: int, legs: int) -> float:
     d/((d-1)(1-rho)) * sum_n lam^n, lam = x(d-1)rho; chaining `legs` of
     them (the bubble is 2, the triangle 3) gives
     (d/((d-1)(1-rho)))^legs * series_tail(lam, start, legs).  inf when
-    rho_ub is None or lam >= 1.  Raises ValueError if rho_ub is not in
-    (0, 1) or x < 0.
+    lam >= 1; NaN when rho_ub is NaN, the missing upper bound.  Raises
+    ValueError if rho_ub is neither NaN nor in (0, 1), or x < 0.
     """
-    if rho_ub is None:
-        return math.inf
+    if math.isnan(rho_ub):
+        return math.nan
     if not 0 < rho_ub < 1:
         raise ValueError("need 0 < rho_ub < 1")
     pref = d / ((d - 1) * (1.0 - rho_ub))

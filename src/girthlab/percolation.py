@@ -1,9 +1,9 @@
 """Bond percolation on Cayley balls with exact tree oracles.
 
-Monte Carlo estimators (crossing probability, two-point function, cluster
-statistics) run on explicit balls; on tree specs every estimator has an
-exact branching-process counterpart in `branching`, which the tests use
-as the independent oracle.
+Monte Carlo estimators (crossing probability, p_c bracket, two-point
+function, cluster statistics) run on explicit balls, which one caller can
+share; on tree specs every estimator has an exact branching-process
+counterpart in `branching`, which the tests use as the independent oracle.
 """
 
 from __future__ import annotations
@@ -69,7 +69,9 @@ def _reaches(ball: Ball, p: float, gen: np.random.Generator, targets: bytes) -> 
 
 
 def crossing_probability(ball: Ball, p: float, trials: int, seed: int) -> Estimate:
-    """Monte Carlo P_p(root <-> radius-R sphere) with Wilson interval."""
+    """Monte Carlo P_p(root <-> radius-R sphere) with Wilson interval (trials >= 1)."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if p == 0.0 and ball.radius > 0:
         return Estimate(0.0, 0.0, 0.0, trials)
     boundary = bytes(d == ball.radius for d in ball.dist)
@@ -114,14 +116,8 @@ class PcEstimate:
 _PC_TOL = 0.02
 
 
-def estimate_pc(
-    spec: GroupSpec,
-    radius: int,
-    trials: int,
-    seed: int,
-    theta_star: float = 0.5,
-) -> PcEstimate:
-    """Bisection of the empirical crossing curve against theta_star.
+def pc_bracket(ball: Ball, trials: int, seed: int) -> PcEstimate:
+    """Bisection of the empirical crossing curve on `ball` against 1/2.
 
     Trial t draws its `edge_uniforms(ball, seed, t)` once, whole, through
     `trial_streams`; an edge is open at p iff its uniform is < p, so the
@@ -129,14 +125,9 @@ def estimate_pc(
     (thr_t = -inf at radius 0), and the curve #{t: thr_t < p} / trials is
     exactly non-decreasing in p.  The interval is widened so both ends are
     consistent with the observed Wilson bands.  Raises ValueError unless
-    0 < theta_star < 1 and trials >= 1.
+    trials >= 1 (`binomial_estimate` raises it at the first bisection step).
     """
-    if not 0.0 < theta_star < 1.0:
-        raise ValueError("theta_star must be in (0, 1)")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    b = build_ball(spec, radius)
-    thr = np.array([crossing_threshold(b, gen.random(b.n_edges))
+    thr = np.array([crossing_threshold(ball, gen.random(ball.n_edges))
                     for gen in trial_streams(seed, range(trials))])
 
     def crossing(p: float) -> Estimate:
@@ -145,21 +136,26 @@ def estimate_pc(
     lo, hi = 0.0, 1.0
     while hi - lo > _PC_TOL:
         mid = 0.5 * (lo + hi)
-        if crossing(mid).value >= theta_star:
+        if crossing(mid).value >= 0.5:
             hi = mid
         else:
             lo = mid
-    # widen each end until its Wilson interval clears theta*, so MC
+    # widen each end until its Wilson interval clears 1/2, so MC
     # noise at the bisection budget never yields a false point estimate
     for _ in range(10):
-        if lo <= 0.0 or crossing(lo).ci_hi < theta_star:
+        if lo <= 0.0 or crossing(lo).ci_hi < 0.5:
             break
         lo = max(0.0, lo - _PC_TOL)
     for _ in range(10):
-        if hi >= 1.0 or crossing(hi).ci_lo > theta_star:
+        if hi >= 1.0 or crossing(hi).ci_lo > 0.5:
             break
         hi = min(1.0, hi + _PC_TOL)
     return PcEstimate(lo, hi)
+
+
+def estimate_pc(spec: GroupSpec, radius: int, trials: int, seed: int) -> PcEstimate:
+    """`pc_bracket` on a new radius-`radius` ball of `spec`."""
+    return pc_bracket(build_ball(spec, radius), trials, seed)
 
 
 def two_point(

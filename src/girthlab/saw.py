@@ -295,9 +295,9 @@ def _chi_tail_census(census: SawCensus, z: float, truncation: int) -> float:
 def _check_sum_inputs(spec: GroupSpec, zs: list[float], truncation: int,
                       census: SawCensus | None) -> None:
     """Reject inputs `susceptibility_saw` and `bubble_diagram` cannot sum:
-    z < 0, truncation < 0, a truncation past the census horizon, and a
-    non-tree spec without a census."""
-    if any(z < 0 for z in zs):
+    z < 0 or NaN, truncation < 0, a truncation past the census horizon,
+    and a non-tree spec without a census."""
+    if any(not z >= 0 for z in zs):
         raise ValueError("z must be >= 0")
     if truncation < 0:
         raise ValueError(f"truncation must be >= 0, got {truncation}")
@@ -355,7 +355,7 @@ def bubble_diagram(
     z: float,
     truncation: int,
     census: SawCensus | None = None,
-    rho_ub: float | None = None,
+    rho_ub: float = math.nan,
 ) -> DiagramResult:
     """B(z) = sum_x G_z(x)^2, truncated with a rigorous tail.
 
@@ -365,11 +365,11 @@ def bubble_diagram(
     O[n][m] z^(n+m), where O[n][m] = sum_x c_n(x) c_m(x) is counted
     exactly in Python ints as the sum over the census classes of
     size * c_n * c_m; the two-leg envelope
-    `kernels.chained_tail(d, rho_ub, z, N + 1, 2)` covers n + m > N and is
-    finite iff z(d-1)rho_ub < 1.  The tail is inf where it is not finite.
+    `kernels.chained_tail(d, rho_ub, z, N + 1, 2)` covers n + m > N: inf
+    unless z(d-1)rho_ub < 1, and NaN when rho_ub is NaN (the missing bound).
 
     Raises ValueError for the inputs `_check_sum_inputs` rejects and, in
-    census mode, if rho_ub is not in (0, 1).
+    census mode, if rho_ub is neither NaN nor in (0, 1).
     """
     _check_sum_inputs(spec, [z], truncation, census)
     d = spec.degree

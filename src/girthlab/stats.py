@@ -96,7 +96,7 @@ def fit_loglog(
 @dataclass
 class DiagramResult:
     """Truncated diagram value plus a rigorous bound on the rest of the
-    sum; tail_bound is inf when no finite bound is certified."""
+    sum; tail_bound is inf or NaN when no finite bound is certified."""
 
     value: float
     truncation: int

@@ -1,10 +1,11 @@
 """Aggregate inequality certificate: one JSON record per configured check.
 
-Every input is a `Bracket` (lo, hi) with its provenance, and every entry
-is an inequality between two brackets decided by the one rule `status`.
-An end that needs a missing input (a spectral-radius upper bound, the
-universal constant, a lower bound on mu) is NaN, so the entry is emitted
-as `inconclusive` rather than skipped.
+Each job builds one ball, shared by the kernel checks, the return rates and
+the p_c bisection.  Every input is a `Bracket` (lo, hi) with its provenance,
+from one input function per graph family, and every entry is an inequality
+between two brackets decided by the one rule `status`.  An end that needs
+a missing input (a spectral-radius upper bound, the universal constant, a
+lower bound on mu) is NaN, so the entry is `inconclusive`, not skipped.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import NamedTuple
 from . import branching, percolation, saw as saw_mod
 from .groups import GroupSpec, ball as build_ball, parse_group_spec, word_str
 from .kernels import (
+    KernelTable,
     chained_tail,
     check_nbw_le_rho_power,
     check_nbw_le_srw_tail,
@@ -229,43 +231,53 @@ class Certificate:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _tree_inputs(spec: GroupSpec):
+    """A tree's inputs, all closed forms: (bracket, provenance) pairs for
+    rho, p_c, mu, the triangle and the bubble, then the return rates."""
+    d = spec.degree
+    pc = point(branching.critical_probability(d))
+    # the bubble increases in z, and z = 1/mu.lo = 1/(d-1) >= z_c
+    bub = saw_mod.bubble_diagram(spec, 1.0 / (d - 1), 40)
+    return ((point(kesten_rho(d)), "exact: Kesten's 2*sqrt(d-1)/d"),
+            (pc, "closed form 1/(d-1), Lyons-Peres ch. 5"),
+            (point(d - 1.0), "exact: d-1"),
+            (point(percolation.tree_triangle_exact(d, pc.hi)), "tree closed form (tripod sum)"),
+            (Bracket(bub.value, bub.upper), f"method={bub.method} truncation={bub.truncation}"),
+            estimate_spectral_radius(spec, 200).sequence)
+
+
+def _free_product_inputs(job: GraphJob, srw: KernelTable, census: saw_mod.SawCensus, seed: int):
+    """Any other free product's inputs, as `_tree_inputs` returns them, from
+    the job's one ball `srw.ball`, its SRW table and census: rho in [K, rho_ub]
+    (hi NaN without rho_ub), p_c by crossing bisection, mu from above only."""
+    b, d = srw.ball, srw.ball.spec.degree
+    rho = Bracket(kesten_rho(d), math.nan if job.rho_ub is None else job.rho_ub)
+    est = percolation.pc_bracket(b, job.pc_trials, seed)
+    return ((rho, "lo: Kesten's 2*sqrt(d-1)/d; "
+                  f"hi: {'missing' if job.rho_ub is None else 'rho_ub'}"),
+            (Bracket(est.lo, est.hi), f"crossing-bisection R={job.radius}"),
+            (Bracket(math.nan, saw_mod.connective_constant(census).best_upper),
+             f"lo: missing; hi: census min c_n^(1/n), n<={census.n_max}"),
+            # the x = y = 0 term tau(0,0)^3 = 1 below, the whole three-leg
+            # envelope above: finite exactly when pc.hi*(d-1)*rho.hi < 1
+            (Bracket(1.0, chained_tail(d, rho.hi, est.hi, 0, legs=3)),
+             "whole three-leg envelope from s = 0"),
+            (NAN, "no certified lower bound on mu"),
+            estimate_spectral_radius(b.spec, 2 * (job.radius // 2), srw=srw).sequence)
+
+
 def _graph_certificate(job: GraphJob, seed: int) -> dict:
     spec = parse_group_spec(job.spec_text)
     d = spec.degree
     big_c = math.nan if job.bnp_c is None else job.bnp_c
     # girth is the smallest cyclic order >= 3, infinite on trees
     girth = math.inf if spec.known_girth is None else float(spec.known_girth)
-
-    # one ball and one SRW table serve the kernel checks and the return rates
+    # the job's one ball and SRW table serve the inputs and the kernel checks
     b = build_ball(spec, job.radius)
     srw = srw_kernel(b, job.radius)
-    returns = estimate_spectral_radius(spec, 200 if spec.is_tree else 2 * (job.radius // 2),
-                                       srw=srw).sequence
-
-    # rho >= Kesten's K on every d-regular graph, with equality on the tree
-    K = kesten_rho(d)
-    if spec.is_tree:  # closed forms throughout
-        rho, rho_prov = point(K), "exact: Kesten's 2*sqrt(d-1)/d"
-        pc = point(branching.critical_probability(d))
-        pc_prov = "closed form 1/(d-1), Lyons-Peres ch. 5"
-        tri = point(percolation.tree_triangle_exact(d, pc.hi))
-        tri_note = "tree closed form (tripod sum)"
-        # the bubble increases in z, and z = 1/mu.lo = 1/(d-1) >= z_c
-        res = saw_mod.bubble_diagram(spec, 1.0 / (d - 1), 40)
-        bub = Bracket(res.value, res.upper)
-        bub_note = f"method={res.method} truncation={res.truncation}"
-    else:
-        rho = Bracket(K, math.nan if job.rho_ub is None else job.rho_ub)
-        rho_prov = ("lo: Kesten's 2*sqrt(d-1)/d; "
-                    f"hi: {'missing' if job.rho_ub is None else 'rho_ub'}")
-        est = percolation.estimate_pc(spec, job.radius, job.pc_trials, seed)
-        pc, pc_prov = Bracket(est.lo, est.hi), f"crossing-bisection R={job.radius}"
-        # the x = y = 0 term tau(0,0)^3 = 1 below, the whole three-leg
-        # envelope above: finite exactly when pc.hi*(d-1)*rho.hi < 1
-        tri = Bracket(1.0, math.nan if math.isnan(rho.hi)
-                      else chained_tail(d, rho.hi, pc.hi, 0, legs=3))
-        tri_note = "whole three-leg envelope from s = 0"
-        bub, bub_note = NAN, "no certified lower bound on mu"
+    census = saw_mod.enumerate_saw(spec, job.saw_n_max)
+    (rho, rho_prov), (pc, pc_prov), (mu, mu_prov), (tri, tri_note), (bub, bub_note), returns = (
+        _tree_inputs(spec) if spec.is_tree else _free_product_inputs(job, srw, census, seed))
 
     if math.isnan(rho.hi):  # the kernel checks need an upper bound on rho
         entries = [Entry(name, "walk-kernel inequality", NAN, NAN, False,
@@ -284,14 +296,6 @@ def _graph_certificate(job: GraphJob, seed: int) -> dict:
                                  note=f"worst margin at n={n} x={word_str(spec, b.word(x))} "
                                       f"over {chk.pairs} (x,n) pairs"))
 
-    census = saw_mod.enumerate_saw(spec, job.saw_n_max)
-    if spec.is_tree:
-        mu, mu_prov = point(d - 1.0), "exact: d-1"
-    else:  # the census bounds mu from above only
-        mu = Bracket(math.nan, saw_mod.connective_constant(census).best_upper)
-        mu_prov = f"lo: missing; hi: census min c_n^(1/n), n<={census.n_max}"
-    speed = saw_mod.speed_exact(census, census.n_max)
-
     entries += [
         Entry("return_rate_le_rho", "p^{2n}(0,0)^{1/2n}<=rho", point(max(returns, default=0.0)),
               point(rho.hi), False),
@@ -302,14 +306,15 @@ def _graph_certificate(job: GraphJob, seed: int) -> dict:
         Entry("triangle_finite", "triangle diagram finite at pc", tri, INF, True, tri_note),
         Entry("bubble_finite", "bubble diagram finite at 1/mu", bub, INF, True, bub_note),
         check_endpoint_decay(d, rho, mu),
-        Entry("saw_speed_positive", "E dist(0,SAW(n))/n > 0", point(0.0), point(speed), True,
+        Entry("saw_speed_positive", "E dist(0,SAW(n))/n > 0", point(0.0),
+              point(saw_mod.speed_exact(census, census.n_max)), True,
               note=f"exact census speed at n={census.n_max}"),
     ]
     return {
         "graph": spec.describe(),
         "inputs": {
             "degree": d,
-            "girth": "infinite (tree)" if spec.is_tree else str(spec.known_girth),
+            "girth": "infinite (tree)" if spec.known_girth is None else str(spec.known_girth),
             "rho": rho.record(rho_prov),
             "pc_interval": pc.record(pc_prov),
             "mu": mu.record(mu_prov),

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from girthlab import plots
+from girthlab import cli, groups, kernels, percolation, plots, verify
 from girthlab.cli import (
     main,
     parse_verify_config,
@@ -56,6 +56,15 @@ def test_perc_zero_p(tmp_path, capsys):
             "--trials", "10", "--seed", "1"]
     assert run(args, tmp_path) == 0
     assert "crossing p=0.0 R=5: 0.0000" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("p", ["0", "0.3"])
+def test_perc_zero_trials_exits_2(p, tmp_path, capsys):
+    # p = 0 used to return a 0-trial estimate and write its row
+    args = ["perc", "--spec", "Z*Z", "--p", p, "--R", "3", "--trials", "0", "--seed", "1"]
+    assert run(args, tmp_path) == 2
+    assert "trials must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "crossing_ZxZ.csv").exists()
 
 
 def test_perc_requires_p(tmp_path):
@@ -107,14 +116,24 @@ def test_saw_chi_and_bubble(tmp_path, capsys):
 
 
 def test_saw_bubble_rejects_negative_z(tmp_path):
-    args = ["saw", "--spec", "Z5*Z5", "--nmax", "6", "--bubble-z", "-0.5", "--rho-ub", "0.9"]
-    assert run(args, tmp_path) == 2
+    for z in ("-0.5", "nan"):
+        args = ["saw", "--spec", "Z5*Z5", "--nmax", "6", "--bubble-z", z, "--rho-ub", "0.9"]
+        assert run(args, tmp_path) == 2
 
 
 def test_saw_chi_rejects_negative_z(tmp_path):
-    args = ["saw", "--spec", "Z*Z", "--nmax", "8", "--z-grid", "-0.5 0.1"]
-    assert run(args, tmp_path) == 2
-    assert not (tmp_path / "chi_ZxZ.csv").exists()
+    # a NaN z used to pass as a certified chi row
+    for grid in ("-0.5 0.1", "nan"):
+        args = ["saw", "--spec", "Z*Z", "--nmax", "8", "--z-grid", grid]
+        assert run(args, tmp_path) == 2
+        assert not (tmp_path / "chi_ZxZ.csv").exists()
+
+
+def test_saw_bubble_without_rho_ub_prints_nan_tail(tmp_path, capsys):
+    args = ["saw", "--spec", "Z5*Z5", "--nmax", "6", "--bubble-z", "0.2"]
+    assert run(args, tmp_path) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "bubble z=0.2: value=1.187906 tail=nan certified=False")
 
 
 @pytest.mark.parametrize("spec_args", [["--spec", "Z*Z"],
@@ -276,6 +295,69 @@ def test_readme_certificate_golden_digest():
     doc = run_certificate(parse_verify_config(block)).to_json(include_meta=False)
     assert (hashlib.sha256(doc.encode()).hexdigest()
             == "dd12363689cf79cb4efd6ff7b9fbdeac9a028c6850877b9d19bc87b18e2e9c41")
+
+
+NO_RHO_UB_CONFIG = """\
+[verify]
+seed = 3
+[graph:Z5*Z5]
+radius = 6
+kernel_steps = 6
+saw_n_max = 8
+pc_trials = 200
+bnp_C = 1.0
+[graph:Z2*Z3*Z4]
+radius = 4
+kernel_steps = 4
+saw_n_max = 6
+pc_trials = 100
+"""
+
+
+def test_no_rho_ub_certificate_golden_digest():
+    # the missing-rho path: NaN upper ends through the kernel, triangle and
+    # endpoint entries, and two non-tree jobs' p_c bisections
+    doc = run_certificate(parse_verify_config(NO_RHO_UB_CONFIG)).to_json(include_meta=False)
+    assert (hashlib.sha256(doc.encode()).hexdigest()
+            == "6d3453aebbb714ce8d18dc86ef25b152b9d6cbfeec82b8657f39d6fa416ac0f1")
+
+
+def _count_balls(monkeypatch):
+    """Wrap every girthlab binding of `groups.ball`; return the list of the
+    positional arguments of its calls."""
+    calls, real = [], groups.ball
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod in (groups, kernels, percolation, verify, cli):
+        for name, obj in list(vars(mod).items()):
+            if obj is real:
+                monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("config", ["readme", "no_rho_ub"])
+def test_verify_builds_one_ball_per_job(config, monkeypatch):
+    text = (re.search(r"```ini\n(.*?)```", README, re.S).group(1) if config == "readme"
+            else NO_RHO_UB_CONFIG)
+    cfg = parse_verify_config(text)
+    calls = _count_balls(monkeypatch)
+    run_certificate(cfg)
+    assert [spec.describe() for spec, _ in calls] == [job.spec_text for job in cfg.jobs]
+
+
+def test_perc_pc_runs_on_the_built_ball(tmp_path, monkeypatch, capsys):
+    calls = _count_balls(monkeypatch)
+    args = ["perc", "--spec", "Z5*Z5", "--R", "6", "--p", "0.35", "--trials", "200",
+            "--seed", "3", "--pc"]
+    assert run(args, tmp_path) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "pc interval at R=6: [0.3394, 0.3950] (theta*=0.5, finite-size biased)")
+    assert (hashlib.sha256((tmp_path / "crossing_Z5xZ5.csv").read_bytes()).hexdigest()
+            == "5c9ac0ca1c516e20e70fc7554dbd8bc06ddc53a7ef81608aa120271095bcc3ce")
 
 
 def test_saw_census_golden_csv(tmp_path):

@@ -144,6 +144,9 @@ def test_crossing_probability_extremes():
     b = ball(F2, 4)
     assert crossing_probability(b, 0.0, 10, seed=1).value == 0.0
     assert crossing_probability(b, 1.0, 10, seed=1).value == 1.0
+    for p in (0.0, 0.5):  # p = 0 used to return a 0-trial estimate
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            crossing_probability(b, p, 0, seed=1)
 
 
 def test_crossing_matches_branching_oracle():
@@ -172,28 +175,27 @@ def test_estimate_pc_tree_brackets_exact_value():
 
 def test_estimate_pc_validation():
     with pytest.raises(ValueError):
-        estimate_pc(F2, 3, 10, 0, theta_star=1.0)
-    with pytest.raises(ValueError):
         estimate_pc(F2, 2, 0, 0)
 
 
-def _estimate_pc_reference(spec, radius, trials, seed, theta_star=0.5, tol=0.02):
-    """Reference for `estimate_pc`: the same bisection and widening, with
-    every step re-running all trials through `crossing_probability`."""
+def _estimate_pc_reference(spec, radius, trials, seed, tol=0.02):
+    """Reference for `estimate_pc`: the same bisection against 1/2 and the
+    same widening, with every step re-running all trials through
+    `crossing_probability`."""
     b = ball(spec, radius)
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if crossing_probability(b, mid, trials, seed).value >= theta_star:
+        if crossing_probability(b, mid, trials, seed).value >= 0.5:
             hi = mid
         else:
             lo = mid
     for _ in range(10):
-        if lo <= 0.0 or crossing_probability(b, lo, trials, seed).ci_hi < theta_star:
+        if lo <= 0.0 or crossing_probability(b, lo, trials, seed).ci_hi < 0.5:
             break
         lo = max(0.0, lo - tol)
     for _ in range(10):
-        if hi >= 1.0 or crossing_probability(b, hi, trials, seed).ci_lo > theta_star:
+        if hi >= 1.0 or crossing_probability(b, hi, trials, seed).ci_lo > 0.5:
             break
         hi = min(1.0, hi + tol)
     return lo, hi
@@ -204,10 +206,8 @@ def _estimate_pc_reference(spec, radius, trials, seed, theta_star=0.5, tol=0.02)
 def test_estimate_pc_equals_reference_bisection(spec, radius):
     g = parse_group_spec(spec)
     for seed in (1, 8):
-        for theta_star in (0.3, 0.5, 0.7):
-            est = estimate_pc(g, radius, 40, seed, theta_star=theta_star)
-            ref = _estimate_pc_reference(g, radius, 40, seed, theta_star=theta_star)
-            assert (est.lo, est.hi) == ref
+        est = estimate_pc(g, radius, 40, seed)
+        assert (est.lo, est.hi) == _estimate_pc_reference(g, radius, 40, seed)
 
 
 @given(st.sampled_from(["Z*Z", "Z5*Z5", "Z2*Z3"]), st.integers(0, 4),

@@ -493,6 +493,14 @@ def test_bubble_census_z5z5():
     assert res.certified == (1 / mu_ub * 3 * 0.95 < 1.0)
 
 
+def test_bubble_census_without_rho_is_uncertified():
+    # a missing rho is NaN: the tail is NaN, never a finite or inf bound
+    census = enumerate_saw(Z5Z5, 6)
+    res = bubble_diagram(Z5Z5, 0.2, 6, census=census)
+    assert math.isnan(res.tail_bound) and math.isnan(res.upper) and not res.certified
+    assert res.value == bubble_diagram(Z5Z5, 0.2, 6, census=census, rho_ub=0.95).value
+
+
 def test_bubble_validation():
     with pytest.raises(ValueError):
         bubble_diagram(Z5Z5, 0.2, 5)
