@@ -1,4 +1,4 @@
-"""Free products of cyclic groups: normal forms, Cayley balls, girth from
+"""Free products of cyclic groups: group specs, Cayley balls, girth from
 the cyclic orders.
 
 A group is specified as ``Z`` or ``Zm`` factors joined by ``*``, e.g.
@@ -6,8 +6,8 @@ A group is specified as ``Z`` or ``Zm`` factors joined by ``*``, e.g.
 are normal-form words: sequences of (factor, exponent) syllables with
 adjacent syllables from distinct factors and exponents reduced mod the
 factor order.  A Cayley ball is built a sphere at a time from integer
-arrays: each vertex is stored as its prefix vertex and its last syllable,
-and its word is spelled out only on demand.
+arrays, with no word arithmetic: each vertex is stored as its prefix
+vertex and its last syllable, and its word is spelled out only on demand.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ import numpy as np
 
 # syllable = (factor index, exponent); a word is a tuple of syllables
 Word = tuple[tuple[int, int], ...]
-
-IDENTITY: Word = ()
 
 _FACTOR_RE = re.compile(r"^Z(\d*)$")
 
@@ -83,40 +81,6 @@ def parse_group_spec(text: str) -> GroupSpec:
             raise GroupSpecError(f"malformed factor {part!r} in {text!r}")
         orders.append(int(m.group(1)) if m.group(1) else None)
     return GroupSpec(tuple(orders))
-
-
-def _reduce_exponent(spec: GroupSpec, factor: int, exp: int) -> int:
-    m = spec.orders[factor]
-    if m is not None:
-        exp %= m
-    return exp
-
-
-def append_syllable(spec: GroupSpec, word: Word, factor: int, exp: int) -> Word:
-    """Multiply word by a single syllable, keeping normal form."""
-    if not 0 <= factor < len(spec.orders):
-        raise IndexError(f"factor index {factor} out of range")
-    exp = _reduce_exponent(spec, factor, exp)
-    if exp == 0:
-        return word
-    if word and word[-1][0] == factor:
-        merged = _reduce_exponent(spec, factor, word[-1][1] + exp)
-        if merged == 0:
-            return word[:-1]
-        return word[:-1] + ((factor, merged),)
-    return word + ((factor, exp),)
-
-
-def normal_form(spec: GroupSpec, syllables) -> Word:
-    """Reduce an arbitrary syllable sequence to the unique normal form."""
-    w: Word = IDENTITY
-    for factor, exp in syllables:
-        w = append_syllable(spec, w, factor, exp)
-    return w
-
-
-def inverse(spec: GroupSpec, w: Word) -> Word:
-    return normal_form(spec, ((f, -e) for f, e in reversed(w)))
 
 
 def word_str(spec: GroupSpec, w: Word) -> str:

@@ -21,9 +21,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .groups import Ball, GroupSpec, ball as build_ball
+from .groups import Ball, GroupSpec
 
-FLOAT_MASS_TOL = 1e-12
+FLOAT_MASS_TOL = 1e-12  # float mode's mass drift; no verdict reads it
 
 
 @dataclass
@@ -185,20 +185,19 @@ def estimate_spectral_radius(
 
     Trees use the radial birth-death reduction (n_steps up to ~10^3 is
     cheap); their rho is Kesten's `kesten_rho(d)`.  Other specs read the
-    return probabilities p^n(0,0), n <= n_steps, from the SRW table `srw`
-    (built on a radius-n_steps ball when not given; a given table must
-    belong to `spec` and reach horizon n_steps).  `srw` is unused on trees.
+    return probabilities p^n(0,0), n <= n_steps, from the SRW table `srw`,
+    which must belong to `spec` and reach horizon n_steps.  `srw` is unused
+    on trees.
 
-    Raises ValueError if n_steps is odd.
+    Raises ValueError if n_steps is odd, or if spec is not a tree and `srw`
+    is missing or not such a table.
     """
     if n_steps % 2 != 0:
         raise ValueError("n_steps must be even")
     if spec.is_tree:
         returns = tree_return_probabilities(spec.degree, n_steps)
     else:
-        if srw is None:
-            srw = srw_kernel(build_ball(spec, n_steps), n_steps)
-        elif srw.kind != "srw" or srw.ball.spec != spec or srw.horizon < n_steps:
+        if srw is None or srw.kind != "srw" or srw.ball.spec != spec or srw.horizon < n_steps:
             raise ValueError("srw must be an SRW table of spec with horizon >= n_steps")
         returns = [srw.prob(n, 0) for n in range(n_steps + 1)]
     seq = [float(returns[2 * n]) ** (1.0 / (2 * n)) for n in range(1, (len(returns) - 1) // 2 + 1)]
@@ -237,9 +236,9 @@ class CheckResult:
     `lhs`, `rhs` and `passed` are (n_max+1, len(xs)) arrays indexed
     [n, k] for the pair (n, xs[k]); `J` is the SRW horizon of the tail
     check and None for the rho-power check.  `pairs`, `violations` and
-    `worst` summarise the arrays without building entries.  As a sequence
-    the result is its `CheckEntry` list, n outer and x in `xs` order;
-    iteration and indexing build each entry on the fly.
+    `worst` summarise the arrays without building entries.  Iterated, the
+    result yields its `CheckEntry` list, n outer and x in `xs` order, each
+    entry built on the fly.
     """
 
     check: str
@@ -262,7 +261,9 @@ class CheckResult:
     def worst(self) -> CheckEntry:
         """The entry of smallest margin rhs - lhs, the first in entry order
         on ties.  Raises ValueError when there are no pairs."""
-        return self[int(np.argmin(self.rhs - self.lhs))]
+        n, k = divmod(int(np.argmin(self.rhs - self.lhs)), len(self.xs))
+        return self._entry(n, self.xs[k], float(self.lhs[n, k]), float(self.rhs[n, k]),
+                           bool(self.passed[n, k]))
 
     def _entry(self, n, x, lhs, rhs, passed) -> CheckEntry:
         params = {"spec": self.spec, "n": n, "x": x}
@@ -278,11 +279,6 @@ class CheckResult:
             for row in zip(self.xs, self.lhs[n].tolist(), self.rhs[n].tolist(),
                            self.passed[n].tolist()):
                 yield self._entry(n, *row)
-
-    def __getitem__(self, i) -> CheckEntry:
-        n, k = divmod(range(self.pairs)[operator.index(i)], len(self.xs))
-        return self._entry(n, self.xs[k], float(self.lhs[n, k]), float(self.rhs[n, k]),
-                           bool(self.passed[n, k]))
 
 
 def _test_vertex_list(ball: Ball, test_vertices) -> list[int]:
@@ -321,12 +317,63 @@ def _quotients(nums: np.ndarray, den: int, scale: int = 1, offset: int = 0) -> n
     return np.array([(v * scale + offset) / den for v in vals.tolist()], dtype=float)[inv]
 
 
-def _nbw_rows(nbw: KernelTable, idx: np.ndarray, n_max: int) -> np.ndarray:
-    """q^n(0,x) as floats, n = 0..n_max down the rows, x = idx across."""
-    if nbw.exact:
-        return np.array([_quotients(nbw.counts[n][idx], nbw.denominators[n])
-                         for n in range(n_max + 1)], dtype=float)
-    return np.array([nbw.counts[n][idx] for n in range(n_max + 1)], dtype=float)
+def _check(check: str, ball: Ball, n_max: int, rho_ub, test_vertices, exact: bool,
+           nbw: KernelTable | None, srw: KernelTable | None = None) -> CheckResult:
+    """The decision core of both kernel checks: q^n(0,x) <= S_n(x) + t_n
+    for n <= n_max and x in `test_vertices`, where S_n(x) = sum_{j=n..J}
+    p^j(0,x) over the SRW table `srw` of horizon J and t_n =
+    rho_ub^{J+1}/(1-rho_ub), or, without `srw`, S_n = 0 and
+    t_n = rho_ub^n/(1-rho_ub).
+
+    Exact mode works in integers, with rho_ub at its exact value and t_n =
+    a/b: q = Q/D_n and S_n(x) = A_n(x)/E, where E = d^J and A_n(x) =
+    sum_{j>=n} N_j(x) d^{J-j} is built as n falls (E = 1 and A_n = 0
+    without `srw`).  A pair passes where Q E - A_n D_n <= a D_n E / b.
+    Float mode adds whole (n_max+1, len(xs)) arrays, one per offset j - n,
+    so each S_n(x) is summed left to right from j = n, bit for bit as a
+    plain `sum` over j; a pair passes where lhs <= rhs, the rule
+    `verify.status` applies.
+    """
+    if not 0 < float(rho_ub) < 1:
+        raise ValueError("need 0 < rho_ub < 1")
+    nbw = _kernel_table(nbw, "nbw", ball, n_max, exact)
+    J = -1 if srw is None else srw.horizon  # S_n has no term without srw
+    if not 0 <= n_max <= (nbw.horizon if srw is None else min(nbw.horizon, J)):
+        raise ValueError("n_max must be in [0, kernel horizon]")
+    vs = _test_vertex_list(ball, test_vertices)
+    idx = np.asarray(vs, dtype=np.intp)
+    tails = [series_tail(rho_ub, n if srw is None else J + 1, exact=exact)
+             for n in range(n_max + 1)]
+    p = [srw.counts[j][idx] for j in range(J + 1)]
+    q = [nbw.counts[n][idx] for n in range(n_max + 1)]
+    if exact:
+        d = ball.spec.degree
+        E = d ** max(J, 0)
+        # |Q E - A_n D_n| <= max(1, J+1) E D_n, which sets the dtype
+        reach = max(J + 1, 1) * E * nbw.denominators[n_max]
+        suffix = _fit(np.zeros(len(vs), dtype=np.int64), reach)
+        lhs = np.empty((n_max + 1, len(vs)))
+        rhs, passed = np.empty_like(lhs), np.empty(lhs.shape, dtype=bool)
+        for n in range(max(J, n_max), -1, -1):
+            if n <= J:
+                suffix = suffix + _fit(p[n], reach) * d ** (J - n)
+            if n <= n_max:
+                den, a, b = nbw.denominators[n], tails[n].numerator, tails[n].denominator
+                # Q <= D_n bounds the left side by D_n E: clamping the
+                # threshold there keeps it in int64 and changes no verdict
+                passed[n] = _fit(q[n], reach) * E - suffix * den <= min(a * den * E // b, den * E)
+                lhs[n] = _quotients(q[n], den)
+                rhs[n] = _quotients(suffix, E * b, b, a * E)
+    else:
+        lhs, p = np.array(q, dtype=float), np.array(p)
+        rhs = np.zeros_like(lhs)
+        for k in range(J + 1):
+            rows_k = min(n_max + 1, J + 1 - k)  # rows n with n + k <= J
+            rhs[:rows_k] += p[k:k + rows_k]
+        rhs += np.array(tails, dtype=float)[:, None]
+        passed = lhs <= rhs
+    return CheckResult(check, ball.spec.describe(), vs, lhs, rhs, passed,
+                       J=None if srw is None else J)
 
 
 def check_nbw_le_srw_tail(
@@ -343,60 +390,17 @@ def check_nbw_le_srw_tail(
     The tail term covers the truncated part of the SRW sum with the
     geometric bound p^j(0,x) <= rho^j.  Returns a `CheckResult` with one
     column per x in `test_vertices` (default: every ball vertex) and one
-    row per n <= n_max; its entries come n outer, x in `test_vertices`
-    order, and are built only when iterated or indexed.
-
-    Cost: the suffix sums S_n(x) = sum_{j=n..J} p^j(0,x) are built once,
-    then each pair takes one comparison.  Exact mode works in integers:
-    S_n(x) = A_n(x)/d^J, A_n(x) = sum_{j>=n} N_j(x) d^{J-j} built as n
-    falls, the tail is a/b (rho_ub at its exact value), and a row of
-    pairs q = Q/D_n passes where (Q d^J - A_n D_n) b <= a D_n d^J.  Float
-    mode adds whole (n_max+1, len(xs)) arrays, one per offset j - n, so
-    each S_n(x) is summed left to right from j = n, bit for bit as a
-    plain `sum` over j; a pair passes when lhs <= rhs + FLOAT_MASS_TOL.
+    row per n <= n_max, decided by `_check`: the suffix sums
+    S_n(x) = sum_{j=n..J} p^j(0,x) are built once, then each pair takes
+    one comparison.
 
     Raises ValueError if rho_ub is not in (0, 1), n_max is negative or
     exceeds a kernel horizon, a test vertex is not an integer in
     [0, ball.n_vertices), or a given kernel table is of the wrong kind,
     of another ball or not in the arithmetic `exact` selects.
     """
-    if not 0 < float(rho_ub) < 1:
-        raise ValueError("need 0 < rho_ub < 1")
     srw = _kernel_table(srw, "srw", ball, ball.radius, exact)
-    nbw = _kernel_table(nbw, "nbw", ball, n_max, exact)
-    horizon = srw.horizon
-    if not 0 <= n_max <= min(nbw.horizon, horizon):
-        raise ValueError("n_max must be in [0, kernel horizon]")
-    vs = _test_vertex_list(ball, test_vertices)
-    idx = np.asarray(vs, dtype=np.intp)
-    tail = series_tail(rho_ub, horizon + 1, exact=exact)
-    lhs = _nbw_rows(nbw, idx, n_max)
-    if exact:
-        d = ball.spec.degree
-        d_J = d**horizon
-        a, b = tail.numerator, tail.denominator
-        # every |Q d^J - A_n D_n| <= (J+1) d^J D_n, which sets the dtype
-        reach = (horizon + 1) * d_J * nbw.denominators[n_max]
-        suffix = _fit(np.zeros(len(vs), dtype=np.int64), reach)
-        rhs, passed = np.empty_like(lhs), np.empty(lhs.shape, dtype=bool)
-        for n in range(horizon, -1, -1):
-            suffix = suffix + _fit(srw.counts[n][idx], reach) * d ** (horizon - n)
-            if n <= n_max:
-                den = nbw.denominators[n]
-                # Q <= D_n bounds the left side by D_n d^J: clamping the
-                # threshold there keeps it in int64 and changes no verdict
-                passed[n] = (_fit(nbw.counts[n][idx], reach) * d_J - suffix * den
-                             <= min(a * den * d_J // b, den * d_J))
-                rhs[n] = _quotients(suffix, d_J * b, b, a * d_J)
-    else:
-        p = np.array([srw.counts[j][idx] for j in range(horizon + 1)])
-        rhs = p[:n_max + 1].copy()
-        for k in range(1, horizon + 1):
-            rows_k = min(n_max + 1, horizon + 1 - k)  # rows n with n + k <= J
-            rhs[:rows_k] += p[k:k + rows_k]
-        rhs += tail
-        passed = lhs <= rhs + FLOAT_MASS_TOL
-    return CheckResult("nbw_le_srw_tail", ball.spec.describe(), vs, lhs, rhs, passed, J=horizon)
+    return _check("nbw_le_srw_tail", ball, n_max, rho_ub, test_vertices, exact, nbw, srw)
 
 
 def check_nbw_le_rho_power(
@@ -410,39 +414,15 @@ def check_nbw_le_rho_power(
     """q^n(0,x) <= rho_ub^n / (1 - rho_ub) for all x and n <= n_max.
 
     Returns a `CheckResult` with one column per x in `test_vertices`
-    (default: every ball vertex) and one row per n <= n_max; its entries
-    come n outer, x in `test_vertices` order, and are built only when
-    iterated or indexed.  The right side is computed once per n, so the
-    cost is one comparison per pair.  Exact mode takes rho_ub at its
-    exact value and the bound as a/b: a row of pairs q = Q/D_n passes
-    where Q b <= a D_n, i.e. Q <= floor(a D_n / b); float mode passes a
-    pair when lhs <= rhs + FLOAT_MASS_TOL.
+    (default: every ball vertex) and one row per n <= n_max, decided by
+    `_check` with no SRW sum: one comparison per pair.
 
     Raises ValueError if rho_ub is not in (0, 1), n_max is negative or
     exceeds the kernel horizon, a test vertex is not an integer in
     [0, ball.n_vertices), or a given table is not an NBW table of this
     ball in the arithmetic `exact` selects.
     """
-    if not 0 < float(rho_ub) < 1:
-        raise ValueError("need 0 < rho_ub < 1")
-    nbw = _kernel_table(nbw, "nbw", ball, n_max, exact)
-    if not 0 <= n_max <= nbw.horizon:
-        raise ValueError("n_max must be in [0, kernel horizon]")
-    vs = _test_vertex_list(ball, test_vertices)
-    idx = np.asarray(vs, dtype=np.intp)
-    bounds = [series_tail(rho_ub, n, exact=exact) for n in range(n_max + 1)]
-    lhs = _nbw_rows(nbw, idx, n_max)
-    rhs = np.repeat(np.array(bounds, dtype=float)[:, None], len(vs), axis=1)
-    if exact:
-        # Q <= D_n: clamping the threshold at D_n keeps it in int64 and
-        # changes no verdict
-        passed = np.array([
-            nbw.counts[n][idx] <= min(bound.numerator * nbw.denominators[n] // bound.denominator,
-                                      nbw.denominators[n])
-            for n, bound in enumerate(bounds)], dtype=bool)
-    else:
-        passed = lhs <= rhs + FLOAT_MASS_TOL
-    return CheckResult("nbw_le_rho_power", ball.spec.describe(), vs, lhs, rhs, passed)
+    return _check("nbw_le_rho_power", ball, n_max, rho_ub, test_vertices, exact, nbw)
 
 
 def series_tail(base, start: int, legs: int = 1, exact: bool = False):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import branching
 from .groups import Ball, GroupSpec, ball as build_ball
-from .rng import trial_rng, trial_streams
+from .rng import trial_streams
 from .stats import (
     Estimate,
     ExponentFit,
@@ -26,17 +26,6 @@ from .stats import (
     mean_estimate,
     stderr,
 )
-
-
-def edge_uniforms(ball: Ball, seed: int, trial: int) -> np.ndarray:
-    """One uniform per undirected edge, keyed by (seed, trial): the shared
-    coupling used to make connectivity monotone in p across a p-grid."""
-    rng = trial_rng(seed, trial)
-    return rng.random(ball.n_edges)
-
-
-def open_mask(ball: Ball, p: float, seed: int, trial: int) -> np.ndarray:
-    return edge_uniforms(ball, seed, trial) < p
 
 
 def _reaches(ball: Ball, p: float, gen: np.random.Generator, targets: bytes) -> bool:
@@ -119,7 +108,7 @@ _PC_TOL = 0.02
 def pc_bracket(ball: Ball, trials: int, seed: int) -> PcEstimate:
     """Bisection of the empirical crossing curve on `ball` against 1/2.
 
-    Trial t draws its `edge_uniforms(ball, seed, t)` once, whole, through
+    Trial t draws one uniform per edge once, whole, from its stream of
     `trial_streams`; an edge is open at p iff its uniform is < p, so the
     trial crosses at p iff its `crossing_threshold` thr_t < p
     (thr_t = -inf at radius 0), and the curve #{t: thr_t < p} / trials is

@@ -108,12 +108,17 @@ def check_perccond(d: int, pc: Bracket, rho: Bracket) -> Entry:
                  increasing(lambda p, r: p * (d - 1) * r, pc, rho), ONE, True)
 
 
+def _bnp_term(rho: float, big_c: float) -> float:
+    """C log(1 + (1-rho)^{-2}), the term both girth bounds share."""
+    return big_c * math.log(1.0 + (1.0 - rho) ** -2)
+
+
 def girth_threshold(rho: float, big_c: float) -> float:
     """L = C log(1 + (1-rho)^{-2}) / (rho^{-1} - 1), increasing in rho; NaN
     when an input is NaN."""
     if rho <= 0.0 or rho >= 1.0:
         raise ValueError("need 0 < rho < 1")
-    return big_c * math.log(1.0 + (1.0 - rho) ** -2) / (1.0 / rho - 1.0)
+    return _bnp_term(rho, big_c) / (1.0 / rho - 1.0)
 
 
 def check_girth_threshold(rho: Bracket, big_c: float, girth: float) -> Entry:
@@ -126,8 +131,7 @@ def check_girth_threshold(rho: Bracket, big_c: float, girth: float) -> Entry:
 def check_bnp_bound(d: int, girth: float, rho: Bracket, big_c: float, pc: Bracket) -> Entry:
     """p_c <= 1/(d-1) + C log(1+(1-rho)^{-2}) / (d*girth), increasing in rho."""
     return Entry("pc_degree_girth_bound", "pc<=1/(d-1)+C*log(...)/(d*g)", pc,
-                 increasing(lambda r: 1.0 / (d - 1)
-                            + big_c * math.log(1.0 + (1.0 - r) ** -2) / (d * girth), rho),
+                 increasing(lambda r: 1.0 / (d - 1) + _bnp_term(r, big_c) / (d * girth), rho),
                  False)
 
 

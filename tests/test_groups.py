@@ -10,16 +10,13 @@ from girthlab.groups import (
     BallCapExceeded,
     GroupSpec,
     GroupSpecError,
-    append_syllable,
     ball,
-    inverse,
-    normal_form,
     parse_group_spec,
     tree_sphere_size,
     tree_vertex_count,
     word_str,
 )
-from oracles import multiply, word_length
+from oracles import append_syllable, inverse, multiply, normal_form, word_length
 
 F2 = parse_group_spec("Z*Z")
 Z5Z5 = parse_group_spec("Z5*Z5")

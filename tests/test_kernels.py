@@ -22,6 +22,7 @@ from girthlab.kernels import (
     tree_return_probabilities,
 )
 from girthlab.saw import bubble_diagram, enumerate_saw
+from girthlab.verify import FAIL, PASS, point, status
 
 F2 = parse_group_spec("Z*Z")
 Z5Z5 = parse_group_spec("Z5*Z5")
@@ -239,13 +240,15 @@ def test_estimate_spectral_radius_tree():
 
 
 def test_estimate_spectral_radius_requires_ub_for_nontree():
-    est = estimate_spectral_radius(Z5Z5, 6)
+    est = estimate_spectral_radius(Z5Z5, 6, srw=srw_kernel(ball(Z5Z5, 6), 6))
     assert len(est.sequence) == 3
     assert est.lower_bound <= 0.95
+    with pytest.raises(ValueError):  # off trees the caller passes its table
+        estimate_spectral_radius(Z5Z5, 6)
 
 
 def test_estimate_spectral_radius_reads_shared_srw_table():
-    own = estimate_spectral_radius(Z5Z5, 6)
+    own = estimate_spectral_radius(Z5Z5, 6, srw=srw_kernel(ball(Z5Z5, 6), 6))
     b = ball(Z5Z5, 7)
     shared = estimate_spectral_radius(Z5Z5, 6, srw=srw_kernel(b, 7))
     assert shared == own  # bit-equal return sequence from the larger ball
@@ -285,7 +288,7 @@ def test_kernel_inequalities_pass_float_nontree():
 
 def test_kernel_inequality_record_fields():
     b = ball(F2, 3)
-    entry = check_nbw_le_rho_power(b, 2, 0.9, test_vertices=[0])[0]
+    entry = next(iter(check_nbw_le_rho_power(b, 2, 0.9, test_vertices=[0])))
     rec = entry.to_record()
     assert rec["pass"] and rec["margin"] == rec["rhs"] - rec["lhs"]
     assert rec["params"]["spec"] == "Z*Z"
@@ -313,7 +316,7 @@ def _oracle_records(ball_, n_max, rho_ub, exact, srw, nbw, xs=None):
     spec = ball_.spec.describe()
 
     def record(check, params, lhs, rhs):
-        passed = lhs <= rhs if exact else float(lhs) <= float(rhs) + FLOAT_MASS_TOL
+        passed = lhs <= rhs if exact else float(lhs) <= float(rhs)
         return {"check": check, "params": params, "lhs": float(lhs), "rhs": float(rhs),
                 "margin": float(rhs) - float(lhs), "pass": passed}
 
@@ -348,8 +351,6 @@ def test_kernel_check_summary_unsorted_duplicates_and_ties(exact):
     for result in (check_nbw_le_srw_tail(b, 4, rho, test_vertices=vs, exact=exact),
                    check_nbw_le_rho_power(b, 4, rho, test_vertices=vs, exact=exact)):
         entries = list(result)
-        assert [repr(result[i]) for i in range(len(result))] == [repr(e) for e in entries]
-        assert repr(result[-1]) == repr(entries[-1])
         least = min(e.margin for e in entries)
         tied = [e for e in entries if e.margin == least]
         assert len(tied) > 1  # symmetric vertices of the tree tie
@@ -382,11 +383,30 @@ def test_kernel_inequalities_match_per_pair_oracle(spec, rho_pass, radius, exact
     assert [repr(r) for r in got_power] == [repr(r) for r in want_power]
     _assert_summary_matches_scan(tail)
     _assert_summary_matches_scan(power)
+    if not exact:  # a float pair passes by the rule the certificate applies
+        for result in (tail, power):
+            worst = result.worst
+            assert (result.violations == 0) == (
+                status(point(worst.lhs), point(worst.rhs), False) == PASS)
     violations = (tail.violations, power.violations)
     if not failing:
         assert violations == (0, 0)
     elif spec is F2 and radius == 3:
         assert violations == (48, 52)
+
+
+def test_float_check_fails_a_near_tie_as_status_does():
+    # q^0(0,0) a hair above rho^0/(1-rho) = 19.999999999999982: no slack
+    # lets the pair pass, so the check and the certificate rule agree
+    b = ball(Z5Z5, 3)
+    nbw = nbw_kernel(b, 3)
+    nbw.counts[0][0] = 20.0 + 5e-13
+    power = check_nbw_le_rho_power(b, 3, 0.95, nbw=nbw)
+    worst = power.worst
+    assert power.violations == 1 and not worst.passed
+    assert (worst.params["n"], worst.params["x"]) == (0, 0)
+    assert 0 < worst.lhs - worst.rhs < 1e-12
+    assert status(point(worst.lhs), point(worst.rhs), False) == FAIL
 
 
 @pytest.mark.parametrize("rho", [Fraction(1, 10), 0.95], ids=["rho-1/10", "rho-0.95"])

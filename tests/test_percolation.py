@@ -7,27 +7,36 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from girthlab import branching, percolation
-from girthlab.groups import ball, inverse, parse_group_spec
+from girthlab.groups import ball, parse_group_spec
 from girthlab.percolation import (
     cluster_size_tail,
     crossing_probability,
     crossing_threshold,
-    edge_uniforms,
     estimate_pc,
     fit_beta,
     fit_gamma,
     nonuniqueness_witness,
-    open_mask,
     oracle_witness_radius,
     susceptibility,
     tree_triangle_exact,
     two_point,
 )
+from girthlab.rng import trial_rng
 from girthlab.stats import binomial_estimate
-from oracles import multiply, word_length
+from oracles import inverse, multiply, word_length
 
 F2 = parse_group_spec("Z*Z")
 Z5Z5 = parse_group_spec("Z5*Z5")
+
+
+def edge_uniforms(ball, seed: int, trial: int) -> np.ndarray:
+    """One uniform per undirected edge, keyed by (seed, trial): the shared
+    coupling that makes connectivity monotone in p across a p-grid."""
+    return trial_rng(seed, trial).random(ball.n_edges)
+
+
+def open_mask(ball, p: float, seed: int, trial: int) -> np.ndarray:
+    return edge_uniforms(ball, seed, trial) < p
 
 
 class UnionFind:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from girthlab.cli import main
-from girthlab.groups import append_syllable, parse_group_spec
+from girthlab.groups import parse_group_spec
 from girthlab.kernels import kesten_rho
 from girthlab.saw import (
     bubble_diagram,
@@ -19,7 +19,7 @@ from girthlab.saw import (
     susceptibility_saw,
 )
 from girthlab.verify import Bracket, check_endpoint_decay, point
-from oracles import word_length
+from oracles import append_syllable, word_length
 
 F2 = parse_group_spec("Z*Z")
 Z5Z5 = parse_group_spec("Z5*Z5")
