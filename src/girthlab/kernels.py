@@ -363,7 +363,8 @@ def _check(check: str, ball: Ball, n_max: int, rho_ub, test_vertices, exact: boo
                 # threshold there keeps it in int64 and changes no verdict
                 passed[n] = _fit(q[n], reach) * E - suffix * den <= min(a * den * E // b, den * E)
                 lhs[n] = _quotients(q[n], den)
-                rhs[n] = _quotients(suffix, E * b, b, a * E)
+                # without srw every S_n(x) is 0: the row is the one a / b
+                rhs[n] = a / b if srw is None else _quotients(suffix, E * b, b, a * E)
     else:
         lhs, p = np.array(q, dtype=float), np.array(p)
         rhs = np.zeros_like(lhs)

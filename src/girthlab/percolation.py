@@ -71,28 +71,43 @@ def crossing_probability(ball: Ball, p: float, trials: int, seed: int) -> Estima
 def crossing_threshold(ball: Ball, uniforms: np.ndarray) -> float:
     """min over root -> radius-R paths of the largest edge uniform on the
     path (-inf at radius 0, inf with no radius-R vertex), so the trial
-    crosses at p iff it is < p.  Bottleneck Dijkstra keyed on the path
-    maximum, stopping at the first radius-R vertex popped."""
+    crosses at p iff it is < p.  Grows the root's component in Prim's
+    order: at level m it floods every edge whose uniform is <= m, then
+    raises m to the lightest edge out of the component, and returns m as
+    soon as a radius-R vertex joins.  Only comparisons touch the floats, so
+    the result is the minimax path value exactly, ties included."""
     adj, dist, radius = ball.adj, ball.dist, ball.radius
+    if radius == 0:
+        return -math.inf
     u = memoryview(uniforms)  # Python floats, not numpy scalars
-    # the few vertices reached so far; an absent one stands at 2.0, above
-    # every uniform
-    best = {0: -math.inf}
-    heap = [(-math.inf, 0)]
-    while heap:
-        m, x = heapq.heappop(heap)
-        if m > best[x]:
-            continue
-        if dist[x] == radius:
+    push, pop = heapq.heappush, heapq.heappop
+    seen = bytearray(ball.n_vertices)
+    seen[0] = 1
+    m, stack, heap = -math.inf, [0], []
+    while True:
+        # flood the component at level m; heavier edges wait on the heap
+        while stack:
+            for y, a in adj[stack.pop()]:
+                if not seen[y]:
+                    w = u[a >> 1]
+                    if w <= m:
+                        if dist[y] == radius:
+                            return m
+                        seen[y] = 1
+                        stack.append(y)
+                    else:
+                        push(heap, (w, y))
+        # the lightest edge out of the component sets the next level
+        while heap:
+            m, y = pop(heap)
+            if not seen[y]:
+                break
+        else:
+            return math.inf
+        if dist[y] == radius:
             return m
-        for y, a in adj[x]:
-            w = u[a >> 1]
-            if w < m:
-                w = m
-            if w < best.get(y, 2.0):
-                best[y] = w
-                heapq.heappush(heap, (w, y))
-    return math.inf
+        seen[y] = 1
+        stack.append(y)
 
 
 @dataclass
@@ -110,8 +125,9 @@ def pc_bracket(ball: Ball, trials: int, seed: int) -> PcEstimate:
 
     Trial t draws one uniform per edge once, whole, from its stream of
     `trial_streams`; an edge is open at p iff its uniform is < p, so the
-    trial crosses at p iff its `crossing_threshold` thr_t < p
-    (thr_t = -inf at radius 0), and the curve #{t: thr_t < p} / trials is
+    trial crosses at p iff its `crossing_threshold` thr_t < p (the level
+    at which the root's component, grown in Prim's order, first holds a
+    radius-R vertex; -inf at radius 0), and the curve #{t: thr_t < p} / trials is
     exactly non-decreasing in p.  The interval is widened so both ends are
     consistent with the observed Wilson bands.  Raises ValueError unless
     trials >= 1 (`binomial_estimate` raises it at the first bisection step).

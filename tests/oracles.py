@@ -1,9 +1,13 @@
 """Independent oracles that only the tests call: second opinions on the
-package's closed forms and ball distances, and normal-form word
-arithmetic, which the package's integer-array balls do without."""
+package's closed forms, ball distances and crossing thresholds, and
+normal-form word arithmetic, which the package's integer-array balls do
+without."""
+
+import heapq
+import math
 
 from girthlab.branching import FIXED_POINT_TOL
-from girthlab.groups import GroupSpec, Word
+from girthlab.groups import Ball, GroupSpec, Word
 
 IDENTITY: Word = ()
 
@@ -80,3 +84,24 @@ def word_length(spec: GroupSpec, w: Word) -> int:
         m = spec.orders[factor]
         total += abs(exp) if m is None else min(exp, m - exp)
     return total
+
+
+def bottleneck_dijkstra(ball: Ball, uniforms) -> float:
+    """min over root -> radius-R paths of the largest edge uniform on the
+    path (-inf at radius 0, inf with no radius-R vertex): a Dijkstra keyed
+    on the path maximum, stopping at the first radius-R vertex popped."""
+    adj, dist, radius = ball.adj, ball.dist, ball.radius
+    best = {0: -math.inf}  # an absent vertex stands at 2.0, above every uniform
+    heap = [(-math.inf, 0)]
+    while heap:
+        m, x = heapq.heappop(heap)
+        if m > best[x]:
+            continue
+        if dist[x] == radius:
+            return m
+        for y, a in adj[x]:
+            w = max(float(uniforms[a >> 1]), m)
+            if w < best.get(y, 2.0):
+                best[y] = w
+                heapq.heappush(heap, (w, y))
+    return math.inf

@@ -427,6 +427,9 @@ def test_exact_tail_check_past_int64_matches_oracle(rho):
     assert [repr(e.to_record()) for e in tail] == [repr(r) for r in want_tail]
     assert [repr(e.to_record()) for e in power] == [repr(r) for r in want_power]
     assert (tail.violations, power.violations) == ((63, 87) if rho == Fraction(1, 10) else (0, 0))
+    # each rho-power row is the one float of its exact tail rho^n/(1-rho)
+    for n in range(radius + 1):
+        assert (power.rhs[n] == float(series_tail(rho, n, exact=True))).all()
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])

@@ -23,7 +23,7 @@ from girthlab.percolation import (
 )
 from girthlab.rng import trial_rng
 from girthlab.stats import binomial_estimate
-from oracles import inverse, multiply, word_length
+from oracles import bottleneck_dijkstra, inverse, multiply, word_length
 
 F2 = parse_group_spec("Z*Z")
 Z5Z5 = parse_group_spec("Z5*Z5")
@@ -114,18 +114,6 @@ def test_union_find_components():
     assert uf.component_size(3) == 1
     part = uf.partition()
     assert part[4] == part[5] != part[3]
-
-
-def test_open_mask_deterministic_and_monotone():
-    b = ball(Z5Z5, 4)
-    m1 = open_mask(b, 0.3, seed=5, trial=2)
-    m2 = open_mask(b, 0.3, seed=5, trial=2)
-    assert np.array_equal(m1, m2)
-    assert len(m1) == b.n_edges
-    # shared uniforms couple the masks monotonically in p
-    lo = open_mask(b, 0.2, seed=5, trial=2)
-    hi = open_mask(b, 0.6, seed=5, trial=2)
-    assert (~lo | hi).all()
 
 
 @given(st.floats(0.05, 0.95), st.integers(0, 50))
@@ -237,6 +225,21 @@ def test_threshold_count_equals_crossing_hits(spec, radius, seed, p, pick):
     for q in ps:
         hits = int(np.count_nonzero(thr < q))
         assert crossing_probability(b, q, trials, seed).value == hits / trials
+
+
+@pytest.mark.parametrize("spec", ["Z*Z", "Z5*Z5", "Z4*Z4", "Z2*Z3", "Z2*Z3*Z4"])
+def test_crossing_threshold_equals_bottleneck_dijkstra(spec):
+    # all equal; Philox uniforms; the same rounded down to multiples of
+    # 1/8, so many edges tie with one another and with the level
+    g = parse_group_spec(spec)
+    for radius in range(6):
+        b = ball(g, radius)
+        cases = [np.full(b.n_edges, 0.5)]
+        for t in range(20):
+            u = edge_uniforms(b, 7, t)
+            cases += [u, np.floor(u * 8) / 8]
+        for us in cases:
+            assert crossing_threshold(b, us) == bottleneck_dijkstra(b, us)
 
 
 def test_estimate_pc_draws_each_trial_once(monkeypatch):
