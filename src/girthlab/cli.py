@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import io
 import csv
-import math
 import os
 import sys
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 from . import percolation, plots, saw as saw_mod
 from .groups import GroupSpecError, ball as build_ball, parse_group_spec
 from .kernels import estimate_spectral_radius, kesten_rho, nbw_kernel, srw_kernel
-from .verify import parse_verify_config, rho_ub_problem, run_certificate
+from .verify import parse_verify_config, run_certificate
 
 
 class CliError(Exception):
@@ -130,8 +129,6 @@ def cmd_perc(args, outputs: OutputSet) -> int:
 
 def cmd_saw(args, outputs: OutputSet) -> int:
     spec = parse_group_spec(args.spec)
-    if not math.isnan(args.rho_ub) and (why := rho_ub_problem(spec, args.rho_ub, "--rho-ub")):
-        raise CliError(why)
     census = saw_mod.enumerate_saw(spec, args.nmax)
     rows = [(n, str(census.counts[n])) for n in range(args.nmax + 1)]
     path = _out_dir(args) / f"census_{spec.describe().replace('*', 'x')}.csv"
@@ -154,8 +151,7 @@ def cmd_saw(args, outputs: OutputSet) -> int:
         if spec.is_tree:
             bub = saw_mod.bubble_diagram(spec, args.bubble_z, n_trunc)
         else:
-            bub = saw_mod.bubble_diagram(spec, args.bubble_z, min(n_trunc, args.nmax),
-                                         census=census, rho_ub=args.rho_ub)
+            bub = saw_mod.bubble_diagram(spec, args.bubble_z, min(n_trunc, args.nmax), census)
         lines.append(f"bubble z={args.bubble_z}: value={bub.value:.6f} "
                      f"tail={bub.tail_bound:.3g} certified={bub.certified}")
     if args.trials:
@@ -237,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--N", type=int, default=None)
     s.add_argument("--z-grid", default=None, dest="z_grid")
     s.add_argument("--bubble-z", type=float, default=None, dest="bubble_z")
-    s.add_argument("--rho-ub", type=float, default=math.nan, dest="rho_ub")
     s.add_argument("--trials", type=int, default=0)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", default=None)

@@ -141,12 +141,6 @@ class Ball:
             v = self.prefix.item(v)
         return tuple(reversed(syllables))
 
-    def sphere_sizes(self) -> list[int]:
-        sizes = [0] * (self.radius + 1)
-        for r in self.dist:
-            sizes[r] += 1
-        return sizes
-
     def edges(self) -> list[tuple[int, int]]:
         return list(zip(self.arc_tail[::2].tolist(), self.arc_head[::2].tolist()))
 

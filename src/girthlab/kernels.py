@@ -140,6 +140,60 @@ def kesten_rho(d: int) -> float:
     return 2.0 * math.sqrt(d - 1) / d
 
 
+def rho_upper(spec: GroupSpec) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """A Fraction lambda >= rho and its witness rationals r_f, one per factor.
+
+    Schur test (Woess, Random Walks on Infinite Graphs and Groups, ch. 9):
+    rho = ||P|| <= lambda if some f > 0 has Pf <= lambda f everywhere.  Here
+    f(x) is the product over x's syllables of phi_f(e): (r^e + r^{m-e}) /
+    (1 + r^m) on Zm, r^|k| on Z and r on Z2, so that d (Pf/f)(x) is
+    own_f - out_f + sum_g out_g for x of last factor f and sum_g out_g at
+    the root, with own = r + 1/r (1/r on Z2) and out_g = d_g phi_g(1).  The
+    r_f are limit_denominator(10**9) of a float search: a golden section
+    over the first factor's r, each other order taking by bisection the r
+    of equal slack own - out.  Every r_f > 0 gives a true bound; the search
+    sets only how tight.  Raises ValueError below degree 3, where rho = 1.
+    """
+    d, orders = spec.degree, spec.orders
+    if d < 3:
+        raise ValueError(f"need degree >= 3 for rho < 1, got {d} on {spec.describe()}")
+
+    def own_out(m, r):
+        if m == 2:
+            return 1 / r, r
+        return r + 1 / r, 2 * (r if m is None else (r + r ** (m - 1)) / (1 + r**m))
+
+    def lam(rs: dict):
+        sides = [own_out(m, rs[m]) for m in orders]
+        total = sum(out for _, out in sides)
+        return max(total, *(total + own - out for own, out in sides)) / d
+
+    def balanced(r0: float) -> dict:
+        own, out = own_out(orders[0], r0)
+        rs = {orders[0]: r0}
+        for m in set(orders) - {orders[0]}:
+            lo, hi = 0.0, 1.0
+            for _ in range(40):
+                mid = (lo + hi) / 2
+                o, u = own_out(m, mid)
+                lo, hi = (mid, hi) if o - u > own - out else (lo, mid)
+            rs[m] = (lo + hi) / 2
+        return rs
+
+    g, lo, hi = (math.sqrt(5.0) - 1.0) / 2.0, 0.0, 1.0
+    for _ in range(28):
+        x, y = hi - g * (hi - lo), lo + g * (hi - lo)
+        lo, hi = (lo, y) if lam(balanced(x)) <= lam(balanced(y)) else (x, hi)
+    rs = {m: Fraction(r).limit_denominator(10**9) for m, r in balanced((lo + hi) / 2).items()}
+    return lam(rs), tuple(rs[m] for m in orders)
+
+
+def float_above(q: Fraction) -> float:
+    """The least float >= q."""
+    x = float(q)
+    return x if Fraction(x) >= q else math.nextafter(x, math.inf)
+
+
 def kesten_rho_upper_fraction(d: int) -> Fraction:
     """A rational certified upper bound on the Kesten value (1e-12 slack)."""
     v = kesten_rho(d)
@@ -457,11 +511,8 @@ def chained_tail(d: int, rho_ub: float, x: float, start: int, legs: int) -> floa
     d/((d-1)(1-rho)) * sum_n lam^n, lam = x(d-1)rho; chaining `legs` of
     them (the bubble is 2, the triangle 3) gives
     (d/((d-1)(1-rho)))^legs * series_tail(lam, start, legs).  inf when
-    lam >= 1; NaN when rho_ub is NaN, the missing upper bound.  Raises
-    ValueError if rho_ub is neither NaN nor in (0, 1), or x < 0.
+    lam >= 1.  Raises ValueError if rho_ub is not in (0, 1), or x < 0.
     """
-    if math.isnan(rho_ub):
-        return math.nan
     if not 0 < rho_ub < 1:
         raise ValueError("need 0 < rho_ub < 1")
     pref = d / ((d - 1) * (1.0 - rho_ub))

@@ -18,14 +18,7 @@ import numpy as np
 from . import branching
 from .groups import Ball, GroupSpec, ball as build_ball
 from .rng import trial_streams
-from .stats import (
-    Estimate,
-    ExponentFit,
-    binomial_estimate,
-    fit_loglog,
-    mean_estimate,
-    stderr,
-)
+from .stats import Estimate, binomial_estimate, fit_loglog, mean_estimate, stderr
 
 
 def _reaches(ball: Ball, p: float, gen: np.random.Generator, targets: bytes) -> bool:
@@ -287,17 +280,3 @@ def susceptibility(
         est = mean_estimate(sizes.astype(float))
         out.append((p, est, stderr(sizes.astype(float))))
     return out
-
-
-def fit_gamma(spec: GroupSpec, p_grid: list[float], pc: float) -> ExponentFit:
-    """log E|C| vs log(pc - p) on exact oracle values, target slope -1."""
-    gaps = [pc - p for p in p_grid]
-    chis = [branching.mean_cluster_size(spec.degree, p) for p in p_grid]
-    return fit_loglog(gaps, chis, name="gamma_susceptibility", target=-1.0)
-
-
-def fit_beta(spec: GroupSpec, p_grid: list[float], pc: float) -> ExponentFit:
-    """log theta vs log(p - pc) on survival oracle values, target slope 1."""
-    gaps = [p - pc for p in p_grid]
-    thetas = [branching.survival_probability(spec.degree, p) for p in p_grid]
-    return fit_loglog(gaps, thetas, name="beta_theta", target=1.0)

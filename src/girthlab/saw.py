@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .groups import GroupSpec, Word, tree_sphere_size
-from .kernels import chained_tail, series_tail
+from .kernels import chained_tail, float_above, rho_upper, series_tail
 from .rng import trial_rng
 from .stats import DiagramResult, Estimate, mean_estimate
 
@@ -335,13 +335,12 @@ def susceptibility_saw(
         if spec.is_tree:
             chi = 1.0 + d * z / (1.0 - (d - 1) * z)
             tail = 0.0
-            certified = True
         else:
             chi = 0.0
             for n in range(truncation + 1):
                 chi += census.counts[n] * z**n
             tail = _chi_tail_census(census, z, truncation)
-            certified = tail < math.inf
+        certified = tail < math.inf
         rows.append(
             {"z": z, "chi": chi, "tail": tail, "certified": certified,
              "ratio_lo": chi * (mu_inv - z),
@@ -355,7 +354,6 @@ def bubble_diagram(
     z: float,
     truncation: int,
     census: SawCensus | None = None,
-    rho_ub: float = math.nan,
 ) -> DiagramResult:
     """B(z) = sum_x G_z(x)^2, truncated with a rigorous tail.
 
@@ -365,11 +363,12 @@ def bubble_diagram(
     O[n][m] z^(n+m), where O[n][m] = sum_x c_n(x) c_m(x) is counted
     exactly in Python ints as the sum over the census classes of
     size * c_n * c_m; the two-leg envelope
-    `kernels.chained_tail(d, rho_ub, z, N + 1, 2)` covers n + m > N: inf
-    unless z(d-1)rho_ub < 1, and NaN when rho_ub is NaN (the missing bound).
+    `kernels.chained_tail(d, rho_ub, z, N + 1, 2)` covers n + m > N, with
+    rho_ub the float just above `kernels.rho_upper`'s lambda: inf unless
+    z(d-1)rho_ub < 1.
 
     Raises ValueError for the inputs `_check_sum_inputs` rejects and, in
-    census mode, if rho_ub is neither NaN nor in (0, 1).
+    census mode, below degree 3, where rho = 1.
     """
     _check_sum_inputs(spec, [z], truncation, census)
     d = spec.degree
@@ -390,6 +389,6 @@ def bubble_diagram(
         for n in range(truncation + 1):
             for m in range(truncation + 1):
                 value += overlap[n][m] * z ** (n + m)
-        tail = chained_tail(d, rho_ub, z, truncation + 1, legs=2)
+        tail = chained_tail(d, float_above(rho_upper(spec)[0]), z, truncation + 1, legs=2)
         method = "census"
     return DiagramResult(value, truncation, tail, method)

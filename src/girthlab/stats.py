@@ -37,8 +37,7 @@ def binomial_estimate(successes: int, trials: int) -> Estimate:
 
 def mean_estimate(samples: np.ndarray) -> Estimate:
     """Mean with a normal 95% CI (3-sigma checks use .stderr separately)."""
-    m = float(np.mean(samples))
-    se = float(np.std(samples, ddof=1) / math.sqrt(len(samples))) if len(samples) > 1 else 0.0
+    m, se = float(np.mean(samples)), stderr(samples)
     return Estimate(m, m - Z_95 * se, m + Z_95 * se, len(samples))
 
 
@@ -96,7 +95,7 @@ def fit_loglog(
 @dataclass
 class DiagramResult:
     """Truncated diagram value plus a rigorous bound on the rest of the
-    sum; tail_bound is inf or NaN when no finite bound is certified."""
+    sum; tail_bound is inf when no finite bound is certified."""
 
     value: float
     truncation: int

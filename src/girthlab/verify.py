@@ -4,8 +4,8 @@ Each job builds one ball, shared by the kernel checks, the return rates and
 the p_c bisection.  Every input is a `Bracket` (lo, hi) with its provenance,
 from one input function per graph family, and every entry is an inequality
 between two brackets decided by the one rule `status`.  An end that needs
-a missing input (a spectral-radius upper bound, the universal constant, a
-lower bound on mu) is NaN, so the entry is `inconclusive`, not skipped.
+a missing input (the universal constant, a lower bound on mu) is NaN, so
+the entry is `inconclusive`, not skipped.
 """
 
 from __future__ import annotations
@@ -26,8 +26,10 @@ from .kernels import (
     check_nbw_le_rho_power,
     check_nbw_le_srw_tail,
     estimate_spectral_radius,
+    float_above,
     kesten_rho,
     nbw_kernel,
+    rho_upper,
     srw_kernel,
 )
 
@@ -146,7 +148,6 @@ def check_endpoint_decay(d: int, rho: Bracket, mu: Bracket) -> Entry:
     d (d-1)^{n-1} rho^n/(1-rho), and c_n >= mu^n.  lambda is at most
     (d-1) rho.hi / mu.lo, and 0 is its only lower end: the entry never fails."""
     note = ("no certified lower bound on mu" if math.isnan(mu.lo) else
-            "no certified rho upper bound" if math.isnan(rho.hi) else
             f"envelope constant {d / ((d - 1) * (1.0 - rho.hi)):.6g}")
     return Entry("endpoint_decay", "sup_x law(n,x) <= C*lambda^n",
                  Bracket(0.0, (d - 1) * rho.hi / mu.lo), ONE, True, note)
@@ -158,7 +159,6 @@ class GraphJob:
     radius: int = 6
     kernel_steps: int = 6
     saw_n_max: int = 6
-    rho_ub: float | None = None  # non-trees only, in [K, 1): rho's upper end
     bnp_c: float | None = None  # universal constant: input, never a default
     pc_trials: int = 100
 
@@ -176,7 +176,7 @@ def parse_verify_config(text: str) -> VerifyConfig:
     """Read a verify config: `seed` under [verify], and under each
     [graph:SPEC] any `GraphJob` field by name (keys are case-insensitive,
     so `bnp_C` sets `bnp_c`).  Int fields must parse as ints; a blank
-    float field (`rho_ub`, `bnp_C`) leaves it unset.
+    `bnp_C` leaves it unset.
 
     Raises ValueError for malformed INI (no section header, a duplicate
     section or key), a section other than [verify] and [graph:SPEC], a
@@ -252,13 +252,15 @@ def _tree_inputs(spec: GroupSpec):
 
 def _free_product_inputs(job: GraphJob, srw: KernelTable, census: saw_mod.SawCensus, seed: int):
     """Any other free product's inputs, as `_tree_inputs` returns them, from
-    the job's one ball `srw.ball`, its SRW table and census: rho in [K, rho_ub]
-    (hi NaN without rho_ub), p_c by crossing bisection, mu from above only."""
+    the job's one ball `srw.ball`, its SRW table and census: rho in [K, lambda]
+    with `kernels.rho_upper`'s lambda rounded up, p_c by crossing bisection,
+    mu from above only."""
     b, d = srw.ball, srw.ball.spec.degree
-    rho = Bracket(kesten_rho(d), math.nan if job.rho_ub is None else job.rho_ub)
+    lam, rs = rho_upper(b.spec)
+    rho = Bracket(kesten_rho(d), float_above(lam))
     est = percolation.pc_bracket(b, job.pc_trials, seed)
     return ((rho, "lo: Kesten's 2*sqrt(d-1)/d; "
-                  f"hi: {'missing' if job.rho_ub is None else 'rho_ub'}"),
+                  f"hi: superharmonic witness r=({', '.join(map(str, rs))})"),
             (Bracket(est.lo, est.hi), f"crossing-bisection R={job.radius}"),
             (Bracket(math.nan, saw_mod.connective_constant(census).best_upper),
              f"lo: missing; hi: census min c_n^(1/n), n<={census.n_max}"),
@@ -283,22 +285,17 @@ def _graph_certificate(job: GraphJob, seed: int) -> dict:
     (rho, rho_prov), (pc, pc_prov), (mu, mu_prov), (tri, tri_note), (bub, bub_note), returns = (
         _tree_inputs(spec) if spec.is_tree else _free_product_inputs(job, srw, census, seed))
 
-    if math.isnan(rho.hi):  # the kernel checks need an upper bound on rho
-        entries = [Entry(name, "walk-kernel inequality", NAN, NAN, False,
-                         note="no certified rho upper bound")
-                   for name in ("nbw_le_srw_tail", "nbw_le_rho_power")]
-    else:
-        entries = []
-        n_check = min(job.kernel_steps, job.radius)
-        nbw = nbw_kernel(b, n_check)
-        for chk in (check_nbw_le_srw_tail(b, n_check, rho.hi, srw=srw, nbw=nbw),
-                    check_nbw_le_rho_power(b, n_check, rho.hi, nbw=nbw)):
-            worst = chk.worst
-            n, x = worst.params["n"], worst.params["x"]
-            entries.append(Entry(chk.check, "walk-kernel inequality", point(worst.lhs),
-                                 point(worst.rhs), False,
-                                 note=f"worst margin at n={n} x={word_str(spec, b.word(x))} "
-                                      f"over {chk.pairs} (x,n) pairs"))
+    entries = []
+    n_check = min(job.kernel_steps, job.radius)
+    nbw = nbw_kernel(b, n_check)
+    for chk in (check_nbw_le_srw_tail(b, n_check, rho.hi, srw=srw, nbw=nbw),
+                check_nbw_le_rho_power(b, n_check, rho.hi, nbw=nbw)):
+        worst = chk.worst
+        n, x = worst.params["n"], worst.params["x"]
+        entries.append(Entry(chk.check, "walk-kernel inequality", point(worst.lhs),
+                             point(worst.rhs), False,
+                             note=f"worst margin at n={n} x={word_str(spec, b.word(x))} "
+                                  f"over {chk.pairs} (x,n) pairs"))
 
     entries += [
         Entry("return_rate_le_rho", "p^{2n}(0,0)^{1/2n}<=rho", point(max(returns, default=0.0)),
@@ -328,29 +325,15 @@ def _graph_certificate(job: GraphJob, seed: int) -> dict:
     }
 
 
-def rho_ub_problem(spec: GroupSpec, rho_ub: float, key: str = "rho_ub") -> str:
-    """Why `rho_ub`, named `key`, cannot bound the spectral radius of `spec`
-    from above, or "" if it can: a tree's rho is Kesten's K = 2*sqrt(d-1)/d,
-    and every other d-regular graph has K <= rho (Kesten 1959)."""
-    if spec.is_tree:
-        return f"{key} must not be set on a tree: rho is 2*sqrt(d-1)/d"
-    K = kesten_rho(spec.degree)
-    return "" if K <= rho_ub < 1 else (f"need K <= {key} < 1, K = 2*sqrt(d-1)/d = {K:.6g} "
-                                        f"(Kesten's lower bound on rho), got {rho_ub}")
-
-
 def _check_job(job: GraphJob) -> None:
     """Raise ValueError, naming the graph and the key, if `job` cannot be
-    certified: degree < 3, a size below its minimum, a `rho_ub_problem`, or
-    a bnp_C outside (0, inf)."""
+    certified: degree < 3, a size below its minimum, or a bnp_C outside
+    (0, inf)."""
     spec = parse_group_spec(job.spec_text)
     bad = [(spec.degree < 3, f"need degree >= 3, got {spec.degree}")]
     bad += [(getattr(job, key) < low, f"need {key} >= {low}, got {getattr(job, key)}")
             for key, low in (("saw_n_max", 1), ("pc_trials", 1),
                              ("radius", 0), ("kernel_steps", 0))]
-    if job.rho_ub is not None:
-        why = rho_ub_problem(spec, job.rho_ub)
-        bad.append((bool(why), why))
     if job.bnp_c is not None:
         bad.append((not 0 < job.bnp_c < math.inf, f"need 0 < bnp_C < inf, got {job.bnp_c}"))
     for is_bad, why in bad:

@@ -1,13 +1,16 @@
 """Independent oracles that only the tests call: second opinions on the
-package's closed forms, ball distances and crossing thresholds, and
+package's closed forms, ball distances and crossing thresholds,
 normal-form word arithmetic, which the package's integer-array balls do
-without."""
+without, and mean-field exponent fits on the exact tree values."""
 
 import heapq
 import math
+from fractions import Fraction
 
+from girthlab import branching
 from girthlab.branching import FIXED_POINT_TOL
 from girthlab.groups import Ball, GroupSpec, Word
+from girthlab.stats import ExponentFit, fit_loglog
 
 IDENTITY: Word = ()
 
@@ -86,6 +89,26 @@ def word_length(spec: GroupSpec, w: Word) -> int:
     return total
 
 
+def superharmonic_ratio(ball: Ball, rs) -> Fraction:
+    """max (Pf)(x) / f(x) over the vertices x with dist(x) < R, in
+    Fractions, for the witness f(x) = prod phi_f(e) over the syllables of
+    x's word: (r^e + r^{m-e}) / (1 + r^m) on Zm, r^|e| on Z, r on Z2, with
+    r = rs[f].  Every vertex inside the radius has all d neighbours in the
+    ball, so the ratio there is exact."""
+    orders = ball.spec.orders
+
+    def phi(f: int, e: int) -> Fraction:
+        r, m = rs[f], orders[f]
+        if m is None or m == 2:
+            return r ** abs(e)
+        return (r**e + r ** (m - e)) / (1 + r**m)
+
+    fs = [math.prod((phi(f, e) for f, e in ball.word(v)), start=Fraction(1))
+          for v in range(ball.n_vertices)]
+    return max(sum(fs[y] for y, _ in ball.adj[x]) / (len(ball.adj[x]) * fs[x])
+               for x in range(ball.n_vertices) if ball.dist[x] < ball.radius)
+
+
 def bottleneck_dijkstra(ball: Ball, uniforms) -> float:
     """min over root -> radius-R paths of the largest edge uniform on the
     path (-inf at radius 0, inf with no radius-R vertex): a Dijkstra keyed
@@ -105,3 +128,17 @@ def bottleneck_dijkstra(ball: Ball, uniforms) -> float:
                 best[y] = w
                 heapq.heappush(heap, (w, y))
     return math.inf
+
+
+def fit_gamma(spec: GroupSpec, p_grid: list[float], pc: float) -> ExponentFit:
+    """log E|C| vs log(pc - p) on exact oracle values, target slope -1."""
+    gaps = [pc - p for p in p_grid]
+    chis = [branching.mean_cluster_size(spec.degree, p) for p in p_grid]
+    return fit_loglog(gaps, chis, name="gamma_susceptibility", target=-1.0)
+
+
+def fit_beta(spec: GroupSpec, p_grid: list[float], pc: float) -> ExponentFit:
+    """log theta vs log(p - pc) on survival oracle values, target slope 1."""
+    gaps = [p - pc for p in p_grid]
+    thetas = [branching.survival_probability(spec.degree, p) for p in p_grid]
+    return fit_loglog(gaps, thetas, name="beta_theta", target=1.0)

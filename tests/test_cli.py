@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from girthlab.cli import (
     _parse_grid,
     CliError,
 )
+from girthlab.groups import parse_group_spec
 from girthlab.verify import run_certificate
 
 
@@ -117,7 +119,7 @@ def test_saw_chi_and_bubble(tmp_path, capsys):
 
 def test_saw_bubble_rejects_negative_z(tmp_path):
     for z in ("-0.5", "nan"):
-        args = ["saw", "--spec", "Z5*Z5", "--nmax", "6", "--bubble-z", z, "--rho-ub", "0.9"]
+        args = ["saw", "--spec", "Z5*Z5", "--nmax", "6", "--bubble-z", z]
         assert run(args, tmp_path) == 2
 
 
@@ -129,15 +131,25 @@ def test_saw_chi_rejects_negative_z(tmp_path):
         assert not (tmp_path / "chi_ZxZ.csv").exists()
 
 
-def test_saw_bubble_without_rho_ub_prints_nan_tail(tmp_path, capsys):
-    args = ["saw", "--spec", "Z5*Z5", "--nmax", "6", "--bubble-z", "0.2"]
+def test_saw_bubble_tail_reads_the_witness_rho(tmp_path, capsys):
+    # z (d-1) lambda = 0.2 * 3 * 0.8964 = 0.538 < 1: the census bubble's
+    # tail is certified with no rho given
+    args = ["saw", "--spec", "Z5*Z5", "--nmax", "8", "--bubble-z", "0.2"]
     assert run(args, tmp_path) == 0
     assert capsys.readouterr().out.splitlines()[-1] == (
-        "bubble z=0.2: value=1.187906 tail=nan certified=False")
+        "bubble z=0.2: value=1.187927 tail=15.1 certified=True")
 
 
-@pytest.mark.parametrize("spec_args", [["--spec", "Z*Z"],
-                                       ["--spec", "Z5*Z5", "--rho-ub", "0.9"]])
+def test_saw_bubble_on_degree_two_exits_2(tmp_path, capsys):
+    # a 5-cycle has rho = 1: no witness bounds it below 1
+    args = ["saw", "--spec", "Z5", "--nmax", "4", "--bubble-z", "0.2"]
+    assert run(args, tmp_path) == 2
+    captured = capsys.readouterr()
+    assert "error: need degree >= 3 for rho < 1, got 2 on Z5" in captured.err
+    assert captured.out == "" and not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("spec_args", [["--spec", "Z*Z"], ["--spec", "Z5*Z5"]])
 def test_saw_bubble_rejects_negative_truncation(tmp_path, capsys, spec_args):
     args = ["saw", *spec_args, "--nmax", "4", "--bubble-z", "0.2", "--N", "-1"]
     assert run(args, tmp_path) == 2
@@ -147,8 +159,7 @@ def test_saw_bubble_rejects_negative_truncation(tmp_path, capsys, spec_args):
 def test_saw_failure_names_no_file(tmp_path, capsys):
     # the census CSV is written, then the bubble fails and it is discarded:
     # stdout must not have named it
-    args = ["saw", "--spec", "Z5*Z5", "--nmax", "4", "--bubble-z", "0.2", "--N", "-1",
-            "--rho-ub", "0.9"]
+    args = ["saw", "--spec", "Z5*Z5", "--nmax", "4", "--bubble-z", "0.2", "--N", "-1"]
     assert run(args, tmp_path) == 2
     out = capsys.readouterr()
     assert "census:" not in out.out and "error:" in out.err
@@ -161,23 +172,6 @@ def test_saw_empty_census(tmp_path, capsys):
     assert not (tmp_path / "census_Z5xZ5.csv").exists()
 
 
-def test_saw_rho_ub_on_tree_rejected(tmp_path, capsys):
-    args = ["saw", "--spec", "Z*Z", "--nmax", "4", "--bubble-z", "0.2", "--rho-ub", "0.5"]
-    assert run(args, tmp_path) == 2
-    captured = capsys.readouterr()
-    assert "error: --rho-ub must not be set on a tree" in captured.err
-    assert captured.out == "" and not (tmp_path / "census_ZxZ.csv").exists()
-
-
-def test_saw_rho_ub_below_kesten_rejected(tmp_path, capsys):
-    # every 4-regular graph has rho >= K = sqrt(3)/2 = 0.866025
-    args = ["saw", "--spec", "Z5*Z5", "--nmax", "4", "--bubble-z", "0.2", "--rho-ub", "0.65"]
-    assert run(args, tmp_path) == 2
-    captured = capsys.readouterr()
-    assert "error: need K <= --rho-ub < 1, K = 2*sqrt(d-1)/d = 0.866025" in captured.err
-    assert captured.out == "" and not list(tmp_path.iterdir())
-
-
 def test_parse_grid():
     assert _parse_grid("0.1, 0.2 0.3") == [0.1, 0.2, 0.3]
     with pytest.raises(CliError):
@@ -186,12 +180,13 @@ def test_parse_grid():
 
 def test_verify_config_ignores_unknown_keys():
     # keys an older config still carries (the benchmark's README config
-    # has one) are ignored, not an error: trials and eps are retired
+    # has some) are ignored, not an error: trials, eps and rho_ub are retired
     cfg = parse_verify_config("[verify]\nseed = 4\nretired = 1\neps = 0.1\n\n"
-                              "[graph:Z*Z]\nradius = 3\ntrials = 200\n")
+                              "[graph:Z5*Z5]\nradius = 3\ntrials = 200\nrho_ub = 0.95\n")
     assert cfg.seed == 4 and [j.radius for j in cfg.jobs] == [3]
     doc = cfg.to_dict()
-    assert "retired" not in doc and "eps" not in doc and "trials" not in doc["jobs"][0]
+    assert "retired" not in doc and "eps" not in doc
+    assert "trials" not in doc["jobs"][0] and "rho_ub" not in doc["jobs"][0]
 
 
 GOOD_GRAPH = "[graph:Z*Z]\nradius = 3\nsaw_n_max = 4\npc_trials = 20\n"
@@ -230,7 +225,8 @@ def test_verify_cli_tree_config(tmp_path, capsys):
 
 
 def test_verify_cli_strict_inconclusive(tmp_path):
-    # Z5*Z5 without rho_ub: inconclusive entries, exit 0 normally, 1 with --strict
+    # Z5*Z5 has no certified lower bound on mu: inconclusive entries, exit 0
+    # normally, 1 with --strict
     cfg = tmp_path / "loose.cfg"
     cfg.write_text(
         "[verify]\nseed = 3\n\n"
@@ -262,7 +258,7 @@ def test_readme_config_block(tmp_path, capsys):
     assert set(by_graph) == {"Z*Z", "Z5*Z5"}
     assert set(by_graph["Z*Z"].values()) == {"pass"}
     # the README's note: Z5*Z5 fails the girth threshold for every rho >= K,
-    # and p_c^lo*3*K < 1 < p_c^hi*3*rho_ub leaves perccond open
+    # and p_c^lo*3*K < 1 < p_c^hi*3*rho.hi leaves perccond open
     z5 = {status: sorted(i for i, s in by_graph["Z5*Z5"].items() if s == status)
           for status in ("pass", "fail", "inconclusive")}
     assert z5 == {"pass": ["nbw_le_rho_power", "nbw_le_srw_tail", "pc_degree_girth_bound",
@@ -271,6 +267,11 @@ def test_readme_config_block(tmp_path, capsys):
                   "inconclusive": ["bubble_finite", "endpoint_decay", "mu_pc_product",
                                    "perccond", "triangle_finite"]}
     assert cert.failed
+    # rho.hi is the least float above the witness's Fraction lambda
+    rho = cert.graphs[1]["inputs"]["rho"]
+    lam, rs = kernels.rho_upper(parse_group_spec("Z5*Z5"))
+    assert abs(rho["hi"] - 0.896398649) < 1e-9 and Fraction(rho["hi"]) >= lam
+    assert rho["provenance"].endswith(f"superharmonic witness r=({rs[0]}, {rs[1]})")
     cfg = tmp_path / "readme.cfg"
     cfg.write_text(block)
     capsys.readouterr()
@@ -294,7 +295,7 @@ def test_readme_certificate_golden_digest():
     block = re.search(r"```ini\n(.*?)```", README, re.S).group(1)
     doc = run_certificate(parse_verify_config(block)).to_json(include_meta=False)
     assert (hashlib.sha256(doc.encode()).hexdigest()
-            == "dd12363689cf79cb4efd6ff7b9fbdeac9a028c6850877b9d19bc87b18e2e9c41")
+            == "8c0d6c1b6e3513a939ba0051079429f09b4c2d11675cb0bce5517274d219b2e7")
 
 
 NO_RHO_UB_CONFIG = """\
@@ -315,11 +316,11 @@ pc_trials = 100
 
 
 def test_no_rho_ub_certificate_golden_digest():
-    # the missing-rho path: NaN upper ends through the kernel, triangle and
-    # endpoint entries, and two non-tree jobs' p_c bisections
+    # no rho is given: both jobs take rho's upper end from the witness, so
+    # Z2*Z3*Z4 runs the kernel checks too, and two non-tree p_c bisections
     doc = run_certificate(parse_verify_config(NO_RHO_UB_CONFIG)).to_json(include_meta=False)
     assert (hashlib.sha256(doc.encode()).hexdigest()
-            == "6d3453aebbb714ce8d18dc86ef25b152b9d6cbfeec82b8657f39d6fa416ac0f1")
+            == "ce69fc7a915f6abdaa48226be30f24332153dfcae7690dea1b21b628011b34d4")
 
 
 def _count_balls(monkeypatch):

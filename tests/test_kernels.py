@@ -14,15 +14,18 @@ from girthlab.kernels import (
     check_nbw_le_rho_power,
     check_nbw_le_srw_tail,
     estimate_spectral_radius,
+    float_above,
     kesten_rho,
     kesten_rho_upper_fraction,
     nbw_kernel,
+    rho_upper,
     series_tail,
     srw_kernel,
     tree_return_probabilities,
 )
 from girthlab.saw import bubble_diagram, enumerate_saw
 from girthlab.verify import FAIL, PASS, point, status
+from oracles import superharmonic_ratio
 
 F2 = parse_group_spec("Z*Z")
 Z5Z5 = parse_group_spec("Z5*Z5")
@@ -203,6 +206,45 @@ def test_kesten_upper_fraction_is_upper_bound():
         frac = kesten_rho_upper_fraction(d)
         assert float(frac) > kesten_rho(d)
         assert float(frac) - kesten_rho(d) < 1e-11
+
+
+@pytest.mark.parametrize("text", ["Z5*Z5", "Z2*Z3", "Z*Z5", "Z2*Z3*Z4", "Z3*Z3"])
+def test_rho_upper_is_the_witness_ratio_on_a_ball(text):
+    # max over interior x of (Pf)(x)/f(x), f built from each vertex's word
+    spec = parse_group_spec(text)
+    lam, rs = rho_upper(spec)
+    assert len(rs) == len(spec.orders) and all(0 < r < 1 for r in rs)
+    assert superharmonic_ratio(ball(spec, 4), rs) == lam
+
+
+@pytest.mark.parametrize("text,ref,tol", [
+    # trees: Kesten's K is rho itself
+    ("Z*Z", kesten_rho(4), 1e-9), ("Z2*Z2*Z2", kesten_rho(3), 1e-9),
+    ("Z*Z*Z", kesten_rho(6), 1e-9),
+    # Zm*Zm: the free-convolution values to 6 digits
+    ("Z3*Z3", 0.957107, 1e-6), ("Z4*Z4", 0.918559, 1e-6), ("Z5*Z5", 0.896399, 1e-6),
+    ("Z6*Z6", 0.883816, 1e-6), ("Z8*Z8", 0.872262, 1e-6), ("Z12*Z12", 0.866783, 1e-6),
+    # unequal factors: an independent float search to 9 digits
+    ("Z2*Z3", 0.988482213, 1e-9), ("Z*Z5", 0.881454029, 1e-9),
+    ("Z2*Z3*Z4", 0.855874482, 1e-9),
+])
+def test_rho_upper_is_tight_and_above_every_return_rate(text, ref, tol):
+    spec = parse_group_spec(text)
+    lam, _ = rho_upper(spec)
+    assert abs(float(lam) - ref) < tol
+    if spec.is_tree:
+        assert float(lam) >= ref
+    # lam^{2n} >= p^{2n}(0,0), exactly, for every return on the ball
+    srw = srw_kernel(ball(spec, 4), 4, exact=True)
+    assert all(lam ** (2 * n) >= srw.prob(2 * n, 0) for n in range(3))
+    up = float_above(lam)
+    assert Fraction(up) >= lam and Fraction(math.nextafter(up, 0.0)) < lam
+
+
+@pytest.mark.parametrize("text", ["Z", "Z5", "Z2*Z2", "Z2"])
+def test_rho_upper_needs_degree_three(text):
+    with pytest.raises(ValueError, match="need degree >= 3 for rho < 1"):
+        rho_upper(parse_group_spec(text))
 
 
 def test_tree_return_probabilities_small_n():
@@ -584,13 +626,12 @@ def test_chained_tail_finite_just_below_one():
             assert tail == pytest.approx(float(exact), rel=1e-13)
 
 
-def test_chained_tail_missing_rho_is_nan_divergent_is_inf():
-    assert math.isnan(chained_tail(4, math.nan, 0.1, 3, legs=3))
+def test_chained_tail_divergent_is_inf():
     assert chained_tail(4, 0.9, 1 / 2.7, 3, legs=2) == math.inf  # lam = 1
     assert chained_tail(4, 0.9, 0.9, 3, legs=3) == math.inf
 
 
-@pytest.mark.parametrize("rho", [0.0, 1.0, 1.5, -0.2])
+@pytest.mark.parametrize("rho", [0.0, 1.0, 1.5, -0.2, math.nan])
 def test_chained_tail_rejects_rho_outside_unit_interval(rho):
     with pytest.raises(ValueError):
         chained_tail(4, rho, 0.1, 3, legs=1)
@@ -603,9 +644,10 @@ def test_chained_tail_rejects_negative_weight():
 
 @pytest.mark.parametrize("gap", [0.5, 1e-9])
 def test_diagram_tails_are_the_chained_envelope(gap):
-    rho = math.sqrt(3) / 2
+    # the census bubble reads rho's upper end from the witness
+    rho = float_above(rho_upper(Z5Z5)[0])
     x = (1 - gap) / (3 * rho)
     census = enumerate_saw(Z5Z5, 5)
-    bub = bubble_diagram(Z5Z5, x, 5, census=census, rho_ub=rho)
+    bub = bubble_diagram(Z5Z5, x, 5, census=census)
     assert bub.tail_bound == chained_tail(4, rho, x, 6, legs=2) < math.inf
     assert bub.certified

@@ -13,8 +13,6 @@ from girthlab.percolation import (
     crossing_probability,
     crossing_threshold,
     estimate_pc,
-    fit_beta,
-    fit_gamma,
     nonuniqueness_witness,
     oracle_witness_radius,
     susceptibility,
@@ -23,7 +21,7 @@ from girthlab.percolation import (
 )
 from girthlab.rng import trial_rng
 from girthlab.stats import binomial_estimate
-from oracles import bottleneck_dijkstra, inverse, multiply, word_length
+from oracles import bottleneck_dijkstra, fit_beta, fit_gamma, inverse, multiply, word_length
 
 F2 = parse_group_spec("Z*Z")
 Z5Z5 = parse_group_spec("Z5*Z5")

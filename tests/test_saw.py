@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from girthlab.cli import main
 from girthlab.groups import parse_group_spec
-from girthlab.kernels import kesten_rho
+from girthlab.kernels import float_above, kesten_rho, rho_upper
 from girthlab.saw import (
     bubble_diagram,
     connective_constant,
@@ -142,7 +142,7 @@ def test_census_builds_no_words():
     connective_constant(fresh)
     speed_exact(fresh, 8)
     fresh.sup_endpoint_probability(8)
-    bubble_diagram(Z5Z5, 0.2, 8, census=fresh, rho_ub=0.9)
+    bubble_diagram(Z5Z5, 0.2, 8, census=fresh)
     assert "endpoint_counts" not in vars(fresh)
     # built on first read, then kept; it matches the walk-by-walk oracle
     assert fresh.endpoint_counts == dfs_census(Z5Z5, 8)[1]
@@ -191,9 +191,9 @@ def test_endpoint_decay_tree():
 
 
 def test_endpoint_decay_without_rho():
+    # a NaN upper end decides nothing; the certificate always has one
     entry = check_endpoint_decay(4, Bracket(kesten_rho(4), math.nan), point(3.0))
     assert entry.status == "inconclusive" and math.isnan(entry.lhs.hi)
-    assert entry.note == "no certified rho upper bound"
 
 
 def test_endpoint_decay_base_too_large():
@@ -457,7 +457,7 @@ def test_bubble_census_matches_pair_intersections(text):
     mu_inv = 1.0 / connective_constant(census).best_upper
     for truncation in range(9):
         for z in (0.5 * mu_inv, mu_inv, 0.3):
-            res = bubble_diagram(spec, z, truncation, census=census, rho_ub=0.95)
+            res = bubble_diagram(spec, z, truncation, census=census)
             assert res.value == pair_intersection_bubble(census, z, truncation)
 
 def test_bubble_tree_value():
@@ -478,7 +478,7 @@ def test_bubble_census_matches_tree():
     census = enumerate_saw(F2, 8)
     z = 0.3
     tree = bubble_diagram(F2, z, 8)
-    cen = bubble_diagram(F2, z, 8, census=census, rho_ub=math.sqrt(3) / 2)
+    cen = bubble_diagram(F2, z, 8, census=census)
     assert cen.method == "census"
     assert cen.certified
     # same truncated sum: on a tree the only (n, m) overlap is n = m = |x|
@@ -488,17 +488,9 @@ def test_bubble_census_matches_tree():
 def test_bubble_census_z5z5():
     census = enumerate_saw(Z5Z5, 8)
     mu_ub = connective_constant(census).best_upper
-    res = bubble_diagram(Z5Z5, 1 / mu_ub, 8, census=census, rho_ub=0.95)
+    res = bubble_diagram(Z5Z5, 1 / mu_ub, 8, census=census)
     assert res.value > 1.0
-    assert res.certified == (1 / mu_ub * 3 * 0.95 < 1.0)
-
-
-def test_bubble_census_without_rho_is_uncertified():
-    # a missing rho is NaN: the tail is NaN, never a finite or inf bound
-    census = enumerate_saw(Z5Z5, 6)
-    res = bubble_diagram(Z5Z5, 0.2, 6, census=census)
-    assert math.isnan(res.tail_bound) and math.isnan(res.upper) and not res.certified
-    assert res.value == bubble_diagram(Z5Z5, 0.2, 6, census=census, rho_ub=0.95).value
+    assert res.certified == (1 / mu_ub * 3 * float_above(rho_upper(Z5Z5)[0]) < 1.0)
 
 
 def test_bubble_validation():
@@ -509,13 +501,15 @@ def test_bubble_validation():
 def test_bubble_rejects_negative_z_and_bad_rho():
     census = enumerate_saw(Z5Z5, 4)
     with pytest.raises(ValueError):
-        bubble_diagram(Z5Z5, -0.5, 4, census=census, rho_ub=0.9)
+        bubble_diagram(Z5Z5, -0.5, 4, census=census)
     with pytest.raises(ValueError):
         bubble_diagram(F2, -0.1, 4)
+    # a 5-cycle has rho = 1: no certified rho < 1 for the census tail
+    cycle = parse_group_spec("Z5")
+    with pytest.raises(ValueError, match="need degree >= 3"):
+        bubble_diagram(cycle, 0.2, 4, census=enumerate_saw(cycle, 4))
     with pytest.raises(ValueError):
-        bubble_diagram(Z5Z5, 0.2, 4, census=census, rho_ub=1.5)
-    with pytest.raises(ValueError):
-        bubble_diagram(Z5Z5, 0.2, 9, census=enumerate_saw(Z5Z5, 8), rho_ub=0.9)
+        bubble_diagram(Z5Z5, 0.2, 9, census=enumerate_saw(Z5Z5, 8))
 
 
 def test_bubble_rejects_negative_truncation():
@@ -523,4 +517,4 @@ def test_bubble_rejects_negative_truncation():
     with pytest.raises(ValueError, match="truncation must be >= 0"):
         bubble_diagram(F2, 0.2, -1)
     with pytest.raises(ValueError, match="truncation must be >= 0"):
-        bubble_diagram(Z5Z5, 0.2, -1, census=enumerate_saw(Z5Z5, 4), rho_ub=0.9)
+        bubble_diagram(Z5Z5, 0.2, -1, census=enumerate_saw(Z5Z5, 4))

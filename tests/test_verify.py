@@ -14,11 +14,14 @@ from girthlab.kernels import (
     chained_tail,
     check_nbw_le_rho_power,
     check_nbw_le_srw_tail,
+    float_above,
     kesten_rho,
     nbw_kernel,
+    rho_upper,
     srw_kernel,
 )
 from girthlab.percolation import tree_triangle_exact
+from girthlab.saw import connective_constant, enumerate_saw
 from girthlab.verify import (
     Bracket,
     Certificate,
@@ -211,26 +214,11 @@ def test_certificate_json_meta_toggle():
     assert with_meta["graphs"] == without["graphs"]
 
 
-def test_missing_rho_ub_degrades_to_inconclusive():
-    job = GraphJob("Z5*Z5", radius=4, kernel_steps=3, saw_n_max=5,
-                   pc_trials=40)
-    cert = _certify(VerifyConfig(jobs=[job], seed=1))
-    by_id = {e["id"]: e for e in cert.entries}
-    for rho_dependent in ("nbw_le_srw_tail", "nbw_le_rho_power", "perccond",
-                          "girth_threshold", "pc_degree_girth_bound"):
-        assert by_id[rho_dependent]["status"] == "inconclusive"
-    # census-driven entries still run; the census bounds mu only from above
-    assert by_id["mu_pc_product"]["status"] == "inconclusive"
-    assert by_id["mu_pc_product"]["rhs"] == "nan" and by_id["mu_pc_product"]["rhs_hi"] > 1
-    assert by_id["saw_speed_positive"]["status"] == "pass"
-    assert {e["id"] for e in cert.entries} == EXPECTED_IDS  # nothing omitted
-
-
 def test_certificate_girth_from_closed_form():
     # a radius-3 ball only sees cycles of length <= 7, so a BFS would
     # certify no more than girth > 6; the closed form records 7
     job = GraphJob("Z7*Z7", radius=3, kernel_steps=3, saw_n_max=4,
-                   pc_trials=20, rho_ub=0.95, bnp_c=1.0)
+                   pc_trials=20, bnp_c=1.0)
     cert = _certify(VerifyConfig(jobs=[job], seed=2))
     assert cert.graphs[0]["inputs"]["girth"] == "7"
     by_id = {e["id"]: e for e in cert.entries}
@@ -243,13 +231,13 @@ def test_certificate_kernel_entries_match_entry_scan():
     jobs = [GraphJob("Z*Z", radius=4, kernel_steps=6, saw_n_max=5,
                      pc_trials=20, bnp_c=1.0),
             GraphJob("Z5*Z5", radius=3, kernel_steps=6, saw_n_max=5,
-                     pc_trials=20, rho_ub=0.95, bnp_c=1.0)]
+                     pc_trials=20, bnp_c=1.0)]
     cert = _certify(VerifyConfig(jobs=jobs, seed=1))
     for job, g in zip(jobs, cert.graphs):
         b = ball(parse_group_spec(job.spec_text), job.radius)
         n_check = min(job.kernel_steps, job.radius)
         srw, nbw = srw_kernel(b, job.radius), nbw_kernel(b, n_check)
-        rho_ub = job.rho_ub if job.rho_ub is not None else kesten_rho(4)
+        rho_ub = kesten_rho(4) if b.spec.is_tree else float_above(rho_upper(b.spec)[0])
         by_id = {e["id"]: e for e in g["entries"]}
         for chk in (list(check_nbw_le_srw_tail(b, n_check, rho_ub, srw=srw, nbw=nbw)),
                     list(check_nbw_le_rho_power(b, n_check, rho_ub, nbw=nbw))):
@@ -263,14 +251,18 @@ def test_certificate_kernel_entries_match_entry_scan():
             assert want.status == ("pass" if all(e.passed for e in chk) else "fail")
 
 
-@pytest.mark.parametrize("spec_text,rho_ub", [
+@pytest.mark.parametrize("spec_text,stale_rho_ub", [
     ("Z*Z", None), ("Z2*Z2*Z2", None),
     ("Z5*Z5", 0.95), ("Z*Z*Z5", 0.76), ("Z5*Z5", None),
 ])
-def test_triangle_entry_is_closed_form_or_whole_envelope(spec_text, rho_ub):
-    job = GraphJob(spec_text, radius=3, kernel_steps=3, saw_n_max=4,
-                   pc_trials=20, rho_ub=rho_ub, bnp_c=1.0)
-    g = _certify(VerifyConfig(jobs=[job], seed=1)).graphs[0]
+def test_triangle_entry_is_closed_form_or_whole_envelope(spec_text, stale_rho_ub):
+    # an older config's rho_ub line is ignored: the envelope reads the
+    # witness's rho, with or without it
+    text = (f"[verify]\nseed = 1\n[graph:{spec_text}]\nradius = 3\nkernel_steps = 3\n"
+            f"saw_n_max = 4\npc_trials = 20\nbnp_C = 1.0\n")
+    if stale_rho_ub is not None:
+        text += f"rho_ub = {stale_rho_ub}\n"
+    g = _certify(parse_verify_config(text)).graphs[0]
     by_id = {e["id"]: e for e in g["entries"]}
     tri, d = by_id["triangle_finite"], g["inputs"]["degree"]
     assert tri["rhs"] == tri["rhs_hi"] == "inf"
@@ -280,9 +272,10 @@ def test_triangle_entry_is_closed_form_or_whole_envelope(spec_text, rho_ub):
         if spec_text == "Z*Z":
             assert tri["lhs"] == pytest.approx(37 / 9)
     else:
-        pc_hi = g["inputs"]["pc_interval"]["hi"]
+        pc_hi, rho_hi = g["inputs"]["pc_interval"]["hi"], g["inputs"]["rho"]["hi"]
+        assert rho_hi == float_above(rho_upper(parse_group_spec(spec_text))[0])
         assert tri["lhs_lo"] == 1.0
-        assert tri["lhs"] == (_num(chained_tail(d, rho_ub, pc_hi, 0, 3)) if rho_ub else "nan")
+        assert tri["lhs"] == _num(chained_tail(d, rho_hi, pc_hi, 0, 3))
         # finite exactly when perccond's inequality holds
         want = "pass" if by_id["perccond"]["status"] == "pass" else "inconclusive"
         assert tri["status"] == want
@@ -301,18 +294,19 @@ def test_check_endpoint_decay():
 
 
 def test_mu_upper_bound_passes_no_saw_entry():
-    # (d-1) rho_ub = 2.985 exceeds mu(Z5*Z5) = 2.97445 but not the census
+    # (d-1) rho.hi = 2.985 exceeds mu(Z5*Z5) = 2.97445 but not the census
     # upper bound 3.0952: an upper bound on mu must not pass a SAW entry
-    job = GraphJob("Z5*Z5", radius=6, kernel_steps=3, saw_n_max=8,
-                   pc_trials=200, rho_ub=0.995, bnp_c=1.0)
-    cert = _certify(VerifyConfig(jobs=[job], seed=3))
-    by_id = {e["id"]: e for e in cert.entries}
-    assert 3 * 0.995 < cert.graphs[0]["inputs"]["mu"]["hi"]
-    # p_c^hi*3*0.995 > 1, but p_c^lo*3*K < 1: rho_ub alone decides no fail
-    assert by_id["perccond"]["status"] == "inconclusive"
-    for saw_entry in ("endpoint_decay", "bubble_finite"):
-        assert by_id[saw_entry]["status"] == "inconclusive"
-        assert by_id[saw_entry]["note"] == "no certified lower bound on mu"
+    rho = Bracket(kesten_rho(4), 0.995)
+    mu_hi = connective_constant(enumerate_saw(parse_group_spec("Z5*Z5"), 8)).best_upper
+    assert 3 * 0.995 < mu_hi
+    e = check_endpoint_decay(4, rho, Bracket(math.nan, mu_hi))
+    assert e.status == "inconclusive" and e.note == "no certified lower bound on mu"
+    # were mu_hi a lower bound, the base 2.985 / 3.0952 < 1 would pass it
+    assert check_endpoint_decay(4, rho, point(mu_hi)).status == "pass"
+    # at the true mu the base exceeds 1, which decides nothing, never a fail
+    assert check_endpoint_decay(4, rho, point(2.97445)).status == "inconclusive"
+    # p_c^hi*3*0.995 > 1, but p_c^lo*3*K < 1: rho.hi alone decides no fail
+    assert check_perccond(4, Bracket(0.339375, 0.395), rho).status == "inconclusive"
 
 
 def _key(field_name):
@@ -325,17 +319,17 @@ def _key(field_name):
     ("Z", {}, "degree"),
     ("Z2*Z2", {}, "degree"),
     ("Z*Z", {"saw_n_max": 0}, "saw_n_max"),
-    ("Z5*Z5", {"rho_ub": math.nan}, "rho_ub"),
+    ("Z5", {}, "degree"),  # a 5-cycle: rho = 1, which no witness bounds below 1
     ("Z*Z", {"pc_trials": 0}, "pc_trials"),
     ("Z*Z", {"radius": -1}, "radius"),
     ("Z*Z", {"kernel_steps": -1}, "kernel_steps"),
     ("Z*Z", {"bnp_c": math.inf}, "bnp_C"),  # L = girth = inf passed with margin nan
-    ("Z*Z", {"rho_ub": 0.85}, "rho_ub"),  # below Kesten's sqrt(3)/2: passed everything
-    ("Z5*Z5", {"rho_ub": 1.0}, "rho_ub"),
-    ("Z5*Z5", {"rho_ub": 0.0}, "rho_ub"),
+    ("Z2", {}, "degree"),
+    ("Z5*Z5", {"saw_n_max": 0}, "saw_n_max"),
+    ("Z5*Z5", {"pc_trials": 0}, "pc_trials"),
     ("Z5*Z5", {"bnp_c": 0.0}, "bnp_C"),  # L = 0 turned girth_threshold into a pass
     ("Z5*Z5", {"bnp_c": -1.0}, "bnp_C"),
-    ("Z5*Z5", {"rho_ub": 0.65}, "rho_ub"),  # below Kesten's K: passed perccond
+    ("Z5*Z5", {"radius": -1}, "radius"),
 ])
 def test_bad_job_rejected_before_any_work(spec_text, overrides, key, monkeypatch,
                                           tmp_path, capsys):
@@ -367,8 +361,7 @@ def test_bad_job_rejected_before_any_work(spec_text, overrides, key, monkeypatch
 
 def test_config_sets_every_job_field():
     # each GraphJob field but spec_text, at a value other than its default
-    values = dict(radius=4, kernel_steps=3, saw_n_max=5, rho_ub=0.9, bnp_c=2.5,
-                  pc_trials=7)
+    values = dict(radius=4, kernel_steps=3, saw_n_max=5, bnp_c=2.5, pc_trials=7)
     assert [f.name for f in dataclasses.fields(GraphJob)][1:] == list(values)
     for key, value in values.items():
         assert getattr(GraphJob("Z5*Z5"), key) != value
@@ -376,8 +369,9 @@ def test_config_sets_every_job_field():
         assert cfg.jobs == [GraphJob("Z5*Z5", **{key: value})]
     text = "".join(f"{_key(k)} = {v}\n" for k, v in values.items())
     assert parse_verify_config("[graph:Z5*Z5]\n" + text).jobs == [GraphJob("Z5*Z5", **values)]
-    # a blank float key means unset
-    assert parse_verify_config("[graph:Z5*Z5]\nrho_ub =\nbnp_C =\n").jobs == [GraphJob("Z5*Z5")]
+    # a blank float key means unset; rho_ub is no longer a field
+    assert parse_verify_config("[graph:Z5*Z5]\nbnp_C =\n").jobs == [GraphJob("Z5*Z5")]
+    assert parse_verify_config("[graph:Z5*Z5]\nrho_ub = 0.95\n").jobs == [GraphJob("Z5*Z5")]
 
 
 @pytest.mark.parametrize("key", ["radius", "pc_trials"])
@@ -391,13 +385,13 @@ def test_config_blank_int_key_exits_2(key, tmp_path, capsys):
 
 
 def test_config_retired_knobs_change_nothing():
-    # pc_radius and theta_star are no longer read: a config that still
-    # sets them gives the same jobs and the same certificate bytes
+    # pc_radius, theta_star and rho_ub are no longer read: a config that
+    # still sets them gives the same jobs and the same certificate bytes
     text = ("[verify]\nseed = 2\n\n"
             "[graph:Z*Z]\nradius = 3\nsaw_n_max = 4\npc_trials = 20\nbnp_C = 1.0\n\n"
-            "[graph:Z5*Z5]\nradius = 3\nsaw_n_max = 4\npc_trials = 20\nrho_ub = 0.95\n")
+            "[graph:Z5*Z5]\nradius = 3\nsaw_n_max = 4\npc_trials = 20\n")
     old = text.replace("seed = 2\n", "seed = 2\ntheta_star = 0.3\n").replace(
-        "pc_trials", "pc_radius = 4\npc_trials")
+        "pc_trials", "pc_radius = 4\npc_trials") + "rho_ub = 0.95\n"
     assert old.count("pc_radius = 4") == 2
     new_cfg, old_cfg = parse_verify_config(text), parse_verify_config(old)
     assert new_cfg.jobs == old_cfg.jobs and new_cfg.to_dict() == old_cfg.to_dict()
