@@ -164,10 +164,7 @@ def cmd_saw(args, outputs: OutputSet) -> int:
 
 
 def cmd_verify(args, outputs: OutputSet) -> int:
-    cfg = parse_verify_config(Path(args.config).read_text())
-    if args.seed is not None:
-        cfg.seed = args.seed
-    cert = run_certificate(cfg)
+    cert = run_certificate(parse_verify_config(Path(args.config).read_text()))
     path = _out_dir(args) / "certificate.json"
     outputs.write(path, cert.to_json())
     for g in cert.graphs:
@@ -240,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the full inequality certificate")
     v.add_argument("--config", required=True)
-    v.add_argument("--seed", type=int, default=None)
     v.add_argument("--strict", action="store_true",
                    help="nonzero exit when any entry is inconclusive")
     v.add_argument("--out", default=None)

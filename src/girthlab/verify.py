@@ -1,11 +1,12 @@
 """Aggregate inequality certificate: one JSON record per configured check.
 
-Each job builds one ball, shared by the kernel checks, the return rates and
-the p_c bisection.  Every input is a `Bracket` (lo, hi) with its provenance,
-from one input function per graph family, and every entry is an inequality
-between two brackets decided by the one rule `status`.  An end that needs
-a missing input (the universal constant, a lower bound on mu) is NaN, so
-the entry is `inconclusive`, not skipped.
+Each job builds one ball, shared by the kernel checks and the return
+rates.  Every input is a `Bracket` (lo, hi) with its provenance, from one
+input function per graph family, and no input is sampled: rho and p_c are
+closed forms or exact Fraction witnesses rounded outward.  Every entry is
+an inequality between two brackets decided by the one rule `status`.  An
+end that needs a missing input (the universal constant, a lower bound on
+mu) is NaN, so the entry is `inconclusive`, not skipped.
 """
 
 from __future__ import annotations
@@ -160,23 +161,21 @@ class GraphJob:
     kernel_steps: int = 6
     saw_n_max: int = 6
     bnp_c: float | None = None  # universal constant: input, never a default
-    pc_trials: int = 100
 
 
 @dataclass
 class VerifyConfig:
     jobs: list[GraphJob] = field(default_factory=list)
-    seed: int = 0
 
     def to_dict(self) -> dict:
-        return {"jobs": [asdict(j) for j in self.jobs], "seed": self.seed}
+        return {"jobs": [asdict(j) for j in self.jobs]}
 
 
 def parse_verify_config(text: str) -> VerifyConfig:
-    """Read a verify config: `seed` under [verify], and under each
-    [graph:SPEC] any `GraphJob` field by name (keys are case-insensitive,
-    so `bnp_C` sets `bnp_c`).  Int fields must parse as ints; a blank
-    `bnp_C` leaves it unset.
+    """Read a verify config: under each [graph:SPEC] any `GraphJob` field
+    by name (keys are case-insensitive, so `bnp_C` sets `bnp_c`); a
+    [verify] section is legal, and none of its keys is read.  Int fields
+    must parse as ints; a blank `bnp_C` leaves it unset.
 
     Raises ValueError for malformed INI (no section header, a duplicate
     section or key), a section other than [verify] and [graph:SPEC], a
@@ -188,8 +187,6 @@ def parse_verify_config(text: str) -> VerifyConfig:
     except configparser.Error as exc:
         raise ValueError(f"malformed config: {exc}") from exc
     cfg = VerifyConfig()
-    if cp.has_section("verify"):
-        cfg.seed = cp["verify"].getint("seed", 0)
     for name in cp.sections():
         if name == "verify":
             continue
@@ -250,29 +247,31 @@ def _tree_inputs(spec: GroupSpec):
             estimate_spectral_radius(spec, 200).sequence)
 
 
-def _free_product_inputs(job: GraphJob, srw: KernelTable, census: saw_mod.SawCensus, seed: int):
+def _free_product_inputs(srw: KernelTable, census: saw_mod.SawCensus):
     """Any other free product's inputs, as `_tree_inputs` returns them, from
     the job's one ball `srw.ball`, its SRW table and census: rho in [K, lambda]
-    with `kernels.rho_upper`'s lambda rounded up, p_c by crossing bisection,
-    mu from above only."""
+    with `kernels.rho_upper`'s lambda rounded up, p_c in
+    `percolation.pc_interval`'s Fraction ends rounded outward, mu from above
+    only."""
     b, d = srw.ball, srw.ball.spec.degree
     lam, rs = rho_upper(b.spec)
     rho = Bracket(kesten_rho(d), float_above(lam))
-    est = percolation.pc_bracket(b, job.pc_trials, seed)
+    lo, hi = percolation.pc_interval(b.spec)
+    pc = Bracket(-float_above(-lo), float_above(hi))
     return ((rho, "lo: Kesten's 2*sqrt(d-1)/d; "
                   f"hi: superharmonic witness r=({', '.join(map(str, rs))})"),
-            (Bracket(est.lo, est.hi), f"crossing-bisection R={job.radius}"),
+            (pc, f"chi = 1/(1 - sum_f T_f/(1+T_f)) finite at lo={lo}, infinite at hi={hi}"),
             (Bracket(math.nan, saw_mod.connective_constant(census).best_upper),
              f"lo: missing; hi: census min c_n^(1/n), n<={census.n_max}"),
             # the x = y = 0 term tau(0,0)^3 = 1 below, the whole three-leg
             # envelope above: finite exactly when pc.hi*(d-1)*rho.hi < 1
-            (Bracket(1.0, chained_tail(d, rho.hi, est.hi, 0, legs=3)),
+            (Bracket(1.0, chained_tail(d, rho.hi, pc.hi, 0, legs=3)),
              "whole three-leg envelope from s = 0"),
             (NAN, "no certified lower bound on mu"),
-            estimate_spectral_radius(b.spec, 2 * (job.radius // 2), srw=srw).sequence)
+            estimate_spectral_radius(b.spec, 2 * (b.radius // 2), srw=srw).sequence)
 
 
-def _graph_certificate(job: GraphJob, seed: int) -> dict:
+def _graph_certificate(job: GraphJob) -> dict:
     spec = parse_group_spec(job.spec_text)
     d = spec.degree
     big_c = math.nan if job.bnp_c is None else job.bnp_c
@@ -283,7 +282,7 @@ def _graph_certificate(job: GraphJob, seed: int) -> dict:
     srw = srw_kernel(b, job.radius)
     census = saw_mod.enumerate_saw(spec, job.saw_n_max)
     (rho, rho_prov), (pc, pc_prov), (mu, mu_prov), (tri, tri_note), (bub, bub_note), returns = (
-        _tree_inputs(spec) if spec.is_tree else _free_product_inputs(job, srw, census, seed))
+        _tree_inputs(spec) if spec.is_tree else _free_product_inputs(srw, census))
 
     entries = []
     n_check = min(job.kernel_steps, job.radius)
@@ -332,8 +331,7 @@ def _check_job(job: GraphJob) -> None:
     spec = parse_group_spec(job.spec_text)
     bad = [(spec.degree < 3, f"need degree >= 3, got {spec.degree}")]
     bad += [(getattr(job, key) < low, f"need {key} >= {low}, got {getattr(job, key)}")
-            for key, low in (("saw_n_max", 1), ("pc_trials", 1),
-                             ("radius", 0), ("kernel_steps", 0))]
+            for key, low in (("saw_n_max", 1), ("radius", 0), ("kernel_steps", 0))]
     if job.bnp_c is not None:
         bad.append((not 0 < job.bnp_c < math.inf, f"need 0 < bnp_C < inf, got {job.bnp_c}"))
     for is_bad, why in bad:
@@ -345,9 +343,8 @@ def run_certificate(config: VerifyConfig) -> Certificate:
     for job in config.jobs:  # every job, before the first does any work
         _check_job(job)
     start = time.time()
-    graphs = [_graph_certificate(job, config.seed) for job in config.jobs]
+    graphs = [_graph_certificate(job) for job in config.jobs]
     meta = {
-        "seed": config.seed,
         "config": config.to_dict(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "duration_s": round(time.time() - start, 3),

@@ -27,6 +27,18 @@ def misrecorded_entries(cert) -> list[dict]:
     return [e for e in cert.entries if e["status"] != recomputed_status(e)]
 
 
+# words that name a sampling method in an input's provenance
+SAMPLING_WORDS = ("bisection", "trials", "monte carlo")
+
+
+def sampled_inputs(cert) -> list[tuple[str, str]]:
+    """(graph, input) pairs of `cert` whose provenance names a sampling
+    method: a certificate input must be a closed form or a witness."""
+    return [(g["graph"], name) for g in cert.graphs for name, rec in g["inputs"].items()
+            if isinstance(rec, dict)
+            and any(w in rec["provenance"].lower() for w in SAMPLING_WORDS)]
+
+
 def pytest_terminal_summary(terminalreporter):
     if scoreboard:
         terminalreporter.section("acceptance criteria")

@@ -109,6 +109,25 @@ def superharmonic_ratio(ball: Ball, rs) -> Fraction:
                for x in range(ball.n_vertices) if ball.dist[x] < ball.radius)
 
 
+def cycle_connection_sum(m: int, p: Fraction) -> Fraction:
+    """sum over e != 0 of P_p(0 <-> e) on an m-cycle whose edge i joins i
+    and i + 1 mod m, in Fractions: a sum over all 2^m open/closed states
+    of the size of 0's cluster, less 0 itself."""
+    total = Fraction(0)
+    for state in range(2**m):
+        is_open = [state >> i & 1 for i in range(m)]
+        weight = math.prod((p if o else 1 - p for o in is_open), start=Fraction(1))
+        seen, stack = {0}, [0]
+        while stack:
+            v = stack.pop()
+            for w, edge in (((v + 1) % m, v), ((v - 1) % m, (v - 1) % m)):
+                if is_open[edge] and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        total += weight * (len(seen) - 1)
+    return total
+
+
 def bottleneck_dijkstra(ball: Ball, uniforms) -> float:
     """min over root -> radius-R paths of the largest edge uniform on the
     path (-inf at radius 0, inf with no radius-R vertex): a Dijkstra keyed

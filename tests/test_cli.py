@@ -1,5 +1,6 @@
 """CLI behaviour: outputs, determinism, exit codes and plots."""
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from girthlab import cli, groups, kernels, percolation, plots, verify
+import conftest
+from girthlab import branching, cli, groups, kernels, percolation, plots, rng, saw, verify
 from girthlab.cli import (
     main,
     parse_verify_config,
@@ -180,25 +182,26 @@ def test_parse_grid():
 
 def test_verify_config_ignores_unknown_keys():
     # keys an older config still carries (the benchmark's README config
-    # has some) are ignored, not an error: trials, eps and rho_ub are retired
+    # has some) are ignored, not an error: seed, trials, pc_trials, eps and
+    # rho_ub are retired
     cfg = parse_verify_config("[verify]\nseed = 4\nretired = 1\neps = 0.1\n\n"
-                              "[graph:Z5*Z5]\nradius = 3\ntrials = 200\nrho_ub = 0.95\n")
-    assert cfg.seed == 4 and [j.radius for j in cfg.jobs] == [3]
+                              "[graph:Z5*Z5]\nradius = 3\ntrials = 200\npc_trials = 200\n"
+                              "rho_ub = 0.95\n")
+    assert [j.radius for j in cfg.jobs] == [3]
     doc = cfg.to_dict()
-    assert "retired" not in doc and "eps" not in doc
-    assert "trials" not in doc["jobs"][0] and "rho_ub" not in doc["jobs"][0]
+    assert doc == {"jobs": [dataclasses.asdict(verify.GraphJob("Z5*Z5", radius=3))]}
 
 
-GOOD_GRAPH = "[graph:Z*Z]\nradius = 3\nsaw_n_max = 4\npc_trials = 20\n"
+GOOD_GRAPH = "[graph:Z*Z]\nradius = 3\nsaw_n_max = 4\n"
 
 
 @pytest.mark.parametrize("text,why", [
     (GOOD_GRAPH + "\n" + GOOD_GRAPH, "already exists"),  # duplicate section
-    ("seed = 3\n" + GOOD_GRAPH, "no section headers"),
+    ("radius = 3\n" + GOOD_GRAPH, "no section headers"),
     (GOOD_GRAPH + "radius = 4\n", "already exists"),  # duplicate key
-    ("[verify]\nseed = 3\n\n[graf:Z5*Z5]\nradius = 3\n", "unknown section [graf:Z5*Z5]"),
-    ("[verify]\nseed = 3\n", "no [graph:SPEC] section"),
-    ("[verify]\nseed = 5%\n\n" + GOOD_GRAPH, "'5%'"),  # no % interpolation
+    ("[verify]\n\n[graf:Z5*Z5]\nradius = 3\n", "unknown section [graf:Z5*Z5]"),
+    ("[verify]\n", "no [graph:SPEC] section"),
+    ("[verify]\n\n[graph:Z*Z]\nradius = 5%\n", "'5%'"),  # no % interpolation
 ], ids=["duplicate-section", "no-header", "duplicate-key", "unknown-section", "no-graph",
         "percent-sign"])
 def test_verify_cli_bad_config(text, why, tmp_path, capsys):
@@ -213,9 +216,8 @@ def test_verify_cli_bad_config(text, why, tmp_path, capsys):
 def test_verify_cli_tree_config(tmp_path, capsys):
     cfg = tmp_path / "trees.cfg"
     cfg.write_text(
-        "[verify]\nseed = 3\n\n"
-        "[graph:Z*Z]\nradius = 4\nkernel_steps = 3\nsaw_n_max = 4\n"
-        "pc_trials = 40\nbnp_C = 1.0\n"
+        "[verify]\n\n"
+        "[graph:Z*Z]\nradius = 4\nkernel_steps = 3\nsaw_n_max = 4\nbnp_C = 1.0\n"
     )
     assert run(["verify", "--config", str(cfg)], tmp_path) == 0
     doc = json.loads((tmp_path / "certificate.json").read_text())
@@ -229,9 +231,8 @@ def test_verify_cli_strict_inconclusive(tmp_path):
     # normally, 1 with --strict
     cfg = tmp_path / "loose.cfg"
     cfg.write_text(
-        "[verify]\nseed = 3\n\n"
+        "[verify]\n\n"
         "[graph:Z5*Z5]\nradius = 4\nkernel_steps = 3\nsaw_n_max = 4\n"
-        "pc_trials = 40\n"
     )
     assert run(["verify", "--config", str(cfg)], tmp_path) == 0
     assert run(["verify", "--config", str(cfg), "--strict"], tmp_path) == 1
@@ -239,8 +240,7 @@ def test_verify_cli_strict_inconclusive(tmp_path):
 
 def test_verify_cli_empty_census(tmp_path, capsys):
     cfg = tmp_path / "empty.cfg"
-    cfg.write_text("[verify]\nseed = 3\n\n[graph:Z*Z]\nradius = 3\nsaw_n_max = 0\n"
-                   "pc_trials = 20\n")
+    cfg.write_text("[verify]\n\n[graph:Z*Z]\nradius = 3\nsaw_n_max = 0\n")
     assert run(["verify", "--config", str(cfg)], tmp_path) == 2
     assert "n_max >= 1" in capsys.readouterr().err
     assert not (tmp_path / "certificate.json").exists()
@@ -258,15 +258,21 @@ def test_readme_config_block(tmp_path, capsys):
     assert set(by_graph) == {"Z*Z", "Z5*Z5"}
     assert set(by_graph["Z*Z"].values()) == {"pass"}
     # the README's note: Z5*Z5 fails the girth threshold for every rho >= K,
-    # and p_c^lo*3*K < 1 < p_c^hi*3*rho.hi leaves perccond open
+    # and p_c^hi*3*rho.hi < 1 passes perccond and so the triangle
     z5 = {status: sorted(i for i, s in by_graph["Z5*Z5"].items() if s == status)
           for status in ("pass", "fail", "inconclusive")}
     assert z5 == {"pass": ["nbw_le_rho_power", "nbw_le_srw_tail", "pc_degree_girth_bound",
-                           "return_rate_le_rho", "saw_speed_positive"],
+                           "perccond", "return_rate_le_rho", "saw_speed_positive",
+                           "triangle_finite"],
                   "fail": ["girth_threshold"],
-                  "inconclusive": ["bubble_finite", "endpoint_decay", "mu_pc_product",
-                                   "perccond", "triangle_finite"]}
+                  "inconclusive": ["bubble_finite", "endpoint_decay", "mu_pc_product"]}
     assert cert.failed
+    # p_c's Fraction ends, rounded outward to floats
+    pc = cert.graphs[1]["inputs"]["pc_interval"]
+    lo, hi = percolation.pc_interval(parse_group_spec("Z5*Z5"))
+    assert Fraction(pc["lo"]) <= lo < hi <= Fraction(pc["hi"])
+    assert pc["hi"] - pc["lo"] <= 1e-8 and abs(pc["lo"] - 0.3403996) < 1e-7
+    assert pc["provenance"].endswith(f"finite at lo={lo}, infinite at hi={hi}")
     # rho.hi is the least float above the witness's Fraction lambda
     rho = cert.graphs[1]["inputs"]["rho"]
     lam, rs = kernels.rho_upper(parse_group_spec("Z5*Z5"))
@@ -287,7 +293,7 @@ def test_readme_config_block(tmp_path, capsys):
             if e["status"] != "pass":
                 assert f"lhs=[{e['lhs_lo']}, {e['lhs']}] rhs=[{e['rhs']}, {e['rhs_hi']}]" in line
                 assert line.endswith(f"note: {e['note']}" if e["note"] else "]"), line
-    assert "rhs=[1.0, 1.0]" in printed[("Z5*Z5", "perccond")]
+    assert "rhs=[5.0, 5.0]" in printed[("Z5*Z5", "girth_threshold")]
 
 
 def test_readme_certificate_golden_digest():
@@ -295,62 +301,74 @@ def test_readme_certificate_golden_digest():
     block = re.search(r"```ini\n(.*?)```", README, re.S).group(1)
     doc = run_certificate(parse_verify_config(block)).to_json(include_meta=False)
     assert (hashlib.sha256(doc.encode()).hexdigest()
-            == "8c0d6c1b6e3513a939ba0051079429f09b4c2d11675cb0bce5517274d219b2e7")
+            == "2924f39d61a07bd0e3031bec07711e0689b789fac12edd42674db72417725ebc")
 
 
 NO_RHO_UB_CONFIG = """\
 [verify]
-seed = 3
 [graph:Z5*Z5]
 radius = 6
 kernel_steps = 6
 saw_n_max = 8
-pc_trials = 200
 bnp_C = 1.0
 [graph:Z2*Z3*Z4]
 radius = 4
 kernel_steps = 4
 saw_n_max = 6
-pc_trials = 100
 """
 
 
 def test_no_rho_ub_certificate_golden_digest():
     # no rho is given: both jobs take rho's upper end from the witness, so
-    # Z2*Z3*Z4 runs the kernel checks too, and two non-tree p_c bisections
+    # Z2*Z3*Z4 runs the kernel checks too, and p_c from its exact bracket
     doc = run_certificate(parse_verify_config(NO_RHO_UB_CONFIG)).to_json(include_meta=False)
     assert (hashlib.sha256(doc.encode()).hexdigest()
-            == "ce69fc7a915f6abdaa48226be30f24332153dfcae7690dea1b21b628011b34d4")
+            == "63639ddbe8880745bf841a664c80e900287dc9fb4a2eeeaf03ece22833110d0c")
 
 
-def _count_balls(monkeypatch):
-    """Wrap every girthlab binding of `groups.ball`; return the list of the
-    positional arguments of its calls."""
-    calls, real = [], groups.ball
+def _count_calls(monkeypatch, real):
+    """Wrap every girthlab binding of the function `real`; return the list
+    of the positional arguments of its calls."""
+    calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    for mod in (groups, kernels, percolation, verify, cli):
+    for mod in (branching, cli, groups, kernels, percolation, rng, saw, verify):
         for name, obj in list(vars(mod).items()):
             if obj is real:
                 monkeypatch.setattr(mod, name, counting)
     return calls
 
 
+def _config_text(config):
+    return (re.search(r"```ini\n(.*?)```", README, re.S).group(1) if config == "readme"
+            else NO_RHO_UB_CONFIG)
+
+
 @pytest.mark.parametrize("config", ["readme", "no_rho_ub"])
 def test_verify_builds_one_ball_per_job(config, monkeypatch):
-    text = (re.search(r"```ini\n(.*?)```", README, re.S).group(1) if config == "readme"
-            else NO_RHO_UB_CONFIG)
-    cfg = parse_verify_config(text)
-    calls = _count_balls(monkeypatch)
+    cfg = parse_verify_config(_config_text(config))
+    calls = _count_calls(monkeypatch, groups.ball)
     run_certificate(cfg)
     assert [spec.describe() for spec, _ in calls] == [job.spec_text for job in cfg.jobs]
 
 
+@pytest.mark.parametrize("config", ["readme", "no_rho_ub"])
+def test_verify_draws_no_random_number(config, monkeypatch):
+    # every certificate input is a closed form or an exact witness: no
+    # trial stream or generator is keyed, and no provenance names a sampler
+    cfg = parse_verify_config(_config_text(config))
+    streams = _count_calls(monkeypatch, rng.trial_streams)
+    generators = _count_calls(monkeypatch, rng.trial_rng)
+    cert = run_certificate(cfg)
+    assert streams == [] and generators == []
+    assert conftest.sampled_inputs(cert) == []
+
+
 def test_perc_pc_runs_on_the_built_ball(tmp_path, monkeypatch, capsys):
-    calls = _count_balls(monkeypatch)
+    calls = _count_calls(monkeypatch, groups.ball)
     args = ["perc", "--spec", "Z5*Z5", "--R", "6", "--p", "0.35", "--trials", "200",
             "--seed", "3", "--pc"]
     assert run(args, tmp_path) == 0

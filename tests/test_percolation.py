@@ -1,6 +1,7 @@
 """Percolation estimators cross-checked against the branching oracle."""
 
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,19 +10,29 @@ from hypothesis import given, settings, strategies as st
 from girthlab import branching, percolation
 from girthlab.groups import ball, parse_group_spec
 from girthlab.percolation import (
+    block_connections,
     cluster_size_tail,
     crossing_probability,
     crossing_threshold,
     estimate_pc,
     nonuniqueness_witness,
     oracle_witness_radius,
+    pc_interval,
     susceptibility,
     tree_triangle_exact,
     two_point,
 )
 from girthlab.rng import trial_rng
 from girthlab.stats import binomial_estimate
-from oracles import bottleneck_dijkstra, fit_beta, fit_gamma, inverse, multiply, word_length
+from oracles import (
+    bottleneck_dijkstra,
+    cycle_connection_sum,
+    fit_beta,
+    fit_gamma,
+    inverse,
+    multiply,
+    word_length,
+)
 
 F2 = parse_group_spec("Z*Z")
 Z5Z5 = parse_group_spec("Z5*Z5")
@@ -159,6 +170,57 @@ def test_two_point_tree_exact():
     est, exact = two_point(b, 0.5, x, trials=800, seed=4)
     assert exact == pytest.approx(0.25)
     assert est.ci_lo - 0.01 <= exact <= est.ci_hi + 0.01
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+@pytest.mark.parametrize("p", [Fraction(1, 3), Fraction(2, 5)])
+def test_block_connections_is_the_cycle_brute_force(m, p):
+    assert block_connections(m, p) == cycle_connection_sum(m, p)
+
+
+def _load(spec, p):
+    """sum_f T_f/(1+T_f) in Fractions: < 1 iff chi(p) < inf."""
+    return sum(t / (1 + t) for t in (block_connections(m, p) for m in spec.orders))
+
+
+def _perron_root(spec, p: float) -> float:
+    """The Perron root of M(p) = (T_f [f != g]), by numpy, independent of
+    the scalar reduction `pc_interval` uses."""
+    t = np.array([block_connections(m, p) for m in spec.orders])
+    k = len(t)
+    return max(np.linalg.eigvals(t[:, None] * (1 - np.eye(k))).real)
+
+
+# p_c from ROADMAP item 4's block-tree table, to 7 digits
+PC_TABLE = {"Z5*Z5": 0.3403996, "Z2*Z3": 0.6372776, "Z*Z5": 0.3367155,
+            "Z2*Z3*Z4": 0.2626469, "Z3*Z3": 0.4030317}
+
+
+@pytest.mark.parametrize("spec_text", sorted(PC_TABLE) + ["Z*Z", "Z*Z*Z", "Z2*Z2*Z2"])
+def test_pc_interval_is_a_checked_bracket(spec_text):
+    spec = parse_group_spec(spec_text)
+    lo, hi = pc_interval(spec)
+    assert isinstance(lo, Fraction) and isinstance(hi, Fraction)
+    assert 0 < hi - lo <= Fraction(1, 10**8)
+    assert _load(spec, lo) < 1 < _load(spec, hi)
+    assert _perron_root(spec, float(lo)) < 1 < _perron_root(spec, float(hi))
+    if spec.is_tree:
+        assert lo < Fraction(1, spec.degree - 1) < hi
+    else:
+        assert abs(float(lo) - PC_TABLE[spec_text]) < 1e-7
+        assert abs(float(hi) - PC_TABLE[spec_text]) < 1e-7
+
+
+def test_pc_interval_decreases_in_the_cycle_order():
+    # T_{m+1} - T_m = p^m (m + 1 - m p) > 0, so p_c(Zm*Zm) falls as m grows
+    brackets = [pc_interval(parse_group_spec(f"Z{m}*Z{m}")) for m in range(3, 13)]
+    assert all(hi_next < lo for (lo, _), (_, hi_next) in zip(brackets, brackets[1:]))
+
+
+@pytest.mark.parametrize("spec_text", ["Z", "Z2", "Z5", "Z2*Z2"])
+def test_pc_interval_needs_degree_three(spec_text):
+    with pytest.raises(ValueError, match="degree >= 3"):
+        pc_interval(parse_group_spec(spec_text))
 
 
 def test_estimate_pc_tree_brackets_exact_value():

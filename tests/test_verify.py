@@ -157,19 +157,20 @@ def test_check_mu_pc():
 
 def _certify(config):
     """run_certificate, asserting that every recorded status is the one its
-    record gives and that no entry passes with a negative margin."""
+    record gives, that no entry passes with a negative margin and that no
+    input was sampled."""
     cert = run_certificate(config)
     assert conftest.misrecorded_entries(cert) == []
     assert conftest.negative_margin_passes(cert) == []
+    assert conftest.sampled_inputs(cert) == []
     return cert
 
 
 def _small_config(**overrides):
-    job = GraphJob("Z*Z", radius=5, kernel_steps=4, saw_n_max=5,
-                   pc_trials=50, bnp_c=1.0)
+    job = GraphJob("Z*Z", radius=5, kernel_steps=4, saw_n_max=5, bnp_c=1.0)
     for k, v in overrides.items():
         setattr(job, k, v)
-    return VerifyConfig(jobs=[job], seed=7)
+    return VerifyConfig(jobs=[job])
 
 
 EXPECTED_IDS = {
@@ -217,9 +218,8 @@ def test_certificate_json_meta_toggle():
 def test_certificate_girth_from_closed_form():
     # a radius-3 ball only sees cycles of length <= 7, so a BFS would
     # certify no more than girth > 6; the closed form records 7
-    job = GraphJob("Z7*Z7", radius=3, kernel_steps=3, saw_n_max=4,
-                   pc_trials=20, bnp_c=1.0)
-    cert = _certify(VerifyConfig(jobs=[job], seed=2))
+    job = GraphJob("Z7*Z7", radius=3, kernel_steps=3, saw_n_max=4, bnp_c=1.0)
+    cert = _certify(VerifyConfig(jobs=[job]))
     assert cert.graphs[0]["inputs"]["girth"] == "7"
     by_id = {e["id"]: e for e in cert.entries}
     assert by_id["girth_threshold"]["rhs"] == 7.0
@@ -228,11 +228,9 @@ def test_certificate_girth_from_closed_form():
 def test_certificate_kernel_entries_match_entry_scan():
     # the README config at tiny sizes, against the per-pair scan verify used
     # before the checks returned summaries
-    jobs = [GraphJob("Z*Z", radius=4, kernel_steps=6, saw_n_max=5,
-                     pc_trials=20, bnp_c=1.0),
-            GraphJob("Z5*Z5", radius=3, kernel_steps=6, saw_n_max=5,
-                     pc_trials=20, bnp_c=1.0)]
-    cert = _certify(VerifyConfig(jobs=jobs, seed=1))
+    jobs = [GraphJob("Z*Z", radius=4, kernel_steps=6, saw_n_max=5, bnp_c=1.0),
+            GraphJob("Z5*Z5", radius=3, kernel_steps=6, saw_n_max=5, bnp_c=1.0)]
+    cert = _certify(VerifyConfig(jobs=jobs))
     for job, g in zip(jobs, cert.graphs):
         b = ball(parse_group_spec(job.spec_text), job.radius)
         n_check = min(job.kernel_steps, job.radius)
@@ -258,8 +256,8 @@ def test_certificate_kernel_entries_match_entry_scan():
 def test_triangle_entry_is_closed_form_or_whole_envelope(spec_text, stale_rho_ub):
     # an older config's rho_ub line is ignored: the envelope reads the
     # witness's rho, with or without it
-    text = (f"[verify]\nseed = 1\n[graph:{spec_text}]\nradius = 3\nkernel_steps = 3\n"
-            f"saw_n_max = 4\npc_trials = 20\nbnp_C = 1.0\n")
+    text = (f"[verify]\n[graph:{spec_text}]\nradius = 3\nkernel_steps = 3\n"
+            f"saw_n_max = 4\nbnp_C = 1.0\n")
     if stale_rho_ub is not None:
         text += f"rho_ub = {stale_rho_ub}\n"
     g = _certify(parse_verify_config(text)).graphs[0]
@@ -279,7 +277,7 @@ def test_triangle_entry_is_closed_form_or_whole_envelope(spec_text, stale_rho_ub
         # finite exactly when perccond's inequality holds
         want = "pass" if by_id["perccond"]["status"] == "pass" else "inconclusive"
         assert tri["status"] == want
-        assert (want == "pass") == (spec_text == "Z*Z*Z5")
+        assert (want == "pass") == (spec_text in ("Z*Z*Z5", "Z5*Z5"))
 
 
 def test_check_endpoint_decay():
@@ -320,23 +318,23 @@ def _key(field_name):
     ("Z2*Z2", {}, "degree"),
     ("Z*Z", {"saw_n_max": 0}, "saw_n_max"),
     ("Z5", {}, "degree"),  # a 5-cycle: rho = 1, which no witness bounds below 1
-    ("Z*Z", {"pc_trials": 0}, "pc_trials"),
+    ("Z*Z", {"saw_n_max": -1}, "saw_n_max"),
     ("Z*Z", {"radius": -1}, "radius"),
     ("Z*Z", {"kernel_steps": -1}, "kernel_steps"),
     ("Z*Z", {"bnp_c": math.inf}, "bnp_C"),  # L = girth = inf passed with margin nan
     ("Z2", {}, "degree"),
     ("Z5*Z5", {"saw_n_max": 0}, "saw_n_max"),
-    ("Z5*Z5", {"pc_trials": 0}, "pc_trials"),
+    ("Z5*Z5", {"kernel_steps": -1}, "kernel_steps"),
     ("Z5*Z5", {"bnp_c": 0.0}, "bnp_C"),  # L = 0 turned girth_threshold into a pass
     ("Z5*Z5", {"bnp_c": -1.0}, "bnp_C"),
     ("Z5*Z5", {"radius": -1}, "radius"),
 ])
 def test_bad_job_rejected_before_any_work(spec_text, overrides, key, monkeypatch,
                                           tmp_path, capsys):
-    sizes = dict(radius=3, kernel_steps=3, saw_n_max=4, pc_trials=20)
+    sizes = dict(radius=3, kernel_steps=3, saw_n_max=4)
     bad = GraphJob(spec_text, **{**sizes, **overrides})
     # a good job first: every job is checked before the first one builds a ball
-    cfg = VerifyConfig(jobs=[GraphJob("Z2*Z2*Z2", **sizes), bad], seed=1)
+    cfg = VerifyConfig(jobs=[GraphJob("Z2*Z2*Z2", **sizes), bad])
 
     def build_ball(*args, **kwargs):
         raise AssertionError("a ball was built before every job was checked")
@@ -351,7 +349,7 @@ def test_bad_job_rejected_before_any_work(spec_text, overrides, key, monkeypatch
             f"{_key(k)} = {v}\n" for k, v in keys.items())
 
     path = tmp_path / "bad.cfg"
-    path.write_text("[verify]\nseed = 1\n" + section("Z2*Z2*Z2", sizes)
+    path.write_text("[verify]\n" + section("Z2*Z2*Z2", sizes)
                     + section(spec_text, {**sizes, **overrides}))
     assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
@@ -361,7 +359,7 @@ def test_bad_job_rejected_before_any_work(spec_text, overrides, key, monkeypatch
 
 def test_config_sets_every_job_field():
     # each GraphJob field but spec_text, at a value other than its default
-    values = dict(radius=4, kernel_steps=3, saw_n_max=5, bnp_c=2.5, pc_trials=7)
+    values = dict(radius=4, kernel_steps=3, saw_n_max=5, bnp_c=2.5)
     assert [f.name for f in dataclasses.fields(GraphJob)][1:] == list(values)
     for key, value in values.items():
         assert getattr(GraphJob("Z5*Z5"), key) != value
@@ -369,15 +367,16 @@ def test_config_sets_every_job_field():
         assert cfg.jobs == [GraphJob("Z5*Z5", **{key: value})]
     text = "".join(f"{_key(k)} = {v}\n" for k, v in values.items())
     assert parse_verify_config("[graph:Z5*Z5]\n" + text).jobs == [GraphJob("Z5*Z5", **values)]
-    # a blank float key means unset; rho_ub is no longer a field
+    # a blank float key means unset; rho_ub and pc_trials are no longer fields
     assert parse_verify_config("[graph:Z5*Z5]\nbnp_C =\n").jobs == [GraphJob("Z5*Z5")]
     assert parse_verify_config("[graph:Z5*Z5]\nrho_ub = 0.95\n").jobs == [GraphJob("Z5*Z5")]
+    assert parse_verify_config("[graph:Z5*Z5]\npc_trials = 7\n").jobs == [GraphJob("Z5*Z5")]
 
 
-@pytest.mark.parametrize("key", ["radius", "pc_trials"])
+@pytest.mark.parametrize("key", ["radius", "kernel_steps"])
 def test_config_blank_int_key_exits_2(key, tmp_path, capsys):
     path = tmp_path / "blank.cfg"
-    path.write_text(f"[verify]\nseed = 1\n\n[graph:Z*Z]\n{key} =\n")
+    path.write_text(f"[verify]\n\n[graph:Z*Z]\n{key} =\n")
     assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: [graph:Z*Z] {key}: ") and "Traceback" not in err
@@ -385,18 +384,21 @@ def test_config_blank_int_key_exits_2(key, tmp_path, capsys):
 
 
 def test_config_retired_knobs_change_nothing():
-    # pc_radius, theta_star and rho_ub are no longer read: a config that
-    # still sets them gives the same jobs and the same certificate bytes
-    text = ("[verify]\nseed = 2\n\n"
-            "[graph:Z*Z]\nradius = 3\nsaw_n_max = 4\npc_trials = 20\nbnp_C = 1.0\n\n"
-            "[graph:Z5*Z5]\nradius = 3\nsaw_n_max = 4\npc_trials = 20\n")
-    old = text.replace("seed = 2\n", "seed = 2\ntheta_star = 0.3\n").replace(
-        "pc_trials", "pc_radius = 4\npc_trials") + "rho_ub = 0.95\n"
-    assert old.count("pc_radius = 4") == 2
-    new_cfg, old_cfg = parse_verify_config(text), parse_verify_config(old)
-    assert new_cfg.jobs == old_cfg.jobs and new_cfg.to_dict() == old_cfg.to_dict()
-    assert (_certify(new_cfg).to_json(include_meta=False)
-            == _certify(old_cfg).to_json(include_meta=False))
+    # seed, theta_star, pc_radius, pc_trials and rho_ub are no longer read:
+    # a config that still sets them gives the same jobs and the same
+    # certificate bytes, whatever its old seed
+    text = ("[verify]\n\n"
+            "[graph:Z*Z]\nradius = 3\nsaw_n_max = 4\nbnp_C = 1.0\n\n"
+            "[graph:Z5*Z5]\nradius = 3\nsaw_n_max = 4\n")
+    new_cfg = parse_verify_config(text)
+    new = _certify(new_cfg).to_json(include_meta=False)
+    for seed in (2, 9):
+        old = text.replace("[verify]\n", f"[verify]\nseed = {seed}\ntheta_star = 0.3\n").replace(
+            "saw_n_max", "pc_radius = 4\npc_trials = 20\nsaw_n_max") + "rho_ub = 0.95\n"
+        assert old.count("pc_radius = 4\npc_trials = 20") == 2
+        old_cfg = parse_verify_config(old)
+        assert new_cfg.jobs == old_cfg.jobs and new_cfg.to_dict() == old_cfg.to_dict()
+        assert _certify(old_cfg).to_json(include_meta=False) == new
 
 
 def test_certificate_failed_flag():
