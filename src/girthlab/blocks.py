@@ -1,0 +1,99 @@
+"""Block-tree renewal sums on free products of cyclic groups.
+
+The Cayley graph is a tree of blocks (lines, single edges, m-cycles) that a
+SAW or an open path never re-enters once it has left, so a sum over x of a
+product of per-syllable weights renews at every block.  With W_f the weight
+summed over factor f's syllables (a ``Z`` syllable k counts as +-k), the sums
+S_f over words that start in f solve S_f = W_f (1 + sum_{g!=f} S_g), and the
+whole sum is 1/(1 - s), s = sum_f W_f/(1 + W_f), finite iff s < 1.  p_c, mu,
+the bubble and the SAW speed are this rule with different weights, in floats
+or Fractions as the argument is.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import Counter
+from fractions import Fraction
+
+from .groups import GroupSpec
+
+
+def _arcs(m: int | None, z, syllable, line):
+    """A per-syllable weight summed over one factor's syllables: line() on Z
+    (inf at z >= 1), else syllable(e, a, b) over 0 < e < m, with a = z^e and
+    b = z^{m-e} the weights of syllable e's two arcs (b = 0 on Z2, one edge)."""
+    if m is None:
+        return math.inf if z >= 1 else line()
+    return sum(syllable(e, z**e, 0 if m == 2 else z ** (m - e)) for e in range(1, m))
+
+
+def walks(m: int | None, z):
+    """T(z), the SAW arcs from a block's entry weighted z^length: 2z/(1-z) on Z."""
+    return _arcs(m, z, lambda e, a, b: a + b, lambda: 2 * z / (1 - z))
+
+
+def bubbles(m: int | None, z):
+    """A(z), the squared arc sum of each syllable: 2z^2/(1-z^2) on Z."""
+    return _arcs(m, z, lambda e, a, b: (a + b) ** 2, lambda: 2 * z * z / (1 - z * z))
+
+
+def distances(m: int | None, z):
+    """D(z), the arcs weighted by the distance min(e, m-e) their syllable moves."""
+    return _arcs(m, z, lambda e, a, b: min(e, m - e) * (a + b), lambda: 2 * z / (1 - z) ** 2)
+
+
+def lengths(m: int | None, z):
+    """N(z) = z T'(z), the arcs weighted by their length."""
+    return _arcs(m, z, lambda e, a, b: e * a + (m - e) * b, lambda: 2 * z / (1 - z) ** 2)
+
+
+def block_connections(m: int | None, p):
+    """T(p), the expected number of other vertices of a block joined to a
+    given one inside it: `walks` less (m-1) p^m on Zm, m >= 3, where a
+    syllable's two arcs are both open with probability p^m."""
+    return walks(m, p) - (m - 1) * p**m if m and m > 2 else walks(m, p)
+
+
+def load(spec: GroupSpec, block, z):
+    """s = sum_f W_f/(1 + W_f), W_f = block(m_f, z) once per distinct order;
+    an infinite W_f adds 1.  The renewal sum 1/(1 - s) is finite iff s < 1."""
+    ws = [(k, block(m, z)) for m, k in Counter(spec.orders).items()]
+    return sum(k * (1 if w == math.inf else w / (1 + w)) for k, w in ws)
+
+
+def critical_interval(spec: GroupSpec, block) -> tuple[Fraction, Fraction]:
+    """Fractions lo < z* < hi, hi - lo < 1e-8, with `block`'s load below 1 at
+    lo and above 1 at hi: a float bisection of the increasing load picks
+    them, Fractions check them.  ValueError below degree 3."""
+    if spec.degree < 3:
+        raise ValueError(f"need degree >= 3, got {spec.degree} on {spec.describe()}")
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if load(spec, block, mid) < 1 else (lo, mid)
+    lo_q, hi_q = Fraction(math.floor(lo * 1e9) - 1, 10**9), Fraction(math.ceil(hi * 1e9) + 1, 10**9)
+    if not load(spec, block, lo_q) < 1 < load(spec, block, hi_q):
+        raise ArithmeticError(f"critical search on {spec.describe()} left [{lo_q}, {hi_q}]")
+    return lo_q, hi_q
+
+
+def pc_interval(spec: GroupSpec) -> tuple[Fraction, Fraction]:
+    """p_c in Fractions lo < p_c < hi, hi - lo < 1e-8.  The mean cluster size
+    is the renewal sum of `block_connections`, finite iff its load is < 1;
+    as p_c = p_T (Menshikov; Aizenman-Barsky), a load below 1 puts p at or
+    below p_c and one above 1 at or above it."""
+    return critical_interval(spec, block_connections)
+
+
+def speed_interval(spec: GroupSpec, lo, hi) -> tuple:
+    """The SAW speed v at the z_c of `walks`, over lo <= z_c <= hi.  Weighting
+    each arc t^distance moves z_c(t), and the load's implicit derivative gives
+    v = -z_c'(1)/z_c(1) = sum_f D_f/(1+T_f)^2 / sum_f N_f/(1+T_f)^2.  D, N and
+    T increase in z: each end takes D or N and 1 + T at opposite ends."""
+    d_lo = d_hi = n_lo = n_hi = 0
+    for m, k in Counter(spec.orders).items():
+        t_lo, t_hi = k / (1 + walks(m, lo)) ** 2, k / (1 + walks(m, hi)) ** 2
+        d_lo, d_hi = d_lo + distances(m, lo) * t_hi, d_hi + distances(m, hi) * t_lo
+        n_lo, n_hi = n_lo + lengths(m, lo) * t_hi, n_hi + lengths(m, hi) * t_lo
+    return d_lo / n_hi, d_hi / n_lo

@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import percolation, plots, saw as saw_mod
+from . import blocks, percolation, plots, saw as saw_mod
 from .groups import GroupSpecError, ball as build_ball, parse_group_spec
 from .kernels import estimate_spectral_radius, kesten_rho, nbw_kernel, srw_kernel
 from .verify import parse_verify_config, run_certificate
@@ -114,6 +114,13 @@ def cmd_perc(args, outputs: OutputSet) -> int:
         est = percolation.pc_bracket(b, args.trials, args.seed)
         print(f"pc interval at R={args.R}: [{est.lo:.4f}, {est.hi:.4f}] "
               "(theta*=0.5, finite-size biased)")
+        if spec.degree >= 3:  # p_c < 1
+            d = spec.degree
+            lo, hi = (1 / (d - 1),) * 2 if spec.is_tree else blocks.pc_interval(spec)
+            exact = (f"1/{d - 1} on trees" if spec.is_tree
+                     else f"[{float(lo):.9f}, {float(hi):.9f}] (block-tree rule)")
+            bias = (est.lo + est.hi - float(lo + hi)) / 2
+            print(f"exact pc: {exact}, bisection midpoint bias {bias:+.4f}")
     if args.tail:
         if not spec.is_tree:
             raise CliError("--tail runs on tree specs (branching oracle)")
@@ -147,13 +154,8 @@ def cmd_saw(args, outputs: OutputSet) -> int:
                                         "ratio_lo", "ratio_hi"], crows))
         lines.append(f"chi curve ({len(zs)} points) -> {cpath}")
     if args.bubble_z is not None:
-        n_trunc = args.N if args.N is not None else args.nmax
-        if spec.is_tree:
-            bub = saw_mod.bubble_diagram(spec, args.bubble_z, n_trunc)
-        else:
-            bub = saw_mod.bubble_diagram(spec, args.bubble_z, min(n_trunc, args.nmax), census)
-        lines.append(f"bubble z={args.bubble_z}: value={bub.value:.6f} "
-                     f"tail={bub.tail_bound:.3g} certified={bub.certified}")
+        bub = saw_mod.bubble_diagram(spec, args.bubble_z)
+        lines.append(f"bubble z={args.bubble_z}: value={bub:.6f} certified={bub < float('inf')}")
     if args.trials:
         res = saw_mod.rosenbluth_sampler(spec, args.nmax, args.trials, args.seed)
         est = res.c_n_estimate
@@ -227,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("saw", help="SAW census, chi curve, bubble, Rosenbluth")
     s.add_argument("--spec", required=True)
     s.add_argument("--nmax", type=int, required=True)
-    s.add_argument("--N", type=int, default=None)
     s.add_argument("--z-grid", default=None, dest="z_grid")
     s.add_argument("--bubble-z", type=float, default=None, dest="bubble_z")
     s.add_argument("--trials", type=int, default=0)

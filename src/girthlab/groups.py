@@ -259,7 +259,3 @@ def tree_vertex_count(d: int, radius: int) -> int:
     if radius == 0:
         return 1
     return 1 + d * ((d - 1) ** radius - 1) // (d - 2)
-
-
-def tree_sphere_size(d: int, r: int) -> int:
-    return 1 if r == 0 else d * (d - 1) ** (r - 1)

@@ -4,7 +4,7 @@ Monte Carlo estimators (crossing probability, p_c bracket, two-point
 function, cluster statistics) run on explicit balls, which one caller can
 share; on tree specs every estimator has an exact branching-process
 counterpart in `branching`, which the tests use as the independent oracle.
-`pc_interval` brackets p_c of any free product exactly, with no ball.
+`blocks.pc_interval` brackets p_c of any free product exactly, with no ball.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -156,44 +155,6 @@ def pc_bracket(ball: Ball, trials: int, seed: int) -> PcEstimate:
 def estimate_pc(spec: GroupSpec, radius: int, trials: int, seed: int) -> PcEstimate:
     """`pc_bracket` on a new radius-`radius` ball of `spec`."""
     return pc_bracket(build_ball(spec, radius), trials, seed)
-
-
-def block_connections(m: int | None, p):
-    """T(p), the expected number of other vertices of a Z (m None), Z2 or
-    Zm block joined to a given one inside the block, in floats or
-    Fractions as p is: 2p/(1-p), p and sum_{0<e<m} (p^e + p^{m-e} - p^m)."""
-    if m is None:
-        return 2 * p / (1 - p)
-    return p if m == 2 else sum(p**e + p ** (m - e) - p**m for e in range(1, m))
-
-
-def pc_interval(spec: GroupSpec) -> tuple[Fraction, Fraction]:
-    """Fractions lo < p_c < hi, hi - lo < 1e-8; ValueError below degree 3.
-
-    The Cayley graph is a tree of blocks, so P_p(0 <-> x) is a product over
-    x's syllables; summed over factor f's syllables it is T_f(p) =
-    `block_connections`.  The sums S_f over words that start in f solve
-    S_f = T_f (1 + sum_{g!=f} S_g), so chi(p) < inf iff the Perron root of
-    (T_f [f!=g]), the lambda > 0 with sum_f T_f/(lambda + T_f) = 1, is < 1:
-    iff s(p) = sum_f T_f/(1 + T_f) < 1, and then chi(p) = 1/(1 - s(p)).
-    As p_c = p_T (Menshikov; Aizenman-Barsky), s(p) < 1 gives p <= p_c and
-    s(p) > 1 gives p >= p_c.  A float bisection of the increasing s picks
-    lo and hi; Fractions check them.
-    """
-    if spec.degree < 3:
-        raise ValueError(f"need degree >= 3 for p_c < 1, got {spec.degree} on {spec.describe()}")
-
-    def s(p):
-        return sum(t / (1 + t) for t in (block_connections(m, p) for m in spec.orders))
-
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = (lo + hi) / 2
-        lo, hi = (mid, hi) if s(mid) < 1 else (lo, mid)
-    lo_q, hi_q = Fraction(math.floor(lo * 1e9) - 1, 10**9), Fraction(math.ceil(hi * 1e9) + 1, 10**9)
-    if not s(lo_q) < 1 < s(hi_q):
-        raise ArithmeticError(f"p_c search on {spec.describe()} left [{lo_q}, {hi_q}]")
-    return lo_q, hi_q
 
 
 def two_point(

@@ -1,23 +1,21 @@
 """Self-avoiding walk: exact enumeration, Rosenbluth sampling, the
 susceptibility chi(z) and the bubble diagram.
 
-The census needs no ball: the Cayley graph of a free product of cyclic
-groups is a tree of blocks (lines, single edges and m-cycles), so a SAW
-is fixed by its endpoint's normal-form word plus, for each m-cycle
-syllable, which way round the cycle it went.  A word's walk counts are
-the product of one polynomial per syllable, so `enumerate_saw` extends
-whole classes of words sharing a last factor and a polynomial at once,
-keeping only how many words each class holds: exact integer counts and
-no words.  Endpoint law, speed and bubble are sums over those classes;
-mu bounds and chi read the counts; the endpoint words are built only
-when `SawCensus.endpoint_counts` is first read.  chi has one path,
-`susceptibility_saw`: the closed form on trees, else the census sum
-plus a submultiplicative tail.  Rosenbluth sampling covers lengths
-beyond the enumeration ceiling with the same block structure: a growing
-walk's unvisited neighbours depend only on its current block and the
-steps taken in it, so all trials advance together as a chain of small
-integer states, with no words built.  It is cross-checked against the
-census and an exact law in tests.
+The Cayley graph of a free product of cyclic groups is a tree of blocks
+(lines, single edges and m-cycles), so a SAW is fixed by its endpoint's
+normal-form word plus, for each m-cycle syllable, which way round it went,
+and a word's walk counts are a product of per-syllable polynomials.
+`enumerate_saw` extends whole classes of words sharing a last factor and a
+polynomial at once, keeping only their number: exact counts, no words.
+Endpoint law and speed are sums over the classes; mu bounds and chi
+(`susceptibility_saw`: the closed form on trees, else the census sum plus a
+submultiplicative tail) read the counts; the endpoint words are built only
+when `SawCensus.endpoint_counts` is first read.  The bubble needs no census:
+it is a renewal sum of `blocks`.  Rosenbluth sampling goes past the
+enumeration ceiling: a growing walk's unvisited neighbours depend only on
+its block and the steps taken in it, so all trials advance together as a
+chain of small integer states.  Tests check it against the census and an
+exact law.
 """
 
 from __future__ import annotations
@@ -28,10 +26,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .groups import GroupSpec, Word, tree_sphere_size
-from .kernels import chained_tail, float_above, rho_upper, series_tail
+from . import blocks
+from .groups import GroupSpec, Word
+from .kernels import series_tail
 from .rng import trial_rng
-from .stats import DiagramResult, Estimate, mean_estimate
+from .stats import Estimate, mean_estimate
 
 
 @dataclass
@@ -292,22 +291,6 @@ def _chi_tail_census(census: SawCensus, z: float, truncation: int) -> float:
     return m_const * series_tail(mu.best_upper * z, truncation + 1)
 
 
-def _check_sum_inputs(spec: GroupSpec, zs: list[float], truncation: int,
-                      census: SawCensus | None) -> None:
-    """Reject inputs `susceptibility_saw` and `bubble_diagram` cannot sum:
-    z < 0 or NaN, truncation < 0, a truncation past the census horizon,
-    and a non-tree spec without a census."""
-    if any(not z >= 0 for z in zs):
-        raise ValueError("z must be >= 0")
-    if truncation < 0:
-        raise ValueError(f"truncation must be >= 0, got {truncation}")
-    if census is None:
-        if not spec.is_tree:
-            raise ValueError("non-tree spec needs a census")
-    elif census.n_max < truncation:
-        raise ValueError("census horizon below truncation")
-
-
 def susceptibility_saw(
     spec: GroupSpec,
     z_grid: list[float],
@@ -322,10 +305,17 @@ def susceptibility_saw(
     chi(z) = 1 + dz/(1-(d-1)z); other specs sum c_n z^n for n <= truncation
     over the census and add the certified submultiplicative tail.
 
-    Raises ValueError for the inputs `_check_sum_inputs` rejects and if a
-    grid point is >= mu_ub^{-1}.
+    Raises ValueError for z < 0 or NaN, truncation < 0, a non-tree spec
+    without a census, truncation > n_max and a grid point >= mu_ub^{-1}.
     """
-    _check_sum_inputs(spec, z_grid, truncation, census)
+    if any(not z >= 0 for z in z_grid):
+        raise ValueError("z must be >= 0")
+    if truncation < 0:
+        raise ValueError(f"truncation must be >= 0, got {truncation}")
+    if census is None and not spec.is_tree:
+        raise ValueError("non-tree spec needs a census")
+    if census is not None and census.n_max < truncation:
+        raise ValueError("census horizon below truncation")
     d = spec.degree
     mu_inv = 1.0 / (d - 1 if spec.is_tree else connective_constant(census).best_upper)
     rows = []
@@ -349,46 +339,12 @@ def susceptibility_saw(
     return rows
 
 
-def bubble_diagram(
-    spec: GroupSpec,
-    z: float,
-    truncation: int,
-    census: SawCensus | None = None,
-) -> DiagramResult:
-    """B(z) = sum_x G_z(x)^2, truncated with a rigorous tail.
-
-    Tree mode (no census): B_N = 1 + sum_{r<=N} |S_r| z^{2r}, tail exactly
-    geometric, finite iff (d-1)z^2 < 1.
-    Census mode: sum over walk-length pairs (n, m <= N) of
-    O[n][m] z^(n+m), where O[n][m] = sum_x c_n(x) c_m(x) is counted
-    exactly in Python ints as the sum over the census classes of
-    size * c_n * c_m; the two-leg envelope
-    `kernels.chained_tail(d, rho_ub, z, N + 1, 2)` covers n + m > N, with
-    rho_ub the float just above `kernels.rho_upper`'s lambda: inf unless
-    z(d-1)rho_ub < 1.
-
-    Raises ValueError for the inputs `_check_sum_inputs` rejects and, in
-    census mode, below degree 3, where rho = 1.
-    """
-    _check_sum_inputs(spec, [z], truncation, census)
-    d = spec.degree
-    if census is None:
-        value = 1.0 + sum(tree_sphere_size(d, r) * z ** (2 * r)
-                          for r in range(1, truncation + 1))
-        tail = (d / (d - 1)) * series_tail((d - 1) * z * z, truncation + 1)
-        method = "exact-tree"
-    else:
-        overlap = [[0] * (truncation + 1) for _ in range(truncation + 1)]
-        for size, poly in census.classes:
-            terms = [(n, c) for n, c in poly.items() if n <= truncation]
-            for n, c_n in terms:
-                row = overlap[n]
-                for m, c_m in terms:
-                    row[m] += size * c_n * c_m
-        value = 0.0
-        for n in range(truncation + 1):
-            for m in range(truncation + 1):
-                value += overlap[n][m] * z ** (n + m)
-        tail = chained_tail(d, float_above(rho_upper(spec)[0]), z, truncation + 1, legs=2)
-        method = "census"
-    return DiagramResult(value, truncation, tail, method)
+def bubble_diagram(spec: GroupSpec, z):
+    """B(z) = sum_x G_z(x)^2, G_z(x) the SAW generating function from the
+    identity to x: a product of per-syllable arc sums, so B is the renewal
+    sum 1/(1 - sum_f A_f/(1+A_f)) of `blocks.bubbles`, inf when that sum is
+    >= 1.  Floats or Fractions as z is.  Raises ValueError unless z >= 0."""
+    if not z >= 0:
+        raise ValueError("z must be >= 0")
+    s = blocks.load(spec, blocks.bubbles, z)
+    return 1 / (1 - s) if s < 1 else math.inf

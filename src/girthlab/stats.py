@@ -90,22 +90,3 @@ def fit_loglog(
         fit.rejected = True
         fit.reason = f"rms residual {resid:.3g} exceeds cutoff {residual_cutoff:.3g}"
     return fit
-
-
-@dataclass
-class DiagramResult:
-    """Truncated diagram value plus a rigorous bound on the rest of the
-    sum; tail_bound is inf when no finite bound is certified."""
-
-    value: float
-    truncation: int
-    tail_bound: float
-    method: str
-
-    @property
-    def certified(self) -> bool:
-        return self.tail_bound < math.inf
-
-    @property
-    def upper(self) -> float:
-        return self.value + self.tail_bound

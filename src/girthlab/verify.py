@@ -2,11 +2,11 @@
 
 Each job builds one ball, shared by the kernel checks and the return
 rates.  Every input is a `Bracket` (lo, hi) with its provenance, from one
-input function per graph family, and no input is sampled: rho and p_c are
-closed forms or exact Fraction witnesses rounded outward.  Every entry is
-an inequality between two brackets decided by the one rule `status`.  An
-end that needs a missing input (the universal constant, a lower bound on
-mu) is NaN, so the entry is `inconclusive`, not skipped.
+input function per graph family, and none is sampled: rho, p_c and the SAW
+critical point z_c are closed forms or exact Fraction witnesses rounded
+outward, and mu = 1/z_c, the bubble and the SAW speed follow by `blocks`.
+Every entry is an inequality between two brackets decided by the one rule
+`status`.  An end that needs a missing input (bnp_C) is NaN: `inconclusive`.
 """
 
 from __future__ import annotations
@@ -17,9 +17,10 @@ import math
 import operator
 import time
 from dataclasses import dataclass, field, asdict, fields
+from fractions import Fraction
 from typing import NamedTuple
 
-from . import branching, percolation, saw as saw_mod
+from . import blocks, branching, percolation, saw as saw_mod
 from .groups import GroupSpec, ball as build_ball, parse_group_spec, word_str
 from .kernels import (
     KernelTable,
@@ -53,7 +54,6 @@ def point(x: float) -> Bracket:
     return Bracket(x, x)
 
 
-NAN = point(math.nan)
 ONE = point(1.0)
 INF = point(math.inf)
 
@@ -111,31 +111,35 @@ def check_perccond(d: int, pc: Bracket, rho: Bracket) -> Entry:
                  increasing(lambda p, r: p * (d - 1) * r, pc, rho), ONE, True)
 
 
-def _bnp_term(rho: float, big_c: float) -> float:
-    """C log(1 + (1-rho)^{-2}), the term both girth bounds share."""
-    return big_c * math.log(1.0 + (1.0 - rho) ** -2)
+def _bnp_term(rho: float, big_c: float, side: float) -> float:
+    """C log(1 + (1-rho)^{-2}), the term both girth bounds share, rounded
+    toward `side` (-inf or inf): the log moved 2 ulps past the rounding of
+    log and its argument, and its product with C 1 ulp more."""
+    log = math.log(1.0 + (1.0 - rho) ** -2)
+    return math.nextafter(big_c * math.nextafter(math.nextafter(log, side), side), side)
 
 
-def girth_threshold(rho: float, big_c: float) -> float:
-    """L = C log(1 + (1-rho)^{-2}) / (rho^{-1} - 1), increasing in rho; NaN
-    when an input is NaN."""
+def girth_threshold(rho: float, big_c: float, side: float) -> float:
+    """L = C log(1 + (1-rho)^{-2}) / (rho^{-1} - 1), increasing in rho, its
+    log term rounded toward `side`; NaN when an input is NaN."""
     if rho <= 0.0 or rho >= 1.0:
         raise ValueError("need 0 < rho < 1")
-    return _bnp_term(rho, big_c) / (1.0 / rho - 1.0)
+    return _bnp_term(rho, big_c, side) / (1.0 / rho - 1.0)
 
 
 def check_girth_threshold(rho: Bracket, big_c: float, girth: float) -> Entry:
     """L(rho, C) <= the graph's exact girth."""
-    return Entry("girth_threshold", "girth>=L(rho,C)",
-                 increasing(lambda r: girth_threshold(r, big_c), rho), point(girth), False,
+    lhs = Bracket(girth_threshold(rho.lo, big_c, -math.inf),
+                  girth_threshold(rho.hi, big_c, math.inf))
+    return Entry("girth_threshold", "girth>=L(rho,C)", lhs, point(girth), False,
                  note="rhs is the exact girth (inf on trees)")
 
 
 def check_bnp_bound(d: int, girth: float, rho: Bracket, big_c: float, pc: Bracket) -> Entry:
     """p_c <= 1/(d-1) + C log(1+(1-rho)^{-2}) / (d*girth), increasing in rho."""
-    return Entry("pc_degree_girth_bound", "pc<=1/(d-1)+C*log(...)/(d*g)", pc,
-                 increasing(lambda r: 1.0 / (d - 1) + _bnp_term(r, big_c) / (d * girth), rho),
-                 False)
+    rhs = Bracket(*(1.0 / (d - 1) + _bnp_term(r, big_c, side) / (d * girth)
+                    for r, side in ((rho.lo, -math.inf), (rho.hi, math.inf))))
+    return Entry("pc_degree_girth_bound", "pc<=1/(d-1)+C*log(...)/(d*g)", pc, rhs, False)
 
 
 def check_mu_pc(mu: Bracket, pc: Bracket) -> Entry:
@@ -148,10 +152,9 @@ def check_endpoint_decay(d: int, rho: Bracket, mu: Bracket) -> Entry:
     (d-1) rho / mu < 1: every SAW is a non-backtracking walk, so c_n(x) <=
     d (d-1)^{n-1} rho^n/(1-rho), and c_n >= mu^n.  lambda is at most
     (d-1) rho.hi / mu.lo, and 0 is its only lower end: the entry never fails."""
-    note = ("no certified lower bound on mu" if math.isnan(mu.lo) else
-            f"envelope constant {d / ((d - 1) * (1.0 - rho.hi)):.6g}")
     return Entry("endpoint_decay", "sup_x law(n,x) <= C*lambda^n",
-                 Bracket(0.0, (d - 1) * rho.hi / mu.lo), ONE, True, note)
+                 Bracket(0.0, (d - 1) * rho.hi / mu.lo), ONE, True,
+                 f"envelope constant {d / ((d - 1) * (1.0 - rho.hi)):.6g}")
 
 
 @dataclass
@@ -159,7 +162,6 @@ class GraphJob:
     spec_text: str
     radius: int = 6
     kernel_steps: int = 6
-    saw_n_max: int = 6
     bnp_c: float | None = None  # universal constant: input, never a default
 
 
@@ -232,42 +234,43 @@ class Certificate:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _outward(lo, hi) -> Bracket:
+    """Fraction ends lo <= hi rounded outward to floats."""
+    return Bracket(-float_above(-lo), float_above(hi))
+
+
 def _tree_inputs(spec: GroupSpec):
     """A tree's inputs, all closed forms: (bracket, provenance) pairs for
-    rho, p_c, mu, the triangle and the bubble, then the return rates."""
+    rho, p_c, the triangle and z_c (Fractions, here the point 1/(d-1)),
+    then the return rates."""
     d = spec.degree
     pc = point(branching.critical_probability(d))
-    # the bubble increases in z, and z = 1/mu.lo = 1/(d-1) >= z_c
-    bub = saw_mod.bubble_diagram(spec, 1.0 / (d - 1), 40)
     return ((point(kesten_rho(d)), "exact: Kesten's 2*sqrt(d-1)/d"),
             (pc, "closed form 1/(d-1), Lyons-Peres ch. 5"),
-            (point(d - 1.0), "exact: d-1"),
             (point(percolation.tree_triangle_exact(d, pc.hi)), "tree closed form (tripod sum)"),
-            (Bracket(bub.value, bub.upper), f"method={bub.method} truncation={bub.truncation}"),
+            ((Fraction(1, d - 1),) * 2, "exact: d-1"),
             estimate_spectral_radius(spec, 200).sequence)
 
 
-def _free_product_inputs(srw: KernelTable, census: saw_mod.SawCensus):
+def _free_product_inputs(srw: KernelTable):
     """Any other free product's inputs, as `_tree_inputs` returns them, from
-    the job's one ball `srw.ball`, its SRW table and census: rho in [K, lambda]
+    the job's one ball `srw.ball` and its SRW table: rho in [K, lambda]
     with `kernels.rho_upper`'s lambda rounded up, p_c in
-    `percolation.pc_interval`'s Fraction ends rounded outward, mu from above
-    only."""
+    `blocks.pc_interval`'s Fraction ends rounded outward and z_c in
+    `blocks.critical_interval`'s for `blocks.walks`."""
     b, d = srw.ball, srw.ball.spec.degree
     lam, rs = rho_upper(b.spec)
     rho = Bracket(kesten_rho(d), float_above(lam))
-    lo, hi = percolation.pc_interval(b.spec)
-    pc = Bracket(-float_above(-lo), float_above(hi))
+    lo, hi = blocks.pc_interval(b.spec)
+    pc, z = _outward(lo, hi), blocks.critical_interval(b.spec, blocks.walks)
     return ((rho, "lo: Kesten's 2*sqrt(d-1)/d; "
                   f"hi: superharmonic witness r=({', '.join(map(str, rs))})"),
             (pc, f"chi = 1/(1 - sum_f T_f/(1+T_f)) finite at lo={lo}, infinite at hi={hi}"),
-            (Bracket(math.nan, saw_mod.connective_constant(census).best_upper),
-             f"lo: missing; hi: census min c_n^(1/n), n<={census.n_max}"),
             # the x = y = 0 term tau(0,0)^3 = 1 below, the whole three-leg
             # envelope above: finite exactly when pc.hi*(d-1)*rho.hi < 1
             (Bracket(1.0, chained_tail(d, rho.hi, pc.hi, 0, legs=3)),
              "whole three-leg envelope from s = 0"),
-            (NAN, "no certified lower bound on mu"),
+            (z, f"1/z_c: SAW arcs' sum_f T_f/(1+T_f) below 1 at z={z[0]}, above 1 at z={z[1]}"),
             estimate_spectral_radius(b.spec, 2 * (b.radius // 2), srw=srw).sequence)
 
 
@@ -280,9 +283,12 @@ def _graph_certificate(job: GraphJob) -> dict:
     # the job's one ball and SRW table serve the inputs and the kernel checks
     b = build_ball(spec, job.radius)
     srw = srw_kernel(b, job.radius)
-    census = saw_mod.enumerate_saw(spec, job.saw_n_max)
-    (rho, rho_prov), (pc, pc_prov), (mu, mu_prov), (tri, tri_note), (bub, bub_note), returns = (
-        _tree_inputs(spec) if spec.is_tree else _free_product_inputs(srw, census))
+    (rho, rho_prov), (pc, pc_prov), (tri, tri_note), ((z_lo, z_hi), mu_prov), returns = (
+        _tree_inputs(spec) if spec.is_tree else _free_product_inputs(srw))
+    # mu = 1/z_c; the bubble and the speed at z_c, bracketed over z_c's ends
+    mu = _outward(1 / z_hi, 1 / z_lo)
+    bub = _outward(saw_mod.bubble_diagram(spec, z_lo), saw_mod.bubble_diagram(spec, z_hi))
+    speed = _outward(*blocks.speed_interval(spec, z_lo, z_hi))
 
     entries = []
     n_check = min(job.kernel_steps, job.radius)
@@ -304,11 +310,11 @@ def _graph_certificate(job: GraphJob) -> dict:
         check_bnp_bound(d, girth, rho, big_c, pc),
         check_mu_pc(mu, pc),
         Entry("triangle_finite", "triangle diagram finite at pc", tri, INF, True, tri_note),
-        Entry("bubble_finite", "bubble diagram finite at 1/mu", bub, INF, True, bub_note),
+        Entry("bubble_finite", "bubble diagram finite at 1/mu", bub, INF, True,
+              "1/(1 - sum_f A_f/(1+A_f)) at z_c's ends"),
         check_endpoint_decay(d, rho, mu),
-        Entry("saw_speed_positive", "E dist(0,SAW(n))/n > 0", point(0.0),
-              point(saw_mod.speed_exact(census, census.n_max)), True,
-              note=f"exact census speed at n={census.n_max}"),
+        Entry("saw_speed_positive", "E dist(0,SAW(n))/n > 0", point(0.0), speed, True,
+              note="limit sum_f D_f/(1+T_f)^2 / sum_f N_f/(1+T_f)^2 over z_c's ends"),
     ]
     return {
         "graph": spec.describe(),
@@ -326,12 +332,11 @@ def _graph_certificate(job: GraphJob) -> dict:
 
 def _check_job(job: GraphJob) -> None:
     """Raise ValueError, naming the graph and the key, if `job` cannot be
-    certified: degree < 3, a size below its minimum, or a bnp_C outside
-    (0, inf)."""
+    certified: degree < 3, a negative size, or a bnp_C outside (0, inf)."""
     spec = parse_group_spec(job.spec_text)
     bad = [(spec.degree < 3, f"need degree >= 3, got {spec.degree}")]
-    bad += [(getattr(job, key) < low, f"need {key} >= {low}, got {getattr(job, key)}")
-            for key, low in (("saw_n_max", 1), ("radius", 0), ("kernel_steps", 0))]
+    bad += [(getattr(job, key) < 0, f"need {key} >= 0, got {getattr(job, key)}")
+            for key in ("radius", "kernel_steps")]
     if job.bnp_c is not None:
         bad.append((not 0 < job.bnp_c < math.inf, f"need 0 < bnp_C < inf, got {job.bnp_c}"))
     for is_bad, why in bad:

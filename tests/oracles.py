@@ -1,8 +1,10 @@
 """Independent oracles that only the tests call: second opinions on the
 package's closed forms, ball distances and crossing thresholds,
 normal-form word arithmetic, which the package's integer-array balls do
-without, and mean-field exponent fits on the exact tree values."""
+without, the SAW census's power series and bubble sums, and mean-field
+exponent fits on the exact tree values."""
 
+import decimal
 import heapq
 import math
 from fractions import Fraction
@@ -10,6 +12,7 @@ from fractions import Fraction
 from girthlab import branching
 from girthlab.branching import FIXED_POINT_TOL
 from girthlab.groups import Ball, GroupSpec, Word
+from girthlab.saw import SawCensus
 from girthlab.stats import ExponentFit, fit_loglog
 
 IDENTITY: Word = ()
@@ -126,6 +129,80 @@ def cycle_connection_sum(m: int, p: Fraction) -> Fraction:
                     stack.append(w)
         total += weight * (len(seen) - 1)
     return total
+
+
+def tree_sphere_size(d: int, r: int) -> int:
+    """Vertices at distance r from the root of the d-regular tree."""
+    return 1 if r == 0 else d * (d - 1) ** (r - 1)
+
+
+def cycle_saw_arcs(m: int, z: Fraction) -> Fraction:
+    """sum of z^length over the self-avoiding walks of length >= 1 from 0
+    on an m-cycle, by a depth-first search over the walks."""
+    total, stack = Fraction(0), [(0, frozenset([0]))]
+    while stack:
+        v, seen = stack.pop()
+        for w in ((v + 1) % m, (v - 1) % m):
+            if w not in seen:
+                total += z ** len(seen)
+                stack.append((w, seen | {w}))
+    return total
+
+
+def _series_mul(a: list[int], b: list[int]) -> list[int]:
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
+
+
+def _series_inv(a: list[int]) -> list[int]:
+    """1/a for an integer power series with a[0] = 1, to len(a) terms."""
+    out = [1] + [0] * (len(a) - 1)
+    for k in range(1, len(a)):
+        out[k] = -sum(a[i] * out[k - i] for i in range(1, k + 1))
+    return out
+
+
+def renewal_series(spec: GroupSpec, n_max: int) -> tuple[list[int], list[int]]:
+    """(c_n, sum_x |x| c_n(x)) for n <= n_max as integer power series in
+    z, from the block-tree renewal rule alone: with T_f and D_f the arcs
+    of a factor-f block counted and weighted by the distance their
+    syllable moves, the SAW generating function with weight t^|x| is
+    G = 1/(1 - sum_f T_f/(1+T_f)), and its t-derivative at t = 1 is
+    G^2 sum_f D_f/(1+T_f)^2."""
+    load, drift = [0] * (n_max + 1), [0] * (n_max + 1)
+    for m in spec.orders:
+        arcs = ([(k, k) for k in range(1, n_max + 1)] * 2 if m is None else [(1, 1)] if m == 2
+                else [(n, min(e, m - e)) for e in range(1, m) for n in (e, m - e)])
+        t, dist = [0] * (n_max + 1), [0] * (n_max + 1)
+        for n, x in arcs:
+            if n <= n_max:
+                t[n] += 1
+                dist[n] += x
+        inv = _series_inv([1] + t[1:])
+        load = [a + b for a, b in zip(load, _series_mul(t, inv))]
+        drift = [a + b for a, b in zip(drift, _series_mul(dist, _series_mul(inv, inv)))]
+    g = _series_inv([1] + [-a for a in load[1:]])
+    return g, _series_mul(_series_mul(g, g), drift)
+
+
+def census_bubble(census: SawCensus, z: float, truncation: int) -> float:
+    """The bubble's partial sum over walk-length pairs n, m <= truncation of
+    O[n][m] z^(n+m), O[n][m] = sum_x c_n(x) c_m(x) counted exactly in
+    Python ints as the sum over the census classes of size * c_n * c_m."""
+    overlap = [[0] * (truncation + 1) for _ in range(truncation + 1)]
+    for size, poly in census.classes:
+        terms = [(n, c) for n, c in poly.items() if n <= truncation]
+        for n, c_n in terms:
+            for m, c_m in terms:
+                overlap[n][m] += size * c_n * c_m
+    return sum(overlap[n][m] * z ** (n + m)
+               for n in range(truncation + 1) for m in range(truncation + 1))
+
+
+def bnp_term_decimal(rho: float, big_c: float) -> decimal.Decimal:
+    """C log(1 + (1-rho)^{-2}) to 50 digits, at rho's and C's exact values."""
+    with decimal.localcontext(decimal.Context(prec=50)):
+        gap = 1 - decimal.Decimal(rho)
+        return decimal.Decimal(big_c) * (1 + 1 / (gap * gap)).ln()
 
 
 def bottleneck_dijkstra(ball: Ball, uniforms) -> float:

@@ -5,14 +5,15 @@ prints as a terminal-summary section after the run.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import conftest
 
-from girthlab import branching, percolation, saw as saw_mod
-from girthlab.groups import ball, parse_group_spec, tree_sphere_size
+from girthlab import blocks, branching, percolation, saw as saw_mod
+from girthlab.groups import ball, parse_group_spec
 from girthlab.kernels import (
     check_nbw_le_rho_power,
     check_nbw_le_srw_tail,
@@ -31,7 +32,7 @@ from girthlab.verify import (
     point,
     run_certificate,
 )
-from oracles import fit_beta, fit_gamma
+from oracles import fit_beta, fit_gamma, tree_sphere_size
 
 F2 = parse_group_spec("Z*Z")
 Z5Z5 = parse_group_spec("Z5*Z5")
@@ -127,10 +128,16 @@ def test_criterion_04_saw_census_oracle(census_z5z5):
 
 
 def test_criterion_05_bubble():
-    res = saw_mod.bubble_diagram(F2, 1 / 3, 40)
-    ok = 1.6660 <= res.value <= 1.6667
-    ok &= res.certified and res.tail_bound < 1e-3
-    report(5, ok, f"bubble(1/3)={res.value:.6f}, tail={res.tail_bound:.2e}")
+    # the closed form against the sphere sum 1 + sum_r 4*3^(r-1) 9^-r = 5/3
+    # on Z*Z, and B(z_c) on Z5*Z5 from z_c's Fraction bracket
+    tree = saw_mod.bubble_diagram(F2, Fraction(1, 3))
+    ok = tree == Fraction(5, 3)
+    ok &= abs(1 + sum(tree_sphere_size(4, r) / 9**r for r in range(1, 40)) - tree) < 1e-12
+    lo, hi = blocks.critical_interval(Z5Z5, blocks.walks)
+    b_lo, b_hi = saw_mod.bubble_diagram(Z5Z5, lo), saw_mod.bubble_diagram(Z5Z5, hi)
+    ok &= 1.8136592 < b_lo <= b_hi < 1.8136594
+    report(5, ok, f"bubble(1/3)={float(tree):.6f} on Z*Z; "
+                  f"B(z_c) in [{float(b_lo):.7f}, {float(b_hi):.7f}] on Z5*Z5")
 
 
 def test_criterion_06_chi_scaling(census_z5z5):
@@ -211,9 +218,9 @@ def test_criterion_10_speed(census_f2, census_z5z5):
 
 def test_criterion_11_reproducibility():
     jobs = [
-        GraphJob("Z*Z", radius=6, kernel_steps=5, saw_n_max=6, bnp_c=1.0),
-        GraphJob("Z2*Z2*Z2", radius=6, kernel_steps=5, saw_n_max=6, bnp_c=1.0),
-        GraphJob("Z5*Z5", radius=5, kernel_steps=5, saw_n_max=6, bnp_c=1.0),
+        GraphJob("Z*Z", radius=6, kernel_steps=5, bnp_c=1.0),
+        GraphJob("Z2*Z2*Z2", radius=6, kernel_steps=5, bnp_c=1.0),
+        GraphJob("Z5*Z5", radius=5, kernel_steps=5, bnp_c=1.0),
     ]
     first = run_certificate(VerifyConfig(jobs=jobs))
     second = run_certificate(VerifyConfig(jobs=jobs))

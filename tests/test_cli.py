@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import conftest
-from girthlab import branching, cli, groups, kernels, percolation, plots, rng, saw, verify
+from girthlab import blocks, branching, cli, groups, kernels, percolation, plots, rng, saw, verify
 from girthlab.cli import (
     main,
     parse_verify_config,
@@ -133,35 +133,31 @@ def test_saw_chi_rejects_negative_z(tmp_path):
         assert not (tmp_path / "chi_ZxZ.csv").exists()
 
 
-def test_saw_bubble_tail_reads_the_witness_rho(tmp_path, capsys):
-    # z (d-1) lambda = 0.2 * 3 * 0.8964 = 0.538 < 1: the census bubble's
-    # tail is certified with no rho given
+def test_saw_bubble_is_the_closed_form(tmp_path, capsys):
+    # the whole sum, with no census and no tail: the census's partial sum
+    # to n, m <= 8 was 1.187927
     args = ["saw", "--spec", "Z5*Z5", "--nmax", "8", "--bubble-z", "0.2"]
     assert run(args, tmp_path) == 0
     assert capsys.readouterr().out.splitlines()[-1] == (
-        "bubble z=0.2: value=1.187927 tail=15.1 certified=True")
+        "bubble z=0.2: value=1.187928 certified=True")
+    args = ["saw", "--spec", "Z*Z", "--nmax", "4", "--bubble-z", "0.6"]
+    assert run(args, tmp_path) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "bubble z=0.6: value=inf certified=False"
 
 
-def test_saw_bubble_on_degree_two_exits_2(tmp_path, capsys):
-    # a 5-cycle has rho = 1: no witness bounds it below 1
+def test_saw_bubble_on_degree_two_is_finite(tmp_path, capsys):
+    # a single 5-cycle is one block: B = 1 + sum_e (z^e + z^{5-e})^2
     args = ["saw", "--spec", "Z5", "--nmax", "4", "--bubble-z", "0.2"]
-    assert run(args, tmp_path) == 2
-    captured = capsys.readouterr()
-    assert "error: need degree >= 3 for rho < 1, got 2 on Z5" in captured.err
-    assert captured.out == "" and not list(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("spec_args", [["--spec", "Z*Z"], ["--spec", "Z5*Z5"]])
-def test_saw_bubble_rejects_negative_truncation(tmp_path, capsys, spec_args):
-    args = ["saw", *spec_args, "--nmax", "4", "--bubble-z", "0.2", "--N", "-1"]
-    assert run(args, tmp_path) == 2
-    assert "truncation must be >= 0" in capsys.readouterr().err
+    assert run(args, tmp_path) == 0
+    value = 1 + sum((0.2**e + 0.2 ** (5 - e)) ** 2 for e in range(1, 5))
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"bubble z=0.2: value={value:.6f} certified=True")
 
 
 def test_saw_failure_names_no_file(tmp_path, capsys):
     # the census CSV is written, then the bubble fails and it is discarded:
     # stdout must not have named it
-    args = ["saw", "--spec", "Z5*Z5", "--nmax", "4", "--bubble-z", "0.2", "--N", "-1"]
+    args = ["saw", "--spec", "Z5", "--nmax", "4", "--bubble-z", "-0.1"]
     assert run(args, tmp_path) == 2
     out = capsys.readouterr()
     assert "census:" not in out.out and "error:" in out.err
@@ -192,7 +188,7 @@ def test_verify_config_ignores_unknown_keys():
     assert doc == {"jobs": [dataclasses.asdict(verify.GraphJob("Z5*Z5", radius=3))]}
 
 
-GOOD_GRAPH = "[graph:Z*Z]\nradius = 3\nsaw_n_max = 4\n"
+GOOD_GRAPH = "[graph:Z*Z]\nradius = 3\n"
 
 
 @pytest.mark.parametrize("text,why", [
@@ -217,7 +213,7 @@ def test_verify_cli_tree_config(tmp_path, capsys):
     cfg = tmp_path / "trees.cfg"
     cfg.write_text(
         "[verify]\n\n"
-        "[graph:Z*Z]\nradius = 4\nkernel_steps = 3\nsaw_n_max = 4\nbnp_C = 1.0\n"
+        "[graph:Z*Z]\nradius = 4\nkernel_steps = 3\nbnp_C = 1.0\n"
     )
     assert run(["verify", "--config", str(cfg)], tmp_path) == 0
     doc = json.loads((tmp_path / "certificate.json").read_text())
@@ -227,23 +223,15 @@ def test_verify_cli_tree_config(tmp_path, capsys):
 
 
 def test_verify_cli_strict_inconclusive(tmp_path):
-    # Z5*Z5 has no certified lower bound on mu: inconclusive entries, exit 0
-    # normally, 1 with --strict
+    # with no bnp_C both girth bounds are inconclusive: exit 0 normally, 1
+    # with --strict
     cfg = tmp_path / "loose.cfg"
     cfg.write_text(
         "[verify]\n\n"
-        "[graph:Z5*Z5]\nradius = 4\nkernel_steps = 3\nsaw_n_max = 4\n"
+        "[graph:Z5*Z5]\nradius = 4\nkernel_steps = 3\n"
     )
     assert run(["verify", "--config", str(cfg)], tmp_path) == 0
     assert run(["verify", "--config", str(cfg), "--strict"], tmp_path) == 1
-
-
-def test_verify_cli_empty_census(tmp_path, capsys):
-    cfg = tmp_path / "empty.cfg"
-    cfg.write_text("[verify]\n\n[graph:Z*Z]\nradius = 3\nsaw_n_max = 0\n")
-    assert run(["verify", "--config", str(cfg)], tmp_path) == 2
-    assert "n_max >= 1" in capsys.readouterr().err
-    assert not (tmp_path / "certificate.json").exists()
 
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -258,18 +246,27 @@ def test_readme_config_block(tmp_path, capsys):
     assert set(by_graph) == {"Z*Z", "Z5*Z5"}
     assert set(by_graph["Z*Z"].values()) == {"pass"}
     # the README's note: Z5*Z5 fails the girth threshold for every rho >= K,
-    # and p_c^hi*3*rho.hi < 1 passes perccond and so the triangle
+    # and passes every other entry
     z5 = {status: sorted(i for i, s in by_graph["Z5*Z5"].items() if s == status)
           for status in ("pass", "fail", "inconclusive")}
-    assert z5 == {"pass": ["nbw_le_rho_power", "nbw_le_srw_tail", "pc_degree_girth_bound",
+    assert z5 == {"pass": ["bubble_finite", "endpoint_decay", "mu_pc_product",
+                           "nbw_le_rho_power", "nbw_le_srw_tail", "pc_degree_girth_bound",
                            "perccond", "return_rate_le_rho", "saw_speed_positive",
                            "triangle_finite"],
                   "fail": ["girth_threshold"],
-                  "inconclusive": ["bubble_finite", "endpoint_decay", "mu_pc_product"]}
+                  "inconclusive": []}
     assert cert.failed
+    # mu = 1/z_c from z_c's Fraction ends, rounded outward; the speed's limit
+    mu = cert.graphs[1]["inputs"]["mu"]
+    z_lo, z_hi = blocks.critical_interval(parse_group_spec("Z5*Z5"), blocks.walks)
+    assert Fraction(mu["lo"]) <= 1 / z_hi < 1 / z_lo <= Fraction(mu["hi"])
+    assert mu["hi"] - mu["lo"] <= 1e-7
+    assert abs(mu["lo"] - 2.9744492) < 1e-7 and abs(mu["hi"] - 2.9744492) < 1e-7
+    speed = {e["id"]: e for e in cert.graphs[1]["entries"]}["saw_speed_positive"]
+    assert abs(speed["rhs"] - 0.89506) < 1e-5
     # p_c's Fraction ends, rounded outward to floats
     pc = cert.graphs[1]["inputs"]["pc_interval"]
-    lo, hi = percolation.pc_interval(parse_group_spec("Z5*Z5"))
+    lo, hi = blocks.pc_interval(parse_group_spec("Z5*Z5"))
     assert Fraction(pc["lo"]) <= lo < hi <= Fraction(pc["hi"])
     assert pc["hi"] - pc["lo"] <= 1e-8 and abs(pc["lo"] - 0.3403996) < 1e-7
     assert pc["provenance"].endswith(f"finite at lo={lo}, infinite at hi={hi}")
@@ -301,7 +298,7 @@ def test_readme_certificate_golden_digest():
     block = re.search(r"```ini\n(.*?)```", README, re.S).group(1)
     doc = run_certificate(parse_verify_config(block)).to_json(include_meta=False)
     assert (hashlib.sha256(doc.encode()).hexdigest()
-            == "2924f39d61a07bd0e3031bec07711e0689b789fac12edd42674db72417725ebc")
+            == "9700d4f5a90e8047f404163b0aed369379f2b308cc349f1ab7ab2cc28bafa7a1")
 
 
 NO_RHO_UB_CONFIG = """\
@@ -309,12 +306,10 @@ NO_RHO_UB_CONFIG = """\
 [graph:Z5*Z5]
 radius = 6
 kernel_steps = 6
-saw_n_max = 8
 bnp_C = 1.0
 [graph:Z2*Z3*Z4]
 radius = 4
 kernel_steps = 4
-saw_n_max = 6
 """
 
 
@@ -323,7 +318,7 @@ def test_no_rho_ub_certificate_golden_digest():
     # Z2*Z3*Z4 runs the kernel checks too, and p_c from its exact bracket
     doc = run_certificate(parse_verify_config(NO_RHO_UB_CONFIG)).to_json(include_meta=False)
     assert (hashlib.sha256(doc.encode()).hexdigest()
-            == "63639ddbe8880745bf841a664c80e900287dc9fb4a2eeeaf03ece22833110d0c")
+            == "5efc7466028a36ef2f3a1f71f610abee7aa30dc0ae60f3d9b7a642c088623873")
 
 
 def _count_calls(monkeypatch, real):
@@ -335,7 +330,7 @@ def _count_calls(monkeypatch, real):
         calls.append(args)
         return real(*args, **kwargs)
 
-    for mod in (branching, cli, groups, kernels, percolation, rng, saw, verify):
+    for mod in (blocks, branching, cli, groups, kernels, percolation, rng, saw, verify):
         for name, obj in list(vars(mod).items()):
             if obj is real:
                 monkeypatch.setattr(mod, name, counting)
@@ -367,16 +362,40 @@ def test_verify_draws_no_random_number(config, monkeypatch):
     assert conftest.sampled_inputs(cert) == []
 
 
+@pytest.mark.parametrize("config", ["readme", "no_rho_ub"])
+def test_verify_enumerates_no_walk(config, monkeypatch):
+    # mu, the bubble and the speed come from the block-tree rules, not a census
+    cfg = parse_verify_config(_config_text(config))
+    calls = _count_calls(monkeypatch, saw.enumerate_saw)
+    run_certificate(cfg)
+    assert calls == []
+
+
 def test_perc_pc_runs_on_the_built_ball(tmp_path, monkeypatch, capsys):
     calls = _count_calls(monkeypatch, groups.ball)
     args = ["perc", "--spec", "Z5*Z5", "--R", "6", "--p", "0.35", "--trials", "200",
             "--seed", "3", "--pc"]
     assert run(args, tmp_path) == 0
     assert len(calls) == 1
-    assert capsys.readouterr().out.splitlines()[-1] == (
-        "pc interval at R=6: [0.3394, 0.3950] (theta*=0.5, finite-size biased)")
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "pc interval at R=6: [0.3394, 0.3950] (theta*=0.5, finite-size biased)",
+        "exact pc: [0.340399640, 0.340399643] (block-tree rule), bisection midpoint bias +0.0268"]
     assert (hashlib.sha256((tmp_path / "crossing_Z5xZ5.csv").read_bytes()).hexdigest()
             == "5c9ac0ca1c516e20e70fc7554dbd8bc06ddc53a7ef81608aa120271095bcc3ce")
+
+
+@pytest.mark.parametrize("spec_text,line", [
+    ("Z*Z", "exact pc: 1/3 on trees, bisection midpoint bias -0.0030"),
+    ("Z2*Z3", "exact pc: [0.637277609, 0.637277612] (block-tree rule), "
+              "bisection midpoint bias -0.0926"),
+    ("Z5", None),  # degree 2: p_c = 1, and no line
+])
+def test_perc_pc_prints_the_exact_value(spec_text, line, tmp_path, capsys):
+    args = ["perc", "--spec", spec_text, "--R", "4", "--p", "0.35", "--trials", "50",
+            "--seed", "3", "--pc"]
+    assert run(args, tmp_path) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == line if line else last.startswith("pc interval at R=4: ")
 
 
 def test_saw_census_golden_csv(tmp_path):

@@ -13,11 +13,17 @@ from girthlab.groups import (
     GroupSpecError,
     ball,
     parse_group_spec,
-    tree_sphere_size,
     tree_vertex_count,
     word_str,
 )
-from oracles import append_syllable, inverse, multiply, normal_form, word_length
+from oracles import (
+    append_syllable,
+    inverse,
+    multiply,
+    normal_form,
+    tree_sphere_size,
+    word_length,
+)
 
 F2 = parse_group_spec("Z*Z")
 Z5Z5 = parse_group_spec("Z5*Z5")

@@ -25,7 +25,7 @@ from girthlab.kernels import (
 )
 from girthlab.saw import bubble_diagram, enumerate_saw
 from girthlab.verify import FAIL, PASS, point, status
-from oracles import superharmonic_ratio
+from oracles import census_bubble, superharmonic_ratio
 
 F2 = parse_group_spec("Z*Z")
 Z5Z5 = parse_group_spec("Z5*Z5")
@@ -644,10 +644,12 @@ def test_chained_tail_rejects_negative_weight():
 
 @pytest.mark.parametrize("gap", [0.5, 1e-9])
 def test_diagram_tails_are_the_chained_envelope(gap):
-    # the census bubble reads rho's upper end from the witness
+    # what the census's bubble sum over walk lengths n, m <= N leaves of the
+    # closed form lies in the two-leg envelope from s = N + 1, at the
+    # witness's rho
     rho = float_above(rho_upper(Z5Z5)[0])
     x = (1 - gap) / (3 * rho)
-    census = enumerate_saw(Z5Z5, 5)
-    bub = bubble_diagram(Z5Z5, x, 5, census=census)
-    assert bub.tail_bound == chained_tail(4, rho, x, 6, legs=2) < math.inf
-    assert bub.certified
+    census = enumerate_saw(Z5Z5, 8)
+    for n in range(9):
+        rest = bubble_diagram(Z5Z5, x) - census_bubble(census, x, n)
+        assert 0 < rest <= chained_tail(4, rho, x, n + 1, legs=2) < math.inf

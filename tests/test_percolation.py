@@ -8,16 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from girthlab import branching, percolation
+from girthlab.blocks import block_connections, pc_interval
 from girthlab.groups import ball, parse_group_spec
 from girthlab.percolation import (
-    block_connections,
     cluster_size_tail,
     crossing_probability,
     crossing_threshold,
     estimate_pc,
     nonuniqueness_witness,
     oracle_witness_radius,
-    pc_interval,
     susceptibility,
     tree_triangle_exact,
     two_point,

@@ -2,14 +2,16 @@
 
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from girthlab import blocks
 from girthlab.cli import main
 from girthlab.groups import parse_group_spec
-from girthlab.kernels import float_above, kesten_rho, rho_upper
+from girthlab.kernels import kesten_rho
 from girthlab.saw import (
     bubble_diagram,
     connective_constant,
@@ -19,7 +21,7 @@ from girthlab.saw import (
     susceptibility_saw,
 )
 from girthlab.verify import Bracket, check_endpoint_decay, point
-from oracles import append_syllable, word_length
+from oracles import append_syllable, census_bubble, tree_sphere_size, word_length
 
 F2 = parse_group_spec("Z*Z")
 Z5Z5 = parse_group_spec("Z5*Z5")
@@ -134,15 +136,14 @@ def test_census_z5z5_n12():
 
 
 def test_census_builds_no_words():
-    # the counts, mu, speed, endpoint sup and census bubble read the
-    # classes alone; `endpoint_counts`, the only place words are built,
-    # is cached in the instance on its first read
+    # the counts, mu, speed and endpoint sup read the classes alone;
+    # `endpoint_counts`, the only place words are built, is cached in the
+    # instance on its first read
     census = enumerate_saw(Z5Z5, 8)
     fresh = enumerate_saw(Z5Z5, 8)
     connective_constant(fresh)
     speed_exact(fresh, 8)
     fresh.sup_endpoint_probability(8)
-    bubble_diagram(Z5Z5, 0.2, 8, census=fresh)
     assert "endpoint_counts" not in vars(fresh)
     # built on first read, then kept; it matches the walk-by-walk oracle
     assert fresh.endpoint_counts == dfs_census(Z5Z5, 8)[1]
@@ -452,69 +453,77 @@ def pair_intersection_bubble(census, z, truncation):
 
 @pytest.mark.parametrize("text", ["Z5*Z5", "Z*Z5", "Z2*Z3*Z4"])
 def test_bubble_census_matches_pair_intersections(text):
+    # the census oracle's class sum against the endpoint words, and both
+    # below the closed form
     spec = parse_group_spec(text)
     census = enumerate_saw(spec, 8)
-    mu_inv = 1.0 / connective_constant(census).best_upper
+    z_c = float(blocks.critical_interval(spec, blocks.walks)[0])
     for truncation in range(9):
-        for z in (0.5 * mu_inv, mu_inv, 0.3):
-            res = bubble_diagram(spec, z, truncation, census=census)
-            assert res.value == pair_intersection_bubble(census, z, truncation)
+        for z in (0.5 * z_c, z_c, 0.3):
+            value = census_bubble(census, z, truncation)
+            assert value == pair_intersection_bubble(census, z, truncation)
+            assert value < bubble_diagram(spec, z)
+
 
 def test_bubble_tree_value():
-    res = bubble_diagram(F2, 1 / 3, 40)
-    assert res.method == "exact-tree"
-    assert res.certified
-    # sphere-sum oracle: 1 + sum 4*3^(r-1) (1/9)^r = 5/3
-    assert res.value == pytest.approx(5 / 3, abs=1e-12)
-    assert res.tail_bound < 1e-18
+    # sphere-sum oracle: 1 + sum 4*3^(r-1) (1/9)^r = 5/3, exact in Fractions
+    assert bubble_diagram(F2, Fraction(1, 3)) == Fraction(5, 3)
+    assert bubble_diagram(F2, 1 / 3) == pytest.approx(5 / 3, abs=1e-15)
+    z = Fraction(3, 10)
+    spheres = 1 + sum(tree_sphere_size(4, r) * z ** (2 * r) for r in range(1, 60))
+    assert 0 < bubble_diagram(F2, z) - spheres < Fraction(1, 10**25)
 
 
 def test_bubble_tree_uncertified_when_divergent():
-    res = bubble_diagram(F2, 0.7, 10)
-    assert not res.certified and res.tail_bound == math.inf
+    # (d-1) z^2 >= 1 on Z*Z: 0.7, the edge 1/sqrt(3) and z >= 1 on a Z block
+    for z in (0.7, Fraction(1, 1), 2.0):
+        assert bubble_diagram(F2, z) == math.inf
+    assert bubble_diagram(F2, 0.577) < math.inf
 
 
 def test_bubble_census_matches_tree():
+    # on a tree the only (n, m) overlap is n = m = |x|: the census sum is
+    # the sphere sum, truncated at radius N
     census = enumerate_saw(F2, 8)
     z = 0.3
-    tree = bubble_diagram(F2, z, 8)
-    cen = bubble_diagram(F2, z, 8, census=census)
-    assert cen.method == "census"
-    assert cen.certified
-    # same truncated sum: on a tree the only (n, m) overlap is n = m = |x|
-    assert cen.value == pytest.approx(tree.value)
+    for n in range(9):
+        spheres = 1 + sum(tree_sphere_size(4, r) * z ** (2 * r) for r in range(1, n + 1))
+        assert census_bubble(census, z, n) == pytest.approx(spheres, rel=1e-14)
 
 
 def test_bubble_census_z5z5():
-    census = enumerate_saw(Z5Z5, 8)
-    mu_ub = connective_constant(census).best_upper
-    res = bubble_diagram(Z5Z5, 1 / mu_ub, 8, census=census)
-    assert res.value > 1.0
-    assert res.certified == (1 / mu_ub * 3 * float_above(rho_upper(Z5Z5)[0]) < 1.0)
+    # the census's partial sums over walk lengths n, m <= N sit below B(z)
+    # and close the gap as N grows, below z_c and at z_c's upper end (on
+    # Z*Z too)
+    for spec in (Z5Z5, F2):
+        census = enumerate_saw(spec, 12)
+        _, z_hi = blocks.critical_interval(spec, blocks.walks)
+        for z in (0.2, float(z_hi)):
+            whole = bubble_diagram(spec, z)
+            gaps = [whole - census_bubble(census, z, n) for n in range(13)]
+            assert all(g > 0 for g in gaps)
+            assert gaps == sorted(gaps, reverse=True) and gaps[-1] < 0.01 * gaps[0]
+    # a single 5-cycle is one block: B = 1 + sum_e (z^e + z^{5-e})^2, all
+    # of it in the census from n = 4 on
+    cycle, z = parse_group_spec("Z5"), Fraction(1, 5)
+    one_block = 1 + sum((z**e + z ** (5 - e)) ** 2 for e in range(1, 5))
+    assert bubble_diagram(cycle, z) == one_block
+    assert census_bubble(enumerate_saw(cycle, 4), float(z), 4) == pytest.approx(float(one_block))
 
 
 def test_bubble_validation():
-    with pytest.raises(ValueError):
-        bubble_diagram(Z5Z5, 0.2, 5)
+    for spec in (F2, Z5Z5, parse_group_spec("Z5")):
+        for z in (-0.5, -0.1, math.nan, Fraction(-1, 3)):
+            with pytest.raises(ValueError, match="z must be >= 0"):
+                bubble_diagram(spec, z)
 
 
 def test_bubble_rejects_negative_z_and_bad_rho():
-    census = enumerate_saw(Z5Z5, 4)
-    with pytest.raises(ValueError):
-        bubble_diagram(Z5Z5, -0.5, 4, census=census)
-    with pytest.raises(ValueError):
-        bubble_diagram(F2, -0.1, 4)
-    # a 5-cycle has rho = 1: no certified rho < 1 for the census tail
-    cycle = parse_group_spec("Z5")
-    with pytest.raises(ValueError, match="need degree >= 3"):
-        bubble_diagram(cycle, 0.2, 4, census=enumerate_saw(cycle, 4))
-    with pytest.raises(ValueError):
-        bubble_diagram(Z5Z5, 0.2, 9, census=enumerate_saw(Z5Z5, 8))
-
-
-def test_bubble_rejects_negative_truncation():
-    # the tree tail used to restart at r = 0 and report a certified 1.0
-    with pytest.raises(ValueError, match="truncation must be >= 0"):
-        bubble_diagram(F2, 0.2, -1)
-    with pytest.raises(ValueError, match="truncation must be >= 0"):
-        bubble_diagram(Z5Z5, 0.2, -1, census=enumerate_saw(Z5Z5, 4))
+    with pytest.raises(ValueError, match="z must be >= 0"):
+        bubble_diagram(Z5Z5, -0.5)
+    with pytest.raises(ValueError, match="z must be >= 0"):
+        bubble_diagram(F2, -0.1)
+    # a 5-cycle has rho = 1, which the closed form never reads: it is a
+    # valid input with the one-block value 1 + sum_e (z^e + z^{5-e})^2
+    cycle, z = parse_group_spec("Z5"), Fraction(1, 5)
+    assert bubble_diagram(cycle, z) == 1 + sum((z**e + z ** (5 - e)) ** 2 for e in range(1, 5))

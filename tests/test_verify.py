@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -28,6 +30,7 @@ from girthlab.verify import (
     Entry,
     GraphJob,
     VerifyConfig,
+    _bnp_term,
     _num,
     check_bnp_bound,
     check_endpoint_decay,
@@ -40,6 +43,7 @@ from girthlab.verify import (
     run_certificate,
     status,
 )
+from oracles import bnp_term_decimal
 
 NAN, INF = math.nan, math.inf
 
@@ -112,11 +116,22 @@ def test_check_perccond():
 
 def test_girth_threshold_formula():
     rho = 0.9
-    L = girth_threshold(rho, 1.0)
+    L = girth_threshold(rho, 1.0, INF)
     assert L == pytest.approx(math.log(1 + (1 - rho) ** -2) / (1 / rho - 1))
-    assert girth_threshold(rho, 2.0) == pytest.approx(2 * L)
+    assert girth_threshold(rho, 2.0, INF) == pytest.approx(2 * L)
+    assert girth_threshold(rho, 1.0, -INF) < L
     with pytest.raises(ValueError):
-        girth_threshold(1.0, 1.0)
+        girth_threshold(1.0, 1.0, INF)
+
+
+def test_bnp_term_brackets_the_decimal_log():
+    # both girth bounds' log term, rounded 2 ulps outward, holds its
+    # 50-digit value at 200 seeded rho
+    gen = random.Random(20120713)
+    for _ in range(200):
+        rho, big_c = gen.uniform(0.3, 0.99), gen.choice((1.0, 0.37, 2.5))
+        exact = bnp_term_decimal(rho, big_c)
+        assert _bnp_term(rho, big_c, -INF) < exact < _bnp_term(rho, big_c, INF)
 
 
 def test_check_girth_threshold():
@@ -128,7 +143,7 @@ def test_check_girth_threshold():
     assert check_girth_threshold(point(0.9), math.nan, 5.0).status == "inconclusive"
     # L increases in rho: rho's two ends give L's two ends
     e = check_girth_threshold(Bracket(K, 0.95), 1.0, 5.0)
-    assert e.lhs == (girth_threshold(K, 1.0), girth_threshold(0.95, 1.0))
+    assert e.lhs == (girth_threshold(K, 1.0, -INF), girth_threshold(0.95, 1.0, INF))
 
 
 def test_check_bnp_bound():
@@ -167,7 +182,7 @@ def _certify(config):
 
 
 def _small_config(**overrides):
-    job = GraphJob("Z*Z", radius=5, kernel_steps=4, saw_n_max=5, bnp_c=1.0)
+    job = GraphJob("Z*Z", radius=5, kernel_steps=4, bnp_c=1.0)
     for k, v in overrides.items():
         setattr(job, k, v)
     return VerifyConfig(jobs=[job])
@@ -194,6 +209,13 @@ def test_run_certificate_tree_all_pass():
     pc = g["inputs"]["pc_interval"]
     assert pc["lo"] == pc["hi"] == 1 / 3
     assert pc["provenance"].startswith("closed form 1/(d-1)")
+    by_id = {e["id"]: e for e in g["entries"]}
+    # p_c ties the degree/girth bound 1/(d-1) exactly; the bubble at
+    # z_c = 1/3 is 5/3 rounded outward, the speed exactly 1
+    assert by_id["pc_degree_girth_bound"]["margin"] == 0.0
+    bub = by_id["bubble_finite"]
+    assert Fraction(bub["lhs_lo"]) < Fraction(5, 3) < Fraction(bub["lhs"])
+    assert by_id["saw_speed_positive"]["rhs"] == by_id["saw_speed_positive"]["rhs_hi"] == 1.0
 
 
 def test_certificate_margins_recomputable():
@@ -218,7 +240,7 @@ def test_certificate_json_meta_toggle():
 def test_certificate_girth_from_closed_form():
     # a radius-3 ball only sees cycles of length <= 7, so a BFS would
     # certify no more than girth > 6; the closed form records 7
-    job = GraphJob("Z7*Z7", radius=3, kernel_steps=3, saw_n_max=4, bnp_c=1.0)
+    job = GraphJob("Z7*Z7", radius=3, kernel_steps=3, bnp_c=1.0)
     cert = _certify(VerifyConfig(jobs=[job]))
     assert cert.graphs[0]["inputs"]["girth"] == "7"
     by_id = {e["id"]: e for e in cert.entries}
@@ -228,8 +250,8 @@ def test_certificate_girth_from_closed_form():
 def test_certificate_kernel_entries_match_entry_scan():
     # the README config at tiny sizes, against the per-pair scan verify used
     # before the checks returned summaries
-    jobs = [GraphJob("Z*Z", radius=4, kernel_steps=6, saw_n_max=5, bnp_c=1.0),
-            GraphJob("Z5*Z5", radius=3, kernel_steps=6, saw_n_max=5, bnp_c=1.0)]
+    jobs = [GraphJob("Z*Z", radius=4, kernel_steps=6, bnp_c=1.0),
+            GraphJob("Z5*Z5", radius=3, kernel_steps=6, bnp_c=1.0)]
     cert = _certify(VerifyConfig(jobs=jobs))
     for job, g in zip(jobs, cert.graphs):
         b = ball(parse_group_spec(job.spec_text), job.radius)
@@ -256,8 +278,7 @@ def test_certificate_kernel_entries_match_entry_scan():
 def test_triangle_entry_is_closed_form_or_whole_envelope(spec_text, stale_rho_ub):
     # an older config's rho_ub line is ignored: the envelope reads the
     # witness's rho, with or without it
-    text = (f"[verify]\n[graph:{spec_text}]\nradius = 3\nkernel_steps = 3\n"
-            f"saw_n_max = 4\nbnp_C = 1.0\n")
+    text = f"[verify]\n[graph:{spec_text}]\nradius = 3\nkernel_steps = 3\nbnp_C = 1.0\n"
     if stale_rho_ub is not None:
         text += f"rho_ub = {stale_rho_ub}\n"
     g = _certify(parse_verify_config(text)).graphs[0]
@@ -287,8 +308,9 @@ def test_check_endpoint_decay():
     assert e.note == f"envelope constant {4 / (3 * (1 - rho)):.6g}"
     # lambda >= 1 leaves the envelope useless but fails nothing
     assert check_endpoint_decay(4, point(0.95), point(2.0)).status == "inconclusive"
+    # a NaN lower end on mu decides nothing
     no_mu = check_endpoint_decay(4, point(0.95), Bracket(math.nan, 3.1))
-    assert no_mu.status == "inconclusive" and no_mu.note == "no certified lower bound on mu"
+    assert no_mu.status == "inconclusive" and math.isnan(no_mu.lhs.hi)
 
 
 def test_mu_upper_bound_passes_no_saw_entry():
@@ -298,7 +320,7 @@ def test_mu_upper_bound_passes_no_saw_entry():
     mu_hi = connective_constant(enumerate_saw(parse_group_spec("Z5*Z5"), 8)).best_upper
     assert 3 * 0.995 < mu_hi
     e = check_endpoint_decay(4, rho, Bracket(math.nan, mu_hi))
-    assert e.status == "inconclusive" and e.note == "no certified lower bound on mu"
+    assert e.status == "inconclusive" and math.isnan(e.lhs.hi)
     # were mu_hi a lower bound, the base 2.985 / 3.0952 < 1 would pass it
     assert check_endpoint_decay(4, rho, point(mu_hi)).status == "pass"
     # at the true mu the base exceeds 1, which decides nothing, never a fail
@@ -316,14 +338,14 @@ def _key(field_name):
     ("Z3", {}, "degree"),  # a triangle: no SAW of length 3
     ("Z", {}, "degree"),
     ("Z2*Z2", {}, "degree"),
-    ("Z*Z", {"saw_n_max": 0}, "saw_n_max"),
+    ("Z*Z", {"bnp_c": -math.inf}, "bnp_C"),
     ("Z5", {}, "degree"),  # a 5-cycle: rho = 1, which no witness bounds below 1
-    ("Z*Z", {"saw_n_max": -1}, "saw_n_max"),
+    ("Z4", {}, "degree"),  # a 4-cycle
     ("Z*Z", {"radius": -1}, "radius"),
     ("Z*Z", {"kernel_steps": -1}, "kernel_steps"),
     ("Z*Z", {"bnp_c": math.inf}, "bnp_C"),  # L = girth = inf passed with margin nan
     ("Z2", {}, "degree"),
-    ("Z5*Z5", {"saw_n_max": 0}, "saw_n_max"),
+    ("Z5*Z5", {"bnp_c": math.nan}, "bnp_C"),
     ("Z5*Z5", {"kernel_steps": -1}, "kernel_steps"),
     ("Z5*Z5", {"bnp_c": 0.0}, "bnp_C"),  # L = 0 turned girth_threshold into a pass
     ("Z5*Z5", {"bnp_c": -1.0}, "bnp_C"),
@@ -331,7 +353,7 @@ def _key(field_name):
 ])
 def test_bad_job_rejected_before_any_work(spec_text, overrides, key, monkeypatch,
                                           tmp_path, capsys):
-    sizes = dict(radius=3, kernel_steps=3, saw_n_max=4)
+    sizes = dict(radius=3, kernel_steps=3)
     bad = GraphJob(spec_text, **{**sizes, **overrides})
     # a good job first: every job is checked before the first one builds a ball
     cfg = VerifyConfig(jobs=[GraphJob("Z2*Z2*Z2", **sizes), bad])
@@ -359,7 +381,7 @@ def test_bad_job_rejected_before_any_work(spec_text, overrides, key, monkeypatch
 
 def test_config_sets_every_job_field():
     # each GraphJob field but spec_text, at a value other than its default
-    values = dict(radius=4, kernel_steps=3, saw_n_max=5, bnp_c=2.5)
+    values = dict(radius=4, kernel_steps=3, bnp_c=2.5)
     assert [f.name for f in dataclasses.fields(GraphJob)][1:] == list(values)
     for key, value in values.items():
         assert getattr(GraphJob("Z5*Z5"), key) != value
@@ -367,10 +389,12 @@ def test_config_sets_every_job_field():
         assert cfg.jobs == [GraphJob("Z5*Z5", **{key: value})]
     text = "".join(f"{_key(k)} = {v}\n" for k, v in values.items())
     assert parse_verify_config("[graph:Z5*Z5]\n" + text).jobs == [GraphJob("Z5*Z5", **values)]
-    # a blank float key means unset; rho_ub and pc_trials are no longer fields
+    # a blank float key means unset; rho_ub, pc_trials and saw_n_max are no
+    # longer fields
     assert parse_verify_config("[graph:Z5*Z5]\nbnp_C =\n").jobs == [GraphJob("Z5*Z5")]
     assert parse_verify_config("[graph:Z5*Z5]\nrho_ub = 0.95\n").jobs == [GraphJob("Z5*Z5")]
     assert parse_verify_config("[graph:Z5*Z5]\npc_trials = 7\n").jobs == [GraphJob("Z5*Z5")]
+    assert parse_verify_config("[graph:Z5*Z5]\nsaw_n_max = 0\n").jobs == [GraphJob("Z5*Z5")]
 
 
 @pytest.mark.parametrize("key", ["radius", "kernel_steps"])
@@ -384,18 +408,19 @@ def test_config_blank_int_key_exits_2(key, tmp_path, capsys):
 
 
 def test_config_retired_knobs_change_nothing():
-    # seed, theta_star, pc_radius, pc_trials and rho_ub are no longer read:
-    # a config that still sets them gives the same jobs and the same
-    # certificate bytes, whatever its old seed
+    # seed, theta_star, pc_radius, pc_trials, saw_n_max and rho_ub are no
+    # longer read: a config that still sets them gives the same jobs and the
+    # same certificate bytes, whatever its old seed
     text = ("[verify]\n\n"
-            "[graph:Z*Z]\nradius = 3\nsaw_n_max = 4\nbnp_C = 1.0\n\n"
-            "[graph:Z5*Z5]\nradius = 3\nsaw_n_max = 4\n")
+            "[graph:Z*Z]\nradius = 3\nbnp_C = 1.0\n\n"
+            "[graph:Z5*Z5]\nradius = 3\n")
     new_cfg = parse_verify_config(text)
     new = _certify(new_cfg).to_json(include_meta=False)
     for seed in (2, 9):
         old = text.replace("[verify]\n", f"[verify]\nseed = {seed}\ntheta_star = 0.3\n").replace(
-            "saw_n_max", "pc_radius = 4\npc_trials = 20\nsaw_n_max") + "rho_ub = 0.95\n"
-        assert old.count("pc_radius = 4\npc_trials = 20") == 2
+            "radius = 3\n", "radius = 3\npc_radius = 4\npc_trials = 20\nsaw_n_max = 4\n"
+        ) + "rho_ub = 0.95\n"
+        assert old.count("pc_radius = 4\npc_trials = 20\nsaw_n_max = 4") == 2
         old_cfg = parse_verify_config(old)
         assert new_cfg.jobs == old_cfg.jobs and new_cfg.to_dict() == old_cfg.to_dict()
         assert _certify(old_cfg).to_json(include_meta=False) == new
