@@ -136,14 +136,22 @@ def cmd_perc(args, outputs: OutputSet) -> int:
 
 def cmd_saw(args, outputs: OutputSet) -> int:
     spec = parse_group_spec(args.spec)
-    census = saw_mod.enumerate_saw(spec, args.nmax)
-    rows = [(n, str(census.counts[n])) for n in range(args.nmax + 1)]
-    path = _out_dir(args) / f"census_{spec.describe().replace('*', 'x')}.csv"
-    outputs.write(path, _csv_text(["n", "c_n"], rows))
-    mu = saw_mod.connective_constant(census)
+    if args.nmax is None:  # only the bubble's closed form needs no census
+        for flag, value in (("--z-grid", args.z_grid), ("--trials", args.trials)):
+            if value:
+                raise CliError(f"{flag} needs --nmax")
+        if args.bubble_z is None:
+            raise CliError("saw needs --nmax or --bubble-z")
     # printed only once every step has succeeded: a failure discards the files
-    lines = [f"census: c_{args.nmax}={census.counts[args.nmax]} "
-             f"mu_ub={mu.best_upper:.6f} -> {path}"]
+    lines = []
+    if args.nmax is not None:
+        census = saw_mod.enumerate_saw(spec, args.nmax)
+        rows = [(n, str(census.counts[n])) for n in range(args.nmax + 1)]
+        path = _out_dir(args) / f"census_{spec.describe().replace('*', 'x')}.csv"
+        outputs.write(path, _csv_text(["n", "c_n"], rows))
+        mu = saw_mod.connective_constant(census)
+        lines.append(f"census: c_{args.nmax}={census.counts[args.nmax]} "
+                     f"mu_ub={mu.best_upper:.6f} -> {path}")
     if args.z_grid:
         zs = _parse_grid(args.z_grid)
         curve = saw_mod.susceptibility_saw(spec, zs, args.nmax, census=census)
@@ -228,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("saw", help="SAW census, chi curve, bubble, Rosenbluth")
     s.add_argument("--spec", required=True)
-    s.add_argument("--nmax", type=int, required=True)
+    s.add_argument("--nmax", type=int, default=None)
     s.add_argument("--z-grid", default=None, dest="z_grid")
     s.add_argument("--bubble-z", type=float, default=None, dest="bubble_z")
     s.add_argument("--trials", type=int, default=0)

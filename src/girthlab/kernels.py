@@ -230,31 +230,20 @@ class RhoEstimate:
     lower_bound: float
 
 
-def estimate_spectral_radius(
-    spec: GroupSpec,
-    n_steps: int,
-    srw: KernelTable | None = None,
-) -> RhoEstimate:
-    """Lower-bound sequence (p^{2n}(0,0))^{1/2n}.
+def estimate_spectral_radius(spec: GroupSpec, n_steps: int) -> RhoEstimate:
+    """Lower-bound sequence (p^{2n}(0,0))^{1/2n} on a tree, by the radial
+    birth-death reduction (n_steps up to ~10^3 is cheap); the tree's rho
+    is Kesten's `kesten_rho(d)`.  Other specs take rho's upper end from
+    `rho_upper`.
 
-    Trees use the radial birth-death reduction (n_steps up to ~10^3 is
-    cheap); their rho is Kesten's `kesten_rho(d)`.  Other specs read the
-    return probabilities p^n(0,0), n <= n_steps, from the SRW table `srw`,
-    which must belong to `spec` and reach horizon n_steps.  `srw` is unused
-    on trees.
-
-    Raises ValueError if n_steps is odd, or if spec is not a tree and `srw`
-    is missing or not such a table.
+    Raises ValueError if n_steps is odd or spec is not a tree.
     """
     if n_steps % 2 != 0:
         raise ValueError("n_steps must be even")
-    if spec.is_tree:
-        returns = tree_return_probabilities(spec.degree, n_steps)
-    else:
-        if srw is None or srw.kind != "srw" or srw.ball.spec != spec or srw.horizon < n_steps:
-            raise ValueError("srw must be an SRW table of spec with horizon >= n_steps")
-        returns = [srw.prob(n, 0) for n in range(n_steps + 1)]
-    seq = [float(returns[2 * n]) ** (1.0 / (2 * n)) for n in range(1, (len(returns) - 1) // 2 + 1)]
+    if not spec.is_tree:
+        raise ValueError(f"{spec.describe()} is not a tree: use rho_upper")
+    returns = tree_return_probabilities(spec.degree, n_steps)
+    seq = [float(returns[2 * n]) ** (1.0 / (2 * n)) for n in range(1, n_steps // 2 + 1)]
     return RhoEstimate(sequence=seq, lower_bound=max(seq) if seq else 0.0)
 
 
@@ -289,8 +278,8 @@ class CheckResult:
 
     `lhs`, `rhs` and `passed` are (n_max+1, len(xs)) arrays indexed
     [n, k] for the pair (n, xs[k]); `J` is the SRW horizon of the tail
-    check and None for the rho-power check.  `pairs`, `violations` and
-    `worst` summarise the arrays without building entries.  Iterated, the
+    check and None for the rho-power check.  `pairs` and `violations`
+    summarise the arrays without building entries.  Iterated, the
     result yields its `CheckEntry` list, n outer and x in `xs` order, each
     entry built on the fly.
     """
@@ -310,14 +299,6 @@ class CheckResult:
     @property
     def violations(self) -> int:
         return self.passed.size - int(np.count_nonzero(self.passed))
-
-    @property
-    def worst(self) -> CheckEntry:
-        """The entry of smallest margin rhs - lhs, the first in entry order
-        on ties.  Raises ValueError when there are no pairs."""
-        n, k = divmod(int(np.argmin(self.rhs - self.lhs)), len(self.xs))
-        return self._entry(n, self.xs[k], float(self.lhs[n, k]), float(self.rhs[n, k]),
-                           bool(self.passed[n, k]))
 
     def _entry(self, n, x, lhs, rhs, passed) -> CheckEntry:
         params = {"spec": self.spec, "n": n, "x": x}

@@ -1,10 +1,11 @@
 """Aggregate inequality certificate: one JSON record per configured check.
 
-Each job builds one ball, shared by the kernel checks and the return
-rates.  Every input is a `Bracket` (lo, hi) with its provenance, from one
-input function per graph family, and none is sampled: rho, p_c and the SAW
-critical point z_c are closed forms or exact Fraction witnesses rounded
-outward, and mu = 1/z_c, the bubble and the SAW speed follow by `blocks`.
+A job is a spec and `bnp_C`, and it builds no ball.  Every input is a
+`Bracket` (lo, hi) with its provenance, from one input function per graph
+family, and none is sampled: rho, p_c and the SAW critical point z_c are
+closed forms or exact Fraction witnesses rounded outward, and mu = 1/z_c,
+the bubble and the SAW speed follow by `blocks`.  The walk-kernel theorems
+that a certified rho implies are checked in the tests, not here.
 Every entry is an inequality between two brackets decided by the one rule
 `status`.  An end that needs a missing input (bnp_C) is NaN: `inconclusive`.
 """
@@ -16,24 +17,13 @@ import json
 import math
 import operator
 import time
-from dataclasses import dataclass, field, asdict, fields
+from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import blocks, branching, percolation, saw as saw_mod
-from .groups import GroupSpec, ball as build_ball, parse_group_spec, word_str
-from .kernels import (
-    KernelTable,
-    chained_tail,
-    check_nbw_le_rho_power,
-    check_nbw_le_srw_tail,
-    estimate_spectral_radius,
-    float_above,
-    kesten_rho,
-    nbw_kernel,
-    rho_upper,
-    srw_kernel,
-)
+from .groups import GroupSpec, parse_group_spec
+from .kernels import chained_tail, float_above, kesten_rho, rho_upper
 
 PASS = "pass"
 FAIL = "fail"
@@ -160,8 +150,6 @@ def check_endpoint_decay(d: int, rho: Bracket, mu: Bracket) -> Entry:
 @dataclass
 class GraphJob:
     spec_text: str
-    radius: int = 6
-    kernel_steps: int = 6
     bnp_c: float | None = None  # universal constant: input, never a default
 
 
@@ -174,10 +162,9 @@ class VerifyConfig:
 
 
 def parse_verify_config(text: str) -> VerifyConfig:
-    """Read a verify config: under each [graph:SPEC] any `GraphJob` field
-    by name (keys are case-insensitive, so `bnp_C` sets `bnp_c`); a
-    [verify] section is legal, and none of its keys is read.  Int fields
-    must parse as ints; a blank `bnp_C` leaves it unset.
+    """Read a verify config: under each [graph:SPEC] the key `bnp_C`
+    (case-insensitive), a float, left unset when blank or missing; a
+    [verify] section is legal, and none of its keys is read.
 
     Raises ValueError for malformed INI (no section header, a duplicate
     section or key), a section other than [verify] and [graph:SPEC], a
@@ -194,17 +181,12 @@ def parse_verify_config(text: str) -> VerifyConfig:
             continue
         if not name.startswith("graph:"):
             raise ValueError(f"unknown section [{name}]: expected [verify] or [graph:SPEC]")
-        sec, spec_text = cp[name], name.split(":", 1)[1]
-        values = {}
-        for f in fields(GraphJob)[1:]:  # every field but spec_text
-            raw = sec.get(f.name)
-            if raw is None or (f.type != "int" and not raw.strip()):
-                continue
-            try:
-                values[f.name] = int(raw) if f.type == "int" else float(raw)
-            except ValueError as exc:
-                raise ValueError(f"[{name}] {f.name}: {exc}") from exc
-        cfg.jobs.append(GraphJob(spec_text, **values))
+        raw = cp[name].get("bnp_c", "").strip()
+        try:
+            bnp_c = float(raw) if raw else None
+        except ValueError as exc:
+            raise ValueError(f"[{name}] bnp_c: {exc}") from exc
+        cfg.jobs.append(GraphJob(name.split(":", 1)[1], bnp_c))
     if not cfg.jobs:
         raise ValueError("config has no [graph:SPEC] section")
     return cfg
@@ -241,28 +223,25 @@ def _outward(lo, hi) -> Bracket:
 
 def _tree_inputs(spec: GroupSpec):
     """A tree's inputs, all closed forms: (bracket, provenance) pairs for
-    rho, p_c, the triangle and z_c (Fractions, here the point 1/(d-1)),
-    then the return rates."""
+    rho, p_c, the triangle and z_c (Fractions, here the point 1/(d-1))."""
     d = spec.degree
     pc = point(branching.critical_probability(d))
     return ((point(kesten_rho(d)), "exact: Kesten's 2*sqrt(d-1)/d"),
             (pc, "closed form 1/(d-1), Lyons-Peres ch. 5"),
             (point(percolation.tree_triangle_exact(d, pc.hi)), "tree closed form (tripod sum)"),
-            ((Fraction(1, d - 1),) * 2, "exact: d-1"),
-            estimate_spectral_radius(spec, 200).sequence)
+            ((Fraction(1, d - 1),) * 2, "exact: d-1"))
 
 
-def _free_product_inputs(srw: KernelTable):
-    """Any other free product's inputs, as `_tree_inputs` returns them, from
-    the job's one ball `srw.ball` and its SRW table: rho in [K, lambda]
-    with `kernels.rho_upper`'s lambda rounded up, p_c in
-    `blocks.pc_interval`'s Fraction ends rounded outward and z_c in
+def _free_product_inputs(spec: GroupSpec):
+    """Any other free product's inputs, as `_tree_inputs` returns them:
+    rho in [K, lambda] with `kernels.rho_upper`'s lambda rounded up, p_c
+    in `blocks.pc_interval`'s Fraction ends rounded outward and z_c in
     `blocks.critical_interval`'s for `blocks.walks`."""
-    b, d = srw.ball, srw.ball.spec.degree
-    lam, rs = rho_upper(b.spec)
+    d = spec.degree
+    lam, rs = rho_upper(spec)
     rho = Bracket(kesten_rho(d), float_above(lam))
-    lo, hi = blocks.pc_interval(b.spec)
-    pc, z = _outward(lo, hi), blocks.critical_interval(b.spec, blocks.walks)
+    lo, hi = blocks.pc_interval(spec)
+    pc, z = _outward(lo, hi), blocks.critical_interval(spec, blocks.walks)
     return ((rho, "lo: Kesten's 2*sqrt(d-1)/d; "
                   f"hi: superharmonic witness r=({', '.join(map(str, rs))})"),
             (pc, f"chi = 1/(1 - sum_f T_f/(1+T_f)) finite at lo={lo}, infinite at hi={hi}"),
@@ -270,8 +249,7 @@ def _free_product_inputs(srw: KernelTable):
             # envelope above: finite exactly when pc.hi*(d-1)*rho.hi < 1
             (Bracket(1.0, chained_tail(d, rho.hi, pc.hi, 0, legs=3)),
              "whole three-leg envelope from s = 0"),
-            (z, f"1/z_c: SAW arcs' sum_f T_f/(1+T_f) below 1 at z={z[0]}, above 1 at z={z[1]}"),
-            estimate_spectral_radius(b.spec, 2 * (b.radius // 2), srw=srw).sequence)
+            (z, f"1/z_c: SAW arcs' sum_f T_f/(1+T_f) below 1 at z={z[0]}, above 1 at z={z[1]}"))
 
 
 def _graph_certificate(job: GraphJob) -> dict:
@@ -280,31 +258,14 @@ def _graph_certificate(job: GraphJob) -> dict:
     big_c = math.nan if job.bnp_c is None else job.bnp_c
     # girth is the smallest cyclic order >= 3, infinite on trees
     girth = math.inf if spec.known_girth is None else float(spec.known_girth)
-    # the job's one ball and SRW table serve the inputs and the kernel checks
-    b = build_ball(spec, job.radius)
-    srw = srw_kernel(b, job.radius)
-    (rho, rho_prov), (pc, pc_prov), (tri, tri_note), ((z_lo, z_hi), mu_prov), returns = (
-        _tree_inputs(spec) if spec.is_tree else _free_product_inputs(srw))
+    (rho, rho_prov), (pc, pc_prov), (tri, tri_note), ((z_lo, z_hi), mu_prov) = (
+        _tree_inputs(spec) if spec.is_tree else _free_product_inputs(spec))
     # mu = 1/z_c; the bubble and the speed at z_c, bracketed over z_c's ends
     mu = _outward(1 / z_hi, 1 / z_lo)
     bub = _outward(saw_mod.bubble_diagram(spec, z_lo), saw_mod.bubble_diagram(spec, z_hi))
     speed = _outward(*blocks.speed_interval(spec, z_lo, z_hi))
 
-    entries = []
-    n_check = min(job.kernel_steps, job.radius)
-    nbw = nbw_kernel(b, n_check)
-    for chk in (check_nbw_le_srw_tail(b, n_check, rho.hi, srw=srw, nbw=nbw),
-                check_nbw_le_rho_power(b, n_check, rho.hi, nbw=nbw)):
-        worst = chk.worst
-        n, x = worst.params["n"], worst.params["x"]
-        entries.append(Entry(chk.check, "walk-kernel inequality", point(worst.lhs),
-                             point(worst.rhs), False,
-                             note=f"worst margin at n={n} x={word_str(spec, b.word(x))} "
-                                  f"over {chk.pairs} (x,n) pairs"))
-
-    entries += [
-        Entry("return_rate_le_rho", "p^{2n}(0,0)^{1/2n}<=rho", point(max(returns, default=0.0)),
-              point(rho.hi), False),
+    entries = [
         check_perccond(d, pc, rho),
         check_girth_threshold(rho, big_c, girth),
         check_bnp_bound(d, girth, rho, big_c, pc),
@@ -332,14 +293,11 @@ def _graph_certificate(job: GraphJob) -> dict:
 
 def _check_job(job: GraphJob) -> None:
     """Raise ValueError, naming the graph and the key, if `job` cannot be
-    certified: degree < 3, a negative size, or a bnp_C outside (0, inf)."""
-    spec = parse_group_spec(job.spec_text)
-    bad = [(spec.degree < 3, f"need degree >= 3, got {spec.degree}")]
-    bad += [(getattr(job, key) < 0, f"need {key} >= 0, got {getattr(job, key)}")
-            for key in ("radius", "kernel_steps")]
-    if job.bnp_c is not None:
-        bad.append((not 0 < job.bnp_c < math.inf, f"need 0 < bnp_C < inf, got {job.bnp_c}"))
-    for is_bad, why in bad:
+    certified: degree < 3, or a bnp_C outside (0, inf)."""
+    d = parse_group_spec(job.spec_text).degree
+    for is_bad, why in ((d < 3, f"need degree >= 3, got {d}"),
+                        (job.bnp_c is not None and not 0 < job.bnp_c < math.inf,
+                         f"need 0 < bnp_C < inf, got {job.bnp_c}")):
         if is_bad:
             raise ValueError(f"[graph:{job.spec_text}] {why}")
 

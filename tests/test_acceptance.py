@@ -18,9 +18,11 @@ from girthlab.kernels import (
     check_nbw_le_rho_power,
     check_nbw_le_srw_tail,
     estimate_spectral_radius,
+    float_above,
     kesten_rho,
     kesten_rho_upper_fraction,
     nbw_kernel,
+    rho_upper,
     srw_kernel,
 )
 from girthlab.verify import (
@@ -89,8 +91,8 @@ def test_criterion_02_spectral_radius():
 
 def test_criterion_03_kernel_inequality_suite():
     configs = [
-        (F2, kesten_rho_upper_fraction(4), True),   # exact-rational mode
-        (Z5Z5, 0.95, False),                        # float mode, user rho_ub
+        (F2, kesten_rho_upper_fraction(4), True),        # exact-rational mode
+        (Z5Z5, float_above(rho_upper(Z5Z5)[0]), False),  # float mode, certified rho
     ]
     total = 0
     violations = 0
@@ -217,11 +219,7 @@ def test_criterion_10_speed(census_f2, census_z5z5):
 
 
 def test_criterion_11_reproducibility():
-    jobs = [
-        GraphJob("Z*Z", radius=6, kernel_steps=5, bnp_c=1.0),
-        GraphJob("Z2*Z2*Z2", radius=6, kernel_steps=5, bnp_c=1.0),
-        GraphJob("Z5*Z5", radius=5, kernel_steps=5, bnp_c=1.0),
-    ]
+    jobs = [GraphJob(text, bnp_c=1.0) for text in ("Z*Z", "Z2*Z2*Z2", "Z5*Z5")]
     first = run_certificate(VerifyConfig(jobs=jobs))
     second = run_certificate(VerifyConfig(jobs=jobs))
     ok = first.to_json(include_meta=False) == second.to_json(include_meta=False)

@@ -154,6 +154,26 @@ def test_saw_bubble_on_degree_two_is_finite(tmp_path, capsys):
         f"bubble z=0.2: value={value:.6f} certified=True")
 
 
+def test_saw_bubble_needs_no_census(tmp_path, monkeypatch, capsys):
+    # with no --nmax the bubble's line is all: no census, no file
+    calls = _count_calls(monkeypatch, saw.enumerate_saw)
+    assert run(["saw", "--spec", "Z5*Z5", "--bubble-z", "0.2"], tmp_path) == 0
+    assert capsys.readouterr().out == "bubble z=0.2: value=1.187928 certified=True\n"
+    assert calls == [] and not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("extra,flag", [
+    (["--bubble-z", "0.2", "--z-grid", "0.1"], "--z-grid"),
+    (["--bubble-z", "0.2", "--trials", "10"], "--trials"),
+    ([], "--nmax or --bubble-z"),
+])
+def test_saw_without_nmax_names_the_flag(extra, flag, tmp_path, capsys):
+    assert run(["saw", "--spec", "Z5*Z5"] + extra, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_saw_failure_names_no_file(tmp_path, capsys):
     # the census CSV is written, then the bubble fails and it is discarded:
     # stdout must not have named it
@@ -178,14 +198,13 @@ def test_parse_grid():
 
 def test_verify_config_ignores_unknown_keys():
     # keys an older config still carries (the benchmark's README config
-    # has some) are ignored, not an error: seed, trials, pc_trials, eps and
-    # rho_ub are retired
+    # has some) are ignored, not an error: seed, trials, pc_trials, eps,
+    # rho_ub, radius and kernel_steps are retired
     cfg = parse_verify_config("[verify]\nseed = 4\nretired = 1\neps = 0.1\n\n"
-                              "[graph:Z5*Z5]\nradius = 3\ntrials = 200\npc_trials = 200\n"
-                              "rho_ub = 0.95\n")
-    assert [j.radius for j in cfg.jobs] == [3]
+                              "[graph:Z5*Z5]\nradius = 3\nkernel_steps = 6\ntrials = 200\n"
+                              "pc_trials = 200\nrho_ub = 0.95\nbnp_C = 1.5\n")
     doc = cfg.to_dict()
-    assert doc == {"jobs": [dataclasses.asdict(verify.GraphJob("Z5*Z5", radius=3))]}
+    assert doc == {"jobs": [dataclasses.asdict(verify.GraphJob("Z5*Z5", bnp_c=1.5))]}
 
 
 GOOD_GRAPH = "[graph:Z*Z]\nradius = 3\n"
@@ -197,7 +216,7 @@ GOOD_GRAPH = "[graph:Z*Z]\nradius = 3\n"
     (GOOD_GRAPH + "radius = 4\n", "already exists"),  # duplicate key
     ("[verify]\n\n[graf:Z5*Z5]\nradius = 3\n", "unknown section [graf:Z5*Z5]"),
     ("[verify]\n", "no [graph:SPEC] section"),
-    ("[verify]\n\n[graph:Z*Z]\nradius = 5%\n", "'5%'"),  # no % interpolation
+    ("[verify]\n\n[graph:Z*Z]\nbnp_C = 5%\n", "'5%'"),  # no % interpolation
 ], ids=["duplicate-section", "no-header", "duplicate-key", "unknown-section", "no-graph",
         "percent-sign"])
 def test_verify_cli_bad_config(text, why, tmp_path, capsys):
@@ -213,7 +232,7 @@ def test_verify_cli_tree_config(tmp_path, capsys):
     cfg = tmp_path / "trees.cfg"
     cfg.write_text(
         "[verify]\n\n"
-        "[graph:Z*Z]\nradius = 4\nkernel_steps = 3\nbnp_C = 1.0\n"
+        "[graph:Z*Z]\nbnp_C = 1.0\n"
     )
     assert run(["verify", "--config", str(cfg)], tmp_path) == 0
     doc = json.loads((tmp_path / "certificate.json").read_text())
@@ -228,7 +247,7 @@ def test_verify_cli_strict_inconclusive(tmp_path):
     cfg = tmp_path / "loose.cfg"
     cfg.write_text(
         "[verify]\n\n"
-        "[graph:Z5*Z5]\nradius = 4\nkernel_steps = 3\n"
+        "[graph:Z5*Z5]\n"
     )
     assert run(["verify", "--config", str(cfg)], tmp_path) == 0
     assert run(["verify", "--config", str(cfg), "--strict"], tmp_path) == 1
@@ -250,8 +269,7 @@ def test_readme_config_block(tmp_path, capsys):
     z5 = {status: sorted(i for i, s in by_graph["Z5*Z5"].items() if s == status)
           for status in ("pass", "fail", "inconclusive")}
     assert z5 == {"pass": ["bubble_finite", "endpoint_decay", "mu_pc_product",
-                           "nbw_le_rho_power", "nbw_le_srw_tail", "pc_degree_girth_bound",
-                           "perccond", "return_rate_le_rho", "saw_speed_positive",
+                           "pc_degree_girth_bound", "perccond", "saw_speed_positive",
                            "triangle_finite"],
                   "fail": ["girth_threshold"],
                   "inconclusive": []}
@@ -298,27 +316,23 @@ def test_readme_certificate_golden_digest():
     block = re.search(r"```ini\n(.*?)```", README, re.S).group(1)
     doc = run_certificate(parse_verify_config(block)).to_json(include_meta=False)
     assert (hashlib.sha256(doc.encode()).hexdigest()
-            == "9700d4f5a90e8047f404163b0aed369379f2b308cc349f1ab7ab2cc28bafa7a1")
+            == "ffc8cc44318d606cf2f4599651b22980cf99ee3215a1d774d9cea4a0528d433b")
 
 
 NO_RHO_UB_CONFIG = """\
 [verify]
 [graph:Z5*Z5]
-radius = 6
-kernel_steps = 6
 bnp_C = 1.0
 [graph:Z2*Z3*Z4]
-radius = 4
-kernel_steps = 4
 """
 
 
 def test_no_rho_ub_certificate_golden_digest():
-    # no rho is given: both jobs take rho's upper end from the witness, so
-    # Z2*Z3*Z4 runs the kernel checks too, and p_c from its exact bracket
+    # no rho is given: both jobs take rho's upper end from the witness, and
+    # p_c from its exact bracket; Z2*Z3*Z4 has no bnp_C
     doc = run_certificate(parse_verify_config(NO_RHO_UB_CONFIG)).to_json(include_meta=False)
     assert (hashlib.sha256(doc.encode()).hexdigest()
-            == "5efc7466028a36ef2f3a1f71f610abee7aa30dc0ae60f3d9b7a642c088623873")
+            == "4c174adf9c51f860ab2d2d97d2004529c85966c88fb4da9f6596deef5cbd298f")
 
 
 def _count_calls(monkeypatch, real):
@@ -343,11 +357,13 @@ def _config_text(config):
 
 
 @pytest.mark.parametrize("config", ["readme", "no_rho_ub"])
-def test_verify_builds_one_ball_per_job(config, monkeypatch):
+def test_verify_builds_no_ball(config, monkeypatch):
+    # every input is read from the spec: no ball and no walk table
     cfg = parse_verify_config(_config_text(config))
-    calls = _count_calls(monkeypatch, groups.ball)
+    calls = [_count_calls(monkeypatch, fn)
+             for fn in (groups.ball, kernels.srw_kernel, kernels.nbw_kernel)]
     run_certificate(cfg)
-    assert [spec.describe() for spec, _ in calls] == [job.spec_text for job in cfg.jobs]
+    assert calls == [[], [], []]
 
 
 @pytest.mark.parametrize("config", ["readme", "no_rho_ub"])

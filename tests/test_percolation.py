@@ -17,6 +17,7 @@ from girthlab.percolation import (
     estimate_pc,
     nonuniqueness_witness,
     oracle_witness_radius,
+    pc_bracket,
     susceptibility,
     tree_triangle_exact,
     two_point,
@@ -227,6 +228,28 @@ def test_estimate_pc_tree_brackets_exact_value():
     assert est.lo < est.hi
     assert est.lo <= 1 / 3 + 0.06 and est.hi >= 1 / 3 - 0.06
     assert 0.0 <= est.lo and est.hi <= 1.0
+
+
+# the largest |midpoint - p_c| `pc_bracket` may show at each radius, over
+# seeds 0-9 at 200 trials on the four specs below.  Measured: 0.124 at R = 4,
+# 0.067 at R = 6 (both Z2*Z3) and 0.062 at R = 8 (Z*Z5).  On Z5*Z5, Z*Z5 and
+# Z*Z the bias is positive and grows with R: the bisection finds where the
+# radius-R crossing has probability 1/2, which tends to theta(p) = 1/2, above
+# p_c.  On Z2*Z3, whose balls stay small (106 vertices at R = 8), it is
+# negative and shrinks.
+PC_BRACKET_TOL = {4: 0.15, 6: 0.08, 8: 0.08}
+
+
+@pytest.mark.parametrize("spec_text", ["Z5*Z5", "Z2*Z3", "Z*Z5", "Z*Z"])
+def test_pc_bracket_midpoint_is_near_the_exact_pc(spec_text):
+    spec = parse_group_spec(spec_text)
+    lo, hi = (Fraction(1, spec.degree - 1),) * 2 if spec.is_tree else pc_interval(spec)
+    pc = float(lo + hi) / 2
+    for radius, tol in PC_BRACKET_TOL.items():
+        b = ball(spec, radius)
+        for seed in range(10):
+            est = pc_bracket(b, 200, seed)
+            assert abs((est.lo + est.hi) / 2 - pc) <= tol, (radius, seed)
 
 
 def test_estimate_pc_validation():

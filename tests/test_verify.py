@@ -11,17 +11,8 @@ import pytest
 import conftest
 from girthlab import verify
 from girthlab.cli import main
-from girthlab.groups import ball, parse_group_spec, word_str
-from girthlab.kernels import (
-    chained_tail,
-    check_nbw_le_rho_power,
-    check_nbw_le_srw_tail,
-    float_above,
-    kesten_rho,
-    nbw_kernel,
-    rho_upper,
-    srw_kernel,
-)
+from girthlab.groups import parse_group_spec
+from girthlab.kernels import chained_tail, float_above, kesten_rho, rho_upper
 from girthlab.percolation import tree_triangle_exact
 from girthlab.saw import connective_constant, enumerate_saw
 from girthlab.verify import (
@@ -182,15 +173,14 @@ def _certify(config):
 
 
 def _small_config(**overrides):
-    job = GraphJob("Z*Z", radius=5, kernel_steps=4, bnp_c=1.0)
+    job = GraphJob("Z*Z", bnp_c=1.0)
     for k, v in overrides.items():
         setattr(job, k, v)
     return VerifyConfig(jobs=[job])
 
 
 EXPECTED_IDS = {
-    "nbw_le_srw_tail", "nbw_le_rho_power", "return_rate_le_rho", "perccond",
-    "girth_threshold", "pc_degree_girth_bound", "mu_pc_product",
+    "perccond", "girth_threshold", "pc_degree_girth_bound", "mu_pc_product",
     "triangle_finite", "bubble_finite", "endpoint_decay", "saw_speed_positive",
 }
 
@@ -238,37 +228,13 @@ def test_certificate_json_meta_toggle():
 
 
 def test_certificate_girth_from_closed_form():
-    # a radius-3 ball only sees cycles of length <= 7, so a BFS would
-    # certify no more than girth > 6; the closed form records 7
-    job = GraphJob("Z7*Z7", radius=3, kernel_steps=3, bnp_c=1.0)
+    # the girth is the smallest cyclic order, read from the spec: no ball
+    # is built, and no BFS bounds it
+    job = GraphJob("Z7*Z7", bnp_c=1.0)
     cert = _certify(VerifyConfig(jobs=[job]))
     assert cert.graphs[0]["inputs"]["girth"] == "7"
     by_id = {e["id"]: e for e in cert.entries}
     assert by_id["girth_threshold"]["rhs"] == 7.0
-
-
-def test_certificate_kernel_entries_match_entry_scan():
-    # the README config at tiny sizes, against the per-pair scan verify used
-    # before the checks returned summaries
-    jobs = [GraphJob("Z*Z", radius=4, kernel_steps=6, bnp_c=1.0),
-            GraphJob("Z5*Z5", radius=3, kernel_steps=6, bnp_c=1.0)]
-    cert = _certify(VerifyConfig(jobs=jobs))
-    for job, g in zip(jobs, cert.graphs):
-        b = ball(parse_group_spec(job.spec_text), job.radius)
-        n_check = min(job.kernel_steps, job.radius)
-        srw, nbw = srw_kernel(b, job.radius), nbw_kernel(b, n_check)
-        rho_ub = kesten_rho(4) if b.spec.is_tree else float_above(rho_upper(b.spec)[0])
-        by_id = {e["id"]: e for e in g["entries"]}
-        for chk in (list(check_nbw_le_srw_tail(b, n_check, rho_ub, srw=srw, nbw=nbw)),
-                    list(check_nbw_le_rho_power(b, n_check, rho_ub, nbw=nbw))):
-            worst = min(chk, key=lambda e: e.margin)
-            word = word_str(b.spec, b.word(worst.params["x"]))
-            want = Entry(chk[0].check, "walk-kernel inequality", point(worst.lhs),
-                         point(worst.rhs), False,
-                         note=f"worst margin at n={worst.params['n']} x={word} "
-                              f"over {len(chk)} (x,n) pairs")
-            assert by_id[chk[0].check] == want.to_record()
-            assert want.status == ("pass" if all(e.passed for e in chk) else "fail")
 
 
 @pytest.mark.parametrize("spec_text,stale_rho_ub", [
@@ -278,7 +244,7 @@ def test_certificate_kernel_entries_match_entry_scan():
 def test_triangle_entry_is_closed_form_or_whole_envelope(spec_text, stale_rho_ub):
     # an older config's rho_ub line is ignored: the envelope reads the
     # witness's rho, with or without it
-    text = f"[verify]\n[graph:{spec_text}]\nradius = 3\nkernel_steps = 3\nbnp_C = 1.0\n"
+    text = f"[verify]\n[graph:{spec_text}]\nbnp_C = 1.0\n"
     if stale_rho_ub is not None:
         text += f"rho_ub = {stale_rho_ub}\n"
     g = _certify(parse_verify_config(text)).graphs[0]
@@ -329,11 +295,6 @@ def test_mu_upper_bound_passes_no_saw_entry():
     assert check_perccond(4, Bracket(0.339375, 0.395), rho).status == "inconclusive"
 
 
-def _key(field_name):
-    """The config key that sets GraphJob field `field_name`."""
-    return "bnp_C" if field_name == "bnp_c" else field_name
-
-
 @pytest.mark.parametrize("spec_text,overrides,key", [
     ("Z3", {}, "degree"),  # a triangle: no SAW of length 3
     ("Z", {}, "degree"),
@@ -341,38 +302,36 @@ def _key(field_name):
     ("Z*Z", {"bnp_c": -math.inf}, "bnp_C"),
     ("Z5", {}, "degree"),  # a 5-cycle: rho = 1, which no witness bounds below 1
     ("Z4", {}, "degree"),  # a 4-cycle
-    ("Z*Z", {"radius": -1}, "radius"),
-    ("Z*Z", {"kernel_steps": -1}, "kernel_steps"),
+    ("Z*Z", {"bnp_c": -0.0}, "bnp_C"),  # -0.0 is not above 0
+    ("Z6", {"bnp_c": 0.0}, "degree"),  # two bad keys: the degree is named
     ("Z*Z", {"bnp_c": math.inf}, "bnp_C"),  # L = girth = inf passed with margin nan
     ("Z2", {}, "degree"),
     ("Z5*Z5", {"bnp_c": math.nan}, "bnp_C"),
-    ("Z5*Z5", {"kernel_steps": -1}, "kernel_steps"),
+    ("Z2*Z3*Z4", {"bnp_c": math.nan}, "bnp_C"),
     ("Z5*Z5", {"bnp_c": 0.0}, "bnp_C"),  # L = 0 turned girth_threshold into a pass
     ("Z5*Z5", {"bnp_c": -1.0}, "bnp_C"),
-    ("Z5*Z5", {"radius": -1}, "radius"),
+    ("Z3*Z3", {"bnp_c": -math.inf}, "bnp_C"),
 ])
 def test_bad_job_rejected_before_any_work(spec_text, overrides, key, monkeypatch,
                                           tmp_path, capsys):
-    sizes = dict(radius=3, kernel_steps=3)
-    bad = GraphJob(spec_text, **{**sizes, **overrides})
-    # a good job first: every job is checked before the first one builds a ball
-    cfg = VerifyConfig(jobs=[GraphJob("Z2*Z2*Z2", **sizes), bad])
+    bad = GraphJob(spec_text, **overrides)
+    # a good job first: every job is checked before the first one's inputs
+    cfg = VerifyConfig(jobs=[GraphJob("Z2*Z2*Z2"), bad])
 
-    def build_ball(*args, **kwargs):
-        raise AssertionError("a ball was built before every job was checked")
+    def no_work(*args, **kwargs):
+        raise AssertionError("an input was computed before every job was checked")
 
-    monkeypatch.setattr(verify, "build_ball", build_ball)
+    monkeypatch.setattr(verify, "_tree_inputs", no_work)
+    monkeypatch.setattr(verify, "_free_product_inputs", no_work)
     with pytest.raises(ValueError) as exc:
         run_certificate(cfg)
     assert str(exc.value).startswith(f"[graph:{spec_text}] ") and key in str(exc.value)
 
     def section(spec, keys):
-        return f"\n[graph:{spec}]\n" + "".join(
-            f"{_key(k)} = {v}\n" for k, v in keys.items())
+        return f"\n[graph:{spec}]\n" + "".join(f"bnp_C = {v}\n" for v in keys.values())
 
     path = tmp_path / "bad.cfg"
-    path.write_text("[verify]\n" + section("Z2*Z2*Z2", sizes)
-                    + section(spec_text, {**sizes, **overrides}))
+    path.write_text("[verify]\n" + section("Z2*Z2*Z2", {}) + section(spec_text, overrides))
     assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: [graph:{spec_text}] ") and "Traceback" not in err
@@ -380,47 +339,33 @@ def test_bad_job_rejected_before_any_work(spec_text, overrides, key, monkeypatch
 
 
 def test_config_sets_every_job_field():
-    # each GraphJob field but spec_text, at a value other than its default
-    values = dict(radius=4, kernel_steps=3, bnp_c=2.5)
-    assert [f.name for f in dataclasses.fields(GraphJob)][1:] == list(values)
-    for key, value in values.items():
-        assert getattr(GraphJob("Z5*Z5"), key) != value
-        cfg = parse_verify_config(f"[graph:Z5*Z5]\n{_key(key)} = {value}\n")
-        assert cfg.jobs == [GraphJob("Z5*Z5", **{key: value})]
-    text = "".join(f"{_key(k)} = {v}\n" for k, v in values.items())
-    assert parse_verify_config("[graph:Z5*Z5]\n" + text).jobs == [GraphJob("Z5*Z5", **values)]
-    # a blank float key means unset; rho_ub, pc_trials and saw_n_max are no
-    # longer fields
-    assert parse_verify_config("[graph:Z5*Z5]\nbnp_C =\n").jobs == [GraphJob("Z5*Z5")]
-    assert parse_verify_config("[graph:Z5*Z5]\nrho_ub = 0.95\n").jobs == [GraphJob("Z5*Z5")]
-    assert parse_verify_config("[graph:Z5*Z5]\npc_trials = 7\n").jobs == [GraphJob("Z5*Z5")]
-    assert parse_verify_config("[graph:Z5*Z5]\nsaw_n_max = 0\n").jobs == [GraphJob("Z5*Z5")]
-
-
-@pytest.mark.parametrize("key", ["radius", "kernel_steps"])
-def test_config_blank_int_key_exits_2(key, tmp_path, capsys):
-    path = tmp_path / "blank.cfg"
-    path.write_text(f"[verify]\n\n[graph:Z*Z]\n{key} =\n")
-    assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: [graph:Z*Z] {key}: ") and "Traceback" not in err
-    assert not (tmp_path / "certificate.json").exists()
+    # bnp_C is the one field but spec_text; keys are case-insensitive
+    assert [f.name for f in dataclasses.fields(GraphJob)] == ["spec_text", "bnp_c"]
+    for key in ("bnp_C", "bnp_c", "BNP_C"):
+        cfg = parse_verify_config(f"[graph:Z5*Z5]\n{key} = 2.5\n")
+        assert cfg.jobs == [GraphJob("Z5*Z5", bnp_c=2.5)]
+    # a blank bnp_C means unset; rho_ub, pc_trials, saw_n_max, radius and
+    # kernel_steps are no longer fields
+    for line in ("bnp_C =", "rho_ub = 0.95", "pc_trials = 7", "saw_n_max = 0",
+                 "radius = 4", "kernel_steps = 3"):
+        assert parse_verify_config(f"[graph:Z5*Z5]\n{line}\n").jobs == [GraphJob("Z5*Z5")]
 
 
 def test_config_retired_knobs_change_nothing():
-    # seed, theta_star, pc_radius, pc_trials, saw_n_max and rho_ub are no
-    # longer read: a config that still sets them gives the same jobs and the
-    # same certificate bytes, whatever its old seed
+    # seed, theta_star, pc_radius, pc_trials, saw_n_max, rho_ub, radius and
+    # kernel_steps are no longer read: a config that still sets them, even
+    # to a blank or a non-number, gives the same jobs and the same
+    # certificate bytes, whatever its old seed
     text = ("[verify]\n\n"
-            "[graph:Z*Z]\nradius = 3\nbnp_C = 1.0\n\n"
-            "[graph:Z5*Z5]\nradius = 3\n")
+            "[graph:Z*Z]\nbnp_C = 1.0\n\n"
+            "[graph:Z5*Z5]\n")
     new_cfg = parse_verify_config(text)
     new = _certify(new_cfg).to_json(include_meta=False)
+    retired = "pc_radius = 4\npc_trials = 20\nsaw_n_max = 4\n"
     for seed in (2, 9):
-        old = text.replace("[verify]\n", f"[verify]\nseed = {seed}\ntheta_star = 0.3\n").replace(
-            "radius = 3\n", "radius = 3\npc_radius = 4\npc_trials = 20\nsaw_n_max = 4\n"
-        ) + "rho_ub = 0.95\n"
-        assert old.count("pc_radius = 4\npc_trials = 20\nsaw_n_max = 4") == 2
+        old = (f"[verify]\nseed = {seed}\ntheta_star = 0.3\n\n"
+               f"[graph:Z*Z]\nradius = 3\nkernel_steps =\nbnp_C = 1.0\n{retired}\n"
+               f"[graph:Z5*Z5]\nradius = x\nkernel_steps = 6\n{retired}rho_ub = 0.95\n")
         old_cfg = parse_verify_config(old)
         assert new_cfg.jobs == old_cfg.jobs and new_cfg.to_dict() == old_cfg.to_dict()
         assert _certify(old_cfg).to_json(include_meta=False) == new
