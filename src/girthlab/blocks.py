@@ -6,8 +6,8 @@ product of per-syllable weights renews at every block.  With W_f the weight
 summed over factor f's syllables (a ``Z`` syllable k counts as +-k), the sums
 S_f over words that start in f solve S_f = W_f (1 + sum_{g!=f} S_g), and the
 whole sum is 1/(1 - s), s = sum_f W_f/(1 + W_f), finite iff s < 1.  p_c, mu,
-the bubble and the SAW speed are this rule with different weights, in floats
-or Fractions as the argument is.
+SAW chi, the bubble and the SAW speed are this rule with different weights,
+in floats or Fractions as the argument is.
 """
 
 from __future__ import annotations
@@ -60,6 +60,12 @@ def load(spec: GroupSpec, block, z):
     an infinite W_f adds 1.  The renewal sum 1/(1 - s) is finite iff s < 1."""
     ws = [(k, block(m, z)) for m, k in Counter(spec.orders).items()]
     return sum(k * (1 if w == math.inf else w / (1 + w)) for k, w in ws)
+
+
+def renewal(spec: GroupSpec, block, z):
+    """The renewal sum 1/(1 - s), s = `load`: inf when s >= 1."""
+    s = load(spec, block, z)
+    return 1 / (1 - s) if s < 1 else math.inf
 
 
 def critical_interval(spec: GroupSpec, block) -> tuple[Fraction, Fraction]:

@@ -136,12 +136,11 @@ def cmd_perc(args, outputs: OutputSet) -> int:
 
 def cmd_saw(args, outputs: OutputSet) -> int:
     spec = parse_group_spec(args.spec)
-    if args.nmax is None:  # only the bubble's closed form needs no census
-        for flag, value in (("--z-grid", args.z_grid), ("--trials", args.trials)):
-            if value:
-                raise CliError(f"{flag} needs --nmax")
-        if args.bubble_z is None:
-            raise CliError("saw needs --nmax or --bubble-z")
+    if args.nmax is None:  # chi and the bubble are closed forms: no census
+        if args.trials:
+            raise CliError("--trials needs --nmax")
+        if not args.z_grid and args.bubble_z is None:
+            raise CliError("saw needs --nmax, --z-grid or --bubble-z")
     # printed only once every step has succeeded: a failure discards the files
     lines = []
     if args.nmax is not None:
@@ -154,12 +153,10 @@ def cmd_saw(args, outputs: OutputSet) -> int:
                      f"mu_ub={mu.best_upper:.6f} -> {path}")
     if args.z_grid:
         zs = _parse_grid(args.z_grid)
-        curve = saw_mod.susceptibility_saw(spec, zs, args.nmax, census=census)
-        crows = [(r["z"], f"{r['chi']:.10g}", f"{r['tail']:.6g}", r["certified"],
-                  f"{r['ratio_lo']:.10g}", f"{r['ratio_hi']:.10g}") for r in curve]
+        crows = [(r["z"], f"{r['chi']:.10g}", f"{r['ratio_lo']:.10g}", f"{r['ratio_hi']:.10g}")
+                 for r in saw_mod.susceptibility_saw(spec, zs)]
         cpath = _out_dir(args) / f"chi_{spec.describe().replace('*', 'x')}.csv"
-        outputs.write(cpath, _csv_text(["z", "value", "tail", "certified",
-                                        "ratio_lo", "ratio_hi"], crows))
+        outputs.write(cpath, _csv_text(["z", "value", "ratio_lo", "ratio_hi"], crows))
         lines.append(f"chi curve ({len(zs)} points) -> {cpath}")
     if args.bubble_z is not None:
         bub = saw_mod.bubble_diagram(spec, args.bubble_z)

@@ -7,15 +7,13 @@ normal-form word plus, for each m-cycle syllable, which way round it went,
 and a word's walk counts are a product of per-syllable polynomials.
 `enumerate_saw` extends whole classes of words sharing a last factor and a
 polynomial at once, keeping only their number: exact counts, no words.
-Endpoint law and speed are sums over the classes; mu bounds and chi
-(`susceptibility_saw`: the closed form on trees, else the census sum plus a
-submultiplicative tail) read the counts; the endpoint words are built only
-when `SawCensus.endpoint_counts` is first read.  The bubble needs no census:
-it is a renewal sum of `blocks`.  Rosenbluth sampling goes past the
-enumeration ceiling: a growing walk's unvisited neighbours depend only on
-its block and the steps taken in it, so all trials advance together as a
-chain of small integer states.  Tests check it against the census and an
-exact law.
+Endpoint law and speed are sums over the classes; mu bounds read the
+counts; the endpoint words are built only when `SawCensus.endpoint_counts`
+is first read.  chi and the bubble need no census: each is a renewal sum of
+`blocks`.  Rosenbluth sampling goes past the enumeration ceiling: a growing
+walk's unvisited neighbours depend only on its block and the steps taken in
+it, so all trials advance together as a chain of small integer states.
+Tests check it against the census and an exact law.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ import numpy as np
 
 from . import blocks
 from .groups import GroupSpec, Word
-from .kernels import series_tail
 from .rng import trial_rng
 from .stats import Estimate, mean_estimate
 
@@ -281,61 +278,27 @@ def rosenbluth_sampler(spec: GroupSpec, n: int, trials: int, seed: int) -> Rosen
     return RosenbluthResult(n, trials, weights, dists, int(np.count_nonzero(weights == 0)))
 
 
-def _chi_tail_census(census: SawCensus, z: float, truncation: int) -> float:
-    """Certified chi tail via submultiplicativity: with mu_ub = c_a^{1/a}
-    minimized over a, c_n <= M mu_ub^n where M = max_{r<a} c_r / mu_ub^r,
-    so the tail is geometric with base mu_ub * z < 1."""
-    mu = connective_constant(census)
-    a = 1 + min(range(len(mu.sequence)), key=lambda i: mu.sequence[i])
-    m_const = max(census.counts[r] / mu.best_upper**r for r in range(a))
-    return m_const * series_tail(mu.best_upper * z, truncation + 1)
+def susceptibility_saw(spec: GroupSpec, z_grid: list):
+    """chi(z) = sum_x G_z(x) over a grid below z_c, with the ratio
+    chi(z) * (z_c - z), the bounded-above-and-below witness of gamma = 1.
 
+    chi is the renewal sum of `blocks.walks`, in floats or Fractions as z
+    is: 1 + dz/(1-(d-1)z) on trees.  z_c is bracketed by
+    `blocks.critical_interval(spec, blocks.walks)`, and ratio_lo and
+    ratio_hi take its two ends.
 
-def susceptibility_saw(
-    spec: GroupSpec,
-    z_grid: list[float],
-    truncation: int,
-    census: SawCensus | None = None,
-):
-    """chi(z) over a grid in [0, mu_ub^{-1}) with the ratio
-    chi(z) * (mu_ub^{-1} - z), the bounded-above-and-below witness.
-
-    mu_ub is d - 1 on trees and `connective_constant(census).best_upper`
-    otherwise.  Tree specs use the exact closed form
-    chi(z) = 1 + dz/(1-(d-1)z); other specs sum c_n z^n for n <= truncation
-    over the census and add the certified submultiplicative tail.
-
-    Raises ValueError for z < 0 or NaN, truncation < 0, a non-tree spec
-    without a census, truncation > n_max and a grid point >= mu_ub^{-1}.
+    Raises ValueError for z < 0 or NaN, degree < 3 and a grid point at or
+    above z_c's lower end.
     """
     if any(not z >= 0 for z in z_grid):
         raise ValueError("z must be >= 0")
-    if truncation < 0:
-        raise ValueError(f"truncation must be >= 0, got {truncation}")
-    if census is None and not spec.is_tree:
-        raise ValueError("non-tree spec needs a census")
-    if census is not None and census.n_max < truncation:
-        raise ValueError("census horizon below truncation")
-    d = spec.degree
-    mu_inv = 1.0 / (d - 1 if spec.is_tree else connective_constant(census).best_upper)
+    lo, hi = blocks.critical_interval(spec, blocks.walks)
     rows = []
     for z in z_grid:
-        if z >= mu_inv:
-            raise ValueError(f"grid point z={z} >= mu_ub^-1={mu_inv}")
-        if spec.is_tree:
-            chi = 1.0 + d * z / (1.0 - (d - 1) * z)
-            tail = 0.0
-        else:
-            chi = 0.0
-            for n in range(truncation + 1):
-                chi += census.counts[n] * z**n
-            tail = _chi_tail_census(census, z, truncation)
-        certified = tail < math.inf
-        rows.append(
-            {"z": z, "chi": chi, "tail": tail, "certified": certified,
-             "ratio_lo": chi * (mu_inv - z),
-             "ratio_hi": (chi + tail) * (mu_inv - z) if certified else math.inf}
-        )
+        if z >= lo:
+            raise ValueError(f"grid point z={z} >= z_c's lower end {float(lo)}")
+        chi = blocks.renewal(spec, blocks.walks, z)
+        rows.append({"z": z, "chi": chi, "ratio_lo": chi * (lo - z), "ratio_hi": chi * (hi - z)})
     return rows
 
 
@@ -346,5 +309,4 @@ def bubble_diagram(spec: GroupSpec, z):
     >= 1.  Floats or Fractions as z is.  Raises ValueError unless z >= 0."""
     if not z >= 0:
         raise ValueError("z must be >= 0")
-    s = blocks.load(spec, blocks.bubbles, z)
-    return 1 / (1 - s) if s < 1 else math.inf
+    return blocks.renewal(spec, blocks.bubbles, z)

@@ -1,8 +1,8 @@
 """Independent oracles that only the tests call: second opinions on the
 package's closed forms, ball distances and crossing thresholds,
 normal-form word arithmetic, which the package's integer-array balls do
-without, the SAW census's power series and bubble sums, and mean-field
-exponent fits on the exact tree values."""
+without, the SAW census's power series, chi bracket and bubble sums, and
+mean-field exponent fits on the exact tree values."""
 
 import decimal
 import heapq
@@ -12,7 +12,8 @@ from fractions import Fraction
 from girthlab import branching
 from girthlab.branching import FIXED_POINT_TOL
 from girthlab.groups import Ball, GroupSpec, Word
-from girthlab.saw import SawCensus
+from girthlab.kernels import series_tail
+from girthlab.saw import SawCensus, connective_constant
 from girthlab.stats import ExponentFit, fit_loglog
 
 IDENTITY: Word = ()
@@ -182,6 +183,18 @@ def renewal_series(spec: GroupSpec, n_max: int) -> tuple[list[int], list[int]]:
         drift = [a + b for a, b in zip(drift, _series_mul(dist, _series_mul(inv, inv)))]
     g = _series_inv([1] + [-a for a in load[1:]])
     return g, _series_mul(_series_mul(g, g), drift)
+
+
+def census_chi_bracket(census: SawCensus, z: float) -> tuple[float, float]:
+    """chi(z) between the census's partial sum over n <= n_max and that sum
+    plus a submultiplicative tail: with mu_ub = c_a^{1/a} minimal over a,
+    c_n <= M mu_ub^n where M = max_{r<a} c_r / mu_ub^r, so the tail is
+    geometric with base mu_ub * z, inf unless that base is < 1."""
+    mu = connective_constant(census)
+    a = 1 + min(range(len(mu.sequence)), key=mu.sequence.__getitem__)
+    m_const = max(census.counts[r] / mu.best_upper**r for r in range(a))
+    head = sum(c * z**n for n, c in enumerate(census.counts))
+    return head, head + m_const * series_tail(mu.best_upper * z, census.n_max + 1)
 
 
 def census_bubble(census: SawCensus, z: float, truncation: int) -> float:

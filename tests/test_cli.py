@@ -115,7 +115,7 @@ def test_saw_chi_and_bubble(tmp_path, capsys):
             "--z-grid", "0.1 0.2 0.3", "--bubble-z", "0.333333"]
     assert run(args, tmp_path) == 0
     text = (tmp_path / "chi_ZxZ.csv").read_text()
-    assert text.splitlines()[0].startswith("z,value,tail,certified")
+    assert text.splitlines()[0] == "z,value,ratio_lo,ratio_hi"
     assert "bubble z=0.333333" in capsys.readouterr().out
 
 
@@ -162,10 +162,28 @@ def test_saw_bubble_needs_no_census(tmp_path, monkeypatch, capsys):
     assert calls == [] and not list(tmp_path.iterdir())
 
 
+def test_saw_chi_needs_no_census(tmp_path, monkeypatch, capsys):
+    # with no --nmax the chi curve is the renewal sum: no census, one file
+    calls = _count_calls(monkeypatch, saw.enumerate_saw)
+    assert run(["saw", "--spec", "Z5*Z5", "--z-grid", "0.1 0.2 0.3"], tmp_path) == 0
+    assert calls == [] and [p.name for p in tmp_path.iterdir()] == ["chi_Z5xZ5.csv"]
+    assert capsys.readouterr().out == f"chi curve (3 points) -> {tmp_path / 'chi_Z5xZ5.csv'}\n"
+    rows = (tmp_path / "chi_Z5xZ5.csv").read_text().splitlines()
+    assert [r.split(",")[:2] for r in rows[1:]] == [
+        ["0.1", "1.571355104"], ["0.2", "2.993610224"], ["0.3", "12.35113485"]]
+
+
+def test_saw_chi_needs_degree_three(tmp_path, capsys):
+    # degree 2 has no critical point to measure the ratio against
+    assert run(["saw", "--spec", "Z", "--z-grid", "0.1"], tmp_path) == 2
+    assert capsys.readouterr().err == "error: need degree >= 3, got 2 on Z\n"
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("extra,flag", [
-    (["--bubble-z", "0.2", "--z-grid", "0.1"], "--z-grid"),
+    (["--z-grid", "0.1", "--trials", "10"], "--trials"),
     (["--bubble-z", "0.2", "--trials", "10"], "--trials"),
-    ([], "--nmax or --bubble-z"),
+    ([], "--nmax, --z-grid or --bubble-z"),
 ])
 def test_saw_without_nmax_names_the_flag(extra, flag, tmp_path, capsys):
     assert run(["saw", "--spec", "Z5*Z5"] + extra, tmp_path) == 2
@@ -478,7 +496,7 @@ PLOT_PRODUCERS = {
                        "--trials", "40", "--seed", "1"], "crossing_ZxZ.csv"),
     "tail-loglog": (["perc", "--spec", "Z*Z", "--p", "0.3333", "--R", "2", "--trials",
                      "400", "--seed", "1", "--tail", "--nmax", "1000"], "tail_ZxZ.csv"),
-    "chi-ratio": (["saw", "--spec", "Z5*Z5", "--nmax", "6", "--z-grid", "0.1 0.2 0.3"],
+    "chi-ratio": (["saw", "--spec", "Z5*Z5", "--z-grid", "0.1 0.2 0.3"],
                   "chi_Z5xZ5.csv"),
 }
 

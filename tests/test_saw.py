@@ -21,7 +21,14 @@ from girthlab.saw import (
     susceptibility_saw,
 )
 from girthlab.verify import Bracket, check_endpoint_decay, point
-from oracles import append_syllable, census_bubble, tree_sphere_size, word_length
+from oracles import (
+    append_syllable,
+    census_bubble,
+    census_chi_bracket,
+    renewal_series,
+    tree_sphere_size,
+    word_length,
+)
 
 F2 = parse_group_spec("Z*Z")
 Z5Z5 = parse_group_spec("Z5*Z5")
@@ -358,82 +365,67 @@ def test_rosenbluth_prefix_stable():
 # --- generating functions ---------------------------------------------------
 
 def test_susceptibility_ratio_tree_closed_form():
-    rows = susceptibility_saw(F2, [0.0, 0.1, 0.2, 0.3], truncation=10)
-    for r in rows:
-        z = r["z"]
-        assert r["ratio_lo"] == pytest.approx(1 / 3 + z / 3)
-        assert r["certified"]
+    # chi = 1 + dz/(1-(d-1)z) exactly in Fractions, and z_c's bracket holds
+    # the ratio chi(z) (1/(d-1) - z) = (1+z)/(d-1)
+    for text in ("Z*Z", "Z*Z2", "Z2*Z2*Z2", "Z*Z*Z"):
+        spec = parse_group_spec(text)
+        d = spec.degree
+        zs = [Fraction(0), Fraction(1, 2 * (d - 1)), Fraction(9, 10 * (d - 1))]
+        for z, r in zip(zs, susceptibility_saw(spec, zs)):
+            assert r["chi"] == (1 + z) / (1 - (d - 1) * z)
+            assert r["ratio_lo"] < (1 + z) / (d - 1) < r["ratio_hi"]
+    for r in susceptibility_saw(F2, [0.0, 0.1, 0.2, 0.3]):
+        assert r["ratio_lo"] == pytest.approx(1 / 3 + r["z"] / 3)
     with pytest.raises(ValueError):
-        susceptibility_saw(F2, [0.34], truncation=10)
+        susceptibility_saw(F2, [0.34])
 
 
 def test_susceptibility_rejects_negative_z():
-    with pytest.raises(ValueError):
-        susceptibility_saw(F2, [-0.5], truncation=8)
-    census = enumerate_saw(Z5Z5, 6)
-    with pytest.raises(ValueError):
-        susceptibility_saw(Z5Z5, [0.1, -0.1], truncation=6, census=census)
+    for spec in (F2, Z5Z5):
+        for z in (-0.5, math.nan):
+            with pytest.raises(ValueError, match="z must be >= 0"):
+                susceptibility_saw(spec, [0.1, z])
 
 
-def test_susceptibility_ratio_census_bounded():
-    census = enumerate_saw(Z5Z5, 8)
-    mu_inv = 1.0 / connective_constant(census).best_upper
-    zs = [0.0, 0.5 * mu_inv, 0.9 * mu_inv]
-    rows = susceptibility_saw(Z5Z5, zs, truncation=8, census=census)
-    for r in rows:
-        assert r["certified"]
+def test_susceptibility_ratio_bounded_off_trees():
+    # the ratio stays positive and finite up to z_c's lower end, and a
+    # Fraction z gives chi in Fractions
+    lo, _ = blocks.critical_interval(Z5Z5, blocks.walks)
+    zs = [f * float(lo) for f in (0.0, 0.5, 0.9, 0.999)]
+    for r in susceptibility_saw(Z5Z5, zs):
         assert 0 < r["ratio_lo"] <= r["ratio_hi"] < math.inf
+    [exact] = susceptibility_saw(Z5Z5, [Fraction(1, 5)])
+    assert isinstance(exact["chi"], Fraction)
+    assert float(exact["chi"]) == pytest.approx(susceptibility_saw(Z5Z5, [0.2])[0]["chi"])
 
 
-def block_tree_counts(spec, n_max):
-    """c_0..c_n_max without words: with P_f the arcs of one factor-f block
-    (2 z^k per k >= 1 on Z, z on Z2, 2 z^j per 1 <= j < m on Zm), the walks
-    whose first block is in factor f have generating function
-    W_f = P_f (1 + sum_{g != f} W_g); each pass fixes one more coefficient."""
-    arcs = []
-    for m in spec.orders:
-        arc = [0] * (n_max + 1)
-        for j in range(1, n_max + 1 if m is None else min(m, n_max + 1)):
-            arc[j] = 1 if m == 2 else 2
-        arcs.append(arc)
-    first = [[0] * (n_max + 1) for _ in arcs]
-    for _ in range(n_max):
-        # what may follow a factor-f block: nothing, or a block in g != f
-        rest = [[int(i == 0) + sum(w[i] for g, w in enumerate(first) if g != f)
-                 for i in range(n_max + 1)] for f in range(len(arcs))]
-        first = [[sum(arc[j] * r[i - j] for j in range(1, i + 1)) for i in range(n_max + 1)]
-                 for arc, r in zip(arcs, rest)]
-    return [int(n == 0) + sum(w[n] for w in first) for n in range(n_max + 1)]
-
-
-@pytest.mark.parametrize("text", ["Z5*Z5", "Z2*Z3*Z4"])
+@pytest.mark.parametrize("text", ["Z5*Z5", "Z2*Z3", "Z*Z5", "Z2*Z3*Z4"])
 def test_susceptibility_tail_bounds_the_longer_sum(text):
-    # chi and its submultiplicative tail from a 5-step census bracket the
-    # 12-step sum, whose c_6..c_12 the tail never saw; a 12-step census of
-    # Z2*Z3*Z4 (4.2M walks at n = 11 alone) is too slow for tier 1, so the
-    # counts come from the block-tree recursion, checked against the
-    # census to n = 8
+    # chi lies between the 12-step sum and a 5-step census's sum plus its
+    # submultiplicative tail, which never saw c_6..c_12; a 12-step census
+    # of Z2*Z3*Z4 (4.2M walks at n = 11 alone) is too slow for tier 1, so
+    # c_n comes from the renewal series, which test_blocks checks against
+    # the census
     spec = parse_group_spec(text)
-    counts = block_tree_counts(spec, 12)
-    assert counts[:9] == enumerate_saw(spec, 8).counts
+    counts, _ = renewal_series(spec, 12)
     short = enumerate_saw(spec, 5)
+    assert counts[:6] == short.counts
     mu_inv = 1.0 / connective_constant(short).best_upper
     zs = [f * mu_inv for f in (0.3, 0.5, 0.9)]
-    for z, r in zip(zs, susceptibility_saw(spec, zs, 5, census=short)):
-        chi_12 = sum(c * z**n for n, c in enumerate(counts))
-        assert r["certified"]
-        assert r["chi"] < chi_12 <= r["chi"] + r["tail"]
+    for z, r in zip(zs, susceptibility_saw(spec, zs)):
+        head, bound = census_chi_bracket(short, z)
+        assert head < sum(c * z**n for n, c in enumerate(counts)) <= r["chi"] <= bound
 
 
 def test_susceptibility_validation():
-    census = enumerate_saw(Z5Z5, 8)
-    with pytest.raises(ValueError, match="horizon"):
-        susceptibility_saw(Z5Z5, [0.1], 9, census=census)
-    with pytest.raises(ValueError, match="needs a census"):
-        susceptibility_saw(Z5Z5, [0.1], 5)
-    for spec, c in ((F2, None), (Z5Z5, census)):
-        with pytest.raises(ValueError, match="truncation must be >= 0"):
-            susceptibility_saw(spec, [0.1], -1, census=c)
+    lo, hi = blocks.critical_interval(Z5Z5, blocks.walks)
+    for z in (lo, hi, 0.5):
+        with pytest.raises(ValueError, match="z_c's lower end"):
+            susceptibility_saw(Z5Z5, [0.1, z])
+    # degree 2 has no critical point: the lines Z and Z2*Z2, the cycle Z5
+    for text in ("Z", "Z2*Z2", "Z5"):
+        with pytest.raises(ValueError, match="need degree >= 3, got 2"):
+            susceptibility_saw(parse_group_spec(text), [0.1])
 
 
 # --- bubble -----------------------------------------------------------------
