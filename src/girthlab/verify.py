@@ -4,10 +4,10 @@ A job is a spec and `bnp_C`, and it builds no ball.  Every input is a
 `Bracket` (lo, hi) with its provenance, from one input function per graph
 family, and none is sampled: rho, p_c and the SAW critical point z_c are
 closed forms or exact Fraction witnesses rounded outward, and mu = 1/z_c,
-the bubble and the SAW speed follow by `blocks`.  The walk-kernel theorems
-that a certified rho implies are checked in the tests, not here.
-Every entry is an inequality between two brackets decided by the one rule
-`status`.  An end that needs a missing input (bnp_C) is NaN: `inconclusive`.
+the bubble and the SAW speed follow by `blocks`.  Claims that cannot fail
+for true inputs (a certified rho's kernel theorems, mu p_c >= 1) are tests.
+Every entry compares two brackets, derived ends rounded outward from
+Fractions, by the one rule `status`: NaN ends (no bnp_C) are inconclusive.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import configparser
 import json
 import math
-import operator
 import time
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
@@ -46,11 +45,15 @@ def point(x: float) -> Bracket:
 
 ONE = point(1.0)
 INF = point(math.inf)
+OUTWARD = (-math.inf, math.inf)  # the rounding sides of a bracket's (lo, hi)
 
 
-def increasing(f, *args: Bracket) -> Bracket:
-    """The range of f over brackets in each of which f is non-decreasing."""
-    return Bracket(f(*(a.lo for a in args)), f(*(a.hi for a in args)))
+def _exact(f, side: float, *xs: float) -> float:
+    """f of the ends xs in Fractions, rounded toward `side`; NaN on a NaN x."""
+    if any(map(math.isnan, xs)):
+        return math.nan
+    q = f(*map(Fraction, xs))
+    return float_above(q) if side > 0 else -float_above(-q)
 
 
 def status(lhs: Bracket, rhs: Bracket, strict: bool) -> str:
@@ -97,8 +100,9 @@ def _num(x: float):
 
 def check_perccond(d: int, pc: Bracket, rho: Bracket) -> Entry:
     """p_c (d-1) rho < 1."""
-    return Entry("perccond", "pc*(d-1)*rho<1",
-                 increasing(lambda p, r: p * (d - 1) * r, pc, rho), ONE, True)
+    lhs = Bracket(*(_exact(lambda p, r: p * (d - 1) * r, s, p, r)
+                    for p, r, s in zip(pc, rho, OUTWARD)))
+    return Entry("perccond", "pc*(d-1)*rho<1", lhs, ONE, True)
 
 
 def _bnp_term(rho: float, big_c: float, side: float) -> float:
@@ -110,31 +114,28 @@ def _bnp_term(rho: float, big_c: float, side: float) -> float:
 
 
 def girth_threshold(rho: float, big_c: float, side: float) -> float:
-    """L = C log(1 + (1-rho)^{-2}) / (rho^{-1} - 1), increasing in rho, its
-    log term rounded toward `side`; NaN when an input is NaN."""
+    """L = C log(1 + (1-rho)^{-2}) / (rho^{-1} - 1), increasing in rho,
+    rounded toward `side`; NaN when an input is NaN."""
     if rho <= 0.0 or rho >= 1.0:
         raise ValueError("need 0 < rho < 1")
-    return _bnp_term(rho, big_c, side) / (1.0 / rho - 1.0)
+    return _exact(lambda t, r: t * r / (1 - r), side, _bnp_term(rho, big_c, side), rho)
 
 
 def check_girth_threshold(rho: Bracket, big_c: float, girth: float) -> Entry:
     """L(rho, C) <= the graph's exact girth."""
-    lhs = Bracket(girth_threshold(rho.lo, big_c, -math.inf),
-                  girth_threshold(rho.hi, big_c, math.inf))
+    lhs = Bracket(*(girth_threshold(r, big_c, s) for r, s in zip(rho, OUTWARD)))
     return Entry("girth_threshold", "girth>=L(rho,C)", lhs, point(girth), False,
                  note="rhs is the exact girth (inf on trees)")
 
 
 def check_bnp_bound(d: int, girth: float, rho: Bracket, big_c: float, pc: Bracket) -> Entry:
-    """p_c <= 1/(d-1) + C log(1+(1-rho)^{-2}) / (d*girth), increasing in rho."""
-    rhs = Bracket(*(1.0 / (d - 1) + _bnp_term(r, big_c, side) / (d * girth)
-                    for r, side in ((rho.lo, -math.inf), (rho.hi, math.inf))))
+    """p_c <= 1/(d-1) + C log(1+(1-rho)^{-2}) / (d*girth), increasing in rho.
+    Given C, a tree's bound is 1/(d-1), the float point its closed-form p_c
+    takes: outward ends could not show their tie.  No C: NaN ends."""
+    rhs = point(1 / (d - 1)) if girth == math.inf and not math.isnan(big_c) else Bracket(*(
+        _exact(lambda t: Fraction(1, d - 1) + t / (d * Fraction(girth)), s, _bnp_term(r, big_c, s))
+        for r, s in zip(rho, OUTWARD)))
     return Entry("pc_degree_girth_bound", "pc<=1/(d-1)+C*log(...)/(d*g)", pc, rhs, False)
-
-
-def check_mu_pc(mu: Bracket, pc: Bracket) -> Entry:
-    """1 <= mu * p_c."""
-    return Entry("mu_pc_product", "mu*pc>=1", ONE, increasing(operator.mul, mu, pc), False)
 
 
 def check_endpoint_decay(d: int, rho: Bracket, mu: Bracket) -> Entry:
@@ -143,8 +144,8 @@ def check_endpoint_decay(d: int, rho: Bracket, mu: Bracket) -> Entry:
     d (d-1)^{n-1} rho^n/(1-rho), and c_n >= mu^n.  lambda is at most
     (d-1) rho.hi / mu.lo, and 0 is its only lower end: the entry never fails."""
     return Entry("endpoint_decay", "sup_x law(n,x) <= C*lambda^n",
-                 Bracket(0.0, (d - 1) * rho.hi / mu.lo), ONE, True,
-                 f"envelope constant {d / ((d - 1) * (1.0 - rho.hi)):.6g}")
+                 Bracket(0.0, _exact(lambda r, m: (d - 1) * r / m, math.inf, rho.hi, mu.lo)),
+                 ONE, True, f"envelope constant {d / ((d - 1) * (1.0 - rho.hi)):.6g}")
 
 
 @dataclass
@@ -269,7 +270,6 @@ def _graph_certificate(job: GraphJob) -> dict:
         check_perccond(d, pc, rho),
         check_girth_threshold(rho, big_c, girth),
         check_bnp_bound(d, girth, rho, big_c, pc),
-        check_mu_pc(mu, pc),
         Entry("triangle_finite", "triangle diagram finite at pc", tri, INF, True, tri_note),
         Entry("bubble_finite", "bubble diagram finite at 1/mu", bub, INF, True,
               "1/(1 - sum_f A_f/(1+A_f)) at z_c's ends"),

@@ -26,10 +26,8 @@ from girthlab.kernels import (
     srw_kernel,
 )
 from girthlab.verify import (
-    Bracket,
     GraphJob,
     VerifyConfig,
-    check_mu_pc,
     check_perccond,
     point,
     run_certificate,
@@ -199,11 +197,14 @@ def test_criterion_09_perccond_and_mu_pc(census_f2, census_z2cubed):
         entry = check_perccond(d, pc, point(kesten_rho(d)))
         ok &= entry.status == "pass"
         ok &= abs(entry.margin - (1 - kesten_rho(d))) < 1e-3
-        # mu is d-1 on a tree, and the census bounds it from above
+        # mu p_c >= 1: q = 1/(d-1) is both z_c = 1/mu and p_c exactly, the
+        # SAW and the cluster loads both 1 there; the census bounds mu above
+        q = Fraction(1, d - 1)
+        ok &= blocks.load(spec, blocks.walks, q) == 1 == blocks.load(
+            spec, blocks.block_connections, q)
         mu_ub = saw_mod.connective_constant(census).best_upper
-        mp = check_mu_pc(Bracket(d - 1, mu_ub), pc)
-        product = mp.to_record()["rhs_hi"]
-        ok &= mp.status == "pass" and abs(product - 1.0) <= 0.05
+        product = mu_ub * pc.hi
+        ok &= Fraction(mu_ub) * q >= 1 and abs(product - 1.0) <= 0.05
         details.append(f"d={d}: margin={entry.margin:.4f}, mu*pc={product:.4f}")
     report(9, ok, "; ".join(details))
 

@@ -105,11 +105,27 @@ def test_trees_are_exact_at_one_over_d_minus_one():
     assert bubble_diagram(parse_group_spec("Z*Z"), Fraction(1, 3)) == Fraction(5, 3)
 
 
-@pytest.mark.parametrize("spec_text", ["Z5*Z5", "Z3*Z3", "Z2*Z3", "Z*Z5", "Z2*Z3*Z4",
-                                       "Z4*Z4", "Z7*Z7"])
+# Zm*Zm and Z*Zm up to m = 40: from m = 19 on, mu p_c - 1 (about 3^-m) is
+# below the brackets' 1e-8, which cannot show it; then the earlier specs
+SEPARATED = list(dict.fromkeys(
+    [f"{f}*Z{m}" for m in (*range(3, 13), 16, 20, 24, 27, 30, 40) for f in (f"Z{m}", "Z")]
+    + ["Z5*Z5", "Z3*Z3", "Z2*Z3", "Z*Z5", "Z2*Z3*Z4", "Z4*Z4", "Z7*Z7"]))
+
+
+@pytest.mark.parametrize("spec_text", SEPARATED)
 def test_mu_times_pc_at_least_one(spec_text):
-    # every open path is a SAW, so mu p_c >= 1: the lower ends alone show it
+    # every open path is a SAW, so mu p_c >= 1.  Both loads increase, so a
+    # rational q with the SAW load >= 1 and the cluster load <= 1 shows
+    # z_c <= q <= p_c exactly: bisect in Fractions from z_c's lower end to
+    # p_c's upper end until a midpoint is one
     spec = parse_group_spec(spec_text)
-    pc_lo, _ = blocks.pc_interval(spec)
-    _, z_hi = blocks.critical_interval(spec, blocks.walks)
-    assert pc_lo / z_hi >= 1
+    lo, hi = blocks.critical_interval(spec, blocks.walks)[0], blocks.pc_interval(spec)[1]
+    for _ in range(100):
+        q = (lo + hi) / 2
+        if blocks.load(spec, blocks.walks, q) < 1:
+            lo = q
+        elif blocks.load(spec, blocks.block_connections, q) > 1:
+            hi = q
+        else:
+            return
+    pytest.fail(f"no separator in [{lo}, {hi}]")

@@ -271,6 +271,17 @@ def test_verify_cli_strict_inconclusive(tmp_path):
     assert run(["verify", "--config", str(cfg), "--strict"], tmp_path) == 1
 
 
+def test_verify_cli_strict_high_girth(tmp_path):
+    # girth 27 and 40: every entry is decided, so --strict exits 0
+    cfg = tmp_path / "high_girth.cfg"
+    cfg.write_text("".join(f"[graph:{spec}]\nbnp_C = 1\n\n"
+                           for spec in ("Z27*Z27", "Z*Z27", "Z40*Z40")))
+    assert run(["verify", "--config", str(cfg), "--strict"], tmp_path) == 0
+    doc = json.loads((tmp_path / "certificate.json").read_text())
+    assert [g["graph"] for g in doc["graphs"]] == ["Z27*Z27", "Z*Z27", "Z40*Z40"]
+    assert {e["status"] for g in doc["graphs"] for e in g["entries"]} == {"pass"}
+
+
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
 
@@ -286,9 +297,8 @@ def test_readme_config_block(tmp_path, capsys):
     # and passes every other entry
     z5 = {status: sorted(i for i, s in by_graph["Z5*Z5"].items() if s == status)
           for status in ("pass", "fail", "inconclusive")}
-    assert z5 == {"pass": ["bubble_finite", "endpoint_decay", "mu_pc_product",
-                           "pc_degree_girth_bound", "perccond", "saw_speed_positive",
-                           "triangle_finite"],
+    assert z5 == {"pass": ["bubble_finite", "endpoint_decay", "pc_degree_girth_bound",
+                           "perccond", "saw_speed_positive", "triangle_finite"],
                   "fail": ["girth_threshold"],
                   "inconclusive": []}
     assert cert.failed
@@ -334,7 +344,7 @@ def test_readme_certificate_golden_digest():
     block = re.search(r"```ini\n(.*?)```", README, re.S).group(1)
     doc = run_certificate(parse_verify_config(block)).to_json(include_meta=False)
     assert (hashlib.sha256(doc.encode()).hexdigest()
-            == "ffc8cc44318d606cf2f4599651b22980cf99ee3215a1d774d9cea4a0528d433b")
+            == "14355cd6c44578c45af30877445409b6c270ade8151eae039575525026ec9b08")
 
 
 NO_RHO_UB_CONFIG = """\
@@ -350,7 +360,7 @@ def test_no_rho_ub_certificate_golden_digest():
     # p_c from its exact bracket; Z2*Z3*Z4 has no bnp_C
     doc = run_certificate(parse_verify_config(NO_RHO_UB_CONFIG)).to_json(include_meta=False)
     assert (hashlib.sha256(doc.encode()).hexdigest()
-            == "4c174adf9c51f860ab2d2d97d2004529c85966c88fb4da9f6596deef5cbd298f")
+            == "6fec2226f070ca202b3dd98bfcfcda76dde7a25df0990f2becb4859507b050a2")
 
 
 def _count_calls(monkeypatch, real):

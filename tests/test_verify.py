@@ -26,7 +26,6 @@ from girthlab.verify import (
     check_bnp_bound,
     check_endpoint_decay,
     check_girth_threshold,
-    check_mu_pc,
     check_perccond,
     girth_threshold,
     parse_verify_config,
@@ -95,8 +94,12 @@ def test_check_perccond():
     assert e.status == "pass"
     assert e.margin == pytest.approx(1 - rho, abs=1e-12)
     # degenerate rho = 1 at the tree pc: margin exactly 0, fail
+    e1 = check_perccond(3, point(0.5), point(1.0))
+    assert e1.status == "fail" and e1.margin == 0.0
+    # 3 times the float 1/3 is just below 1 exactly: rounded outward the
+    # lhs straddles 1, where rounding to nearest would read exactly 1
     e1 = check_perccond(4, point(1 / 3), point(1.0))
-    assert e1.status == "fail" and e1.margin == pytest.approx(0.0)
+    assert e1.lhs == (math.nextafter(1.0, 0.0), 1.0) and e1.status == "inconclusive"
     e2 = check_perccond(4, point(1 / 3), Bracket(rho, math.nan))
     assert e2.status == "inconclusive"
     # the lower ends decide a fail: p_c^lo (d-1) rho^lo < 1 leaves it open
@@ -138,9 +141,15 @@ def test_check_girth_threshold():
 
 
 def test_check_bnp_bound():
-    # infinite girth: bound is exactly 1/(d-1)
+    # infinite girth: the bound is 1/(d-1), the same float point as a
+    # tree's closed-form p_c, which ties it exactly; no C, no bound
     e = check_bnp_bound(4, math.inf, point(0.87), 1.0, Bracket(0.33, 0.333))
     assert e.status == "pass" and e.rhs == point(1 / 3)
+    for d in (3, 4, 6, 12):
+        e = check_bnp_bound(d, math.inf, point(0.87), 1.0, point(1 / (d - 1)))
+        assert e.status == "pass" and e.margin == 0.0
+    e = check_bnp_bound(4, math.inf, point(0.87), math.nan, point(1 / 3))
+    assert e.status == "inconclusive" and math.isnan(e.rhs.lo) and math.isnan(e.rhs.hi)
     # an interval straddling the bound decides nothing
     e2 = check_bnp_bound(4, math.inf, point(0.87), 1.0, Bracket(0.3333, 0.3334))
     assert e2.status == "inconclusive"
@@ -151,14 +160,6 @@ def test_check_bnp_bound():
     assert check_bnp_bound(4, 5.0, rho, 1.0, Bracket(0.3, 0.35)).status == "pass"
     assert check_bnp_bound(4, 5.0, rho, 1.0, Bracket(0.55, 0.6)).status == "inconclusive"
     assert check_bnp_bound(4, 5.0, point(0.9), math.nan, point(0.3)).status == "inconclusive"
-
-
-def test_check_mu_pc():
-    assert check_mu_pc(point(3.1), Bracket(0.33, 0.34)).status == "pass"
-    assert check_mu_pc(point(2.0), Bracket(0.33, 0.4)).status == "fail"
-    # an upper bound on mu alone can fail the product but never pass it
-    e = check_mu_pc(Bracket(math.nan, 3.1), Bracket(0.33, 0.34))
-    assert e.status == "inconclusive" and e.rhs.hi == pytest.approx(3.1 * 0.34)
 
 
 def _certify(config):
@@ -180,7 +181,7 @@ def _small_config(**overrides):
 
 
 EXPECTED_IDS = {
-    "perccond", "girth_threshold", "pc_degree_girth_bound", "mu_pc_product",
+    "perccond", "girth_threshold", "pc_degree_girth_bound",
     "triangle_finite", "bubble_finite", "endpoint_decay", "saw_speed_positive",
 }
 
@@ -225,6 +226,37 @@ def test_certificate_json_meta_toggle():
     assert "meta" in with_meta and "timestamp" in with_meta["meta"]
     assert "meta" not in without
     assert with_meta["graphs"] == without["graphs"]
+
+
+@pytest.mark.parametrize("spec_text", ["Z*Z", "Z5*Z5", "Z2*Z5", "Z3*Z4", "Z27*Z27", "Z*Z5"])
+def test_derived_ends_are_their_exact_values_rounded_outward(spec_text):
+    # each derived end, recomputed in Fractions from the recorded inputs
+    # (the log term as `_bnp_term` pads it), is the nearest float on its
+    # outward side: lo ends at or below their exact value, hi ends at or
+    # above it, and the next float inward is past it
+    g = _certify(VerifyConfig([GraphJob(spec_text, bnp_c=1.0)])).graphs[0]
+    inputs, by_id = g["inputs"], {e["id"]: e for e in g["entries"]}
+    d = inputs["degree"]
+    rho, pc, mu = ([Fraction(inputs[k][end]) for end in ("lo", "hi")]
+                   for k in ("rho", "pc_interval", "mu"))
+    term = [Fraction(_bnp_term(float(r), 1.0, side)) for r, side in zip(rho, (-INF, INF))]
+    perc, decay = by_id["perccond"], by_id["endpoint_decay"]
+    girth, bnp = by_id["girth_threshold"], by_id["pc_degree_girth_bound"]
+    ends = [(perc["lhs_lo"], pc[0] * (d - 1) * rho[0], -INF),
+            (perc["lhs"], pc[1] * (d - 1) * rho[1], INF),
+            (decay["lhs"], (d - 1) * rho[1] / mu[0], INF),
+            (girth["lhs_lo"], term[0] * rho[0] / (1 - rho[0]), -INF),
+            (girth["lhs"], term[1] * rho[1] / (1 - rho[1]), INF)]
+    if spec_text == "Z*Z":  # the tree's bound is its closed-form p_c's float
+        assert bnp["rhs"] == bnp["rhs_hi"] == inputs["pc_interval"]["hi"] == 1 / 3
+    else:
+        girth_q = d * int(inputs["girth"])
+        ends += [(bnp["rhs"], Fraction(1, d - 1) + term[0] / girth_q, -INF),
+                 (bnp["rhs_hi"], Fraction(1, d - 1) + term[1] / girth_q, INF)]
+    for end, exact, side in ends:
+        sign = 1 if side > 0 else -1
+        assert sign * (Fraction(end) - exact) >= 0 > sign * (
+            Fraction(math.nextafter(end, -side)) - exact), (end, float(exact), side)
 
 
 def test_certificate_girth_from_closed_form():
