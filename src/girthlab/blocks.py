@@ -7,45 +7,56 @@ summed over factor f's syllables (a ``Z`` syllable k counts as +-k), the sums
 S_f over words that start in f solve S_f = W_f (1 + sum_{g!=f} S_g), and the
 whole sum is 1/(1 - s), s = sum_f W_f/(1 + W_f), finite iff s < 1.  p_c, mu,
 SAW chi, the bubble and the SAW speed are this rule with different weights,
-in floats or Fractions as the argument is.
+in floats or Fractions as the argument is.  Each W_f is a closed form in
+G_k(z) = 1 + z + ... + z^(k-1), so its cost does not grow with the order m.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 
 from .groups import GroupSpec
 
 
-def _arcs(m: int | None, z, syllable, line):
-    """A per-syllable weight summed over one factor's syllables: line() on Z
-    (inf at z >= 1), else syllable(e, a, b) over 0 < e < m, with a = z^e and
-    b = z^{m-e} the weights of syllable e's two arcs (b = 0 on Z2, one edge)."""
-    if m is None:
-        return math.inf if z >= 1 else line()
-    return sum(syllable(e, z**e, 0 if m == 2 else z ** (m - e)) for e in range(1, m))
+def _geom(k: int, z):
+    """G_k(z) = (1 - z^k)/(1 - z): k at z = 1; nan at z = inf, where the sums
+    return inf before they call it."""
+    return k * z if z == 1 else (1 - z**k) / (1 - z)
 
 
 def walks(m: int | None, z):
-    """T(z), the SAW arcs from a block's entry weighted z^length: 2z/(1-z) on Z."""
-    return _arcs(m, z, lambda e, a, b: a + b, lambda: 2 * z / (1 - z))
+    """T(z), the SAW arcs from a block's entry weighted z^length: 2z/(1-z)
+    on Z, z on Z2 (one edge), 2z G_{m-1}(z) on Zm."""
+    if m is None or z == math.inf:
+        return math.inf if z >= 1 else 2 * z / (1 - z)
+    return z if m == 2 else 2 * z * _geom(m - 1, z)
 
 
 def bubbles(m: int | None, z):
-    """A(z), the squared arc sum of each syllable: 2z^2/(1-z^2) on Z."""
-    return _arcs(m, z, lambda e, a, b: (a + b) ** 2, lambda: 2 * z * z / (1 - z * z))
+    """A(z), the squared arc sum of each syllable: 2z^2/(1-z^2) on Z, z^2 on
+    Z2, 2z^2 G_{m-1}(z^2) + 2(m-1)z^m on Zm (the two arcs' cross terms)."""
+    if m is None or z == math.inf:
+        return math.inf if z >= 1 else 2 * z * z / (1 - z * z)
+    return z * z if m == 2 else 2 * z * z * _geom(m - 1, z * z) + 2 * (m - 1) * z**m
 
 
 def distances(m: int | None, z):
-    """D(z), the arcs weighted by the distance min(e, m-e) their syllable moves."""
-    return _arcs(m, z, lambda e, a, b: min(e, m - e) * (a + b), lambda: 2 * z / (1 - z) ** 2)
+    """D(z), the arcs weighted by the distance min(e, m-e) their syllable
+    moves: 2z/(1-z)^2 on Z, z on Z2, 2z G_{m//2}(z) G_{m-m//2}(z) on Zm."""
+    if m is None or z == math.inf:
+        return math.inf if z >= 1 else 2 * z / (1 - z) ** 2
+    return z if m == 2 else 2 * z * _geom(m // 2, z) * _geom(m - m // 2, z)
 
 
 def lengths(m: int | None, z):
-    """N(z) = z T'(z), the arcs weighted by their length."""
-    return _arcs(m, z, lambda e, a, b: e * a + (m - e) * b, lambda: 2 * z / (1 - z) ** 2)
+    """N(z) = z T'(z), the arcs weighted by their length: 2z/(1-z)^2 on Z, z on
+    Z2, 2 sum_{e<m} e z^e = 2z (G_{m-1} - (m-1)z^(m-1))/(1-z) on Zm, m(m-1) at 1."""
+    if m is None or z == math.inf:
+        return math.inf if z >= 1 else 2 * z / (1 - z) ** 2
+    if m == 2 or z == 1:
+        return z if m == 2 else m * (m - 1) * z
+    return 2 * z * (_geom(m - 1, z) - (m - 1) * z ** (m - 1)) / (1 - z)
 
 
 def block_connections(m: int | None, p):
@@ -56,10 +67,9 @@ def block_connections(m: int | None, p):
 
 
 def load(spec: GroupSpec, block, z):
-    """s = sum_f W_f/(1 + W_f), W_f = block(m_f, z) once per distinct order;
-    an infinite W_f adds 1.  The renewal sum 1/(1 - s) is finite iff s < 1."""
-    ws = [(k, block(m, z)) for m, k in Counter(spec.orders).items()]
-    return sum(k * (1 if w == math.inf else w / (1 + w)) for k, w in ws)
+    """s = sum_f W_f/(1 + W_f), W_f = block(m_f, z); an infinite W_f adds 1.
+    The renewal sum 1/(1 - s) is finite iff s < 1."""
+    return sum(1 if w == math.inf else w / (1 + w) for w in (block(m, z) for m in spec.orders))
 
 
 def renewal(spec: GroupSpec, block, z):
@@ -98,8 +108,8 @@ def speed_interval(spec: GroupSpec, lo, hi) -> tuple:
     v = -z_c'(1)/z_c(1) = sum_f D_f/(1+T_f)^2 / sum_f N_f/(1+T_f)^2.  D, N and
     T increase in z: each end takes D or N and 1 + T at opposite ends."""
     d_lo = d_hi = n_lo = n_hi = 0
-    for m, k in Counter(spec.orders).items():
-        t_lo, t_hi = k / (1 + walks(m, lo)) ** 2, k / (1 + walks(m, hi)) ** 2
+    for m in spec.orders:
+        t_lo, t_hi = 1 / (1 + walks(m, lo)) ** 2, 1 / (1 + walks(m, hi)) ** 2
         d_lo, d_hi = d_lo + distances(m, lo) * t_hi, d_hi + distances(m, hi) * t_lo
         n_lo, n_hi = n_lo + lengths(m, lo) * t_hi, n_hi + lengths(m, hi) * t_lo
     return d_lo / n_hi, d_hi / n_lo

@@ -136,11 +136,10 @@ def cmd_perc(args, outputs: OutputSet) -> int:
 
 def cmd_saw(args, outputs: OutputSet) -> int:
     spec = parse_group_spec(args.spec)
-    if args.nmax is None:  # chi and the bubble are closed forms: no census
-        if args.trials:
-            raise CliError("--trials needs --nmax")
-        if not args.z_grid and args.bubble_z is None:
-            raise CliError("saw needs --nmax, --z-grid or --bubble-z")
+    if args.trials and (args.nmax is None or args.seed is None):
+        raise CliError("--trials needs " + ("--nmax" if args.nmax is None else "--seed"))
+    if args.nmax is None and not args.z_grid and args.bubble_z is None:  # closed forms: no census
+        raise CliError("saw needs --nmax, --z-grid or --bubble-z")
     # printed only once every step has succeeded: a failure discards the files
     lines = []
     if args.nmax is not None:
@@ -237,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--z-grid", default=None, dest="z_grid")
     s.add_argument("--bubble-z", type=float, default=None, dest="bubble_z")
     s.add_argument("--trials", type=int, default=0)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=int, default=None)
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_saw)
 
@@ -264,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
     outputs = OutputSet()
     try:
         return args.func(args, outputs)
-    except (CliError, GroupSpecError, plots.PlotError, ValueError, OSError) as exc:
+    except (CliError, GroupSpecError, plots.PlotError, ValueError, OSError, OverflowError) as exc:
         outputs.discard_all()
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,6 @@
 """Independent oracles that only the tests call: second opinions on the
-package's closed forms, ball distances and crossing thresholds,
+package's closed forms (the block sums summed syllable by syllable among
+them), ball distances and crossing thresholds,
 normal-form word arithmetic, which the package's integer-array balls do
 without, the SAW census's power series, chi bracket and bubble sums, and
 mean-field exponent fits on the exact tree values."""
@@ -148,6 +149,23 @@ def cycle_saw_arcs(m: int, z: Fraction) -> Fraction:
                 total += z ** len(seen)
                 stack.append((w, seen | {w}))
     return total
+
+
+def block_sums_by_syllable(m: int | None, z) -> dict:
+    """`blocks`' per-factor sums walks, bubbles, distances and lengths, summed
+    syllable by syllable: over 0 < e < m on Zm, with a = z^e and b = z^(m-e)
+    the weights of syllable e's two arcs (b = 0 on Z2, one edge); the line's
+    closed forms on Z, inf at z >= 1."""
+    if m is None:
+        if z >= 1:
+            return dict.fromkeys(("walks", "bubbles", "distances", "lengths"), math.inf)
+        return {"walks": 2 * z / (1 - z), "bubbles": 2 * z * z / (1 - z * z),
+                "distances": 2 * z / (1 - z) ** 2, "lengths": 2 * z / (1 - z) ** 2}
+    arcs = [(e, z**e, 0 if m == 2 else z ** (m - e)) for e in range(1, m)]
+    return {"walks": sum(a + b for _, a, b in arcs),
+            "bubbles": sum((a + b) ** 2 for _, a, b in arcs),
+            "distances": sum(min(e, m - e) * (a + b) for e, a, b in arcs),
+            "lengths": sum(e * a + (m - e) * b for e, a, b in arcs)}
 
 
 def _series_mul(a: list[int], b: list[int]) -> list[int]:

@@ -1,4 +1,5 @@
-"""Block-tree renewal sums: mu, the bubble and the SAW speed against the
+"""Block-tree renewal sums: the closed-form block sums against their
+syllable-by-syllable sums, and mu, the bubble and the SAW speed against the
 census, brute force and closed forms."""
 
 import math
@@ -9,7 +10,7 @@ import pytest
 from girthlab import blocks
 from girthlab.groups import parse_group_spec
 from girthlab.saw import bubble_diagram, enumerate_saw
-from oracles import cycle_saw_arcs, renewal_series
+from oracles import block_sums_by_syllable, cycle_saw_arcs, renewal_series
 
 # mu from ROADMAP item 4's block-tree table, to 7 digits
 MU_TABLE = {"Z5*Z5": 2.9744492, "Z2*Z3": 1.7692924, "Z*Z5": 2.9874051,
@@ -32,6 +33,26 @@ def test_renewal_series_is_the_census(spec_text):
         assert counts[12] == 659_376
 
 
+BLOCK_SUMS = (blocks.walks, blocks.bubbles, blocks.distances, blocks.lengths)
+
+
+@pytest.mark.parametrize("m", [None, 2, *range(3, 13), 16, 27, 40, 60, 100])
+@pytest.mark.parametrize("z", [Fraction(0), Fraction(1, 7), Fraction(1, 3), Fraction(2, 5),
+                               Fraction(9, 10), Fraction(1), Fraction(3, 2)])
+def test_block_sums_are_the_syllable_sums(m, z):
+    # the closed forms in G_k(z) = 1 + ... + z^(k-1) equal the per-syllable
+    # sums exactly, at z = 1 (a removable singularity) and beyond it
+    assert {block.__name__: block(m, z) for block in BLOCK_SUMS} == block_sums_by_syllable(m, z)
+
+
+@pytest.mark.parametrize("m", [None, 2, 3, 4, 5, 16, 100])
+def test_block_sums_at_one_and_infinity_in_floats(m):
+    # a closed form's quotient would be nan at z = inf: every sum is inf there
+    for z in (1.0, math.inf):
+        assert {block.__name__: block(m, z) for block in BLOCK_SUMS} == block_sums_by_syllable(m, z)
+    assert set(block_sums_by_syllable(m, math.inf).values()) == {math.inf}
+
+
 @pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
 @pytest.mark.parametrize("z", [Fraction(1, 3), Fraction(2, 7), Fraction(9, 10)])
 def test_walks_is_the_cycle_brute_force(m, z):
@@ -50,12 +71,12 @@ def test_lengths_is_z_times_the_walks_derivative(m):
 @pytest.mark.parametrize("m", [None, 2, 5])
 def test_block_sums_float_and_fraction_agree(m):
     z = Fraction(3, 10)
-    for block in (blocks.walks, blocks.bubbles, blocks.distances, blocks.lengths):
+    for block in BLOCK_SUMS:
         assert block(m, 0.3) == pytest.approx(float(block(m, z)), rel=1e-14)
 
 
 def test_line_block_diverges_at_one():
-    for block in (blocks.walks, blocks.bubbles, blocks.distances, blocks.lengths):
+    for block in BLOCK_SUMS:
         assert block(None, 1.0) == block(None, Fraction(3, 2)) == math.inf
     z5z = parse_group_spec("Z5*Z")
     # an infinite T_f adds 1 to the load, not inf/(1+inf) = nan
@@ -105,10 +126,11 @@ def test_trees_are_exact_at_one_over_d_minus_one():
     assert bubble_diagram(parse_group_spec("Z*Z"), Fraction(1, 3)) == Fraction(5, 3)
 
 
-# Zm*Zm and Z*Zm up to m = 40: from m = 19 on, mu p_c - 1 (about 3^-m) is
+# Zm*Zm and Z*Zm up to m = 100: from m = 19 on, mu p_c - 1 (about 3^-m) is
 # below the brackets' 1e-8, which cannot show it; then the earlier specs
 SEPARATED = list(dict.fromkeys(
-    [f"{f}*Z{m}" for m in (*range(3, 13), 16, 20, 24, 27, 30, 40) for f in (f"Z{m}", "Z")]
+    [f"{f}*Z{m}" for m in (*range(3, 13), 16, 20, 24, 27, 30, 40, 60, 100)
+     for f in (f"Z{m}", "Z")]
     + ["Z5*Z5", "Z3*Z3", "Z2*Z3", "Z*Z5", "Z2*Z3*Z4", "Z4*Z4", "Z7*Z7"]))
 
 
@@ -117,10 +139,11 @@ def test_mu_times_pc_at_least_one(spec_text):
     # every open path is a SAW, so mu p_c >= 1.  Both loads increase, so a
     # rational q with the SAW load >= 1 and the cluster load <= 1 shows
     # z_c <= q <= p_c exactly: bisect in Fractions from z_c's lower end to
-    # p_c's upper end until a midpoint is one
+    # p_c's upper end until a midpoint is one.  At m = 100 the gap p_c - z_c
+    # is about 1e-48, some 131 halvings of the 1e-8 bracket
     spec = parse_group_spec(spec_text)
     lo, hi = blocks.critical_interval(spec, blocks.walks)[0], blocks.pc_interval(spec)[1]
-    for _ in range(100):
+    for _ in range(200):
         q = (lo + hi) / 2
         if blocks.load(spec, blocks.walks, q) < 1:
             lo = q

@@ -192,6 +192,23 @@ def test_saw_without_nmax_names_the_flag(extra, flag, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_saw_trials_need_a_seed(tmp_path, capsys):
+    # Rosenbluth sampling never falls back to a default seed
+    assert run(["saw", "--spec", "Z5*Z5", "--nmax", "6", "--trials", "100"], tmp_path) == 2
+    assert capsys.readouterr().err == "error: --trials needs --seed\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_saw_overflow_exits_two(tmp_path, capsys):
+    # z^e overflows a float: an error line and exit 2, and the census CSV
+    # written before it is discarded
+    args = ["saw", "--spec", "Z5*Z5", "--nmax", "4", "--bubble-z", "1e100"]
+    assert run(args, tmp_path) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ")
+    assert not list(tmp_path.iterdir())
+
+
 def test_saw_failure_names_no_file(tmp_path, capsys):
     # the census CSV is written, then the bubble fails and it is discarded:
     # stdout must not have named it
