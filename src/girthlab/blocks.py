@@ -81,13 +81,18 @@ def renewal(spec: GroupSpec, block, z):
 def critical_interval(spec: GroupSpec, block) -> tuple[Fraction, Fraction]:
     """Fractions lo < z* < hi, hi - lo < 1e-8, with `block`'s load below 1 at
     lo and above 1 at hi: a float bisection of the increasing load picks
-    them, Fractions check them.  ValueError below degree 3."""
+    them, Fractions check them.  The bisection stops once lo*1e9 and hi*1e9
+    lie strictly inside one grid step (k, k+1): rounding is monotone, so no
+    later step moves floor(lo*1e9) or ceil(hi*1e9).  ValueError below degree 3."""
     if spec.degree < 3:
         raise ValueError(f"need degree >= 3, got {spec.degree} on {spec.describe()}")
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = (lo + hi) / 2
         lo, hi = (mid, hi) if load(spec, block, mid) < 1 else (lo, mid)
+        k = math.floor(lo * 1e9)
+        if k == math.floor(hi * 1e9) and lo * 1e9 > k:
+            break
     lo_q, hi_q = Fraction(math.floor(lo * 1e9) - 1, 10**9), Fraction(math.ceil(hi * 1e9) + 1, 10**9)
     if not load(spec, block, lo_q) < 1 < load(spec, block, hi_q):
         raise ArithmeticError(f"critical search on {spec.describe()} left [{lo_q}, {hi_q}]")

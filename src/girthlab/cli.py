@@ -158,7 +158,10 @@ def cmd_saw(args, outputs: OutputSet) -> int:
         outputs.write(cpath, _csv_text(["z", "value", "ratio_lo", "ratio_hi"], crows))
         lines.append(f"chi curve ({len(zs)} points) -> {cpath}")
     if args.bubble_z is not None:
-        bub = saw_mod.bubble_diagram(spec, args.bubble_z)
+        try:
+            bub = saw_mod.bubble_diagram(spec, args.bubble_z)
+        except OverflowError as exc:
+            raise CliError(f"--bubble-z {args.bubble_z}: z^e overflows a float") from exc
         lines.append(f"bubble z={args.bubble_z}: value={bub:.6f} certified={bub < float('inf')}")
     if args.trials:
         res = saw_mod.rosenbluth_sampler(spec, args.nmax, args.trials, args.seed)

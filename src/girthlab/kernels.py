@@ -140,6 +140,18 @@ def kesten_rho(d: int) -> float:
     return 2.0 * math.sqrt(d - 1) / d
 
 
+def kesten_interval(d: int) -> tuple[float, float]:
+    """Floats lo <= K <= hi around Kesten's K = 2 sqrt(d-1)/d: the largest
+    float whose square is <= K^2 = 4(d-1)/d^2 and the smallest whose square
+    is >= it, both checked in Fractions (`kesten_rho` lies on either side)."""
+    k2, lo = Fraction(4 * (d - 1), d * d), kesten_rho(d)
+    while Fraction(lo) ** 2 > k2:
+        lo = math.nextafter(lo, -math.inf)
+    while Fraction(math.nextafter(lo, math.inf)) ** 2 <= k2:
+        lo = math.nextafter(lo, math.inf)
+    return lo, lo if Fraction(lo) ** 2 == k2 else math.nextafter(lo, math.inf)
+
+
 def rho_upper(spec: GroupSpec) -> tuple[Fraction, tuple[Fraction, ...]]:
     """A Fraction lambda >= rho and its witness rationals r_f, one per factor.
 
@@ -461,40 +473,18 @@ def check_nbw_le_rho_power(
     return _check("nbw_le_rho_power", ball, n_max, rho_ub, test_vertices, exact, nbw)
 
 
-def series_tail(base, start: int, legs: int = 1, exact: bool = False):
-    """sum_{s >= start} C(s+legs-1, legs-1) base^s, in closed form.
+def series_tail(base, start: int, exact: bool = False):
+    """The geometric tail sum_{s >= start} base^s = base^start / (1 - base).
 
-    The coefficient counts the ways to split s steps over `legs` chained
-    legs, so legs = 1 is the geometric tail base^start / (1 - base).  In
-    general the sum is base^start * sum_{j<legs} C(start+legs-1, legs-1-j)
-    base^j / (1-base)^{j+1}.  Exact mode works in Fractions, reading a
-    float base at its exact binary value; a Fraction base in float mode
-    gives a float.  inf when base >= 1, where the
-    series diverges.  Raises ValueError if base < 0 or legs < 1.
+    Exact mode works in Fractions, reading a float base at its exact binary
+    value; a Fraction base in float mode gives a float.  inf when base >= 1,
+    where the series diverges.  Raises ValueError if base < 0.
     """
-    if not base >= 0 or legs < 1:
-        raise ValueError("series_tail needs base >= 0 and legs >= 1")
+    if not base >= 0:
+        raise ValueError("series_tail needs base >= 0")
     if base >= 1:
         return math.inf
     if exact:
         base = Fraction(base)  # a float base at its exact binary value
     rest = (Fraction(1) if exact else 1.0) - base
-    return sum(math.comb(start + legs - 1, legs - 1 - j) * base ** (start + j) / rest ** (j + 1)
-               for j in range(legs))
-
-
-def chained_tail(d: int, rho_ub: float, x: float, start: int, legs: int) -> float:
-    """Tail over s >= start of the envelope of `legs` chained two-point
-    functions at weight x per step.
-
-    The kernel bound q^n(0,y) <= rho^n / (1 - rho) and the (d-1)^n
-    branching of non-backtracking paths give the two-point envelope
-    d/((d-1)(1-rho)) * sum_n lam^n, lam = x(d-1)rho; chaining `legs` of
-    them (the bubble is 2, the triangle 3) gives
-    (d/((d-1)(1-rho)))^legs * series_tail(lam, start, legs).  inf when
-    lam >= 1.  Raises ValueError if rho_ub is not in (0, 1), or x < 0.
-    """
-    if not 0 < rho_ub < 1:
-        raise ValueError("need 0 < rho_ub < 1")
-    pref = d / ((d - 1) * (1.0 - rho_ub))
-    return pref**legs * series_tail(x * (d - 1) * rho_ub, start, legs)
+    return base**start / rest

@@ -170,26 +170,6 @@ def two_point(
     return binomial_estimate(hits, trials), exact
 
 
-def tree_triangle_exact(d: int, p: float) -> float:
-    """Closed-form triangle sum on the d-regular tree via the tripod
-    decomposition: every pair (x, y) has a median c of the triple
-    (0, x, y), and the weight is p^{2(u+v+w)} for arm lengths u, v, w."""
-    if p * p * (d - 1) >= 1.0:
-        raise ValueError("series diverges: p^2 (d-1) >= 1")
-    q = p * p
-
-    def arm(first_count: int) -> float:
-        # sum_{v >= 1} first_count * (d-1)^{v-1} * q^v
-        return first_count * q / (1.0 - (d - 1) * q)
-
-    # median at the root: arms (toward x, toward y) take distinct directions
-    at_root = 1.0 + 2 * arm(d) + arm(d) * arm(d - 1)
-    # median at distance u >= 1: sum of d (d-1)^{u-1} q^u center weights is
-    # arm(d) again; both arms must avoid the root direction
-    per_center = 1.0 + 2 * arm(d - 1) + arm(d - 1) * arm(d - 2)
-    return at_root + arm(d) * per_center
-
-
 def nonuniqueness_witness(
     spec: GroupSpec,
     p: float,

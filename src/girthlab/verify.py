@@ -5,7 +5,8 @@ A job is a spec and `bnp_C`, and it builds no ball.  Every input is a
 family, and none is sampled: rho, p_c and the SAW critical point z_c are
 closed forms or exact Fraction witnesses rounded outward, and mu = 1/z_c,
 the bubble and the SAW speed follow by `blocks`.  Claims that cannot fail
-for true inputs (a certified rho's kernel theorems, mu p_c >= 1) are tests.
+for true inputs (a certified rho's kernel theorems, mu p_c >= 1, the
+triangle diagram finite at p_c) are tests.
 Every entry compares two brackets, derived ends rounded outward from
 Fractions, by the one rule `status`: NaN ends (no bnp_C) are inconclusive.
 """
@@ -20,9 +21,9 @@ from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import blocks, branching, percolation, saw as saw_mod
+from . import blocks, branching, saw as saw_mod
 from .groups import GroupSpec, parse_group_spec
-from .kernels import chained_tail, float_above, kesten_rho, rho_upper
+from .kernels import float_above, kesten_interval, rho_upper
 
 PASS = "pass"
 FAIL = "fail"
@@ -224,32 +225,26 @@ def _outward(lo, hi) -> Bracket:
 
 def _tree_inputs(spec: GroupSpec):
     """A tree's inputs, all closed forms: (bracket, provenance) pairs for
-    rho, p_c, the triangle and z_c (Fractions, here the point 1/(d-1))."""
+    rho, p_c and z_c (Fractions, here the point 1/(d-1))."""
     d = spec.degree
-    pc = point(branching.critical_probability(d))
-    return ((point(kesten_rho(d)), "exact: Kesten's 2*sqrt(d-1)/d"),
-            (pc, "closed form 1/(d-1), Lyons-Peres ch. 5"),
-            (point(percolation.tree_triangle_exact(d, pc.hi)), "tree closed form (tripod sum)"),
+    return ((Bracket(*kesten_interval(d)), "Kesten's 2*sqrt(d-1)/d, rounded outward"),
+            (point(branching.critical_probability(d)), "closed form 1/(d-1), Lyons-Peres ch. 5"),
             ((Fraction(1, d - 1),) * 2, "exact: d-1"))
 
 
 def _free_product_inputs(spec: GroupSpec):
     """Any other free product's inputs, as `_tree_inputs` returns them:
-    rho in [K, lambda] with `kernels.rho_upper`'s lambda rounded up, p_c
+    rho in [K, lambda], K rounded down and `kernels.rho_upper`'s lambda up, p_c
     in `blocks.pc_interval`'s Fraction ends rounded outward and z_c in
     `blocks.critical_interval`'s for `blocks.walks`."""
     d = spec.degree
     lam, rs = rho_upper(spec)
-    rho = Bracket(kesten_rho(d), float_above(lam))
+    rho = Bracket(kesten_interval(d)[0], float_above(lam))
     lo, hi = blocks.pc_interval(spec)
     pc, z = _outward(lo, hi), blocks.critical_interval(spec, blocks.walks)
-    return ((rho, "lo: Kesten's 2*sqrt(d-1)/d; "
+    return ((rho, "lo: Kesten's 2*sqrt(d-1)/d, rounded down; "
                   f"hi: superharmonic witness r=({', '.join(map(str, rs))})"),
             (pc, f"chi = 1/(1 - sum_f T_f/(1+T_f)) finite at lo={lo}, infinite at hi={hi}"),
-            # the x = y = 0 term tau(0,0)^3 = 1 below, the whole three-leg
-            # envelope above: finite exactly when pc.hi*(d-1)*rho.hi < 1
-            (Bracket(1.0, chained_tail(d, rho.hi, pc.hi, 0, legs=3)),
-             "whole three-leg envelope from s = 0"),
             (z, f"1/z_c: SAW arcs' sum_f T_f/(1+T_f) below 1 at z={z[0]}, above 1 at z={z[1]}"))
 
 
@@ -259,7 +254,7 @@ def _graph_certificate(job: GraphJob) -> dict:
     big_c = math.nan if job.bnp_c is None else job.bnp_c
     # girth is the smallest cyclic order >= 3, infinite on trees
     girth = math.inf if spec.known_girth is None else float(spec.known_girth)
-    (rho, rho_prov), (pc, pc_prov), (tri, tri_note), ((z_lo, z_hi), mu_prov) = (
+    (rho, rho_prov), (pc, pc_prov), ((z_lo, z_hi), mu_prov) = (
         _tree_inputs(spec) if spec.is_tree else _free_product_inputs(spec))
     # mu = 1/z_c; the bubble and the speed at z_c, bracketed over z_c's ends
     mu = _outward(1 / z_hi, 1 / z_lo)
@@ -270,7 +265,6 @@ def _graph_certificate(job: GraphJob) -> dict:
         check_perccond(d, pc, rho),
         check_girth_threshold(rho, big_c, girth),
         check_bnp_bound(d, girth, rho, big_c, pc),
-        Entry("triangle_finite", "triangle diagram finite at pc", tri, INF, True, tri_note),
         Entry("bubble_finite", "bubble diagram finite at 1/mu", bub, INF, True,
               "1/(1 - sum_f A_f/(1+A_f)) at z_c's ends"),
         check_endpoint_decay(d, rho, mu),

@@ -1,8 +1,10 @@
 """Independent oracles that only the tests call: second opinions on the
 package's closed forms (the block sums summed syllable by syllable among
-them), ball distances and crossing thresholds,
-normal-form word arithmetic, which the package's integer-array balls do
-without, the SAW census's power series, chi bracket and bubble sums, and
+them, and the critical bisection without its early stop), ball distances
+and crossing thresholds, normal-form word arithmetic, which the package's
+integer-array balls do without, the SAW census's power series, chi bracket
+and bubble sums, the triangle diagram (the exact block-tree sum, the tree's
+tripod sum, brute-force ball sums and the paper's three-leg envelope), and
 mean-field exponent fits on the exact tree values."""
 
 import decimal
@@ -10,7 +12,7 @@ import heapq
 import math
 from fractions import Fraction
 
-from girthlab import branching
+from girthlab import blocks, branching
 from girthlab.branching import FIXED_POINT_TOL
 from girthlab.groups import Ball, GroupSpec, Word
 from girthlab.kernels import series_tail
@@ -166,6 +168,143 @@ def block_sums_by_syllable(m: int | None, z) -> dict:
             "bubbles": sum((a + b) ** 2 for _, a, b in arcs),
             "distances": sum(min(e, m - e) * (a + b) for e, a, b in arcs),
             "lengths": sum(e * a + (m - e) * b for e, a, b in arcs)}
+
+
+def critical_interval_60(spec: GroupSpec, block) -> tuple[Fraction, Fraction]:
+    """`blocks.critical_interval`'s grid ends from its whole 60-step float
+    bisection, with no early stop and no Fraction check."""
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if blocks.load(spec, block, mid) < 1 else (lo, mid)
+    return Fraction(math.floor(lo * 1e9) - 1, 10**9), Fraction(math.ceil(hi * 1e9) + 1, 10**9)
+
+
+def triangle_blocks(m: int | None, p) -> tuple[Fraction, Fraction]:
+    """(Q, C) of a factor's block at bond density p, in Fractions: Q = sum
+    over e != 0 of tau_e^2 and C = sum over ordered distinct u, v != 0 of
+    tau(0,u) tau(u,v) tau(v,0), with tau the connection probability inside
+    the block.  On Zm, tau_e = p^e + p^(m-e) - p^m (either arc open), summed
+    position by position in integers over the common denominator b^m of
+    p = a/b; on Z, tau_k = p^|k|, so Q = 2q/(1-q) and C = 6q^2/(1-q)^2 with
+    q = p^2 (three points of span L >= 2: 6(L-1) ordered pairs); on Z2, one
+    edge: (p^2, 0)."""
+    p = Fraction(p)
+    if m is None:
+        q = p * p
+        return 2 * q / (1 - q), 6 * q * q / (1 - q) ** 2
+    if m == 2:
+        return p * p, Fraction(0)
+    a, b = p.numerator, p.denominator
+    t = [b**m] + [a**e * b ** (m - e) + a ** (m - e) * b**e - a**m for e in range(1, m)]
+    return (Fraction(sum(x * x for x in t[1:]), b ** (2 * m)),
+            Fraction(sum(t[u] * t[(v - u) % m] * t[v]
+                         for u in range(1, m) for v in range(1, m) if u != v), b ** (3 * m)))
+
+
+def block_triangle(spec: GroupSpec, p):
+    """The triangle diagram sum_{x,y} tau(0,x) tau(x,y) tau(y,0) at bond
+    density p, exactly in Fractions (inf where it diverges), by the median
+    of each triple (0, x, y) on the block tree.
+
+    tau factors over the blocks a path crosses, so an arm leaving a vertex
+    by a factor-f block weighs R_f = Q_f (1+S)/(1+Q_f) in all, where
+    S = s/(1-s) renews over the next block and s = sum_f Q_f/(1+Q_f), the
+    squared load: the sum is finite iff s < 1.  A vertex median takes
+    three arms in distinct factors, any of them empty: 1 + 3 e_1 + 6 e_2 +
+    6 e_3 in the elementary symmetric sums e_k of the R_f.  A block median
+    meets a factor-f block at three distinct vertices, each with an arm
+    that avoids f: sum_f (1+S-R_f)^3 C_f, (Q_f, C_f) = `triangle_blocks`."""
+    sums = [triangle_blocks(m, p) for m in spec.orders]
+    s = sum(q / (1 + q) for q, _ in sums)
+    if s >= 1:
+        return math.inf
+    big_s = s / (1 - s)
+    rs = [q * (1 + big_s) / (1 + q) for q, _ in sums]
+    e = [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
+    for r in rs:
+        for k in (3, 2, 1):
+            e[k] += e[k - 1] * r
+    return (1 + 3 * e[1] + 6 * e[2] + 6 * e[3]
+            + sum((1 + big_s - r) ** 3 * c for r, (_, c) in zip(rs, sums)))
+
+
+def tree_triangle_exact(d: int, p):
+    """Closed-form triangle sum on the d-regular tree via the tripod
+    decomposition: every pair (x, y) has a median c of the triple
+    (0, x, y), and the weight is p^{2(u+v+w)} for arm lengths u, v, w.
+    Exact for a Fraction p."""
+    if p * p * (d - 1) >= 1:
+        raise ValueError("series diverges: p^2 (d-1) >= 1")
+    q = p * p
+
+    def arm(first_count: int):
+        # sum_{v >= 1} first_count * (d-1)^{v-1} * q^v
+        return first_count * q / (1 - (d - 1) * q)
+
+    # median at the root: arms (toward x, toward y) take distinct directions
+    at_root = 1 + 2 * arm(d) + arm(d) * arm(d - 1)
+    # median at distance u >= 1: sum of d (d-1)^{u-1} q^u center weights is
+    # arm(d) again; both arms must avoid the root direction
+    per_center = 1 + 2 * arm(d - 1) + arm(d - 1) * arm(d - 2)
+    return at_root + arm(d) * per_center
+
+
+def ball_triangle(ball: Ball, p: float) -> float:
+    """The triangle sum over the pairs (x, y) of `ball`, in floats, with
+    tau(x, y) the product over the syllables of x^{-1} y of the connection
+    probability inside each block: p^|k| on Z, p on Z2 and
+    p^e + p^(m-e) - p^m on Zm."""
+    spec = ball.spec
+
+    def block_tau(m: int | None, e: int) -> float:
+        if m is None:
+            return p ** abs(e)
+        return p if m == 2 else p**e + p ** (m - e) - p**m
+
+    def tau(word: Word) -> float:
+        return math.prod(block_tau(spec.orders[f], e) for f, e in word)
+
+    words = [ball.word(v) for v in range(ball.n_vertices)]
+    to_root = [tau(w) for w in words]
+    return sum(to_root[i] * to_root[j] * tau(multiply(spec, inverse(spec, x), y))
+               for i, x in enumerate(words) for j, y in enumerate(words))
+
+
+def legs_tail(base, start: int, legs: int, exact: bool = False):
+    """sum_{s >= start} C(s+legs-1, legs-1) base^s, in closed form.
+
+    The coefficient counts the ways to split s steps over `legs` chained
+    legs; the sum is base^start * sum_{j<legs} C(start+legs-1, legs-1-j)
+    base^j / (1-base)^{j+1}, and legs = 1 is `kernels.series_tail`, bit for
+    bit.  Exact mode works in Fractions, reading a float base at its exact
+    binary value.  inf when base >= 1.  Raises ValueError if base < 0 or
+    legs < 1."""
+    if not base >= 0 or legs < 1:
+        raise ValueError("legs_tail needs base >= 0 and legs >= 1")
+    if base >= 1:
+        return math.inf
+    if exact:
+        base = Fraction(base)
+    rest = (Fraction(1) if exact else 1.0) - base
+    return sum(math.comb(start + legs - 1, legs - 1 - j) * base ** (start + j) / rest ** (j + 1)
+               for j in range(legs))
+
+
+def chained_tail(d: int, rho_ub: float, x: float, start: int, legs: int) -> float:
+    """The paper's envelope: the tail over s >= start of `legs` chained
+    two-point functions at weight x per step.
+
+    The kernel bound q^n(0,y) <= rho^n / (1 - rho) and the (d-1)^n
+    branching of non-backtracking paths give the two-point envelope
+    d/((d-1)(1-rho)) * sum_n lam^n, lam = x(d-1)rho; chaining `legs` of
+    them (the bubble is 2, the triangle 3) gives
+    (d/((d-1)(1-rho)))^legs * legs_tail(lam, start, legs), finite iff
+    lam < 1.  Raises ValueError if rho_ub is not in (0, 1), or x < 0."""
+    if not 0 < rho_ub < 1:
+        raise ValueError("need 0 < rho_ub < 1")
+    pref = d / ((d - 1) * (1.0 - rho_ub))
+    return pref**legs * legs_tail(x * (d - 1) * rho_ub, start, legs)
 
 
 def _series_mul(a: list[int], b: list[int]) -> list[int]:

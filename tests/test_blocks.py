@@ -1,16 +1,30 @@
 """Block-tree renewal sums: the closed-form block sums against their
-syllable-by-syllable sums, and mu, the bubble and the SAW speed against the
-census, brute force and closed forms."""
+syllable-by-syllable sums, mu, the bubble and the SAW speed against the
+census, brute force and closed forms, the critical bisection against its
+whole 60 steps, and the triangle condition at p_c, exactly."""
 
 import math
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
 from girthlab import blocks
-from girthlab.groups import parse_group_spec
+from girthlab.groups import ball, parse_group_spec
+from girthlab.kernels import float_above, kesten_interval, rho_upper
 from girthlab.saw import bubble_diagram, enumerate_saw
-from oracles import block_sums_by_syllable, cycle_saw_arcs, renewal_series
+from girthlab.verify import GraphJob, VerifyConfig, run_certificate
+from oracles import (
+    ball_triangle,
+    block_sums_by_syllable,
+    block_triangle,
+    chained_tail,
+    critical_interval_60,
+    cycle_saw_arcs,
+    renewal_series,
+    tree_triangle_exact,
+    triangle_blocks,
+)
 
 # mu from ROADMAP item 4's block-tree table, to 7 digits
 MU_TABLE = {"Z5*Z5": 2.9744492, "Z2*Z3": 1.7692924, "Z*Z5": 2.9874051,
@@ -152,3 +166,86 @@ def test_mu_times_pc_at_least_one(spec_text):
         else:
             return
     pytest.fail(f"no separator in [{lo}, {hi}]")
+
+
+# every two-factor spec over {Z, Z2, ..., Z40} but Z2*Z2 (degree 2), then six more
+FACTORS = ["Z", *(f"Z{m}" for m in range(2, 41))]
+SWEEP = [f"{a}*{b}" for a, b in combinations_with_replacement(FACTORS, 2) if (a, b) != ("Z2", "Z2")]
+SWEEP += ["Z*Z*Z", "Z2*Z2*Z2", "Z*Z2", "Z2*Z3*Z4", "Z60*Z60", "Z100*Z100"]
+
+
+def test_critical_interval_stops_at_the_60_step_ends():
+    # once lo*1e9 and hi*1e9 share a grid step, no later step moves the
+    # rounded ends: the early stop gives the whole bisection's brackets
+    for text in SWEEP:
+        spec = parse_group_spec(text)
+        for block in (blocks.block_connections, blocks.walks):
+            got = blocks.critical_interval(spec, block)
+            assert got == critical_interval_60(spec, block), (text, block.__name__)
+
+
+# the triangle at p = 1/(d-1) on trees, the tripod sums
+TREE_TRIANGLES = [("Z*Z", 4, Fraction(37, 9)), ("Z2*Z2*Z2", 3, Fraction(43, 4)),
+                  ("Z*Z*Z", 6, Fraction(107, 50)), ("Z*Z2*Z2*Z2", 5, Fraction(389, 144))]
+
+
+@pytest.mark.parametrize("spec_text,d,want", TREE_TRIANGLES)
+def test_block_triangle_is_the_tripod_sum_on_trees(spec_text, d, want):
+    p = Fraction(1, d - 1)
+    assert block_triangle(parse_group_spec(spec_text), p) == tree_triangle_exact(d, p) == want
+
+
+def test_block_triangle_is_the_limit_of_ball_sums():
+    # on Z5*Z5 at p = 3/20 the sums over the pairs of radius-R balls rise to it
+    spec = parse_group_spec("Z5*Z5")
+    exact = block_triangle(spec, Fraction(3, 20))
+    r3, r4 = (ball_triangle(ball(spec, radius), 0.15) for radius in (3, 4))
+    assert r3 < r4 < exact
+    assert (r3, r4, float(exact)) == pytest.approx((1.3167007, 1.3169726, 1.31699625), abs=5e-8)
+
+
+# the triangle at p_c's upper end where perccond does not pass, to 2 decimals
+PERCCOND_OPEN = {"Z2*Z3": 75.95, "Z2*Z4": 32.51, "Z2*Z5": 21.30, "Z3*Z3": 17.00,
+                 "Z3*Z4": 10.63, "Z3*Z5": 8.49, "Z3*Z6": 7.60}
+TRIANGLE_SPECS = list(dict.fromkeys(
+    [f"{f}*Z{m}" for m in (*range(3, 13), 16, 27) for f in (f"Z{m}", "Z")] + list(PERCCOND_OPEN)))
+
+
+@pytest.mark.parametrize("spec_text", TRIANGLE_SPECS)
+def test_triangle_finite_at_pc(spec_text):
+    # the triangle condition: off the root every tau_e < 1, so Q_f < T_f, and
+    # the squared load sum_f Q_f/(1+Q_f) lies below the cluster load, which
+    # is 1 at p_c.  At p_c's upper end it is below 1 in Fractions, so the
+    # triangle is finite there, and it bounds the triangle at p_c
+    spec = parse_group_spec(spec_text)
+    hi = blocks.pc_interval(spec)[1]
+    squares = [triangle_blocks(m, hi)[0] for m in spec.orders]
+    assert all(q < blocks.block_connections(m, hi) for q, m in zip(squares, spec.orders))
+    assert blocks.load(spec, lambda m, p: triangle_blocks(m, p)[0], hi) < 1
+    tri = block_triangle(spec, hi)
+    assert 1 < tri < math.inf
+    if spec_text in PERCCOND_OPEN:
+        assert float(tri) == pytest.approx(PERCCOND_OPEN[spec_text], abs=0.005)
+
+
+@pytest.mark.parametrize("spec_text", [*TRIANGLE_SPECS, "Z*Z", "Z2*Z2*Z2", "Z*Z*Z", "Z2*Z3*Z4"])
+def test_block_triangle_is_below_the_envelope(spec_text):
+    # the paper's three-leg envelope from s = 0 at the certificate's rho.hi
+    # and p_c.hi is finite exactly where perccond passes, and there it
+    # bounds the triangle, loosely: 5.3193 against 3,520,704 on Z5*Z5
+    spec = parse_group_spec(spec_text)
+    g = run_certificate(VerifyConfig([GraphJob(spec_text)])).graphs[0]
+    perccond = {e["id"]: e for e in g["entries"]}["perccond"]["status"]
+    d, rho, pc = g["inputs"]["degree"], g["inputs"]["rho"]["hi"], g["inputs"]["pc_interval"]["hi"]
+    # rho is Kesten's K rounded outward on trees, [K rounded down, the
+    # witness's lambda rounded up] on the other free products
+    k_lo, k_hi = kesten_interval(d)
+    assert g["inputs"]["rho"]["lo"] == k_lo
+    assert rho == (k_hi if spec.is_tree else float_above(rho_upper(spec)[0]))
+    envelope = chained_tail(d, rho, pc, 0, 3)
+    assert (envelope < math.inf) == (perccond == "pass")
+    if perccond == "pass":
+        assert block_triangle(spec, pc) <= envelope
+    if spec_text == "Z5*Z5":
+        assert (float(block_triangle(spec, pc)), envelope) == pytest.approx((5.3193, 3_520_704),
+                                                                            abs=0.5)

@@ -200,12 +200,12 @@ def test_saw_trials_need_a_seed(tmp_path, capsys):
 
 
 def test_saw_overflow_exits_two(tmp_path, capsys):
-    # z^e overflows a float: an error line and exit 2, and the census CSV
-    # written before it is discarded
+    # z^e overflows a float: an error line naming the flag and its value,
+    # exit 2, and the census CSV written before it is discarded
     args = ["saw", "--spec", "Z5*Z5", "--nmax", "4", "--bubble-z", "1e100"]
     assert run(args, tmp_path) == 2
     out = capsys.readouterr()
-    assert out.out == "" and out.err.startswith("error: ")
+    assert out.out == "" and out.err == "error: --bubble-z 1e+100: z^e overflows a float\n"
     assert not list(tmp_path.iterdir())
 
 
@@ -315,7 +315,7 @@ def test_readme_config_block(tmp_path, capsys):
     z5 = {status: sorted(i for i, s in by_graph["Z5*Z5"].items() if s == status)
           for status in ("pass", "fail", "inconclusive")}
     assert z5 == {"pass": ["bubble_finite", "endpoint_decay", "pc_degree_girth_bound",
-                           "perccond", "saw_speed_positive", "triangle_finite"],
+                           "perccond", "saw_speed_positive"],
                   "fail": ["girth_threshold"],
                   "inconclusive": []}
     assert cert.failed
@@ -361,7 +361,7 @@ def test_readme_certificate_golden_digest():
     block = re.search(r"```ini\n(.*?)```", README, re.S).group(1)
     doc = run_certificate(parse_verify_config(block)).to_json(include_meta=False)
     assert (hashlib.sha256(doc.encode()).hexdigest()
-            == "14355cd6c44578c45af30877445409b6c270ade8151eae039575525026ec9b08")
+            == "076ba2eb49624df58ad6cd9797cf4879e525267ea243b75397bd0efe0c6b71c5")
 
 
 NO_RHO_UB_CONFIG = """\
@@ -377,7 +377,7 @@ def test_no_rho_ub_certificate_golden_digest():
     # p_c from its exact bracket; Z2*Z3*Z4 has no bnp_C
     doc = run_certificate(parse_verify_config(NO_RHO_UB_CONFIG)).to_json(include_meta=False)
     assert (hashlib.sha256(doc.encode()).hexdigest()
-            == "6fec2226f070ca202b3dd98bfcfcda76dde7a25df0990f2becb4859507b050a2")
+            == "b3e1ec420fb7f8eb587177f664efc5c3a0eb3be439bbd7845e210c770e71349a")
 
 
 def _count_calls(monkeypatch, real):

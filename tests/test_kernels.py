@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 from girthlab.groups import ball, parse_group_spec
 from girthlab.kernels import (
     FLOAT_MASS_TOL,
-    chained_tail,
     check_nbw_le_rho_power,
     check_nbw_le_srw_tail,
     estimate_spectral_radius,
     float_above,
+    kesten_interval,
     kesten_rho,
     kesten_rho_upper_fraction,
     nbw_kernel,
@@ -25,7 +25,7 @@ from girthlab.kernels import (
 )
 from girthlab.saw import bubble_diagram, enumerate_saw
 from girthlab.verify import FAIL, PASS, point, status
-from oracles import census_bubble, superharmonic_ratio
+from oracles import census_bubble, chained_tail, legs_tail, superharmonic_ratio
 
 F2 = parse_group_spec("Z*Z")
 Z5Z5 = parse_group_spec("Z5*Z5")
@@ -199,6 +199,21 @@ def test_to_csv_rows():
 def test_kesten_values():
     assert kesten_rho(4) == pytest.approx(math.sqrt(3) / 2)
     assert kesten_rho(3) == pytest.approx(2 * math.sqrt(2) / 3)
+
+
+@pytest.mark.parametrize("d", range(3, 41))
+def test_kesten_interval_is_outward(d):
+    # the nearest float to K = 2 sqrt(d-1)/d lies above K at d = 3, 5, 8 and
+    # below it at d = 4, 6, 7: the ends are the floats either side of K,
+    # checked on K^2 = 4(d-1)/d^2 in Fractions (K is no float for d >= 3)
+    k2 = Fraction(4 * (d - 1), d * d)
+    lo, hi = kesten_interval(d)
+    assert Fraction(lo) ** 2 < k2 < Fraction(hi) ** 2
+    assert hi == math.nextafter(lo, math.inf)
+    assert kesten_rho(d) in (lo, hi)
+    above = {3: True, 5: True, 8: True, 4: False, 6: False, 7: False}
+    if d in above:
+        assert (kesten_rho(d) == hi) == above[d]
 
 
 def test_kesten_upper_fraction_is_upper_bound():
@@ -542,7 +557,8 @@ def test_kernel_inequalities_reject_non_integer_vertices(exact, vertex):
     assert [type(e.params["x"]) for e in result] == [int] * 9
 
 
-# --- closed-form envelope tails ----------------------------------------------
+# --- closed-form envelope tails: the kernel checks' one-leg tail and the
+# paper's chained envelope (a test oracle) -----------------------------------
 
 @pytest.mark.parametrize("legs", [1, 2, 3])
 @pytest.mark.parametrize("start", [0, 1, 7])
@@ -554,28 +570,28 @@ def test_series_tail_telescopes_exactly(base, start, legs):
 
     for terms in (1, 5):
         head = sum(coeff(s) * base**s for s in range(start, start + terms))
-        assert (series_tail(base, start, legs, exact=True) - head
-                == series_tail(base, start + terms, legs, exact=True))
+        assert (legs_tail(base, start, legs, exact=True) - head
+                == legs_tail(base, start + terms, legs, exact=True))
     if start == 0:
         # the full sum is the negative binomial series (1 - base)^-legs
-        assert series_tail(base, 0, legs, exact=True) == (1 - base) ** -legs
+        assert legs_tail(base, 0, legs, exact=True) == (1 - base) ** -legs
 
 
 @pytest.mark.parametrize("legs", [1, 2, 3])
 @pytest.mark.parametrize("start", [0, 1, 7, 40])
 @pytest.mark.parametrize("base", [0.1, 0.5, 0.866, 0.99, 1 - 1e-6])
 def test_series_tail_float_matches_fraction(base, start, legs):
-    exact = series_tail(Fraction(base), start, legs, exact=True)
-    assert series_tail(base, start, legs) == pytest.approx(float(exact), rel=1e-13)
+    exact = legs_tail(Fraction(base), start, legs, exact=True)
+    assert legs_tail(base, start, legs) == pytest.approx(float(exact), rel=1e-13)
 
 
 @pytest.mark.parametrize("legs", [1, 2, 3])
 def test_series_tail_exact_reads_a_float_base_exactly(legs):
-    got = series_tail(0.95, 6, legs, exact=True)
+    got = legs_tail(0.95, 6, legs, exact=True)
     assert type(got) is Fraction
-    assert got == series_tail(Fraction(0.95), 6, legs, exact=True)
+    assert got == legs_tail(Fraction(0.95), 6, legs, exact=True)
     if legs == 1:
-        assert got == Fraction(0.95) ** 6 / (1 - Fraction(0.95))
+        assert got == series_tail(0.95, 6, exact=True) == Fraction(0.95) ** 6 / (1 - Fraction(0.95))
 
 
 def test_series_tail_one_leg_is_the_geometric_tail():
@@ -584,14 +600,23 @@ def test_series_tail_one_leg_is_the_geometric_tail():
     assert series_tail(rho, 5, exact=True) == rho**5 / (1 - rho)
     assert series_tail(rho, 5) == rho**5 / (1.0 - rho)
     assert series_tail(0.7, 5) == 0.7**5 / (1.0 - 0.7)
+    # and equals the envelope oracle's one leg, bit for bit and in type
+    for base in (rho, 0.7, 0.0, 0, Fraction(0.95), 0.999999):
+        for start in (0, 1, 7, 40):
+            for exact in (False, True):
+                got, want = series_tail(base, start, exact=exact), legs_tail(base, start, 1, exact)
+                assert (got, type(got)) == (want, type(want))
 
 
 def test_series_tail_edges():
-    assert series_tail(1.0, 3, 2) == math.inf
+    assert series_tail(1.0, 3) == legs_tail(1.0, 3, 2) == math.inf
     assert series_tail(Fraction(3, 2), 0) == math.inf
+    for base in (-0.1, math.nan):
+        with pytest.raises(ValueError):
+            series_tail(base, 0)
     for base, legs in ((-0.1, 1), (math.nan, 1), (0.5, 0)):
         with pytest.raises(ValueError):
-            series_tail(base, 0, legs)
+            legs_tail(base, 0, legs)
 
 
 def test_chained_tail_two_point_envelope():
@@ -621,7 +646,7 @@ def test_chained_tail_finite_just_below_one():
             # in Fractions at the same float lam: 1 - lam is exact in float
             lam = Fraction(x * (d - 1) * rho)
             exact = ((Fraction(d) / ((d - 1) * (1 - Fraction(rho)))) ** legs
-                     * series_tail(lam, 5, legs, exact=True))
+                     * legs_tail(lam, 5, legs, exact=True))
             assert tail == pytest.approx(float(exact), rel=1e-13)
 
 

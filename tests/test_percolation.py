@@ -19,7 +19,6 @@ from girthlab.percolation import (
     oracle_witness_radius,
     pc_bracket,
     susceptibility,
-    tree_triangle_exact,
     two_point,
 )
 from girthlab.rng import trial_rng
@@ -31,6 +30,7 @@ from oracles import (
     fit_gamma,
     inverse,
     multiply,
+    tree_triangle_exact,
     word_length,
 )
 

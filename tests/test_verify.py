@@ -12,8 +12,7 @@ import conftest
 from girthlab import verify
 from girthlab.cli import main
 from girthlab.groups import parse_group_spec
-from girthlab.kernels import chained_tail, float_above, kesten_rho, rho_upper
-from girthlab.percolation import tree_triangle_exact
+from girthlab.kernels import kesten_interval, kesten_rho
 from girthlab.saw import connective_constant, enumerate_saw
 from girthlab.verify import (
     Bracket,
@@ -22,7 +21,6 @@ from girthlab.verify import (
     GraphJob,
     VerifyConfig,
     _bnp_term,
-    _num,
     check_bnp_bound,
     check_endpoint_decay,
     check_girth_threshold,
@@ -182,7 +180,7 @@ def _small_config(**overrides):
 
 EXPECTED_IDS = {
     "perccond", "girth_threshold", "pc_degree_girth_bound",
-    "triangle_finite", "bubble_finite", "endpoint_decay", "saw_speed_positive",
+    "bubble_finite", "endpoint_decay", "saw_speed_positive",
 }
 
 
@@ -195,7 +193,8 @@ def test_run_certificate_tree_all_pass():
     assert not cert.failed
     assert cert.inconclusive_count == 0
     assert g["inputs"]["girth"] == "infinite (tree)"
-    assert g["inputs"]["rho"]["lo"] == g["inputs"]["rho"]["hi"] == kesten_rho(4)
+    # K = sqrt(3)/2 between the floats either side of it
+    assert (g["inputs"]["rho"]["lo"], g["inputs"]["rho"]["hi"]) == kesten_interval(4)
     assert g["inputs"]["mu"]["lo"] == g["inputs"]["mu"]["hi"] == 3.0
     pc = g["inputs"]["pc_interval"]
     assert pc["lo"] == pc["hi"] == 1 / 3
@@ -267,36 +266,6 @@ def test_certificate_girth_from_closed_form():
     assert cert.graphs[0]["inputs"]["girth"] == "7"
     by_id = {e["id"]: e for e in cert.entries}
     assert by_id["girth_threshold"]["rhs"] == 7.0
-
-
-@pytest.mark.parametrize("spec_text,stale_rho_ub", [
-    ("Z*Z", None), ("Z2*Z2*Z2", None),
-    ("Z5*Z5", 0.95), ("Z*Z*Z5", 0.76), ("Z5*Z5", None),
-])
-def test_triangle_entry_is_closed_form_or_whole_envelope(spec_text, stale_rho_ub):
-    # an older config's rho_ub line is ignored: the envelope reads the
-    # witness's rho, with or without it
-    text = f"[verify]\n[graph:{spec_text}]\nbnp_C = 1.0\n"
-    if stale_rho_ub is not None:
-        text += f"rho_ub = {stale_rho_ub}\n"
-    g = _certify(parse_verify_config(text)).graphs[0]
-    by_id = {e["id"]: e for e in g["entries"]}
-    tri, d = by_id["triangle_finite"], g["inputs"]["degree"]
-    assert tri["rhs"] == tri["rhs_hi"] == "inf"
-    if parse_group_spec(spec_text).is_tree:
-        assert tri["lhs_lo"] == tri["lhs"] == tree_triangle_exact(d, 1 / (d - 1))
-        assert tri["status"] == "pass"
-        if spec_text == "Z*Z":
-            assert tri["lhs"] == pytest.approx(37 / 9)
-    else:
-        pc_hi, rho_hi = g["inputs"]["pc_interval"]["hi"], g["inputs"]["rho"]["hi"]
-        assert rho_hi == float_above(rho_upper(parse_group_spec(spec_text))[0])
-        assert tri["lhs_lo"] == 1.0
-        assert tri["lhs"] == _num(chained_tail(d, rho_hi, pc_hi, 0, 3))
-        # finite exactly when perccond's inequality holds
-        want = "pass" if by_id["perccond"]["status"] == "pass" else "inconclusive"
-        assert tri["status"] == want
-        assert (want == "pass") == (spec_text in ("Z*Z*Z5", "Z5*Z5"))
 
 
 def test_check_endpoint_decay():
