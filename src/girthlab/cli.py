@@ -10,13 +10,15 @@ from __future__ import annotations
 import argparse
 import io
 import csv
+import math
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from . import blocks, percolation, plots, saw as saw_mod
 from .groups import GroupSpecError, ball as build_ball, parse_group_spec
-from .kernels import estimate_spectral_radius, kesten_rho, nbw_kernel, srw_kernel
+from .kernels import estimate_spectral_radius, kesten_interval, nbw_kernel, srw_kernel
 from .verify import parse_verify_config, run_certificate
 
 
@@ -87,10 +89,10 @@ def cmd_kernel(args, outputs: OutputSet) -> int:
     path = _out_dir(args) / f"kernel_{spec.describe().replace('*', 'x')}.csv"
     outputs.write(path, _csv_text(["kind", "n", "vertex", "probability"], rows))
     print(f"wrote {path}")
-    if spec.is_tree:
-        rho = estimate_spectral_radius(spec, 200)
-        print(f"rho: lower_bound={rho.lower_bound:.6f} "
-              f"upper={kesten_rho(spec.degree):.6f} (exact-formula)")
+    if spec.is_tree:  # both ends rounded outward to 6 decimals, in Fractions
+        lo = math.floor(Fraction(estimate_spectral_radius(spec, 200).lower_bound) * 10**6)
+        hi = math.ceil(Fraction(kesten_interval(spec.degree)[1]) * 10**6)
+        print(f"rho: lower_bound={lo / 10**6:.6f} upper={hi / 10**6:.6f} (exact-formula)")
     return 0
 
 

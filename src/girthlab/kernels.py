@@ -18,6 +18,8 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -259,29 +261,31 @@ def estimate_spectral_radius(spec: GroupSpec, n_steps: int) -> RhoEstimate:
     return RhoEstimate(sequence=seq, lower_bound=max(seq) if seq else 0.0)
 
 
-@dataclass
-class CheckEntry:
-    """One verified inequality: lhs <= rhs with recorded margin."""
+class CheckEntry(NamedTuple):
+    """One verified inequality: lhs <= rhs for the pair (n, x) of a check."""
 
     check: str
-    params: dict
+    spec: str
+    n: int
+    x: int
     lhs: float
     rhs: float
     passed: bool
+    J: int | None = None
+
+    @property
+    def params(self) -> dict:
+        """A fresh dict: spec, n, x, and J on the tail check."""
+        params = {"spec": self.spec, "n": self.n, "x": self.x}
+        return params if self.J is None else {**params, "J": self.J}
 
     @property
     def margin(self) -> float:
         return self.rhs - self.lhs
 
     def to_record(self) -> dict:
-        return {
-            "check": self.check,
-            "params": self.params,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "pass": self.passed,
-        }
+        return {"check": self.check, "params": self.params, "lhs": self.lhs,
+                "rhs": self.rhs, "margin": self.margin, "pass": self.passed}
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,9 +295,9 @@ class CheckResult:
     `lhs`, `rhs` and `passed` are (n_max+1, len(xs)) arrays indexed
     [n, k] for the pair (n, xs[k]); `J` is the SRW horizon of the tail
     check and None for the rho-power check.  `pairs` and `violations`
-    summarise the arrays without building entries.  Iterated, the
-    result yields its `CheckEntry` list, n outer and x in `xs` order, each
-    entry built on the fly.
+    summarise the arrays without building entries.  Iterated, the result
+    yields immutable `CheckEntry` tuples, n outer and x in `xs` order, one
+    C-level `map` per row, with `params` computed on access.
     """
 
     check: str
@@ -312,20 +316,15 @@ class CheckResult:
     def violations(self) -> int:
         return self.passed.size - int(np.count_nonzero(self.passed))
 
-    def _entry(self, n, x, lhs, rhs, passed) -> CheckEntry:
-        params = {"spec": self.spec, "n": n, "x": x}
-        if self.J is not None:
-            params["J"] = self.J
-        return CheckEntry(self.check, params, lhs, rhs, passed)
-
     def __len__(self) -> int:
         return self.pairs
 
     def __iter__(self):
+        make = functools.partial(tuple.__new__, CheckEntry)  # no Python call per entry
         for n in range(len(self.lhs)):
-            for row in zip(self.xs, self.lhs[n].tolist(), self.rhs[n].tolist(),
-                           self.passed[n].tolist()):
-                yield self._entry(n, *row)
+            yield from map(make, zip(repeat(self.check), repeat(self.spec), repeat(n), self.xs,
+                                     self.lhs[n].tolist(), self.rhs[n].tolist(),
+                                     self.passed[n].tolist(), repeat(self.J)))
 
 
 def _test_vertex_list(ball: Ball, test_vertices) -> list[int]:
@@ -335,11 +334,10 @@ def _test_vertex_list(ball: Ball, test_vertices) -> list[int]:
         vs = [operator.index(x) for x in test_vertices]
     except TypeError as exc:
         raise ValueError(f"test vertices must be integer vertex ids: {exc}") from None
-    outside = [x for x in vs if not 0 <= x < ball.n_vertices]
+    nv = ball.n_vertices
+    outside = [x for x in vs if not 0 <= x < nv]
     if outside:
-        raise ValueError(
-            f"test vertices outside [0, {ball.n_vertices}): {outside[:5]}"
-        )
+        raise ValueError(f"test vertices outside [0, {nv}): {outside[:5]}")
     return vs
 
 

@@ -55,6 +55,18 @@ def test_kernel_csv(tmp_path, capsys):
     assert "rho:" in out  # tree spec prints the spectral-radius line
 
 
+@pytest.mark.parametrize("text, upper", [("Z*Z", "0.866026"), ("Z2*Z2*Z2", "0.942810")])
+def test_kernel_rho_line_rounds_outward(text, upper, tmp_path, capsys):
+    # the printed ends bracket rho: lower_bound rounded down, Kesten's K up
+    assert run(["kernel", "--spec", text, "--R", "2"], tmp_path) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    m = re.fullmatch(r"rho: lower_bound=(\d\.\d{6}) upper=(\d\.\d{6}) \(exact-formula\)", line)
+    assert m and m[2] == upper
+    lo, hi, d = Fraction(m[1]), Fraction(m[2]), parse_group_spec(text).degree
+    assert lo <= Fraction(kernels.estimate_spectral_radius(parse_group_spec(text), 200).lower_bound)
+    assert hi**2 >= Fraction(4 * (d - 1), d * d)  # hi >= K = 2 sqrt(d-1)/d
+
+
 def test_perc_zero_p(tmp_path, capsys):
     args = ["perc", "--spec", "Z*Z", "--p", "0", "--R", "5",
             "--trials", "10", "--seed", "1"]

@@ -557,6 +557,23 @@ def test_kernel_inequalities_reject_non_integer_vertices(exact, vertex):
     assert [type(e.params["x"]) for e in result] == [int] * 9
 
 
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("check", [check_nbw_le_srw_tail, check_nbw_le_rho_power])
+def test_check_entries_are_immutable_tuples(check, exact):
+    b = ball(F2, 3)
+    result = check(b, 2, kesten_rho_upper_fraction(4), test_vertices=np.arange(4), exact=exact)
+    entries = list(result)
+    assert entries == list(result) and len(entries) == len(result) == 12
+    keys = ["spec", "n", "x"] + (["J"] if check is check_nbw_le_srw_tail else [])
+    for e in entries:
+        assert (type(e.x), type(e.lhs), type(e.passed)) == (int, float, bool)
+        assert list(e.params) == keys
+        assert e.params is not e.params  # built on each access
+        with pytest.raises(AttributeError):
+            e.passed = False
+    assert [(e.n, e.x) for e in entries] == [(n, x) for n in range(3) for x in range(4)]
+
+
 # --- closed-form envelope tails: the kernel checks' one-leg tail and the
 # paper's chained envelope (a test oracle) -----------------------------------
 
