@@ -8,7 +8,8 @@ S_f over words that start in f solve S_f = W_f (1 + sum_{g!=f} S_g), and the
 whole sum is 1/(1 - s), s = sum_f W_f/(1 + W_f), finite iff s < 1.  p_c, mu,
 SAW chi, the bubble and the SAW speed are this rule with different weights,
 in floats or Fractions as the argument is.  Each W_f is a closed form in
-G_k(z) = 1 + z + ... + z^(k-1), so its cost does not grow with the order m.
+G_k(z) = 1 + z + ... + z^(k-1): its operation count, and its cost in floats,
+does not grow with the order m; in Fractions z^m has m times z's digits.
 """
 
 from __future__ import annotations
@@ -118,3 +119,22 @@ def speed_interval(spec: GroupSpec, lo, hi) -> tuple:
         d_lo, d_hi = d_lo + distances(m, lo) * t_hi, d_hi + distances(m, hi) * t_lo
         n_lo, n_hi = n_lo + lengths(m, lo) * t_hi, n_hi + lengths(m, hi) * t_lo
     return d_lo / n_hi, d_hi / n_lo
+
+
+def series(spec: GroupSpec, n_max: int) -> tuple[list[int], list[int]]:
+    """(c_n, sum_x |x| c_n(x)) for n <= n_max, exact, read off the rule at
+    z = 2^-b: G = `renewal` of `walks` is the SAW generating function, and
+    G^2 sum_f D_f/(1+T_f)^2 its derivative in a weight t^|x|, as in
+    `speed_interval`.  Their coefficients are integers in [0, (n+1) d^n] and
+    2^b > 4 (n_max+1) d^(n_max+1), so the terms past z^n_max add less than 1
+    to value * 2^(b n_max), and the base-2^b digits of its floor are the
+    coefficients.  An order above 2 n_max reads as Z, whose arcs and their
+    distances are the same up to length n_max: the cost does not grow with m."""
+    b = (n_max + 1) * max(spec.degree, 2).bit_length() + (n_max + 1).bit_length() + 2
+    z = Fraction(1, 1 << b)
+    spec = GroupSpec(tuple(None if m and m > max(2 * n_max, 2) else m for m in spec.orders))
+    g = renewal(spec, walks, z)
+    drift = sum(distances(m, z) / (1 + walks(m, z)) ** 2 for m in spec.orders)
+    tops = [(v.numerator << b * n_max) // v.denominator for v in (g, g * g * drift)]
+    return tuple([top >> b * (n_max - n) & ((1 << b) - 1) for n in range(n_max + 1)]
+                 for top in tops)

@@ -24,8 +24,6 @@ import numpy as np
 
 from .rng import trial_rng
 
-FIXED_POINT_TOL = 1e-12
-
 
 def crossing_probability_exact(d: int, p: float, radius: int) -> float:
     """P(root cluster reaches the radius-r sphere) on the d-regular tree.
@@ -45,18 +43,22 @@ def crossing_probability_exact(d: int, p: float, radius: int) -> float:
 
 def branch_survival(d: int, p: float) -> float:
     """Survival probability of the Binomial(d-1, p) branching process: the
-    largest fixed point of theta = 1 - (1 - p*theta)^(d-1), by iteration."""
+    largest root of the concave f(t) = 1 - (1 - p*t)^(d-1) - t, by Newton's
+    method from t = 1, which falls monotonically to it: a tangent of the
+    concave f crosses 0 at or above the root.  It stops when a step no longer
+    lowers t, or where rounding near p_c leaves f' >= 0."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     if p * (d - 1) <= 1.0:
         return 0.0
-    theta = 1.0
-    for _ in range(100_000):
-        nxt = 1.0 - (1.0 - p * theta) ** (d - 1)
-        if abs(nxt - theta) < FIXED_POINT_TOL:
-            return nxt
-        theta = nxt
-    return theta
+    t = 1.0
+    while True:
+        u = 1.0 - p * t
+        slope = (d - 1) * p * u ** (d - 2) - 1.0
+        nxt = t - (1.0 - u ** (d - 1) - t) / slope if slope < 0.0 else t
+        if not 0.0 < nxt < t:
+            return t
+        t = nxt
 
 
 def survival_probability(d: int, p: float) -> float:

@@ -60,6 +60,8 @@ def _csv_text(header: list[str], rows: list[tuple]) -> str:
 
 def _parse_grid(text: str) -> list[float]:
     vals = [float(t) for t in text.replace(",", " ").split()]
+    if not vals:
+        raise CliError("grid needs at least one value")
     if vals != sorted(vals):
         raise CliError("grid values must be sorted ascending")
     return vals
@@ -98,7 +100,7 @@ def cmd_kernel(args, outputs: OutputSet) -> int:
 
 def cmd_perc(args, outputs: OutputSet) -> int:
     spec = parse_group_spec(args.spec)
-    p_values = _parse_grid(args.p_grid) if args.p_grid else [args.p]
+    p_values = _parse_grid(args.p_grid) if args.p_grid is not None else [args.p]
     if any(not 0.0 <= p <= 1.0 for p in p_values):
         raise CliError("p values must lie in [0, 1]")
     b = build_ball(spec, args.R)
@@ -140,7 +142,7 @@ def cmd_saw(args, outputs: OutputSet) -> int:
     spec = parse_group_spec(args.spec)
     if args.trials and (args.nmax is None or args.seed is None):
         raise CliError("--trials needs " + ("--nmax" if args.nmax is None else "--seed"))
-    if args.nmax is None and not args.z_grid and args.bubble_z is None:  # closed forms: no census
+    if args.nmax is None and args.z_grid is None and args.bubble_z is None:
         raise CliError("saw needs --nmax, --z-grid or --bubble-z")
     # printed only once every step has succeeded: a failure discards the files
     lines = []
@@ -152,7 +154,7 @@ def cmd_saw(args, outputs: OutputSet) -> int:
         mu = saw_mod.connective_constant(census)
         lines.append(f"census: c_{args.nmax}={census.counts[args.nmax]} "
                      f"mu_ub={mu.best_upper:.6f} -> {path}")
-    if args.z_grid:
+    if args.z_grid is not None:
         zs = _parse_grid(args.z_grid)
         crows = [(r["z"], f"{r['chi']:.10g}", f"{r['ratio_lo']:.10g}", f"{r['ratio_hi']:.10g}")
                  for r in saw_mod.susceptibility_saw(spec, zs)]

@@ -93,8 +93,8 @@ def word_str(spec: GroupSpec, w: Word) -> str:
     return ".".join(parts)
 
 
-class BallCapExceeded(RuntimeError):
-    pass
+class BallCapExceeded(ValueError):
+    """A ball larger than its vertex cap: a usage error, as a too-large R is."""
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,19 +1,18 @@
-"""Self-avoiding walk: exact enumeration, Rosenbluth sampling, the
+"""Self-avoiding walk: exact census, Rosenbluth sampling, the
 susceptibility chi(z) and the bubble diagram.
 
 The Cayley graph of a free product of cyclic groups is a tree of blocks
 (lines, single edges and m-cycles), so a SAW is fixed by its endpoint's
 normal-form word plus, for each m-cycle syllable, which way round it went,
-and a word's walk counts are a product of per-syllable polynomials.
-`enumerate_saw` extends whole classes of words sharing a last factor and a
-polynomial at once, keeping only their number: exact counts, no words.
-Endpoint law and speed are sums over the classes; mu bounds read the
-counts; the endpoint words are built only when `SawCensus.endpoint_counts`
-is first read.  chi and the bubble need no census: each is a renewal sum of
-`blocks`.  Rosenbluth sampling goes past the enumeration ceiling: a growing
-walk's unvisited neighbours depend only on its block and the steps taken in
-it, so all trials advance together as a chain of small integer states.
-Tests check it against the census and an exact law.
+and a word's walk counts are a product of per-syllable polynomials.  The
+census's c_n and sum_x |x| c_n(x) are the coefficients of two renewal sums
+of `blocks`, read by `blocks.series`: exact counts, no words.  mu bounds
+and speed read them; the endpoint words are built only when
+`SawCensus.endpoint_counts` is first read.  chi and the bubble are renewal
+sums too.  Rosenbluth sampling goes past the census's reach in words: a
+growing walk's unvisited neighbours depend only on its block and the steps
+taken in it, so all trials advance together as a chain of small integer
+states.  Tests check it against the census and an exact law.
 """
 
 from __future__ import annotations
@@ -35,13 +34,14 @@ class SawCensus:
     spec: GroupSpec
     n_max: int
     counts: list[int]  # c_n, exact
-    classes: list[tuple[int, dict[int, int]]]  # (number of words, {n: c_n(x)}) per polynomial
+    distance_sums: list[int]  # sum_x |x| c_n(x), exact
 
     @cached_property
     def endpoint_counts(self) -> list[dict[Word, int]]:
         """Per n: endpoint word -> c_n(x), built on first read by a
-        depth-first pass over the classes of `enumerate_saw` that carries
-        their words.  Each child word is hashed once and copied into every
+        depth-first pass over classes of words that share a last factor and
+        a walk-count polynomial, each extended one syllable at a time by
+        `_children`.  Each child word is hashed once and copied into every
         ``endpoint_counts[n]`` by dict operations; dict order is not part
         of the result."""
         endpoint_counts: list[dict[Word, int]] = [{} for _ in range(self.n_max + 1)]
@@ -60,8 +60,9 @@ class SawCensus:
         return endpoint_counts
 
     def sup_endpoint_probability(self, n: int) -> float:
+        """max_x c_n(x) / c_n; builds the endpoint words."""
         self._require_walks(n)
-        return max(poly[n] for _, poly in self.classes if n in poly) / self.counts[n]
+        return max(self.endpoint_counts[n].values()) / self.counts[n]
 
     def _require_walks(self, n: int) -> None:
         """Raise ValueError unless 0 <= n <= n_max and c_n > 0 (a finite
@@ -104,37 +105,13 @@ def enumerate_saw(spec: GroupSpec, n_max: int) -> SawCensus:
 
     A SAW never re-enters a block it has left (it would revisit the cut
     vertex), and inside a block it is a monotone arc from its entry
-    vertex.  So the SAWs ending at a word x are the choices, per syllable
-    of x, of one arc: a ``Z`` syllable (f, +-k) takes k steps, a ``Z2``
-    syllable 1 step, and a ``Zm`` syllable (f, e) with m >= 3 either e
-    steps one way or m - e steps the other (two distinct walks of equal
-    length when 2e = m).  c_n(x) is the z^n coefficient of the product
-    of these per-syllable polynomials.
-
-    No word is built.  A class, the words sharing a last factor and a
-    polynomial truncated at n_max, is kept as its number of words; a
-    child class has its parent's number times that of the syllables
-    taking its arc (2 for ``Z`` +-k and ``Zm`` e != m/2, 1 for ``Z2`` and
-    the even-m antipode).  Classes are expanded in order of their lowest
-    power (the words' length), so each is complete before it is expanded.
+    vertex, so the walks renew at every block and c_n and
+    sum_x |x| c_n(x) are the coefficients of `blocks.series`.  No word is
+    built.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    # per length: (last factor, sorted polynomial items) -> number of words
-    by_lo: list[dict] = [{} for _ in range(n_max + 1)]
-    by_lo[0][(-1, ((0, 1),))] = 1
-    # sorted polynomial items -> number of endpoint words with that polynomial
-    sizes: dict[tuple[tuple[int, int], ...], int] = {}
-    for pending in by_lo:
-        for (last, items), size in pending.items():
-            sizes[items] = sizes.get(items, 0) + size
-            for f, tails, child in _children(spec, n_max, last, dict(items)):
-                key = (f, tuple(sorted(child.items())))
-                bucket = by_lo[key[1][0][0]]
-                bucket[key] = bucket.get(key, 0) + size * len(tails)
-    classes = [(size, dict(items)) for items, size in sizes.items()]
-    counts = [sum(size * poly.get(n, 0) for size, poly in classes) for n in range(n_max + 1)]
-    return SawCensus(spec, n_max, counts, classes)
+    return SawCensus(spec, n_max, *blocks.series(spec, n_max))
 
 
 @dataclass
@@ -158,9 +135,7 @@ def speed_exact(census: SawCensus, n: int) -> float:
     if n < 1:
         raise ValueError("n outside census range")
     census._require_walks(n)
-    # a word's length is the lowest power of its polynomial
-    total = sum(size * poly.get(n, 0) * min(poly) for size, poly in census.classes)
-    return total / census.counts[n] / n
+    return census.distance_sums[n] / census.counts[n] / n
 
 
 @dataclass
@@ -196,7 +171,7 @@ def rosenbluth_sampler(spec: GroupSpec, n: int, trials: int, seed: int) -> Rosen
     weight 0 and keeps the endpoint distance where it stopped.
 
     No walk is stored.  A SAW never re-enters a block it has left, and
-    inside a block it moves monotonically (the fact `enumerate_saw` uses),
+    inside a block it moves monotonically (the fact behind `enumerate_saw`),
     so a trial's state is three integers: the factor f of its current
     block, the steps e taken in it and the distance D of its completed
     syllables.  Every generator of every factor g != f opens a fresh

@@ -2,10 +2,11 @@
 package's closed forms (the block sums summed syllable by syllable among
 them, and the critical bisection without its early stop), ball distances
 and crossing thresholds, normal-form word arithmetic, which the package's
-integer-array balls do without, the SAW census's power series, chi bracket
-and bubble sums, the triangle diagram (the exact block-tree sum, the tree's
-tripod sum, brute-force ball sums and the paper's three-leg envelope), and
-mean-field exponent fits on the exact tree values."""
+integer-array balls do without, the SAW census's class table and power
+series, chi bracket and bubble sums, the triangle diagram (the exact
+block-tree sum, the tree's tripod sum, brute-force ball sums and the
+paper's three-leg envelope), and mean-field exponent fits on the exact
+tree values."""
 
 import decimal
 import heapq
@@ -13,16 +14,15 @@ import math
 from fractions import Fraction
 
 from girthlab import blocks, branching
-from girthlab.branching import FIXED_POINT_TOL
 from girthlab.groups import Ball, GroupSpec, Word
 from girthlab.kernels import series_tail
-from girthlab.saw import SawCensus, connective_constant
+from girthlab.saw import SawCensus, _children, connective_constant
 from girthlab.stats import ExponentFit, fit_loglog
 
 IDENTITY: Word = ()
 
 
-def branch_survival_bisection(d: int, p: float, tol: float = FIXED_POINT_TOL) -> float:
+def branch_survival_bisection(d: int, p: float, tol: float = 1e-12) -> float:
     """The fixed point of `branch_survival` located by bisection on
     f(t) = 1-(1-pt)^(d-1) - t."""
 
@@ -342,6 +342,37 @@ def renewal_series(spec: GroupSpec, n_max: int) -> tuple[list[int], list[int]]:
     return g, _series_mul(_series_mul(g, g), drift)
 
 
+def census_classes(spec: GroupSpec, n_max: int) -> list[tuple[int, dict[int, int]]]:
+    """The SAW census as classes of endpoint words, for n <= n_max: per
+    class, its number of words and their shared {n: c_n(x)}.  A class is
+    the words sharing a last factor and a walk-count polynomial truncated
+    at n_max; a child class has its parent's number times that of the
+    syllables taking its arc (2 for ``Z`` +-k and ``Zm`` e != m/2, 1 for
+    ``Z2`` and the even-m antipode).  Classes are expanded in order of
+    their lowest power (the words' length), so each is complete before it
+    is expanded.  A word's length is the lowest power of its polynomial."""
+    # per length: (last factor, sorted polynomial items) -> number of words
+    by_lo: list[dict] = [{} for _ in range(n_max + 1)]
+    by_lo[0][(-1, ((0, 1),))] = 1
+    # sorted polynomial items -> number of endpoint words with that polynomial
+    sizes: dict[tuple[tuple[int, int], ...], int] = {}
+    for pending in by_lo:
+        for (last, items), size in pending.items():
+            sizes[items] = sizes.get(items, 0) + size
+            for f, tails, child in _children(spec, n_max, last, dict(items)):
+                key = (f, tuple(sorted(child.items())))
+                bucket = by_lo[key[1][0][0]]
+                bucket[key] = bucket.get(key, 0) + size * len(tails)
+    return [(size, dict(items)) for items, size in sizes.items()]
+
+
+def class_sums(classes, n_max: int) -> tuple[list[int], list[int]]:
+    """(c_n, sum_x |x| c_n(x)) for n <= n_max summed over `census_classes`."""
+    return ([sum(size * poly.get(n, 0) for size, poly in classes) for n in range(n_max + 1)],
+            [sum(size * poly.get(n, 0) * min(poly) for size, poly in classes)
+             for n in range(n_max + 1)])
+
+
 def census_chi_bracket(census: SawCensus, z: float) -> tuple[float, float]:
     """chi(z) between the census's partial sum over n <= n_max and that sum
     plus a submultiplicative tail: with mu_ub = c_a^{1/a} minimal over a,
@@ -354,12 +385,12 @@ def census_chi_bracket(census: SawCensus, z: float) -> tuple[float, float]:
     return head, head + m_const * series_tail(mu.best_upper * z, census.n_max + 1)
 
 
-def census_bubble(census: SawCensus, z: float, truncation: int) -> float:
+def census_bubble(classes, z: float, truncation: int) -> float:
     """The bubble's partial sum over walk-length pairs n, m <= truncation of
     O[n][m] z^(n+m), O[n][m] = sum_x c_n(x) c_m(x) counted exactly in
-    Python ints as the sum over the census classes of size * c_n * c_m."""
+    Python ints as the sum over the `census_classes` of size * c_n * c_m."""
     overlap = [[0] * (truncation + 1) for _ in range(truncation + 1)]
-    for size, poly in census.classes:
+    for size, poly in classes:
         terms = [(n, c) for n, c in poly.items() if n <= truncation]
         for n, c_n in terms:
             for m, c_m in terms:

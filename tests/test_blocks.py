@@ -18,7 +18,9 @@ from oracles import (
     ball_triangle,
     block_sums_by_syllable,
     block_triangle,
+    census_classes,
     chained_tail,
+    class_sums,
     critical_interval_60,
     cycle_saw_arcs,
     renewal_series,
@@ -36,15 +38,28 @@ BUBBLE_SPEED_TABLE = {"Z5*Z5": (1.8136593, 0.8950636), "Z2*Z3": (6.7692925, 0.84
 @pytest.mark.parametrize("spec_text", ["Z5*Z5", "Z2*Z3", "Z*Z5", "Z2*Z3*Z4", "Z*Z"])
 def test_renewal_series_is_the_census(spec_text):
     # c_n and sum_x |x| c_n(x) from the renewal rule's power series, in
-    # integers, equal the word-free census exactly for n <= 12
+    # integers, equal the class census's sums and the census exactly for
+    # n <= 12
     spec = parse_group_spec(spec_text)
-    census = enumerate_saw(spec, 12)
     counts, distance = renewal_series(spec, 12)
-    assert counts == census.counts
-    assert distance == [sum(size * poly.get(n, 0) * min(poly) for size, poly in census.classes)
-                        for n in range(13)]
+    assert (counts, distance) == class_sums(census_classes(spec, 12), 12)
+    assert counts == enumerate_saw(spec, 12).counts
     if spec_text == "Z5*Z5":
         assert counts[12] == 659_376
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 5, 12, 20])
+@pytest.mark.parametrize("spec_text", ["Z", "Z2", "Z5", "Z2*Z2", "Z*Z", "Z2*Z2*Z2", "Z3*Z3",
+                                       "Z5*Z5", "Z*Z5", "Z2*Z3", "Z2*Z3*Z4", "Z4*Z*Z2",
+                                       "Z40*Z40", "Z1000*Z3"])
+def test_series_digits_are_both_oracles(spec_text, n_max):
+    # the base-2^b digits of the renewal rule at z = 2^-b are the explicit
+    # power series and the class census's sums, orders above 2 n_max (read
+    # as Z: Z5 from n_max = 2 down, Z40 below 20, Z1000 always) included
+    spec = parse_group_spec(spec_text)
+    got = blocks.series(spec, n_max)
+    assert got == renewal_series(spec, n_max) == class_sums(census_classes(spec, n_max), n_max)
+    assert all(type(c) is int for c in got[0] + got[1])
 
 
 BLOCK_SUMS = (blocks.walks, blocks.bubbles, blocks.distances, blocks.lengths)

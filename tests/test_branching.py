@@ -53,10 +53,13 @@ def test_survival_zero_at_and_below_critical():
 
 
 def test_survival_methods_agree():
-    for d, p in ((4, 0.4), (4, 0.35), (3, 0.6), (3, 0.9)):
+    # down to p - p_c = 1e-4, the smallest gap criterion 7's beta fit reads;
+    # below 1e-5 the bisection's f(1e-12) rounds to <= 0 and it returns 0
+    near = [(d, 1 / (d - 1) + 1e-4) for d in (4, 3, 6)]
+    for d, p in [(4, 0.4), (4, 0.35), (3, 0.6), (3, 0.9)] + near:
         a = branch_survival(d, p)
         b = branch_survival_bisection(d, p)
-        assert a == pytest.approx(b, abs=1e-9)
+        assert a == pytest.approx(b, abs=1e-11)
         assert 0 < a < 1
 
 

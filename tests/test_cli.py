@@ -46,6 +46,14 @@ def test_graph_bad_spec(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["graph", "kernel"])
+def test_ball_cap_exits_2(command, tmp_path, capsys):
+    # a ball past the vertex cap is a usage error: one line, exit 2, no file
+    assert run([command, "--spec", "Z*Z", "--R", "20"], tmp_path) == 2
+    assert capsys.readouterr().err == "error: ball exceeds vertex cap 5000000 at radius 20\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_kernel_csv(tmp_path, capsys):
     assert run(["kernel", "--spec", "Z*Z", "--R", "3", "--exact"], tmp_path) == 0
     text = (tmp_path / "kernel_ZxZ.csv").read_text()
@@ -239,8 +247,23 @@ def test_saw_empty_census(tmp_path, capsys):
 
 def test_parse_grid():
     assert _parse_grid("0.1, 0.2 0.3") == [0.1, 0.2, 0.3]
-    with pytest.raises(CliError):
-        _parse_grid("0.3 0.1")
+    for text in ("0.3 0.1", ",", ""):
+        with pytest.raises(CliError):
+            _parse_grid(text)
+
+
+@pytest.mark.parametrize("args", [
+    ["perc", "--spec", "Z*Z", "--R", "3", "--p-grid", ",", "--trials", "10", "--seed", "1",
+     "--tail"],
+    ["perc", "--spec", "Z*Z", "--R", "3", "--p-grid=", "--trials", "10", "--seed", "1"],
+    ["saw", "--spec", "Z*Z", "--nmax", "4", "--z-grid", ","],
+])
+def test_empty_grid_exits_2(args, tmp_path, capsys):
+    # an empty grid used to die on p_values[0], fall back to --p's None or
+    # write a header-only chi CSV
+    assert run(args, tmp_path) == 2
+    assert capsys.readouterr().err == "error: grid needs at least one value\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_verify_config_ignores_unknown_keys():

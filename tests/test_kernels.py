@@ -23,9 +23,9 @@ from girthlab.kernels import (
     srw_kernel,
     tree_return_probabilities,
 )
-from girthlab.saw import bubble_diagram, enumerate_saw
+from girthlab.saw import bubble_diagram
 from girthlab.verify import FAIL, PASS, point, status
-from oracles import census_bubble, chained_tail, legs_tail, superharmonic_ratio
+from oracles import census_bubble, census_classes, chained_tail, legs_tail, superharmonic_ratio
 
 F2 = parse_group_spec("Z*Z")
 Z5Z5 = parse_group_spec("Z5*Z5")
@@ -690,7 +690,7 @@ def test_diagram_tails_are_the_chained_envelope(gap):
     # witness's rho
     rho = float_above(rho_upper(Z5Z5)[0])
     x = (1 - gap) / (3 * rho)
-    census = enumerate_saw(Z5Z5, 8)
+    classes = census_classes(Z5Z5, 8)
     for n in range(9):
-        rest = bubble_diagram(Z5Z5, x) - census_bubble(census, x, n)
+        rest = bubble_diagram(Z5Z5, x) - census_bubble(classes, x, n)
         assert 0 < rest <= chained_tail(4, rho, x, n + 1, legs=2) < math.inf

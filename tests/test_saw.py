@@ -23,6 +23,7 @@ from girthlab.verify import Bracket, check_endpoint_decay, point
 from oracles import (
     append_syllable,
     census_bubble,
+    census_classes,
     census_chi_bracket,
     renewal_series,
     tree_sphere_size,
@@ -58,11 +59,13 @@ def test_census_z5z5_counts():
 
 
 def test_census_endpoint_consistency():
-    census = enumerate_saw(Z5Z5, 6)
+    # the endpoint sup, read off the endpoint words, is the class census's
+    # largest c_n(x)
+    census, classes = enumerate_saw(Z5Z5, 6), census_classes(Z5Z5, 6)
     for n in range(7):
         assert sum(census.endpoint_counts[n].values()) == census.counts[n]
         assert (census.sup_endpoint_probability(n)
-                == max(census.endpoint_counts[n].values()) / census.counts[n])
+                == max(poly[n] for _, poly in classes if n in poly) / census.counts[n])
 
 
 @pytest.mark.parametrize("n", [-1, 4])
@@ -116,20 +119,23 @@ def test_census_matches_dfs_oracle(text):
         assert census.counts == counts
         # dict equality: endpoint order is not part of the census
         assert census.endpoint_counts == endpoint_counts
-        # the classes partition the endpoint words and carry their counts
+        # the class census's classes partition the endpoint words and carry
+        # their counts
+        classes = census_classes(spec, n_max)
         words = set().union(*census.endpoint_counts)
-        assert sum(size for size, _ in census.classes) == len(words)
+        assert sum(size for size, _ in classes) == len(words)
         for n in range(n_max + 1):
             from_classes = Counter()
-            for size, poly in census.classes:
+            for size, poly in classes:
                 if n in poly:
                     from_classes[poly[n]] += size
             assert from_classes == Counter(census.endpoint_counts[n].values())
-        # a word's length is the lowest power of its class polynomial
+        # the distance sums are the endpoint words' lengths
         for n in range(1, n_max + 1):
             if census.counts[n] == 0:  # Z5 has no SAW longer than 4
                 continue
             total = sum(c * word_length(spec, x) for x, c in census.endpoint_counts[n].items())
+            assert census.distance_sums[n] == total
             assert speed_exact(census, n) == total / census.counts[n] / n
 
 
@@ -142,15 +148,16 @@ def test_census_z5z5_n12():
 
 
 def test_census_builds_no_words():
-    # the counts, mu, speed and endpoint sup read the classes alone;
+    # the counts, mu and speed read the renewal digits alone;
     # `endpoint_counts`, the only place words are built, is cached in the
-    # instance on its first read
+    # instance on its first read, which the endpoint sup is
     census = enumerate_saw(Z5Z5, 8)
     fresh = enumerate_saw(Z5Z5, 8)
     connective_constant(fresh)
     speed_exact(fresh, 8)
-    fresh.sup_endpoint_probability(8)
     assert "endpoint_counts" not in vars(fresh)
+    fresh.sup_endpoint_probability(8)
+    assert "endpoint_counts" in vars(fresh)
     # built on first read, then kept; it matches the walk-by-walk oracle
     assert fresh.endpoint_counts == dfs_census(Z5Z5, 8)[1]
     assert fresh.endpoint_counts is fresh.endpoint_counts
@@ -447,11 +454,11 @@ def test_bubble_census_matches_pair_intersections(text):
     # the census oracle's class sum against the endpoint words, and both
     # below the closed form
     spec = parse_group_spec(text)
-    census = enumerate_saw(spec, 8)
+    census, classes = enumerate_saw(spec, 8), census_classes(spec, 8)
     z_c = float(blocks.critical_interval(spec, blocks.walks)[0])
     for truncation in range(9):
         for z in (0.5 * z_c, z_c, 0.3):
-            value = census_bubble(census, z, truncation)
+            value = census_bubble(classes, z, truncation)
             assert value == pair_intersection_bubble(census, z, truncation)
             assert value < bubble_diagram(spec, z)
 
@@ -475,11 +482,11 @@ def test_bubble_tree_uncertified_when_divergent():
 def test_bubble_census_matches_tree():
     # on a tree the only (n, m) overlap is n = m = |x|: the census sum is
     # the sphere sum, truncated at radius N
-    census = enumerate_saw(F2, 8)
+    classes = census_classes(F2, 8)
     z = 0.3
     for n in range(9):
         spheres = 1 + sum(tree_sphere_size(4, r) * z ** (2 * r) for r in range(1, n + 1))
-        assert census_bubble(census, z, n) == pytest.approx(spheres, rel=1e-14)
+        assert census_bubble(classes, z, n) == pytest.approx(spheres, rel=1e-14)
 
 
 def test_bubble_census_z5z5():
@@ -487,11 +494,11 @@ def test_bubble_census_z5z5():
     # and close the gap as N grows, below z_c and at z_c's upper end (on
     # Z*Z too)
     for spec in (Z5Z5, F2):
-        census = enumerate_saw(spec, 12)
+        classes = census_classes(spec, 12)
         _, z_hi = blocks.critical_interval(spec, blocks.walks)
         for z in (0.2, float(z_hi)):
             whole = bubble_diagram(spec, z)
-            gaps = [whole - census_bubble(census, z, n) for n in range(13)]
+            gaps = [whole - census_bubble(classes, z, n) for n in range(13)]
             assert all(g > 0 for g in gaps)
             assert gaps == sorted(gaps, reverse=True) and gaps[-1] < 0.01 * gaps[0]
     # a single 5-cycle is one block: B = 1 + sum_e (z^e + z^{5-e})^2, all
@@ -499,7 +506,7 @@ def test_bubble_census_z5z5():
     cycle, z = parse_group_spec("Z5"), Fraction(1, 5)
     one_block = 1 + sum((z**e + z ** (5 - e)) ** 2 for e in range(1, 5))
     assert bubble_diagram(cycle, z) == one_block
-    assert census_bubble(enumerate_saw(cycle, 4), float(z), 4) == pytest.approx(float(one_block))
+    assert census_bubble(census_classes(cycle, 4), float(z), 4) == pytest.approx(float(one_block))
 
 
 def test_bubble_validation():
