@@ -10,6 +10,7 @@ SAW chi, the bubble and the SAW speed are this rule with different weights,
 in floats or Fractions as the argument is.  Each W_f is a closed form in
 G_k(z) = 1 + z + ... + z^(k-1): its operation count, and its cost in floats,
 does not grow with the order m; in Fractions z^m has m times z's digits.
+Each sum evaluates a distinct order once and adds it per factor, in order.
 """
 
 from __future__ import annotations
@@ -70,7 +71,12 @@ def block_connections(m: int | None, p):
 def load(spec: GroupSpec, block, z):
     """s = sum_f W_f/(1 + W_f), W_f = block(m_f, z); an infinite W_f adds 1.
     The renewal sum 1/(1 - s) is finite iff s < 1."""
-    return sum(1 if w == math.inf else w / (1 + w) for w in (block(m, z) for m in spec.orders))
+    terms = {}
+    for m in spec.orders:
+        if m not in terms:
+            w = block(m, z)
+            terms[m] = 1 if w == math.inf else w / (1 + w)
+    return sum(map(terms.get, spec.orders))
 
 
 def renewal(spec: GroupSpec, block, z):
@@ -113,11 +119,15 @@ def speed_interval(spec: GroupSpec, lo, hi) -> tuple:
     each arc t^distance moves z_c(t), and the load's implicit derivative gives
     v = -z_c'(1)/z_c(1) = sum_f D_f/(1+T_f)^2 / sum_f N_f/(1+T_f)^2.  D, N and
     T increase in z: each end takes D or N and 1 + T at opposite ends."""
+    terms = {}
     d_lo = d_hi = n_lo = n_hi = 0
     for m in spec.orders:
-        t_lo, t_hi = 1 / (1 + walks(m, lo)) ** 2, 1 / (1 + walks(m, hi)) ** 2
-        d_lo, d_hi = d_lo + distances(m, lo) * t_hi, d_hi + distances(m, hi) * t_lo
-        n_lo, n_hi = n_lo + lengths(m, lo) * t_hi, n_hi + lengths(m, hi) * t_lo
+        if m not in terms:
+            t_lo, t_hi = 1 / (1 + walks(m, lo)) ** 2, 1 / (1 + walks(m, hi)) ** 2
+            terms[m] = (distances(m, lo) * t_hi, distances(m, hi) * t_lo,
+                        lengths(m, lo) * t_hi, lengths(m, hi) * t_lo)
+        a, b, c, e = terms[m]
+        d_lo, d_hi, n_lo, n_hi = d_lo + a, d_hi + b, n_lo + c, n_hi + e
     return d_lo / n_hi, d_hi / n_lo
 
 
@@ -134,7 +144,8 @@ def series(spec: GroupSpec, n_max: int) -> tuple[list[int], list[int]]:
     z = Fraction(1, 1 << b)
     spec = GroupSpec(tuple(None if m and m > max(2 * n_max, 2) else m for m in spec.orders))
     g = renewal(spec, walks, z)
-    drift = sum(distances(m, z) / (1 + walks(m, z)) ** 2 for m in spec.orders)
-    tops = [(v.numerator << b * n_max) // v.denominator for v in (g, g * g * drift)]
+    drift = {m: distances(m, z) / (1 + walks(m, z)) ** 2 for m in dict.fromkeys(spec.orders)}
+    tops = [(v.numerator << b * n_max) // v.denominator
+            for v in (g, g * g * sum(map(drift.get, spec.orders)))]
     return tuple([top >> b * (n_max - n) & ((1 << b) - 1) for n in range(n_max + 1)]
                  for top in tops)

@@ -144,6 +144,8 @@ def cmd_saw(args, outputs: OutputSet) -> int:
         raise CliError("--trials needs " + ("--nmax" if args.nmax is None else "--seed"))
     if args.nmax is None and args.z_grid is None and args.bubble_z is None:
         raise CliError("saw needs --nmax, --z-grid or --bubble-z")
+    if args.nmax is not None and args.nmax > saw_mod.CENSUS_N_MAX:
+        raise CliError(f"--nmax {args.nmax} is above the census ceiling {saw_mod.CENSUS_N_MAX}")
     # printed only once every step has succeeded: a failure discards the files
     lines = []
     if args.nmax is not None:

@@ -177,10 +177,10 @@ def rho_upper(spec: GroupSpec) -> tuple[Fraction, tuple[Fraction, ...]]:
             return 1 / r, r
         return r + 1 / r, 2 * (r if m is None else (r + r ** (m - 1)) / (1 + r**m))
 
-    def lam(rs: dict):
-        sides = [own_out(m, rs[m]) for m in orders]
-        total = sum(out for _, out in sides)
-        return max(total, *(total + own - out for own, out in sides)) / d
+    def lam(rs: dict):  # one side per distinct order: equal sides give equal terms
+        sides = {m: own_out(m, r) for m, r in rs.items()}
+        total = sum(sides[m][1] for m in orders)
+        return max(total, *(total + own - out for own, out in sides.values())) / d
 
     def balanced(r0: float) -> dict:
         own, out = own_out(orders[0], r0)
@@ -203,9 +203,10 @@ def rho_upper(spec: GroupSpec) -> tuple[Fraction, tuple[Fraction, ...]]:
 
 
 def float_above(q: Fraction) -> float:
-    """The least float >= q."""
+    """The least float >= q; x = a/b >= q = n/c iff a c >= n b, as b, c > 0."""
     x = float(q)
-    return x if Fraction(x) >= q else math.nextafter(x, math.inf)
+    (a, b), (n, c) = x.as_integer_ratio(), q.as_integer_ratio()
+    return x if a * c >= n * b else math.nextafter(x, math.inf)
 
 
 def kesten_rho_upper_fraction(d: int) -> Fraction:

@@ -29,6 +29,9 @@ from .rng import trial_rng
 from .stats import Estimate, mean_estimate
 
 
+CENSUS_N_MAX = 4000  # there a Z5*Z5 census value has 48e6 bits (6 MB) and takes 18 s, 2 vCPUs
+
+
 @dataclass
 class SawCensus:
     spec: GroupSpec
@@ -107,10 +110,10 @@ def enumerate_saw(spec: GroupSpec, n_max: int) -> SawCensus:
     vertex), and inside a block it is a monotone arc from its entry
     vertex, so the walks renew at every block and c_n and
     sum_x |x| c_n(x) are the coefficients of `blocks.series`.  No word is
-    built.
+    built.  ValueError outside 0 <= n_max <= `CENSUS_N_MAX`.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    if not 0 <= n_max <= CENSUS_N_MAX:
+        raise ValueError(f"n_max must be in [0, {CENSUS_N_MAX}], got {n_max}")
     return SawCensus(spec, n_max, *blocks.series(spec, n_max))
 
 

@@ -1,6 +1,7 @@
 """Independent oracles that only the tests call: second opinions on the
 package's closed forms (the block sums summed syllable by syllable among
-them, and the critical bisection without its early stop), ball distances
+them, the load and the speed bracket evaluated factor by factor, and the
+critical bisection without its early stop), ball distances
 and crossing thresholds, normal-form word arithmetic, which the package's
 integer-array balls do without, the SAW census's class table and power
 series, chi bracket and bubble sums, the triangle diagram (the exact
@@ -22,25 +23,29 @@ from girthlab.stats import ExponentFit, fit_loglog
 IDENTITY: Word = ()
 
 
-def branch_survival_bisection(d: int, p: float, tol: float = 1e-12) -> float:
+def branch_survival_bisection(d: int, p: float) -> float:
     """The fixed point of `branch_survival` located by bisection on
-    f(t) = 1-(1-pt)^(d-1) - t."""
+    f(t) = 1-(1-pt)^(d-1) - t in Fractions, rounded to a float.
 
-    def f(t: float) -> float:
-        return 1.0 - (1.0 - p * t) ** (d - 1) - t
+    f(0) = 0 and f is concave on [0, 1], so f > 0 just right of 0 iff
+    f'(0) = p(d-1) - 1 > 0, and then the positive root is in (t, 2t] for the
+    largest dyadic t = 2^-k with f(t) > 0.  64 halvings of that window leave
+    it under 2^-64 times the root."""
+    q = Fraction(p)
 
-    # f(0) = 0 always; the survival root is the positive zero when it exists.
-    # f is concave on [0,1], so f > 0 just right of 0 iff supercritical.
-    lo, hi = tol, 1.0
-    if f(lo) <= 0.0:
+    def f(t: Fraction) -> Fraction:
+        return 1 - (1 - q * t) ** (d - 1) - t
+
+    if q * (d - 1) <= 1:
         return 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    lo = Fraction(1)
+    while f(lo) <= 0:
+        lo /= 2
+    hi = 2 * lo
+    for _ in range(64):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if f(mid) > 0 else (lo, mid)
+    return float((lo + hi) / 2)
 
 
 def _reduce_exponent(spec: GroupSpec, factor: int, exp: int) -> int:
@@ -168,6 +173,23 @@ def block_sums_by_syllable(m: int | None, z) -> dict:
             "bubbles": sum((a + b) ** 2 for _, a, b in arcs),
             "distances": sum(min(e, m - e) * (a + b) for e, a, b in arcs),
             "lengths": sum(e * a + (m - e) * b for e, a, b in arcs)}
+
+
+def load_by_factor(spec: GroupSpec, block, z):
+    """`blocks.load` evaluated factor by factor, with no reuse of an equal
+    order's term."""
+    return sum(1 if w == math.inf else w / (1 + w) for w in (block(m, z) for m in spec.orders))
+
+
+def speed_interval_by_factor(spec: GroupSpec, lo, hi) -> tuple:
+    """`blocks.speed_interval` evaluated factor by factor, with no reuse of
+    an equal order's D, N and T terms."""
+    d_lo = d_hi = n_lo = n_hi = 0
+    for m in spec.orders:
+        t_lo, t_hi = 1 / (1 + blocks.walks(m, lo)) ** 2, 1 / (1 + blocks.walks(m, hi)) ** 2
+        d_lo, d_hi = d_lo + blocks.distances(m, lo) * t_hi, d_hi + blocks.distances(m, hi) * t_lo
+        n_lo, n_hi = n_lo + blocks.lengths(m, lo) * t_hi, n_hi + blocks.lengths(m, hi) * t_lo
+    return d_lo / n_hi, d_hi / n_lo
 
 
 def critical_interval_60(spec: GroupSpec, block) -> tuple[Fraction, Fraction]:

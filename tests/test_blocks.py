@@ -23,7 +23,9 @@ from oracles import (
     class_sums,
     critical_interval_60,
     cycle_saw_arcs,
+    load_by_factor,
     renewal_series,
+    speed_interval_by_factor,
     tree_triangle_exact,
     triangle_blocks,
 )
@@ -102,6 +104,53 @@ def test_block_sums_float_and_fraction_agree(m):
     z = Fraction(3, 10)
     for block in BLOCK_SUMS:
         assert block(m, 0.3) == pytest.approx(float(block(m, z)), rel=1e-14)
+
+
+# equal factors, whose terms each sum evaluates once per distinct order
+REUSE_SPECS = ["Z5*Z5", "Z*Z", "Z2*Z3*Z2", "Z3*Z3*Z3", "Z*Z7*Z*Z7", "Z4*Z*Z4*Z"]
+BLOCK_FUNCTIONS = [blocks.walks, blocks.bubbles, blocks.distances, blocks.lengths,
+                   blocks.block_connections]
+
+
+def _same(got, want):
+    # floats bit for bit (a NaN, as block_connections gives at p = inf,
+    # matching a NaN), Fractions exactly, and the same type
+    return type(got) is type(want) and (got == want or got != got and want != want)
+
+
+@pytest.mark.parametrize("spec_text", REUSE_SPECS)
+def test_load_and_speed_are_the_factor_by_factor_sums(spec_text):
+    spec = parse_group_spec(spec_text)
+    zs = [0.0, 0.05, 0.2, 0.25, 0.3, 1 / 3, 0.45, 0.6, 0.9, 1.0, 2.0, math.inf,
+          Fraction(0), Fraction(1, 7), Fraction(3, 10), Fraction(1, 2), Fraction(1), Fraction(3, 2)]
+    for block in BLOCK_FUNCTIONS:
+        for z in zs:
+            assert _same(blocks.load(spec, block, z), load_by_factor(spec, block, z)), (block, z)
+    lo, hi = blocks.critical_interval(spec, blocks.walks)
+    for ends in ((lo, hi), (float(lo), float(hi)), (0.05, 0.3), (0.2, 0.21),
+                 (Fraction(1, 20), Fraction(3, 10))):
+        got, want = blocks.speed_interval(spec, *ends), speed_interval_by_factor(spec, *ends)
+        assert all(map(_same, got, want)), ends
+
+
+@pytest.mark.parametrize("spec_text", REUSE_SPECS)
+def test_sums_evaluate_each_distinct_order_once(spec_text, monkeypatch):
+    spec = parse_group_spec(spec_text)
+    distinct = list(dict.fromkeys(spec.orders))
+    calls = {}
+    for fn in (blocks.walks, blocks.distances, blocks.lengths):
+        def counting(m, z, fn=fn):
+            calls.setdefault(fn.__name__, []).append(m)
+            return fn(m, z)
+        monkeypatch.setattr(blocks, fn.__name__, counting)
+    for z in (0.2, Fraction(1, 5)):
+        calls.clear()
+        blocks.load(spec, blocks.walks, z)
+        assert calls == {"walks": distinct}
+    calls.clear()
+    blocks.speed_interval(spec, 0.2, 0.25)
+    both_ends = [m for m in distinct for _ in "lh"]
+    assert calls == dict.fromkeys(("walks", "distances", "lengths"), both_ends)
 
 
 def test_line_block_diverges_at_one():

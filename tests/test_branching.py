@@ -53,14 +53,22 @@ def test_survival_zero_at_and_below_critical():
 
 
 def test_survival_methods_agree():
-    # down to p - p_c = 1e-4, the smallest gap criterion 7's beta fit reads;
-    # below 1e-5 the bisection's f(1e-12) rounds to <= 0 and it returns 0
+    # down to p - p_c = 1e-4, the smallest gap criterion 7's beta fit reads
     near = [(d, 1 / (d - 1) + 1e-4) for d in (4, 3, 6)]
     for d, p in [(4, 0.4), (4, 0.35), (3, 0.6), (3, 0.9)] + near:
         a = branch_survival(d, p)
         b = branch_survival_bisection(d, p)
         assert a == pytest.approx(b, abs=1e-11)
         assert 0 < a < 1
+    # closer in, float cancellation in f = 1 - (1-pt)^(d-1) - t, whose
+    # slope at the root is about -(d-1)(p - p_c), leaves the float Newton
+    # root off the exact one by 5.8e-9, 6.1e-8 and 2.8e-8 (d = 3, 4, 6)
+    # at 1e-5, and by 9.0e-6, 4.5e-6 and 2.7e-6 at 1e-6, relatively
+    for gap, rel in ((1e-5, 3e-7), (1e-6, 3e-5)):
+        for d in (3, 4, 6):
+            a = branch_survival(d, 1 / (d - 1) + gap)
+            b = branch_survival_bisection(d, 1 / (d - 1) + gap)
+            assert a == pytest.approx(b, rel=rel) and 0 < a < 1
 
 
 def test_survival_frozen_value():

@@ -54,6 +54,17 @@ def test_ball_cap_exits_2(command, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("nmax,extra", [("4001", []), ("100000", ["--z-grid", "0.1"]),
+                                        ("4001", ["--bubble-z", "0.2"])])
+def test_saw_nmax_ceiling_exits_2(nmax, extra, tmp_path, capsys, monkeypatch):
+    # a census past the ceiling is a usage error that names --nmax and the
+    # ceiling: exit 2 before the census runs, no file
+    series = _count_calls(monkeypatch, blocks.series)
+    assert run(["saw", "--spec", "Z5*Z5", "--nmax", nmax, *extra], tmp_path) == 2
+    assert capsys.readouterr().err == f"error: --nmax {nmax} is above the census ceiling 4000\n"
+    assert not list(tmp_path.iterdir()) and series == []
+
+
 def test_kernel_csv(tmp_path, capsys):
     assert run(["kernel", "--spec", "Z*Z", "--R", "3", "--exact"], tmp_path) == 0
     text = (tmp_path / "kernel_ZxZ.csv").read_text()
@@ -413,6 +424,25 @@ def test_no_rho_ub_certificate_golden_digest():
     doc = run_certificate(parse_verify_config(NO_RHO_UB_CONFIG)).to_json(include_meta=False)
     assert (hashlib.sha256(doc.encode()).hexdigest()
             == "b3e1ec420fb7f8eb587177f664efc5c3a0eb3be439bbd7845e210c770e71349a")
+
+
+def _bnp_one_config(specs) -> str:
+    # what `printf '[graph:%s]\nbnp_C = 1\n\n' SPEC...` writes
+    return "".join(f"[graph:{s}]\nbnp_C = 1\n\n" for s in specs)
+
+
+@pytest.mark.parametrize("specs,digest", [
+    # CI's high-girth config, which verify --strict passes
+    (("Z27*Z27", "Z*Z27", "Z40*Z40", "Z60*Z60", "Z100*Z100", "Z*Z100"),
+     "7793e1c870139306cc7b2ca1227cb5f0f8d9426d756fdd77c2ae2d519b06052f"),
+    # three and four factors, equal orders among them
+    (("Z2*Z3*Z2", "Z3*Z3*Z3", "Z*Z7*Z*Z7", "Z5*Z5*Z5", "Z2*Z2*Z2", "Z4*Z*Z4*Z"),
+     "1343c0ec464104f625fc96a19bcd0ace813939dfd069a06b00152462602d9b19"),
+], ids=["high_girth", "many_factors"])
+def test_bnp_one_certificate_golden_digests(specs, digest):
+    # a speed-up must leave these certificates byte-identical too
+    doc = run_certificate(parse_verify_config(_bnp_one_config(specs))).to_json(include_meta=False)
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
 
 
 def _count_calls(monkeypatch, real):

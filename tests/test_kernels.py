@@ -1,12 +1,14 @@
 """SRW/NBW kernels, spectral-radius estimates and the kernel inequalities."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from girthlab import kernels
 from girthlab.groups import ball, parse_group_spec
 from girthlab.kernels import (
     FLOAT_MASS_TOL,
@@ -254,6 +256,68 @@ def test_rho_upper_is_tight_and_above_every_return_rate(text, ref, tol):
     assert all(lam ** (2 * n) >= srw.prob(2 * n, 0) for n in range(4))
     up = float_above(lam)
     assert Fraction(up) >= lam and Fraction(math.nextafter(up, 0.0)) < lam
+
+
+def _float_above_reference(q):
+    x = float(q)
+    return x if Fraction(x) >= q else math.nextafter(x, math.inf)
+
+
+# ints and Fractions of both signs, zero, values on a float and a hair off
+# one, tiny (subnormal or below) and huge (up to past the largest float) ones
+RATIONALS = st.one_of(
+    st.integers(-2**1100, 2**1100),
+    st.fractions(),
+    st.floats(allow_nan=False, allow_infinity=False).flatmap(
+        lambda x: st.sampled_from([-1, 0, 1]).map(lambda s: Fraction(x) + Fraction(s, 2**1200))),
+    st.builds(lambda n, k: Fraction(n, 10**k), st.integers(-10**20, 10**20), st.integers(0, 400)),
+    st.builds(lambda n, k: Fraction(n * 10**k, 3), st.integers(-10**5, 10**5), st.integers(0, 320)),
+)
+
+
+@given(RATIONALS)
+@example(0)
+@example(Fraction(-1, 10**400))
+@example(Fraction(2**1024 - 2**970, 1))
+@example(2**1024)
+@example(-2**1024)
+def test_float_above_is_the_fraction_reference(q):
+    try:
+        ref = _float_above_reference(q)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            float_above(q)
+        return
+    up = float_above(q)
+    assert up.hex() == ref.hex()  # the same float, the sign of a zero included
+    assert Fraction(up) >= q if up != math.inf else q > Fraction(sys.float_info.max)
+
+
+@pytest.mark.parametrize("text", ["Z5*Z5", "Z*Z", "Z2*Z3*Z2", "Z3*Z3*Z3", "Z*Z7*Z*Z7", "Z4*Z*Z4*Z"])
+def test_rho_upper_lam_evaluates_each_order_once(text):
+    # lam takes one (own, out) side per distinct order, in the float golden
+    # section and in the final Fraction lambda alike
+    spec = parse_group_spec(text)
+    per_lam = []
+
+    def profile(frame, event, arg):
+        if event != "call" or frame.f_code.co_filename != kernels.__file__:
+            return
+        if frame.f_code.co_name == "lam":
+            per_lam.append(0)
+        elif frame.f_code.co_name == "own_out":
+            caller = frame.f_back
+            while caller.f_code.co_name.startswith("<"):  # a comprehension's frame
+                caller = caller.f_back
+            if caller.f_code.co_name == "lam":
+                per_lam[-1] += 1
+
+    sys.setprofile(profile)
+    try:
+        rho_upper(spec)
+    finally:
+        sys.setprofile(None)
+    assert len(per_lam) > 1 and set(per_lam) == {len(set(spec.orders))}
 
 
 @pytest.mark.parametrize("text", ["Z", "Z5", "Z2*Z2", "Z2"])

@@ -12,6 +12,7 @@ from girthlab.cli import main
 from girthlab.groups import parse_group_spec
 from girthlab.kernels import kesten_rho
 from girthlab.saw import (
+    CENSUS_N_MAX,
     bubble_diagram,
     connective_constant,
     enumerate_saw,
@@ -170,6 +171,15 @@ def test_census_builds_no_words():
 def test_census_validation():
     with pytest.raises(ValueError):
         enumerate_saw(F2, -1)
+    # past the ceiling a census value would take gigabytes: refused before
+    # `blocks.series` runs; at the ceiling it runs (here stubbed)
+    with pytest.raises(ValueError, match=r"n_max must be in \[0, 4000\], got 4001"):
+        enumerate_saw(F2, CENSUS_N_MAX + 1)
+
+
+def test_census_runs_at_the_ceiling(monkeypatch):
+    monkeypatch.setattr(blocks, "series", lambda spec, n_max: ([n_max], [0]))
+    assert enumerate_saw(Z5Z5, CENSUS_N_MAX).counts == [4000]
 
 
 def test_connective_constant_bounds():
