@@ -119,16 +119,17 @@ def speed_interval(spec: GroupSpec, lo, hi) -> tuple:
     each arc t^distance moves z_c(t), and the load's implicit derivative gives
     v = -z_c'(1)/z_c(1) = sum_f D_f/(1+T_f)^2 / sum_f N_f/(1+T_f)^2.  D, N and
     T increase in z: each end takes D or N and 1 + T at opposite ends."""
-    terms = {}
-    d_lo = d_hi = n_lo = n_hi = 0
-    for m in spec.orders:
-        if m not in terms:
-            t_lo, t_hi = 1 / (1 + walks(m, lo)) ** 2, 1 / (1 + walks(m, hi)) ** 2
-            terms[m] = (distances(m, lo) * t_hi, distances(m, hi) * t_lo,
-                        lengths(m, lo) * t_hi, lengths(m, hi) * t_lo)
-        a, b, c, e = terms[m]
-        d_lo, d_hi, n_lo, n_hi = d_lo + a, d_hi + b, n_lo + c, n_hi + e
-    return d_lo / n_hi, d_hi / n_lo
+    one = hi == lo and type(hi) is type(lo)  # as a tree's z_c: evaluated once
+    terms = {}  # per distinct order: (D, N) for v's lower end, then for its upper
+    for m in dict.fromkeys(spec.orders):
+        t_lo = 1 / (1 + walks(m, lo)) ** 2
+        t_hi = t_lo if one else 1 / (1 + walks(m, hi)) ** 2
+        terms[m] = (distances(m, lo) * t_hi, lengths(m, hi) * t_lo) + (
+            () if one else (distances(m, hi) * t_lo, lengths(m, lo) * t_hi))
+    sums = (0,) * (2 if one else 4)
+    for m in spec.orders:  # factor by factor, in order
+        sums = [s + t for s, t in zip(sums, terms[m])]
+    return sums[0] / sums[1], sums[-2] / sums[-1]
 
 
 def series(spec: GroupSpec, n_max: int) -> tuple[list[int], list[int]]:

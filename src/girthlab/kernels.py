@@ -18,7 +18,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -297,8 +297,8 @@ class CheckResult:
     [n, k] for the pair (n, xs[k]); `J` is the SRW horizon of the tail
     check and None for the rho-power check.  `pairs` and `violations`
     summarise the arrays without building entries.  Iterated, the result
-    yields immutable `CheckEntry` tuples, n outer and x in `xs` order, one
-    C-level `map` per row, with `params` computed on access.
+    yields immutable `CheckEntry` tuples, n outer and x in `xs` order, from one
+    C-level iterator, a chain of one `map` per row, with `params` computed on access.
     """
 
     check: str
@@ -321,11 +321,10 @@ class CheckResult:
         return self.pairs
 
     def __iter__(self):
-        make = functools.partial(tuple.__new__, CheckEntry)  # no Python call per entry
-        for n in range(len(self.lhs)):
-            yield from map(make, zip(repeat(self.check), repeat(self.spec), repeat(n), self.xs,
-                                     self.lhs[n].tolist(), self.rhs[n].tolist(),
-                                     self.passed[n].tolist(), repeat(self.J)))
+        return chain.from_iterable(map(tuple.__new__, repeat(CheckEntry), zip(
+            repeat(self.check), repeat(self.spec), repeat(n), self.xs, self.lhs[n].tolist(),
+            self.rhs[n].tolist(), self.passed[n].tolist(), repeat(self.J)))
+            for n in range(len(self.lhs)))
 
 
 def _test_vertex_list(ball: Ball, test_vertices) -> list[int]:
@@ -356,9 +355,13 @@ def _kernel_table(table, kind: str, ball: Ball, n_steps: int, exact: bool) -> Ke
 
 
 def _quotients(nums: np.ndarray, den: int, scale: int = 1, offset: int = 0) -> np.ndarray:
-    """(v*scale + offset) / den for each integer v of `nums`, rounded
-    correctly by Python's int division, as float(Fraction) rounds; one
-    division per distinct v."""
+    """(v*scale + offset) / den for each integer v of `nums`, scale > 0, rounded as
+    float(Fraction) rounds: by one float64 division where den, scale, offset and every
+    v*scale + offset are below 2^53, all exact; else by int division per distinct v."""
+    if nums.size and nums.dtype != object:
+        lo, hi = int(nums.min()) * scale + offset, int(nums.max()) * scale + offset
+        if max(den, scale, abs(offset), -lo, hi) < 2**53:
+            return (nums if scale == 1 and offset == 0 else nums * scale + offset) / den
     vals, inv = np.unique(nums, return_inverse=True)
     return np.array([(v * scale + offset) / den for v in vals.tolist()], dtype=float)[inv]
 

@@ -62,11 +62,6 @@ class SawCensus:
                 stack.append((xs, f, child))
         return endpoint_counts
 
-    def sup_endpoint_probability(self, n: int) -> float:
-        """max_x c_n(x) / c_n; builds the endpoint words."""
-        self._require_walks(n)
-        return max(self.endpoint_counts[n].values()) / self.counts[n]
-
     def _require_walks(self, n: int) -> None:
         """Raise ValueError unless 0 <= n <= n_max and c_n > 0 (a finite
         graph, such as a single cycle ``Z5``, has no SAW past its size)."""

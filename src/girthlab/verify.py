@@ -256,9 +256,10 @@ def _graph_certificate(job: GraphJob) -> dict:
     girth = math.inf if spec.known_girth is None else float(spec.known_girth)
     (rho, rho_prov), (pc, pc_prov), ((z_lo, z_hi), mu_prov) = (
         _tree_inputs(spec) if spec.is_tree else _free_product_inputs(spec))
-    # mu = 1/z_c; the bubble and the speed at z_c, bracketed over z_c's ends
+    # mu = 1/z_c; the bubble and the speed over z_c's ends, once where equal
     mu = _outward(1 / z_hi, 1 / z_lo)
-    bub = _outward(saw_mod.bubble_diagram(spec, z_lo), saw_mod.bubble_diagram(spec, z_hi))
+    bub_lo = saw_mod.bubble_diagram(spec, z_lo)
+    bub = _outward(bub_lo, bub_lo if z_hi == z_lo else saw_mod.bubble_diagram(spec, z_hi))
     speed = _outward(*blocks.speed_interval(spec, z_lo, z_hi))
 
     entries = [

@@ -4,7 +4,7 @@ them, the load and the speed bracket evaluated factor by factor, and the
 critical bisection without its early stop), ball distances
 and crossing thresholds, normal-form word arithmetic, which the package's
 integer-array balls do without, the SAW census's class table and power
-series, chi bracket and bubble sums, the triangle diagram (the exact
+series, its endpoint sup, chi bracket and bubble sums, the triangle diagram (the exact
 block-tree sum, the tree's tripod sum, brute-force ball sums and the
 paper's three-leg envelope), and mean-field exponent fits on the exact
 tree values."""
@@ -393,6 +393,14 @@ def class_sums(classes, n_max: int) -> tuple[list[int], list[int]]:
     return ([sum(size * poly.get(n, 0) for size, poly in classes) for n in range(n_max + 1)],
             [sum(size * poly.get(n, 0) * min(poly) for size, poly in classes)
              for n in range(n_max + 1)])
+
+
+def sup_endpoint_probability(census: SawCensus, n: int) -> float:
+    """max_x c_n(x) / c_n off the census's endpoint words, which it builds;
+    ValueError as the census's readers raise it, for an n outside the
+    census or a length with no walk."""
+    census._require_walks(n)
+    return max(census.endpoint_counts[n].values()) / census.counts[n]
 
 
 def census_chi_bracket(census: SawCensus, z: float) -> tuple[float, float]:

@@ -127,8 +127,11 @@ def test_load_and_speed_are_the_factor_by_factor_sums(spec_text):
         for z in zs:
             assert _same(blocks.load(spec, block, z), load_by_factor(spec, block, z)), (block, z)
     lo, hi = blocks.critical_interval(spec, blocks.walks)
+    # equal ends, as a tree's z_c, are evaluated once; equal values of two
+    # types are two ends, each in its own arithmetic
     for ends in ((lo, hi), (float(lo), float(hi)), (0.05, 0.3), (0.2, 0.21),
-                 (Fraction(1, 20), Fraction(3, 10))):
+                 (Fraction(1, 20), Fraction(3, 10)), (Fraction(1, 3), Fraction(1, 3)),
+                 (0.25, 0.25), (0.3, Fraction(0.3)), (Fraction(0.45), 0.45)):
         got, want = blocks.speed_interval(spec, *ends), speed_interval_by_factor(spec, *ends)
         assert all(map(_same, got, want)), ends
 

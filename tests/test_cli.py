@@ -438,7 +438,10 @@ def _bnp_one_config(specs) -> str:
     # three and four factors, equal orders among them
     (("Z2*Z3*Z2", "Z3*Z3*Z3", "Z*Z7*Z*Z7", "Z5*Z5*Z5", "Z2*Z2*Z2", "Z4*Z*Z4*Z"),
      "1343c0ec464104f625fc96a19bcd0ace813939dfd069a06b00152462602d9b19"),
-], ids=["high_girth", "many_factors"])
+    # CI's tree-only config: z_c's two ends are one Fraction 1/(d-1)
+    (("Z*Z*Z", "Z2*Z2*Z2", "Z*Z*Z*Z"),
+     "cd4aad87edf6343c63d35fc317a157652455691e57d0a2abf90cfa5a43912dd0"),
+], ids=["high_girth", "many_factors", "trees"])
 def test_bnp_one_certificate_golden_digests(specs, digest):
     # a speed-up must leave these certificates byte-identical too
     doc = run_certificate(parse_verify_config(_bnp_one_config(specs))).to_json(include_meta=False)

@@ -1,5 +1,6 @@
 """SRW/NBW kernels, spectral-radius estimates and the kernel inequalities."""
 
+import hashlib
 import math
 import sys
 from fractions import Fraction
@@ -636,6 +637,91 @@ def test_check_entries_are_immutable_tuples(check, exact):
         with pytest.raises(AttributeError):
             e.passed = False
     assert [(e.n, e.x) for e in entries] == [(n, x) for n in range(3) for x in range(4)]
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("check", [check_nbw_le_srw_tail, check_nbw_le_rho_power])
+def test_empty_test_vertex_list_gives_no_entries(check, exact):
+    # every row is empty, so no quotient takes a min or max of nothing
+    result = check(ball(F2, 3), 3, kesten_rho_upper_fraction(4), test_vertices=[], exact=exact)
+    assert result.pairs == result.violations == len(result) == 0
+    assert list(result) == [] and result.lhs.shape == result.rhs.shape == (4, 0)
+
+
+def test_entry_streams_are_pinned():
+    # every entry of both checks at radius 6, in iteration order: the
+    # digest was taken before entries were chained through one iterator
+    # and small quotients divided in float64
+    digest = hashlib.sha256()
+    for spec, rho, exact in ((F2, kesten_rho_upper_fraction(4), True), (Z5Z5, 0.95, False),
+                             (Z2Z2Z2, kesten_rho_upper_fraction(3), True)):
+        b = ball(spec, 6)
+        for result in (check_nbw_le_srw_tail(b, 6, rho, exact=exact),
+                       check_nbw_le_rho_power(b, 6, rho, exact=exact)):
+            for e in result:
+                digest.update(repr(e.to_record()).encode())
+    assert digest.hexdigest() == "b41d6f73a89b3a0d301d997d03d9166e5df80515d80666d00d47d777041ae6fc"
+
+
+# --- _quotients: float64 division below 2^53, Python int division above ----
+
+EDGES = [2**53 - 1, 2**53, 2**53 + 1]
+QUOTIENT_INTS = st.one_of(st.integers(-2**20, 2**20), st.integers(-2**53 - 2, 2**53 + 2),
+                          st.sampled_from(EDGES + [-e for e in EDGES]),
+                          st.integers(-2**62, 2**62))
+
+
+def _quotients_reference(vals, den, scale, offset):
+    return [float(Fraction(v * scale + offset, den)).hex() for v in vals]
+
+
+@given(st.lists(QUOTIENT_INTS, max_size=6),
+       st.one_of(st.integers(1, 2**20), st.integers(1, 2**54), st.sampled_from(EDGES)),
+       st.one_of(st.just(1), st.integers(1, 2**30), st.sampled_from(EDGES)),
+       st.one_of(st.just(0), st.integers(-2**30, 2**30), st.integers(-2**54, 2**54)))
+@example([2**53 - 1, -(2**53 - 1), 0], 3, 1, 0)  # the largest ends on both sides
+@example([2**53, 1], 3, 1, 0)
+@example([2**53 + 1, 1], 3, 1, 0)
+@example([1, 5, 2**40], 2**53, 1, 0)  # den at 2^53
+@example([2**52, 7], 3, 2, -1)  # 2^53 - 1 after the scale and offset
+@example([2**52, 7], 3, 2, 0)
+@example([0, 1, 2], 7, 2**53, 0)
+@example([-5, 3], 11, 1, 2**53)
+def test_quotients_on_both_paths_are_the_fraction_floats(vals, den, scale, offset):
+    got = kernels._quotients(np.array(vals, dtype=np.int64), den, scale, offset)
+    assert got.dtype == np.float64 and got.shape == (len(vals),)
+    assert [x.hex() for x in got.tolist()] == _quotients_reference(vals, den, scale, offset)
+
+
+def test_quotients_objects_and_empty():
+    vals = [2**63 + 5, 2**64 - 1, 3, 2**63 + 5, -(2**70)]
+    got = kernels._quotients(np.array(vals, dtype=object), 7 * 2**40, 3, 2**65)
+    assert [x.hex() for x in got.tolist()] == _quotients_reference(vals, 7 * 2**40, 3, 2**65)
+    for nums in (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=object)):
+        got = kernels._quotients(nums, 3, 5, 2)
+        assert got.dtype == np.float64 and got.shape == (0,)
+
+
+@pytest.mark.parametrize("vals,den,scale,offset,divided", [
+    ([2**53 - 1, -(2**53 - 1)], 3, 1, 0, True),
+    ([2**52, 7], 3, 2, -1, True),
+    ([2**53, 1], 3, 1, 0, False),
+    ([-(2**53), 1], 3, 1, 0, False),
+    ([2**52, 7], 3, 2, 0, False),
+    ([1, 2], 2**53, 1, 0, False),
+    ([1, 2], 2**53 - 1, 1, 0, True),
+    ([0, 1], 3, 2**53, 0, False),
+    ([0, 1], 3, 1, 2**53, False),
+])
+def test_quotients_divide_in_float64_only_below_2_53(vals, den, scale, offset, divided,
+                                                       monkeypatch):
+    # the exact path sorts the distinct values; the float64 path does not
+    uniques = []
+    real = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: uniques.append(a) or real(*a, **k))
+    got = kernels._quotients(np.array(vals, dtype=np.int64), den, scale, offset)
+    assert (not uniques) is divided
+    assert [x.hex() for x in got.tolist()] == _quotients_reference(vals, den, scale, offset)
 
 
 # --- closed-form envelope tails: the kernel checks' one-leg tail and the

@@ -27,6 +27,7 @@ from oracles import (
     census_classes,
     census_chi_bracket,
     renewal_series,
+    sup_endpoint_probability,
     tree_sphere_size,
     word_length,
 )
@@ -65,7 +66,7 @@ def test_census_endpoint_consistency():
     census, classes = enumerate_saw(Z5Z5, 6), census_classes(Z5Z5, 6)
     for n in range(7):
         assert sum(census.endpoint_counts[n].values()) == census.counts[n]
-        assert (census.sup_endpoint_probability(n)
+        assert (sup_endpoint_probability(census, n)
                 == max(poly[n] for _, poly in classes if n in poly) / census.counts[n])
 
 
@@ -73,7 +74,7 @@ def test_census_endpoint_consistency():
 def test_sup_endpoint_probability_range(n):
     census = enumerate_saw(Z5Z5, 3)
     with pytest.raises(ValueError, match="census range"):
-        census.sup_endpoint_probability(n)
+        sup_endpoint_probability(census, n)
 
 
 def test_census_tree_endpoints_unique():
@@ -151,13 +152,13 @@ def test_census_z5z5_n12():
 def test_census_builds_no_words():
     # the counts, mu and speed read the renewal digits alone;
     # `endpoint_counts`, the only place words are built, is cached in the
-    # instance on its first read, which the endpoint sup is
+    # instance on its first read, which the endpoint-sup oracle is
     census = enumerate_saw(Z5Z5, 8)
     fresh = enumerate_saw(Z5Z5, 8)
     connective_constant(fresh)
     speed_exact(fresh, 8)
     assert "endpoint_counts" not in vars(fresh)
-    fresh.sup_endpoint_probability(8)
+    sup_endpoint_probability(fresh, 8)
     assert "endpoint_counts" in vars(fresh)
     # built on first read, then kept; it matches the walk-by-walk oracle
     assert fresh.endpoint_counts == dfs_census(Z5Z5, 8)[1]
@@ -211,7 +212,7 @@ def test_endpoint_decay_tree():
         assert entry.status == "pass" and lam < 1
         census = enumerate_saw(spec, 8)
         for n in range(9):
-            assert census.sup_endpoint_probability(n) <= const * lam**n
+            assert sup_endpoint_probability(census, n) <= const * lam**n
 
 
 def test_endpoint_decay_without_rho():
@@ -240,7 +241,7 @@ def test_speed_exact():
 @pytest.mark.parametrize("call", [
     lambda c: connective_constant(c),
     lambda c: speed_exact(c, 6),
-    lambda c: c.sup_endpoint_probability(5),
+    lambda c: sup_endpoint_probability(c, 5),
     ["saw", "--spec", "Z5", "--nmax", "6"],
     ["saw", "--spec", "Z5", "--nmax", "6", "--z-grid", "0.1"],
 ], ids=["connective_constant", "speed_exact", "sup_endpoint_probability", "cli",

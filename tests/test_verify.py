@@ -339,6 +339,23 @@ def test_bad_job_rejected_before_any_work(spec_text, overrides, key, monkeypatch
     assert not (tmp_path / "certificate.json").exists()
 
 
+@pytest.mark.parametrize("spec_text,ends", [
+    ("Z*Z", 1), ("Z*Z*Z", 1), ("Z2*Z2*Z2", 1), ("Z*Z*Z*Z", 1), ("Z5*Z5", 2), ("Z*Z5", 2),
+])
+def test_tree_job_evaluates_bubble_and_speed_once(spec_text, ends, monkeypatch):
+    # a tree's z_c ends are one Fraction 1/(d-1): the bubble is evaluated
+    # there once, and each of the speed's closed forms once per order
+    zs = {"bubble": [], "distances": []}
+    bubble, distances = verify.saw_mod.bubble_diagram, verify.blocks.distances
+    monkeypatch.setattr(verify.saw_mod, "bubble_diagram",
+                        lambda spec, z: zs["bubble"].append(z) or bubble(spec, z))
+    monkeypatch.setattr(verify.blocks, "distances",
+                        lambda m, z: zs["distances"].append(z) or distances(m, z))
+    run_certificate(VerifyConfig(jobs=[GraphJob(spec_text, bnp_c=1.0)]))
+    orders = len(set(parse_group_spec(spec_text).orders))
+    assert len(zs["bubble"]) == ends and len(zs["distances"]) == ends * orders
+
+
 def test_config_sets_every_job_field():
     # bnp_C is the one field but spec_text; keys are case-insensitive
     assert [f.name for f in dataclasses.fields(GraphJob)] == ["spec_text", "bnp_c"]
